@@ -70,8 +70,8 @@ def main() -> None:
     print(f"{N} agents, epsilon={EPSILON}, mu=0.5, complete graph, "
           f"{HORIZON} steps\n")
     print("step     opinions in [0, 1]")
-    for state in trajectory.states:
-        print(f"{state.time:>6}   {ascii_row(state.opinions)}")
+    for t, x in zip(trajectory.times, trajectory.states):
+        print(f"{t:>6}   {ascii_row(x)}")
 
     groups = connected_components(opinion_graph(trajectory.final, params), N)
     print(f"\nfinal clusters (mutually within epsilon): {len(groups)}")

@@ -48,8 +48,8 @@ def main() -> None:
     print("slacks against reference point c = 0 (all must be >= 0)\n")
 
     pre = OpinionState(0, np.array([0.0, 1.0]))
-    post, event = step(pre, (0, 1), mu=0.25, params=params)
-    assert event.fired
+    post, fired = step(pre, (0, 1), mu=0.25, params=params)
+    assert fired
     show("legitimate update, mu=0.25",
          pair_contraction_slacks(pre, post, (0, 1), c),
          potential_drop_slack(pre, post, (0, 1), c))
@@ -83,7 +83,7 @@ def main() -> None:
         record_stride=25,
     )
     grid = lattice_points(np.zeros(2), np.ones(2), 25)
-    result = check_potential_monotone(trajectory.states, grid)
+    result = check_potential_monotone(trajectory.times, trajectory.states, grid)
     print(f"replayed a 2-D run ({trajectory.steps_run} steps, "
           f"{len(trajectory.states)} recorded states)")
     print(f"summed distance to each of {len(grid)} reference points "

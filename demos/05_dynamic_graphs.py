@@ -78,7 +78,7 @@ def run_once(schedule, seed: int):
         record_stride=RECORD_STRIDE,
         record_events=False,
     )
-    settled = settle_time(trajectory.states, schedule, DELTA, params)
+    settled = settle_time(trajectory.times, trajectory.states, schedule, DELTA, params)
     spread = float(np.ptp(trajectory.final.opinions))
     return tracker.time, settled, spread, changes
 

@@ -67,6 +67,7 @@ from .model import (
     SequenceMu,
     UniformMu,
     run_trajectory,
+    seed_streams,
 )
 from .montecarlo import (
     TrialConfig,
@@ -145,10 +146,8 @@ def _build_space(data: dict, dimension: int) -> OpinionSpace:
     kind = data.get("kind")
     if kind == "interval":
         _reject_unknown(data, {"kind", "a", "b"}, "space")
-        if dimension != 1:
-            raise ConfigurationError("interval space needs dimension 1")
-        return Interval(float(data.get("a", 0.0)), float(data.get("b", 1.0)))
-    if kind == "box":
+        space = Interval(float(data.get("a", 0.0)), float(data.get("b", 1.0)))
+    elif kind == "box":
         _reject_unknown(data, {"kind", "lower", "upper"}, "space")
         space = Box(data["lower"], data["upper"])
     elif kind == "ball":
@@ -173,10 +172,7 @@ def _edges_from_json(pairs: Any, n: int) -> EdgeSet:
 
 
 def _piecewise_from_mapping(mapping: dict, n: int) -> PiecewiseGraph:
-    try:
-        entries = sorted((int(step), pairs) for step, pairs in mapping.items())
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"piecewise steps must be integers: {exc}") from None
+    entries = sorted((int(step), pairs) for step, pairs in mapping.items())
     return PiecewiseGraph(n, tuple((step, _edges_from_json(pairs, n))
                                    for step, pairs in entries))
 
@@ -227,7 +223,11 @@ def _build_mu(data: dict) -> MuSchedule:
 
 
 def load_config(path: Optional[str], overrides: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults, the JSON file, and CLI flags (flags win)."""
+    """Merge defaults, the JSON file, and CLI flags (flags win).
+
+    A missing key, a wrong type or a bad value anywhere in the merged config
+    raises ConfigurationError.
+    """
     raw = {k: (dict(v) if isinstance(v, dict) else v)
            for k, v in _DEFAULT_CONFIG.items()}
     if path is not None:
@@ -249,17 +249,21 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> Experimen
         raw["n"] = overrides.n
     if getattr(overrides, "horizon", None) is not None:
         raw["horizon"] = overrides.horizon
+    try:
+        return _build_config(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)) from None
 
+
+def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
     n = int(raw["n"])
     dimension = int(raw["dimension"])
     params = ModelParams(epsilon=float(raw["epsilon"]), dimension=dimension,
                          norm=str(raw["norm"]))
-    if not isinstance(raw["space"], dict):
-        raise ConfigurationError("space must be a JSON object")
-    if not isinstance(raw["graph"], dict):
-        raise ConfigurationError("graph must be a JSON object")
-    if not isinstance(raw["mu"], dict):
-        raise ConfigurationError("mu must be a JSON object")
+    for key in ("space", "graph", "mu"):
+        if not isinstance(raw[key], dict):
+            raise ConfigurationError(f"{key} must be a JSON object")
     space = _build_space(raw["space"], dimension)
     graph = _build_graph(raw["graph"], n)
     mu = _build_mu(raw["mu"])
@@ -339,17 +343,10 @@ def _write_violation(out_dir: Path, exc: InvariantViolation, seed: int,
 # simulate
 # ---------------------------------------------------------------------------
 
-def _simulate_streams(seed: int):
-    root = np.random.SeedSequence(seed)
-    init_ss, dyn_ss, graph_ss = root.spawn(3)
-    graph_seed = int(graph_ss.generate_state(1, dtype=np.uint64)[0])
-    return np.random.default_rng(init_ss), np.random.default_rng(dyn_ss), graph_seed
-
-
 def cmd_simulate(config: ExperimentConfig, seed: int, out_dir: Path) -> int:
     """One trajectory with every checker active; CSV states/events + JSON summary."""
     digest = config.digest(seed)
-    init_rng, dyn_rng, graph_seed = _simulate_streams(seed)
+    init_rng, dyn_rng, graph_seed = seed_streams(seed)
     schedule = config.graph.reseeded(graph_seed)
     if config.initial is not None:
         initial = OpinionState(0, config.initial)
@@ -382,22 +379,21 @@ def cmd_simulate(config: ExperimentConfig, seed: int, out_dir: Path) -> int:
     _write_csv(
         out_dir / "states.csv",
         ["step", "agent_id"] + [f"x{k}" for k in range(d)],
-        ((state.time, agent, *state.opinions[agent])
-         for state in trajectory.states for agent in range(config.n)),
+        ((t, agent, *row)
+         for t, x in zip(trajectory.times.tolist(), trajectory.states)
+         for agent, row in enumerate(x.tolist())),
     )
     _write_csv(
         out_dir / "events.csv",
         ["step", "i", "j", "fired", "mu"],
-        ((ev.time,
-          ev.selected_edge[0] if ev.selected_edge else None,
-          ev.selected_edge[1] if ev.selected_edge else None,
-          ev.fired, ev.mu_used)
-         for ev in trajectory.events),
+        ((t, None if i < 0 else i, None if j < 0 else j, fired, mu)
+         for t, (i, j, fired, mu) in enumerate(trajectory.events.tolist())),
     )
 
     stopping = []
     for delta, tracker in zip(config.deltas, trackers):
-        t_delta = settle_time(trajectory.states, schedule, delta, config.params)
+        t_delta = settle_time(trajectory.times, trajectory.states, schedule, delta,
+                              config.params)
         record = StoppingTimeRecord(delta=delta, tau_delta=tracker.time,
                                     T_delta=t_delta, horizon=trajectory.steps_run)
         stopping.append({
@@ -525,14 +521,11 @@ def _verify_runs(seed: int, observers_factory, runs: int = 12, steps: int = 2000
     """Randomized short trajectories over mixed dimensions and schedules."""
     results = []
     for k in range(runs):
-        run_ss = np.random.SeedSequence(seed, spawn_key=(k,))
-        init_ss, dyn_ss, graph_ss = run_ss.spawn(3)
+        init_rng, dyn_rng, graph_seed = seed_streams(seed, k)
         d = 1 + k % 3
         n = 8
         params = ModelParams(epsilon=0.6, dimension=d, norm="euclidean")
-        init_rng = np.random.default_rng(init_ss)
         x0 = init_rng.random((n, d))
-        graph_seed = int(graph_ss.generate_state(1, dtype=np.uint64)[0])
         style = k % 4
         if style == 0:
             schedule: GraphSchedule = ConstantGraph(n, complete_edges(n))
@@ -546,7 +539,7 @@ def _verify_runs(seed: int, observers_factory, runs: int = 12, steps: int = 2000
         observers = observers_factory(params, x0)
         trajectory = run_trajectory(
             OpinionState(0, x0), schedule, mu, params, steps,
-            np.random.default_rng(dyn_ss), observers=observers,
+            dyn_rng, observers=observers,
             record_stride=50, record_events=False,
         )
         results.append((trajectory, observers, params))
@@ -587,7 +580,8 @@ def _suite_potential(seed: int) -> dict:
     for trajectory, _, params in _verify_runs(seed, lambda params, x0: []):
         x0 = trajectory.initial.opinions
         cs = lattice_points(x0.min(axis=0), x0.max(axis=0), 10)
-        result = check_potential_monotone(trajectory.states, cs, params.norm)
+        result = check_potential_monotone(trajectory.times, trajectory.states, cs,
+                                          params.norm)
         if not result.ok:
             raise InvariantViolation(
                 "potential-monotone", step=result.step, slack=-result.drift,
@@ -605,16 +599,16 @@ def _suite_triviality(seed: int) -> dict:
         checked += 1
         # Once the diameter is within delta, every later state stays trivial.
         delta = max(diam_obs.diameter * 2.0, 1e-9)
-        hits = [s for s in trajectory.states
-                if is_delta_trivial(s, ALL_PAIRS, delta, params.norm)]
-        if hits:
-            first = hits[0].time
-            for state in trajectory.states:
-                if state.time >= first and not is_delta_trivial(
-                        state, ALL_PAIRS, delta, params.norm):
-                    raise InvariantViolation(
-                        "triviality-preservation", step=state.time, slack=0.0,
-                        detail=f"trivial at {first} but not at {state.time}")
+        times = trajectory.times.tolist()
+        trivial = [is_delta_trivial(OpinionState(t, x), ALL_PAIRS, delta, params.norm)
+                   for t, x in zip(times, trajectory.states)]
+        if True in trivial:
+            first = trivial.index(True)
+            if False in trivial[first:]:
+                late = times[first + trivial[first:].index(False)]
+                raise InvariantViolation(
+                    "triviality-preservation", step=late, slack=0.0,
+                    detail=f"trivial at {times[first]} but not at {late}")
     return {"trajectories": checked}
 
 

@@ -10,89 +10,61 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .geometry import diameter
 from .model import ModelParams, OpinionState
 from .norms import cross_distances, rowwise_norm
 
 
 class EdgeSet:
-    """Canonical undirected edge set: sorted (i, j) pairs with i < j.
+    """Canonical undirected edge set: an (m, 2) intp array of unique rows
+    (i, j) with i < j, in lexicographic order.
 
-    Immutable by convention; hashable; no self-loops or duplicates.  Backed
-    by either a tuple of pairs or an (m, 2) array; each representation is
-    materialized from the other on first use.
+    Immutable by convention; hashable; no self-loops or duplicates.
     """
 
-    __slots__ = ("_pairs", "_array")
+    __slots__ = ("array",)
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
-        canon = set()
-        for i, j in pairs:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ConfigurationError(f"self-loop edge ({i}, {j})")
-            if i < 0 or j < 0:
-                raise ConfigurationError(f"negative vertex in edge ({i}, {j})")
-            canon.add((i, j) if i < j else (j, i))
-        self._pairs: Optional[tuple[tuple[int, int], ...]] = tuple(sorted(canon))
-        self._array: Optional[np.ndarray] = None
+        arr = np.array(list(pairs) or np.empty((0, 2)), dtype=np.intp)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ConfigurationError("edges must be (i, j) pairs")
+        for bad, what in ((arr[:, 0] == arr[:, 1], "self-loop edge"),
+                          ((arr < 0).any(axis=1), "negative vertex in edge")):
+            if bad.any():
+                i, j = arr[bad.argmax()].tolist()
+                raise ConfigurationError(f"{what} ({i}, {j})")
+        self.array = np.unique(np.sort(arr, axis=1), axis=0)
 
     @classmethod
     def _from_sorted_array(cls, arr: np.ndarray) -> "EdgeSet":
         """Trusted fast path: rows already canonical (i < j, lex-sorted, unique)."""
         obj = cls.__new__(cls)
-        obj._pairs = None
-        obj._array = arr
+        obj.array = arr
         return obj
 
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        if self._pairs is None:
-            self._pairs = tuple((int(i), int(j)) for i, j in self._array.tolist())
-        return self._pairs
-
-    @property
-    def array(self) -> np.ndarray:
-        """Edges as an (m, 2) int array (cached)."""
-        if self._array is None:
-            if self._pairs:
-                self._array = np.array(self._pairs, dtype=np.intp)
-            else:
-                self._array = np.empty((0, 2), dtype=np.intp)
-        return self._array
-
     def __len__(self) -> int:
-        if self._pairs is not None:
-            return len(self._pairs)
-        return self._array.shape[0]
+        return self.array.shape[0]
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
+        return map(tuple, self.array.tolist())
 
     def __contains__(self, edge: tuple[int, int]) -> bool:
-        i, j = edge
-        e = (i, j) if i < j else (j, i)
-        # pairs are sorted; binary search
-        lo = bisect_right(self.pairs, e) - 1
-        return lo >= 0 and self.pairs[lo] == e
+        i, j = sorted(edge)
+        return bool(np.any((self.array[:, 0] == i) & (self.array[:, 1] == j)))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, EdgeSet) and self.pairs == other.pairs
+        return isinstance(other, EdgeSet) and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash(self.pairs)
+        return hash(self.array.tobytes())
 
     def __repr__(self) -> str:
-        return f"EdgeSet({list(self.pairs)!r})"
-
-    def intersection(self, other: "EdgeSet") -> "EdgeSet":
-        a, b = set(self.pairs), set(other.pairs)
-        return EdgeSet(a & b)
+        return f"EdgeSet({list(self)!r})"
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +78,7 @@ def _all_pairs_array(n: int) -> np.ndarray:
 
 def complete_edges(n: int) -> EdgeSet:
     """All pairs over vertices [0, n)."""
-    return EdgeSet(combinations(range(n), 2))
+    return EdgeSet._from_sorted_array(_all_pairs_array(n))
 
 
 def path_edges(n: int) -> EdgeSet:
@@ -133,11 +105,16 @@ def opinion_graph(state: OpinionState, params: ModelParams) -> EdgeSet:
 
 def profile(social: EdgeSet, opinion: EdgeSet) -> EdgeSet:
     """Edges both socially present and within the confidence threshold."""
-    return social.intersection(opinion)
+    a, b = social.array, opinion.array
+    # key i*n + j is increasing in lex order, so the kept rows stay canonical
+    n = int(max(a.max(initial=0), b.max(initial=0))) + 1
+    keep = np.isin(a[:, 0] * n + a[:, 1], b[:, 0] * n + b[:, 1], assume_unique=True)
+    return EdgeSet._from_sorted_array(a[keep])
 
 
 def connected_components(edges: EdgeSet, n: int) -> list[list[int]]:
     """Partition of [0, n) into components (union-find); singletons included."""
+    _check_edges_range(edges, n)
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -147,8 +124,6 @@ def connected_components(edges: EdgeSet, n: int) -> list[list[int]]:
         return a
 
     for i, j in edges:
-        if i >= n or j >= n:
-            raise ConfigurationError(f"edge ({i}, {j}) out of range for n={n}")
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
@@ -168,14 +143,8 @@ def is_delta_trivial(state: OpinionState, pairs, delta: float, norm: str = "eucl
         raise ConfigurationError(f"delta must be positive, got {delta}")
     x = state.opinions
     if pairs == ALL_PAIRS:
-        if x.shape[0] < 2:
-            return True
-        d = cross_distances(x, x, norm)
-        iu = np.triu_indices(x.shape[0], k=1)
-        return bool(np.all(d[iu] <= delta))
+        return x.shape[0] < 2 or diameter(x, norm) <= delta
     arr = pairs.array
-    if arr.shape[0] == 0:
-        return True
     diffs = x[arr[:, 0]] - x[arr[:, 1]]
     return bool(np.all(rowwise_norm(diffs, norm) <= delta))
 
@@ -267,13 +236,12 @@ class ErdosRenyiGraph(GraphSchedule):
 
     def edges_at(self, t):
         block, offset = divmod(t, self._BLOCK)
+        pairs = _all_pairs_array(self.n)
         if block != self._block_index:
             rng = np.random.Generator(
                 np.random.Philox(key=self.seed, counter=[0, 0, 0, block]))
-            m = _all_pairs_array(self.n).shape[0]
-            self._block_masks = rng.random((self._BLOCK, m)) < self.p
+            self._block_masks = rng.random((self._BLOCK, len(pairs))) < self.p
             self._block_index = block
-        pairs = _all_pairs_array(self.n)
         return EdgeSet._from_sorted_array(pairs[self._block_masks[offset]])
 
     @property
@@ -332,13 +300,8 @@ class PiecewiseGraph(GraphSchedule):
 
 
 def _check_edges_range(edges: EdgeSet, n: int) -> None:
-    for i, j in edges:
+    arr = edges.array
+    if len(arr):
+        i, j = arr[arr[:, 1].argmax()].tolist()   # i < j, so column 1 holds the max
         if j >= n:
             raise ConfigurationError(f"edge ({i}, {j}) out of range for n={n}")
-
-
-def evaluate_schedule(schedule: GraphSchedule, t: int) -> EdgeSet:
-    """Edge set at step t (thin wrapper over the schedule's own lookup)."""
-    if t < 0:
-        raise ConfigurationError(f"t must be >= 0, got {t}")
-    return schedule.edges_at(t)

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
-from .graphs import GraphSchedule
+from .geometry import distance_potential
+from .graphs import GraphSchedule, is_connected, is_delta_trivial, opinion_graph, profile
 from .model import ModelParams, OpinionState, TrajectoryObserver
 from .norms import cross_distances, distances_to_point, rowwise_norm, vector_norm
 
@@ -89,8 +90,6 @@ def potential_drop_slack(
     of one updated agent minus twice the pair midpoint's distance to c.
     """
     c = np.asarray(c, dtype=float).ravel()
-    from .geometry import distance_potential
-
     z_pre = distance_potential(pre.opinions, c, norm)
     z_post = distance_potential(post.opinions, c, norm)
     xi0, xj0 = _pair_rows(pre, pair)
@@ -109,22 +108,26 @@ class MonotoneResult:
 
 
 def check_potential_monotone(
-    states: Sequence[OpinionState],
+    times: Sequence[int],
+    states: Sequence[np.ndarray],
     c_samples: np.ndarray,
     norm: str = "euclidean",
     tol: float = SLACK_TOL,
 ) -> MonotoneResult:
-    """Check the summed distance to each sampled c never rises between states."""
+    """Check the summed distance to each sampled c never rises between states.
+
+    ``states`` holds (n, d) opinion arrays recorded at the steps ``times``.
+    """
     cs = np.atleast_2d(np.asarray(c_samples, dtype=float))
     if len(states) < 2:
         return MonotoneResult(ok=True)
-    prev = cross_distances(states[0].opinions, cs, norm).sum(axis=0)
-    for state in states[1:]:
-        cur = cross_distances(state.opinions, cs, norm).sum(axis=0)
+    prev = cross_distances(states[0], cs, norm).sum(axis=0)
+    for t, x in zip(times[1:], states[1:]):
+        cur = cross_distances(x, cs, norm).sum(axis=0)
         drift = cur - prev
         worst = int(np.argmax(drift))
         if drift[worst] > tol:
-            return MonotoneResult(ok=False, step=state.time, c_index=worst,
+            return MonotoneResult(ok=False, step=int(t), c_index=worst,
                                   drift=float(drift[worst]))
         prev = cur
     return MonotoneResult(ok=True)
@@ -318,8 +321,6 @@ class StoppingTimeTracker(TrajectoryObserver):
 
     def _holds(self, x: np.ndarray, social_edges) -> bool:
         arr = social_edges.array
-        if arr.size == 0:
-            return True
         lengths = rowwise_norm(x[arr[:, 0]] - x[arr[:, 1]], self.params.norm)
         active = lengths <= self.params.epsilon
         return not bool(np.any(lengths[active] > self.delta))
@@ -397,39 +398,30 @@ class StoppingTimeRecord:
 
 
 def settle_time(
-    states: Sequence[OpinionState],
+    times: Sequence[int],
+    states: Sequence[np.ndarray],
     schedule: GraphSchedule,
     delta: float,
     params: ModelParams,
 ) -> Optional[int]:
     """First recorded time with a connected profile that stays short afterward.
 
-    Scans the recorded states; each is paired with the social edges active
-    at its own step.  Certification is only as strong as the horizon and the
-    recording stride.
+    Scans the recorded (n, d) states; each is paired with the social edges
+    active at its own step in ``times``.  Certification is only as strong as
+    the horizon and the recording stride.
     """
     if not (delta > 0):
         raise ConfigurationError(f"delta must be > 0, got {delta}")
-    if not states:
-        return None
-    from .graphs import is_connected, opinion_graph, profile
-
-    n = states[0].n
-    connected = np.zeros(len(states), dtype=bool)
-    short = np.zeros(len(states), dtype=bool)
-    for k, state in enumerate(states):
-        social = schedule.edges_at(state.time)
-        prof = profile(social, opinion_graph(state, params))
-        arr = prof.array
-        if arr.size == 0:
-            short[k] = True
-        else:
-            lengths = rowwise_norm(state.opinions[arr[:, 0]] - state.opinions[arr[:, 1]],
-                                   params.norm)
-            short[k] = bool(np.all(lengths <= delta))
-        connected[k] = is_connected(prof, n)
+    times = [int(t) for t in times]
+    connected = np.zeros(len(times), dtype=bool)
+    short = np.zeros(len(times), dtype=bool)
+    for k, (t, x) in enumerate(zip(times, states)):
+        state = OpinionState(t, x)
+        prof = profile(schedule.edges_at(t), opinion_graph(state, params))
+        short[k] = is_delta_trivial(state, prof, delta, params.norm)
+        connected[k] = is_connected(prof, state.n)
     ok_suffix = np.logical_and.accumulate(short[::-1])[::-1]
     hits = np.nonzero(connected & ok_suffix)[0]
     if hits.size == 0:
         return None
-    return int(states[int(hits[0])].time)
+    return times[hits[0]]

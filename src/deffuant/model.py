@@ -14,7 +14,7 @@ seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -158,28 +158,9 @@ class OpinionState:
         return OpinionState(self.time, self.opinions.copy())
 
 
-@dataclass(frozen=True, slots=True)
-class StepEvent:
-    """Audit record of one time step."""
-
-    time: int
-    selected_edge: Optional[tuple[int, int]]
-    fired: bool
-    mu_used: float
-
-
 # ---------------------------------------------------------------------------
 # Elementary operations
 # ---------------------------------------------------------------------------
-
-def opinion_distance(a: np.ndarray, b: np.ndarray, norm: str = "euclidean") -> float:
-    """Distance between two opinion vectors in the chosen norm."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ConfigurationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return vector_norm(a - b, norm)
-
 
 def select_pair(edges: "EdgeSet", rng: np.random.Generator) -> Optional[tuple[int, int]]:
     """Pick one edge uniformly at random; None when the edge set is empty."""
@@ -191,13 +172,40 @@ def select_pair(edges: "EdgeSet", rng: np.random.Generator) -> Optional[tuple[in
     return int(arr[k, 0]), int(arr[k, 1])
 
 
+def seed_streams(seed: int, *spawn_key: int):
+    """Initial-opinion rng, dynamics rng and graph seed of one run.
+
+    ``spawn_key`` names the run under ``seed`` (a trial index, say); runs
+    with different keys get independent streams.
+    """
+    root = np.random.SeedSequence(seed, spawn_key=spawn_key)
+    init_ss, dyn_ss, graph_ss = root.spawn(3)
+    graph_seed = int(graph_ss.generate_state(1, dtype=np.uint64)[0])
+    return np.random.default_rng(init_ss), np.random.default_rng(dyn_ss), graph_seed
+
+
+def _update(x: np.ndarray, i: int, j: int, mu: float, params: ModelParams) -> bool:
+    """Apply the update rule to rows i and j of x in place; True iff it fired.
+
+    mu is used as given: the audit observers, not this rule, catch a rate
+    outside [0, 1/2].
+    """
+    diff = x[j] - x[i]
+    fired = vector_norm(diff, params.norm) <= params.epsilon
+    if fired:
+        upd = mu * diff
+        x[i] += upd
+        x[j] -= upd
+    return fired
+
+
 def step(
     state: OpinionState,
     edge: tuple[int, int],
     mu: float,
     params: ModelParams,
-) -> tuple[OpinionState, StepEvent]:
-    """One update on the given pair; returns the new state and its audit event.
+) -> tuple[OpinionState, bool]:
+    """One update on the given pair; returns the new state and whether it fired.
 
     The update fires iff the pair's pre-step distance is <= epsilon (exact
     comparison, no slack). Non-interacting agents are untouched.
@@ -215,15 +223,8 @@ def step(
             f"state dimension {state.dimension} != params dimension {params.dimension}"
         )
     new = x.copy()
-    diff = x[j] - x[i]
-    dist = vector_norm(diff, params.norm)
-    fired = dist <= params.epsilon
-    if fired:
-        upd = mu * diff
-        new[i] += upd
-        new[j] -= upd
-    event = StepEvent(time=state.time, selected_edge=(i, j), fired=fired, mu_used=float(mu))
-    return OpinionState(state.time + 1, new), event
+    fired = _update(new, i, j, mu, params)
+    return OpinionState(state.time + 1, new), fired
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +264,26 @@ class TrajectoryObserver:
         pass
 
 
+EVENT_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("fired", bool), ("mu", float)])
+
+
 @dataclass
 class Trajectory:
-    """Recorded run: states at the recording stride plus every step event."""
+    """Recorded run: states at the recording stride plus every step event.
+
+    ``times`` (k,) and ``states`` (k, n, d) hold the recorded states.
+    ``events`` has one row per step with columns i, j, fired, mu (empty
+    unless events were recorded); i = j = -1 where the step had no edge.
+    """
 
     params: ModelParams
     initial: OpinionState
     final: OpinionState
-    states: list[OpinionState]
-    events: list[StepEvent] = field(default_factory=list)
+    times: np.ndarray
+    states: np.ndarray
+    events: np.ndarray
     steps_run: int = 0
     stopped_early: bool = False
-
-    @property
-    def n(self) -> int:
-        return self.initial.n
 
 
 def run_trajectory(
@@ -312,13 +318,12 @@ def run_trajectory(
         )
 
     x = initial.opinions.astype(float, copy=True)
-    eps = params.epsilon
-    norm = params.norm
     observers = tuple(observers)
 
     start_state = OpinionState(0, x.copy())
-    states = [start_state]
-    events: list[StepEvent] = []
+    times = [0]
+    states = [start_state.opinions]
+    events: list[tuple[int, int, bool, float]] = []
 
     for obs in observers:
         obs.at_start(start_state)
@@ -339,27 +344,23 @@ def run_trajectory(
         xi_old = xj_old = None
         if pair is not None:
             i, j = pair
-            diff = x[j] - x[i]
-            dist = vector_norm(diff, norm)
             if observers:
                 xi_old = x[i].copy()
                 xj_old = x[j].copy()
-            if dist <= eps:
-                upd = mu * diff
-                x[i] += upd
-                x[j] -= upd
-                fired = True
+            fired = _update(x, i, j, mu, params)
         if record_events:
-            events.append(StepEvent(time=t, selected_edge=pair, fired=fired, mu_used=mu))
+            events.append((i, j, fired, mu))
         for obs in observers:
             obs.after_step(t, i, j, fired, mu, xi_old, xj_old, x, edges)
         t += 1
         if record_stride is not None and t % record_stride == 0:
-            states.append(OpinionState(t, x.copy()))
+            times.append(t)
+            states.append(x.copy())
 
     final = OpinionState(t, x.copy())
-    if states[-1].time != t:
-        states.append(final.copy())
+    if times[-1] != t:
+        times.append(t)
+        states.append(final.opinions)
     final_edges = graph_schedule.edges_at(t)
     for obs in observers:
         obs.at_end(t, final, final_edges)
@@ -368,8 +369,9 @@ def run_trajectory(
         params=params,
         initial=start_state,
         final=final,
-        states=states,
-        events=events,
+        times=np.array(times),
+        states=np.stack(states),
+        events=np.array(events, dtype=EVENT_DTYPE),
         steps_run=t,
         stopped_early=stopped,
     )

@@ -35,9 +35,9 @@ from .model import (
     ModelParams,
     MuSchedule,
     OpinionState,
-    Trajectory,
     TrajectoryObserver,
     run_trajectory,
+    seed_streams,
 )
 
 WILSON_Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -154,31 +154,6 @@ def certified_hull_gap(a: np.ndarray, b: np.ndarray, norm: str = "euclidean") ->
 # Outcome classification
 # ---------------------------------------------------------------------------
 
-def _verdict_at(
-    x: np.ndarray,
-    config: TrialConfig,
-    conn_io: bool,
-    mu_inf: bool,
-) -> tuple[Optional[Verdict], float]:
-    params = config.params
-    diam = diameter(x, params.norm)
-    if diam <= config.consensus_tol:
-        return Verdict.CONSENSUS, diam
-    if diam <= params.epsilon and conn_io and mu_inf:
-        return Verdict.CONSENSUS, diam
-    if diam > params.epsilon:
-        comps = connected_components(opinion_graph(OpinionState(0, x), params), config.n)
-        if len(comps) > 1:
-            clusters = [x[np.asarray(c, dtype=int)] for c in comps]
-            for ai in range(len(clusters)):
-                for bi in range(ai + 1, len(clusters)):
-                    gap = certified_hull_gap(clusters[ai], clusters[bi], params.norm)
-                    if gap <= params.epsilon:
-                        return None, diam
-            return Verdict.DISSENSUS, diam
-    return None, diam
-
-
 class OutcomeClassifier(TrajectoryObserver):
     """Watches a run and records the first sound verdict.
 
@@ -203,9 +178,27 @@ class OutcomeClassifier(TrajectoryObserver):
         self.final_diameter: float = float("nan")
         self._dirty = False
 
+    def _verdict(self, x: np.ndarray) -> Optional[Verdict]:
+        """The sound verdict for opinions x, or None; records their diameter."""
+        params = self.config.params
+        diam = self.final_diameter = diameter(x, params.norm)
+        if diam <= self.config.consensus_tol:
+            return Verdict.CONSENSUS
+        if diam <= params.epsilon:
+            return Verdict.CONSENSUS if self._conn_io and self._mu_inf else None
+        comps = connected_components(opinion_graph(OpinionState(0, x), params), self.config.n)
+        if len(comps) == 1:
+            return None
+        clusters = [x[np.asarray(c, dtype=int)] for c in comps]
+        for ai in range(len(clusters)):
+            for bi in range(ai + 1, len(clusters)):
+                gap = certified_hull_gap(clusters[ai], clusters[bi], params.norm)
+                if gap <= params.epsilon:
+                    return None
+        return Verdict.DISSENSUS
+
     def _check(self, x: np.ndarray, t: int):
-        verdict, diam = _verdict_at(x, self.config, self._conn_io, self._mu_inf)
-        self.final_diameter = diam
+        verdict = self._verdict(x)
         self._dirty = False
         if verdict is not None and self.verdict is None:
             self.verdict = verdict
@@ -231,36 +224,9 @@ class OutcomeClassifier(TrajectoryObserver):
         )
 
 
-def classify_outcome(trajectory: Trajectory, config: TrialConfig) -> TrialOutcome:
-    """Classify a recorded trajectory by scanning its stored states in order."""
-    conn_io = config.graph_schedule.connected_infinitely_often
-    mu_inf = config.mu_schedule.inf_positive
-    verdict: Optional[Verdict] = None
-    decided_at: Optional[int] = None
-    for state in trajectory.states:
-        v, _ = _verdict_at(state.opinions, config, conn_io, mu_inf)
-        if v is not None:
-            verdict, decided_at = v, state.time
-            break
-    final_diam = diameter(trajectory.final.opinions, config.params.norm)
-    return TrialOutcome(
-        verdict=verdict if verdict is not None else Verdict.UNDECIDED,
-        decided_at=decided_at,
-        final_diameter=final_diam,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Trials and ensembles
 # ---------------------------------------------------------------------------
-
-def _trial_streams(master_seed: int, trial_index: int):
-    """Independent per-trial streams; the trial count never shifts them."""
-    root = np.random.SeedSequence(master_seed, spawn_key=(trial_index,))
-    init_ss, dyn_ss, graph_ss = root.spawn(3)
-    graph_seed = int(graph_ss.generate_state(1, dtype=np.uint64)[0])
-    return np.random.default_rng(init_ss), np.random.default_rng(dyn_ss), graph_seed
-
 
 def run_trial(config: TrialConfig, *, early_stop: bool = True,
               check_every: int = 100) -> TrialResult:
@@ -269,7 +235,8 @@ def run_trial(config: TrialConfig, *, early_stop: bool = True,
     With early_stop a trial halts once the verdict is in (and, when a delta
     is tracked, the stopping time is found); otherwise the full horizon runs.
     """
-    init_rng, dyn_rng, graph_seed = _trial_streams(config.master_seed, config.trial_index)
+    # keyed by trial index, so the trial count never shifts a trial's streams
+    init_rng, dyn_rng, graph_seed = seed_streams(config.master_seed, config.trial_index)
     schedule = config.graph_schedule.reseeded(graph_seed)
     initial = OpinionState(0, config.space.sample(init_rng, config.n))
     classifier = OutcomeClassifier(config, schedule, check_every=check_every)
@@ -410,15 +377,6 @@ def run_ensemble(
         n_undecided=counts[Verdict.UNDECIDED.value],
     )
     return EnsembleResult(estimate=estimate, counts=counts, rows=rows)
-
-
-def estimate_consensus_probability(
-    config_template: TrialConfig,
-    n_trials: int,
-    master_seed: Optional[int] = None,
-    workers: int = 1,
-) -> ConsensusEstimate:
-    return run_ensemble(config_template, n_trials, master_seed, workers).estimate
 
 
 # ---------------------------------------------------------------------------

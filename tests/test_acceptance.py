@@ -71,7 +71,8 @@ class RunAudit:
     identity: UpdateIdentityObserver
     contraction: ContractionObserver
     diam: DiameterMonotoneObserver
-    states: list
+    times: np.ndarray
+    states: np.ndarray
     norm: str
     c_points: np.ndarray
 
@@ -112,7 +113,8 @@ def _build_run(k: int) -> RunAudit:
         np.random.default_rng(dyn_ss), observers=[identity, contraction, diam],
         record_stride=100, record_events=False)
     return RunAudit(identity=identity, contraction=contraction, diam=diam,
-                    states=trajectory.states, norm=params.norm, c_points=c_points)
+                    times=trajectory.times, states=trajectory.states, norm=params.norm,
+                    c_points=c_points)
 
 
 @pytest.fixture(scope="session")
@@ -193,7 +195,7 @@ def test_criterion_02_potential_decrement(ensemble):
 def test_criterion_03_potential_monotone(ensemble):
     worst_drift = max(a.contraction.max_potential_drift for a in ensemble)
     recorded_ok = all(
-        check_potential_monotone(a.states, a.c_points, a.norm).ok
+        check_potential_monotone(a.times, a.states, a.c_points, a.norm).ok
         for a in ensemble)
     ok = worst_drift <= 1e-9 and recorded_ok
     _criterion(3, "summed distance to each reference never rises > 1e-9", ok,

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +75,25 @@ def test_bad_json_rejected(tmp_path):
 def test_invalid_epsilon_flag_exits_config(tmp_path):
     assert cli_main(["simulate", "--epsilon", "-1",
                      "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("bad", [
+    {"epsilon": "abc"},                   # ValueError in float()
+    {"n": "x"},                           # ValueError in int()
+    {"graph": {"kind": "erdos_renyi"}},   # KeyError: no "p"
+])
+def test_bad_config_value_exits_config_without_traceback(tmp_path, bad):
+    path = write_config(tmp_path, **bad)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "deffuant.cli", "simulate", "--config", path,
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr.startswith("config error")
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_graph_file_exits_config(tmp_path):

@@ -1,7 +1,10 @@
 import pickle
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from deffuant import (
     ALL_PAIRS,
@@ -15,7 +18,6 @@ from deffuant import (
     PiecewiseGraph,
     complete_edges,
     connected_components,
-    evaluate_schedule,
     is_connected,
     is_delta_trivial,
     opinion_graph,
@@ -31,7 +33,7 @@ from deffuant import (
 
 def test_edgeset_canonicalizes_order_and_duplicates():
     e = EdgeSet([(2, 1), (1, 2), (0, 3)])
-    assert e.pairs == ((0, 3), (1, 2))
+    assert list(e) == [(0, 3), (1, 2)]
     assert len(e) == 2
     assert (1, 2) in e and (2, 1) in e
     assert (0, 1) not in e
@@ -59,18 +61,43 @@ def test_edgeset_array_roundtrip():
     assert arr.tolist() == [[0, 4], [1, 3]]
     # array-backed construction used by the fast paths agrees with the
     # validating constructor
-    assert EdgeSet._from_sorted_array(arr).pairs == e.pairs
+    assert EdgeSet._from_sorted_array(arr) == e
 
 
 def test_edgeset_intersection():
     a = EdgeSet([(0, 1), (1, 2), (2, 3)])
     b = EdgeSet([(1, 2), (3, 2), (0, 4)])
-    assert a.intersection(b) == EdgeSet([(1, 2), (2, 3)])
+    assert profile(a, b) == EdgeSet([(1, 2), (2, 3)])
+    assert profile(a, EdgeSet()) == EdgeSet() == profile(EdgeSet(), a)
+
+
+_pairs = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12))
+                  .filter(lambda p: p[0] != p[1]), max_size=40)
+
+
+@given(_pairs, _pairs)
+def test_edgeset_agrees_with_python_set_model(a, b):
+    model_a = {(min(p), max(p)) for p in a}
+    model_b = {(min(p), max(p)) for p in b}
+    ea, eb = EdgeSet(a), EdgeSet(b)
+    assert list(ea) == sorted(model_a)
+    assert ea.array.dtype == np.intp and ea.array.shape == (len(model_a), 2)
+    assert len(ea) == len(model_a)
+    for i, j in a + b:
+        assert ((i, j) in ea) == ((j, i) in ea) == ((min(i, j), max(i, j)) in model_a)
+    assert (ea == eb) == (model_a == model_b)
+    same = EdgeSet((j, i) for i, j in reversed(a))
+    assert same == ea and hash(same) == hash(ea)
+    assert list(profile(ea, eb)) == sorted(model_a & model_b)
+    # pool workers receive edge sets pickled inside TrialConfig
+    copy = pickle.loads(pickle.dumps(ea))
+    assert copy == ea and hash(copy) == hash(ea)
 
 
 def test_complete_and_path_edges():
     assert len(complete_edges(4)) == 6
-    assert path_edges(4).pairs == ((0, 1), (1, 2), (2, 3))
+    assert complete_edges(5) == EdgeSet(combinations(range(5), 2))
+    assert list(path_edges(4)) == [(0, 1), (1, 2), (2, 3)]
     assert len(complete_edges(1)) == 0
 
 
@@ -81,9 +108,9 @@ def test_complete_and_path_edges():
 def test_opinion_graph_threshold_inclusive():
     params = ModelParams(epsilon=0.8)
     state = OpinionState(0, np.array([0.0, 0.5, 1.0]))
-    assert opinion_graph(state, params).pairs == ((0, 1), (1, 2))
+    assert list(opinion_graph(state, params)) == [(0, 1), (1, 2)]
     # exact boundary counts as connected
-    assert opinion_graph(state, ModelParams(epsilon=1.0)).pairs == ((0, 1), (0, 2), (1, 2))
+    assert list(opinion_graph(state, ModelParams(epsilon=1.0))) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_opinion_graph_matches_explicit_construction():
@@ -107,8 +134,8 @@ def test_opinion_graph_edges_can_appear():
     params = ModelParams(epsilon=0.8)
     state = OpinionState(0, np.array([0.0, 0.5, 1.0]))
     assert (0, 2) not in opinion_graph(state, params)
-    new, event = step(state, (1, 2), mu=0.5, params=params)
-    assert event.fired
+    new, fired = step(state, (1, 2), mu=0.5, params=params)
+    assert fired
     assert np.allclose(new.opinions.ravel(), [0.0, 0.75, 0.75])
     assert (0, 2) in opinion_graph(new, params)
 
@@ -183,11 +210,6 @@ def test_piecewise_graph():
         PiecewiseGraph(3, ((1, a),))
     with pytest.raises(ConfigurationError):
         PiecewiseGraph(3, ((0, a), (5, b), (5, a)))
-
-
-def test_evaluate_schedule_rejects_negative_time():
-    with pytest.raises(ConfigurationError):
-        evaluate_schedule(ConstantGraph(3, path_edges(3)), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -104,13 +104,12 @@ def test_potential_monotone_on_real_run():
                           ConstantMu(0.4), ModelParams(epsilon=0.9), 1500,
                           np.random.default_rng(1), record_stride=10)
     cs = lattice_points(np.array([-0.5]), np.array([1.5]), 9)
-    assert check_potential_monotone(traj.states, cs).ok
+    assert check_potential_monotone(traj.times, traj.states, cs).ok
 
 
 def test_potential_monotone_detects_increase():
-    states = [OpinionState(0, np.array([0.0, 1.0])),
-              OpinionState(1, np.array([0.0, 1.5]))]
-    res = check_potential_monotone(states, np.array([[0.0]]))
+    states = np.array([[[0.0], [1.0]], [[0.0], [1.5]]])
+    res = check_potential_monotone([0, 1], states, np.array([[0.0]]))
     assert not res.ok
     assert res.step == 1 and res.c_index == 0
     assert res.drift == pytest.approx(0.5)
@@ -286,7 +285,7 @@ def test_settle_time_at_least_tau():
         tracker = StoppingTimeTracker(0.05, params)
         traj = run_trajectory(initial, schedule, ConstantMu(0.5), params, 4000,
                               rng, observers=[tracker], record_stride=1)
-        T = settle_time(traj.states, schedule, 0.05, params)
+        T = settle_time(traj.times, traj.states, schedule, 0.05, params)
         assert tracker.time is not None and T is not None
         assert tracker.time <= T <= traj.steps_run
 
@@ -302,7 +301,7 @@ def test_settle_time_requires_connected_profile():
                           np.random.default_rng(8), observers=[tracker],
                           record_stride=1)
     assert tracker.time is not None
-    assert settle_time(traj.states, schedule, 0.005, params) is None
+    assert settle_time(traj.times, traj.states, schedule, 0.005, params) is None
 
 
 def test_stopping_record_validation():

@@ -1,22 +1,27 @@
+import json
+
 import numpy as np
 import pytest
 
 from deffuant import (
+    NORMS,
     ConfigurationError,
     ConstantGraph,
     ConstantMu,
     EdgeSet,
     ModelParams,
     OpinionState,
+    PiecewiseGraph,
     SequenceMu,
     TrajectoryObserver,
     UniformMu,
     complete_edges,
-    opinion_distance,
+    path_edges,
     run_trajectory,
     select_pair,
     step,
 )
+from deffuant import cli
 
 # 99.9% chi-square quantile, 44 degrees of freedom (scipy.stats.chi2.ppf,
 # computed once offline; scipy is not a dependency).
@@ -100,11 +105,6 @@ def test_state_copy_is_independent():
     assert s.opinions[0, 0] == 0.0
 
 
-def test_opinion_distance_dimension_mismatch():
-    with pytest.raises(ConfigurationError):
-        opinion_distance(np.zeros(2), np.zeros(3))
-
-
 # ---------------------------------------------------------------------------
 # Single step
 # ---------------------------------------------------------------------------
@@ -112,8 +112,8 @@ def test_opinion_distance_dimension_mismatch():
 def test_step_moves_both_agents_by_mu():
     params = ModelParams(epsilon=1.0)
     state = OpinionState(0, np.array([0.0, 1.0]))
-    new, event = step(state, (0, 1), mu=0.25, params=params)
-    assert event.fired
+    new, fired = step(state, (0, 1), mu=0.25, params=params)
+    assert fired
     assert np.allclose(new.opinions.ravel(), [0.25, 0.75])
     assert new.time == 1
     # input state untouched
@@ -123,21 +123,21 @@ def test_step_moves_both_agents_by_mu():
 def test_step_fires_exactly_at_threshold():
     params = ModelParams(epsilon=0.5)
     at = OpinionState(0, np.array([0.0, 0.5]))
-    new, event = step(at, (0, 1), mu=0.5, params=params)
-    assert event.fired
+    new, fired = step(at, (0, 1), mu=0.5, params=params)
+    assert fired
     assert np.allclose(new.opinions.ravel(), [0.25, 0.25])
 
     above = OpinionState(0, np.array([0.0, 0.5 + 1e-12]))
-    new, event = step(above, (0, 1), mu=0.5, params=params)
-    assert not event.fired
+    new, fired = step(above, (0, 1), mu=0.5, params=params)
+    assert not fired
     assert np.array_equal(new.opinions, above.opinions)
 
 
 def test_step_multidimensional():
     params = ModelParams(epsilon=2.0, dimension=2)
     state = OpinionState(0, np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 4.0]]))
-    new, event = step(state, (0, 1), mu=0.5, params=params)
-    assert event.fired
+    new, fired = step(state, (0, 1), mu=0.5, params=params)
+    assert fired
     assert np.allclose(new.opinions[0], [0.5, 0.5])
     assert np.allclose(new.opinions[1], [0.5, 0.5])
     assert np.allclose(new.opinions[2], [4.0, 4.0])
@@ -173,7 +173,7 @@ def test_select_pair_uniform_over_edges():
     edges = complete_edges(10)
     rng = np.random.default_rng(12345)
     draws = 45_000
-    counts = {e: 0 for e in edges.pairs}
+    counts = {e: 0 for e in edges}
     for _ in range(draws):
         counts[select_pair(edges, rng)] += 1
     expected = draws / 45
@@ -196,17 +196,17 @@ def _run(seed, horizon=200, record_stride=1, record_events=True, **kw):
 
 def test_trajectory_recording_stride():
     traj = _run(0, horizon=10, record_stride=3)
-    assert [s.time for s in traj.states] == [0, 3, 6, 9, 10]
+    assert traj.times.tolist() == [0, 3, 6, 9, 10]
+    assert traj.states.shape == (5, 6, 1)
     assert traj.steps_run == 10
     assert not traj.stopped_early
     assert len(traj.events) == 10
-    assert [e.time for e in traj.events] == list(range(10))
 
 
 def test_trajectory_endpoints_only_recording():
     traj = _run(0, horizon=7, record_stride=None)
-    assert [s.time for s in traj.states] == [0, 7]
-    assert np.array_equal(traj.states[-1].opinions, traj.final.opinions)
+    assert traj.times.tolist() == [0, 7]
+    assert np.array_equal(traj.states[-1], traj.final.opinions)
 
 
 def test_trajectory_zero_horizon():
@@ -220,7 +220,7 @@ def test_trajectory_deterministic_replay():
     b = _run(42)
     c = _run(43)
     assert np.array_equal(a.final.opinions, b.final.opinions)
-    assert [e.selected_edge for e in a.events] == [e.selected_edge for e in b.events]
+    assert np.array_equal(a.events, b.events)
     assert not np.array_equal(a.final.opinions, c.final.opinions)
 
 
@@ -236,8 +236,9 @@ def test_mu_drawn_even_without_edges():
     schedule = ConstantGraph(2, EdgeSet())
     traj = run_trajectory(initial, schedule, UniformMu(0.1, 0.5), params, 50,
                           np.random.default_rng(0))
-    assert all(e.selected_edge is None and not e.fired for e in traj.events)
-    assert len({e.mu_used for e in traj.events}) > 1
+    assert (traj.events["i"] == -1).all() and (traj.events["j"] == -1).all()
+    assert not traj.events["fired"].any()
+    assert len(set(traj.events["mu"])) > 1
     assert np.array_equal(traj.final.opinions, initial.opinions)
 
 
@@ -301,9 +302,50 @@ def test_global_order_is_not_invariant():
     distant agent can carry an opinion past an uninvolved bystander."""
     params = ModelParams(epsilon=1.0)
     state = OpinionState(0, np.array([0.0, 0.2, 1.0]))
-    new, event = step(state, (0, 2), mu=0.5, params=params)
-    assert event.fired
+    new, fired = step(state, (0, 2), mu=0.5, params=params)
+    assert fired
     x = new.opinions
     assert x[0, 0] == pytest.approx(0.5)  # overtook the bystander at 0.2
     assert x[0, 0] > x[1, 0]
     assert x[2, 0] >= x[0, 0]  # yet the pair itself did not cross
+
+
+# ---------------------------------------------------------------------------
+# One update rule: the engine's recorded events replay through step()
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_step_replays_every_recorded_event(norm):
+    n = 6
+    params = ModelParams(epsilon=0.6, dimension=2, norm=norm)
+    # steps 40..69 have no social edge at all
+    schedule = PiecewiseGraph(n, ((0, complete_edges(n)), (40, EdgeSet()),
+                                  (70, path_edges(n))))
+    rng = np.random.default_rng(31)
+    traj = run_trajectory(OpinionState(0, rng.random((n, 2))), schedule,
+                          UniformMu(0.1, 0.5), params, 150, rng, record_stride=1)
+    assert traj.times.tolist() == list(range(151))
+    assert (traj.events["i"][40:70] == -1).all()
+    assert traj.events["fired"].any()
+    state = traj.initial
+    for t, (i, j, fired, mu) in enumerate(traj.events.tolist()):
+        if i < 0:
+            assert j < 0 and not fired
+            state = OpinionState(t + 1, state.opinions)
+        else:
+            state, replay_fired = step(state, (i, j), mu, params)
+            assert replay_fired == fired
+        assert np.array_equal(state.opinions, traj.states[t + 1])
+    assert np.array_equal(state.opinions, traj.final.opinions)
+
+
+def test_events_csv_row_of_a_step_without_edges(tmp_path):
+    # No edge and a constant rate: the rows use no randomness at all.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 3, "horizon": 3,
+                                  "graph": {"kind": "edges", "pairs": []},
+                                  "mu": {"kind": "constant", "value": 0.25}}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 0
+    assert (out / "events.csv").read_text() == (
+        "step,i,j,fired,mu\n0,,,0,0.25\n1,,,0,0.25\n2,,,0,0.25\n")

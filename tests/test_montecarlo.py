@@ -20,9 +20,7 @@ from deffuant import (
     Verdict,
     bound_comparison_report,
     certified_hull_gap,
-    classify_outcome,
     complete_edges,
-    estimate_consensus_probability,
     run_ensemble,
     run_trajectory,
     run_trial,
@@ -120,12 +118,18 @@ def test_identical_opinions_classified_consensus_at_zero():
     assert result.steps_run == 0  # early stop before the first step
 
 
+def _classify(config, opinions, horizon):
+    """Outcome of a run from the given opinions, as the classifier sees it."""
+    classifier = OutcomeClassifier(config)
+    run_trajectory(OpinionState(0, np.array(opinions)), config.graph_schedule,
+                   config.mu_schedule, config.params, horizon, np.random.default_rng(0),
+                   observers=[classifier])
+    return classifier.outcome()
+
+
 def test_split_pair_classified_dissensus_at_zero():
     config = _config(epsilon=0.3, n=2, horizon=5)
-    initial = OpinionState(0, np.array([0.0, 1.0]))
-    traj = run_trajectory(initial, config.graph_schedule, config.mu_schedule,
-                          config.params, 5, np.random.default_rng(0))
-    outcome = classify_outcome(traj, config)
+    outcome = _classify(config, [0.0, 1.0], 5)
     assert outcome.verdict is Verdict.DISSENSUS
     assert outcome.decided_at == 0
     assert outcome.final_diameter == pytest.approx(1.0)
@@ -133,18 +137,12 @@ def test_split_pair_classified_dissensus_at_zero():
 
 def test_in_range_population_classified_consensus_when_flags_hold():
     config = _config(epsilon=0.9, n=2, horizon=5)
-    initial = OpinionState(0, np.array([0.1, 0.2]))
-    traj = run_trajectory(initial, config.graph_schedule, config.mu_schedule,
-                          config.params, 0, np.random.default_rng(0))
-    assert classify_outcome(traj, config).verdict is Verdict.CONSENSUS
+    assert _classify(config, [0.1, 0.2], 0).verdict is Verdict.CONSENSUS
 
 
 def test_vanishing_mu_blocks_the_consensus_certificate():
     config = _config(epsilon=0.9, n=2, horizon=5, mu=ConstantMu(0.0))
-    initial = OpinionState(0, np.array([0.1, 0.2]))
-    traj = run_trajectory(initial, config.graph_schedule, config.mu_schedule,
-                          config.params, 0, np.random.default_rng(0))
-    outcome = classify_outcome(traj, config)
+    outcome = _classify(config, [0.1, 0.2], 0)
     assert outcome.verdict is Verdict.UNDECIDED
     assert outcome.decided_at is None
 
@@ -152,10 +150,7 @@ def test_vanishing_mu_blocks_the_consensus_certificate():
 def test_unknown_future_connectivity_blocks_the_certificate():
     schedule = PiecewiseGraph(2, ((0, complete_edges(2)),))
     config = _config(epsilon=0.9, n=2, horizon=5, schedule=schedule)
-    initial = OpinionState(0, np.array([0.1, 0.2]))
-    traj = run_trajectory(initial, schedule, config.mu_schedule,
-                          config.params, 0, np.random.default_rng(0))
-    assert classify_outcome(traj, config).verdict is Verdict.UNDECIDED
+    assert _classify(config, [0.1, 0.2], 0).verdict is Verdict.UNDECIDED
 
 
 def test_classifier_rejects_bad_check_interval():
@@ -245,12 +240,6 @@ def test_frozen_dynamics_yield_no_consensus_claims():
     assert result.estimate.p_hat == 0.0
     assert result.counts["consensus"] == 0
     assert result.estimate.n_undecided == result.counts["undecided"]
-
-
-def test_estimate_consensus_probability_matches_ensemble():
-    template = _config(horizon=1000, n=5)
-    est = estimate_consensus_probability(template, 20, master_seed=4)
-    assert est == run_ensemble(template, 20, master_seed=4).estimate
 
 
 # ---------------------------------------------------------------------------
