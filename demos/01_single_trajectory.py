@@ -27,7 +27,7 @@ from deffuant import (
     complete_edges,
     connected_components,
     lattice_points,
-    opinion_graph,
+    profile,
     run_trajectory,
 )
 
@@ -73,7 +73,8 @@ def main() -> None:
     for t, x in zip(trajectory.times, trajectory.states):
         print(f"{t:>6}   {ascii_row(x)}")
 
-    groups = connected_components(opinion_graph(trajectory.final, params), N)
+    in_range, _ = profile(trajectory.final.opinions, complete_edges(N).array, params)
+    groups = connected_components(in_range, N)
     print(f"\nfinal clusters (mutually within epsilon): {len(groups)}")
     for members in groups:
         value = trajectory.final.opinions[members[0], 0]

@@ -38,7 +38,6 @@ from .geometry import (
     minimum_enclosing_ball,
 )
 from .graphs import (
-    ALL_PAIRS,
     ConstantGraph,
     CyclicGraph,
     EdgeSet,
@@ -46,7 +45,6 @@ from .graphs import (
     GraphSchedule,
     PiecewiseGraph,
     complete_edges,
-    is_delta_trivial,
     path_edges,
 )
 from .invariants import (
@@ -165,15 +163,19 @@ def _build_space(data: dict, dimension: int) -> OpinionSpace:
     return space
 
 
-def _edges_from_json(pairs: Any, n: int) -> EdgeSet:
+def _edges_from_json(pairs: Any) -> EdgeSet:
     if not isinstance(pairs, list):
         raise ConfigurationError("edge list must be a JSON array of [i, j] pairs")
-    return EdgeSet(tuple((int(i), int(j)) for i, j in pairs))
+    for pair in pairs:
+        # bool is an int subclass, so test the exact type
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) is int for v in pair)):
+            raise ConfigurationError(f"edge {pair!r} is not a pair of integer vertices")
+    return EdgeSet(tuple(pair) for pair in pairs)
 
 
 def _piecewise_from_mapping(mapping: dict, n: int) -> PiecewiseGraph:
     entries = sorted((int(step), pairs) for step, pairs in mapping.items())
-    return PiecewiseGraph(n, tuple((step, _edges_from_json(pairs, n))
+    return PiecewiseGraph(n, tuple((step, _edges_from_json(pairs))
                                    for step, pairs in entries))
 
 
@@ -187,13 +189,13 @@ def _build_graph(data: dict, n: int) -> GraphSchedule:
         return ConstantGraph(n, path_edges(n))
     if kind == "edges":
         _reject_unknown(data, {"kind", "pairs"}, "graph")
-        return ConstantGraph(n, _edges_from_json(data["pairs"], n))
+        return ConstantGraph(n, _edges_from_json(data["pairs"]))
     if kind == "erdos_renyi":
         _reject_unknown(data, {"kind", "p"}, "graph")
         return ErdosRenyiGraph(n, float(data["p"]))
     if kind == "cyclic":
         _reject_unknown(data, {"kind", "members"}, "graph")
-        members = tuple(_edges_from_json(pairs, n) for pairs in data["members"])
+        members = tuple(_edges_from_json(pairs) for pairs in data["members"])
         return CyclicGraph(n, members)
     if kind == "piecewise":
         _reject_unknown(data, {"kind", "steps"}, "graph")
@@ -453,6 +455,7 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
         horizon=config.horizon, consensus_tol=config.consensus_tol,
         master_seed=seed, trial_index=0,
         track_delta=config.deltas[0] if config.deltas else None,
+        check_every=config.check_every,
     )
 
     t0 = time.perf_counter()
@@ -600,8 +603,7 @@ def _suite_triviality(seed: int) -> dict:
         # Once the diameter is within delta, every later state stays trivial.
         delta = max(diam_obs.diameter * 2.0, 1e-9)
         times = trajectory.times.tolist()
-        trivial = [is_delta_trivial(OpinionState(t, x), ALL_PAIRS, delta, params.norm)
-                   for t, x in zip(times, trajectory.states)]
+        trivial = [diameter(x, params.norm) <= delta for x in trajectory.states]
         if True in trivial:
             first = trivial.index(True)
             if False in trivial[first:]:

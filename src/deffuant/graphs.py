@@ -1,4 +1,4 @@
-"""Social graphs, opinion graphs, profiles and time-varying graph schedules.
+"""Social graphs, profiles and time-varying graph schedules.
 
 A schedule is a pure function of (t, seed): evaluating the same schedule at
 the same step always yields the same edge set, so whole runs replay
@@ -15,9 +15,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import diameter
-from .model import ModelParams, OpinionState
-from .norms import cross_distances, rowwise_norm
+from .model import ModelParams
+from .norms import rowwise_norm
 
 
 class EdgeSet:
@@ -86,35 +85,24 @@ def path_edges(n: int) -> EdgeSet:
     return EdgeSet((i, i + 1) for i in range(n - 1))
 
 
-ALL_PAIRS = "all_pairs"
-
-
 # ---------------------------------------------------------------------------
-# Opinion graph, profile, connectivity
+# Profile, connectivity
 # ---------------------------------------------------------------------------
 
-def opinion_graph(state: OpinionState, params: ModelParams) -> EdgeSet:
-    """Pairs whose opinions are within epsilon (exact <= comparison)."""
-    x = state.opinions
-    n = x.shape[0]
-    pairs = _all_pairs_array(n)
-    d = cross_distances(x, x, params.norm)
-    mask = d[pairs[:, 0], pairs[:, 1]] <= params.epsilon
-    return EdgeSet._from_sorted_array(pairs[mask])
+def profile(x: np.ndarray, pairs: np.ndarray,
+            params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``pairs`` (m, 2) whose opinions in x (n, d) lie within
+    epsilon of each other (exact <= comparison), and their lengths."""
+    # take() copies rows several times faster than fancy or boolean indexing
+    lengths = rowwise_norm(x.take(pairs[:, 0], axis=0) - x.take(pairs[:, 1], axis=0),
+                           params.norm)
+    keep = np.flatnonzero(lengths <= params.epsilon)
+    return pairs.take(keep, axis=0), lengths.take(keep)
 
 
-def profile(social: EdgeSet, opinion: EdgeSet) -> EdgeSet:
-    """Edges both socially present and within the confidence threshold."""
-    a, b = social.array, opinion.array
-    # key i*n + j is increasing in lex order, so the kept rows stay canonical
-    n = int(max(a.max(initial=0), b.max(initial=0))) + 1
-    keep = np.isin(a[:, 0] * n + a[:, 1], b[:, 0] * n + b[:, 1], assume_unique=True)
-    return EdgeSet._from_sorted_array(a[keep])
-
-
-def connected_components(edges: EdgeSet, n: int) -> list[list[int]]:
-    """Partition of [0, n) into components (union-find); singletons included."""
-    _check_edges_range(edges, n)
+def connected_components(pairs: np.ndarray, n: int) -> list[list[int]]:
+    """Partition of [0, n) by the (m, 2) edge array (union-find); singletons included."""
+    _check_edges_range(pairs, n)
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -123,7 +111,7 @@ def connected_components(edges: EdgeSet, n: int) -> list[list[int]]:
             a = parent[a]
         return a
 
-    for i, j in edges:
+    for i, j in pairs.tolist():
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
@@ -133,20 +121,8 @@ def connected_components(edges: EdgeSet, n: int) -> list[list[int]]:
     return sorted(groups.values())
 
 
-def is_connected(edges: EdgeSet, n: int) -> bool:
-    return n <= 1 or len(connected_components(edges, n)) == 1
-
-
-def is_delta_trivial(state: OpinionState, pairs, delta: float, norm: str = "euclidean") -> bool:
-    """True iff every listed pair (or all pairs) is within distance delta."""
-    if not (delta > 0):
-        raise ConfigurationError(f"delta must be positive, got {delta}")
-    x = state.opinions
-    if pairs == ALL_PAIRS:
-        return x.shape[0] < 2 or diameter(x, norm) <= delta
-    arr = pairs.array
-    diffs = x[arr[:, 0]] - x[arr[:, 1]]
-    return bool(np.all(rowwise_norm(diffs, norm) <= delta))
+def is_connected(pairs: np.ndarray, n: int) -> bool:
+    return n <= 1 or len(connected_components(pairs, n)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +153,14 @@ class ConstantGraph(GraphSchedule):
     edges: EdgeSet
 
     def __post_init__(self):
-        _check_edges_range(self.edges, self.n)
+        _check_edges_range(self.edges.array, self.n)
 
     def edges_at(self, t):
         return self.edges
 
     @property
     def connected_infinitely_often(self):
-        return is_connected(self.edges, self.n)
+        return is_connected(self.edges.array, self.n)
 
 
 @dataclass(frozen=True)
@@ -198,7 +174,7 @@ class CyclicGraph(GraphSchedule):
         if not self.members:
             raise ConfigurationError("cyclic schedule needs at least one member")
         for m in self.members:
-            _check_edges_range(m, self.n)
+            _check_edges_range(m.array, self.n)
 
     @property
     def period(self) -> int:
@@ -209,7 +185,7 @@ class CyclicGraph(GraphSchedule):
 
     @property
     def connected_infinitely_often(self):
-        return any(is_connected(m, self.n) for m in self.members)
+        return any(is_connected(m.array, self.n) for m in self.members)
 
 
 class ErdosRenyiGraph(GraphSchedule):
@@ -287,10 +263,12 @@ class PiecewiseGraph(GraphSchedule):
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ConfigurationError("piecewise schedule steps must be strictly increasing")
         for _, e in self.entries:
-            _check_edges_range(e, self.n)
+            _check_edges_range(e.array, self.n)
         object.__setattr__(self, "_steps", steps)
 
     def edges_at(self, t):
+        if t < 0:
+            raise ConfigurationError(f"step must be >= 0, got {t}")
         k = bisect_right(self._steps, t) - 1
         return self.entries[k][1]
 
@@ -299,9 +277,8 @@ class PiecewiseGraph(GraphSchedule):
         return False
 
 
-def _check_edges_range(edges: EdgeSet, n: int) -> None:
-    arr = edges.array
-    if len(arr):
-        i, j = arr[arr[:, 1].argmax()].tolist()   # i < j, so column 1 holds the max
-        if j >= n:
-            raise ConfigurationError(f"edge ({i}, {j}) out of range for n={n}")
+def _check_edges_range(pairs: np.ndarray, n: int) -> None:
+    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if bad.any():
+        i, j = pairs[bad.argmax()].tolist()
+        raise ConfigurationError(f"edge ({i}, {j}) out of range for n={n}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
 from .geometry import distance_potential
-from .graphs import GraphSchedule, is_connected, is_delta_trivial, opinion_graph, profile
+from .graphs import GraphSchedule, is_connected, profile
 from .model import ModelParams, OpinionState, TrajectoryObserver
 from .norms import cross_distances, distances_to_point, rowwise_norm, vector_norm
 
@@ -209,8 +209,8 @@ class ContractionObserver(TrajectoryObserver):
     """
 
     def __init__(self, c_points: np.ndarray, params: ModelParams,
-                 tol: float = SLACK_TOL, check_midpoint: bool = True,
-                 check_basic: bool = True, check_refined: bool = True):
+                 tol: float = SLACK_TOL, check_basic: bool = True,
+                 check_refined: bool = True):
         cs = np.atleast_2d(np.asarray(c_points, dtype=float))
         if cs.shape[1] != params.dimension:
             raise ConfigurationError(
@@ -218,7 +218,6 @@ class ContractionObserver(TrajectoryObserver):
         self.c_points = cs
         self.params = params
         self.tol = float(tol)
-        self.check_midpoint = check_midpoint
         self.check_basic = check_basic
         self.check_refined = check_refined
         self.fired_steps = 0
@@ -260,13 +259,11 @@ class ContractionObserver(TrajectoryObserver):
         self._register(t, float(basic[worst_b]), float(refined[worst_r]),
                        f"reference {worst_b}/{worst_r}, pair ({i},{j})")
 
-        if self.check_midpoint:
-            # Using the pair midpoint as reference: its distance to itself is 0.
-            r = rowwise_norm(np.stack((xi_old - mid, xj_old - mid,
-                                       x[i] - mid, x[j] - mid)), norm)
-            b_mid = (r[0] + r[1]) - (r[2] + r[3])
-            self._register(t, float(b_mid), float(b_mid - 2.0 * disp),
-                           f"pair midpoint, pair ({i},{j})")
+        # Using the pair midpoint as reference: its distance to itself is 0.
+        r = rowwise_norm(np.stack((xi_old - mid, xj_old - mid, x[i] - mid, x[j] - mid)), norm)
+        b_mid = (r[0] + r[1]) - (r[2] + r[3])
+        self._register(t, float(b_mid), float(b_mid - 2.0 * disp),
+                       f"pair midpoint, pair ({i},{j})")
 
         self._dist[i] = new_i
         self._dist[j] = new_j
@@ -304,6 +301,14 @@ class DiameterMonotoneObserver(TrajectoryObserver):
         self.diameter = new_diam
 
 
+def _short_profile(x: np.ndarray, social_edges, delta: float,
+                   params: ModelParams) -> tuple[np.ndarray, bool]:
+    """The profile of x over the social edges, and whether every edge of it
+    is within delta: the one test behind both tau_delta and T_delta."""
+    pairs, lengths = profile(x, social_edges.array, params)
+    return pairs, bool(np.all(lengths <= delta))
+
+
 class StoppingTimeTracker(TrajectoryObserver):
     """First time every social edge within the confidence range is short.
 
@@ -320,10 +325,7 @@ class StoppingTimeTracker(TrajectoryObserver):
         self.time: Optional[int] = None
 
     def _holds(self, x: np.ndarray, social_edges) -> bool:
-        arr = social_edges.array
-        lengths = rowwise_norm(x[arr[:, 0]] - x[arr[:, 1]], self.params.norm)
-        active = lengths <= self.params.epsilon
-        return not bool(np.any(lengths[active] > self.delta))
+        return _short_profile(x, social_edges, self.delta, self.params)[1]
 
     def before_step(self, t, x, social_edges):
         if self.time is None and self._holds(x, social_edges):
@@ -416,10 +418,8 @@ def settle_time(
     connected = np.zeros(len(times), dtype=bool)
     short = np.zeros(len(times), dtype=bool)
     for k, (t, x) in enumerate(zip(times, states)):
-        state = OpinionState(t, x)
-        prof = profile(schedule.edges_at(t), opinion_graph(state, params))
-        short[k] = is_delta_trivial(state, prof, delta, params.norm)
-        connected[k] = is_connected(prof, state.n)
+        prof, short[k] = _short_profile(x, schedule.edges_at(t), delta, params)
+        connected[k] = is_connected(prof, len(x))
     ok_suffix = np.logical_and.accumulate(short[::-1])[::-1]
     hits = np.nonzero(connected & ok_suffix)[0]
     if hits.size == 0:

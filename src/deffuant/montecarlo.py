@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BoundInapplicableError, ConfigurationError
 from .geometry import Ball, OpinionSpace, diameter
-from .graphs import GraphSchedule, connected_components, opinion_graph
+from .graphs import GraphSchedule, _all_pairs_array, connected_components, profile
 from .invariants import StoppingTimeTracker
 from .model import (
     ModelParams,
@@ -63,6 +63,7 @@ class TrialConfig:
     master_seed: int = 0
     trial_index: int = 0
     track_delta: Optional[float] = None
+    check_every: int = 100
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -80,6 +81,8 @@ class TrialConfig:
                 f"{self.params.dimension}")
         if self.track_delta is not None and not (self.track_delta > 0):
             raise ConfigurationError(f"track_delta must be > 0, got {self.track_delta}")
+        if self.check_every < 1:
+            raise ConfigurationError(f"check_every must be >= 1, got {self.check_every}")
 
 
 @dataclass(frozen=True)
@@ -157,19 +160,15 @@ def certified_hull_gap(a: np.ndarray, b: np.ndarray, norm: str = "euclidean") ->
 class OutcomeClassifier(TrajectoryObserver):
     """Watches a run and records the first sound verdict.
 
-    Classification runs at the start, every check_every steps, and at the
-    end, skipping stretches where no update fired (the state is unchanged).
+    Classification runs at the start, every config.check_every steps, and at
+    the end, skipping stretches where no update fired (the state is unchanged).
     Both consensus criteria are monotone in the nonincreasing diameter and
     the dissensus criterion is absorbing, so periodic checking never flips
     a verdict, it only delays decided_at.
     """
 
-    def __init__(self, config: TrialConfig, schedule: Optional[GraphSchedule] = None,
-                 check_every: int = 100):
-        if check_every < 1:
-            raise ConfigurationError(f"check_every must be >= 1, got {check_every}")
+    def __init__(self, config: TrialConfig, schedule: Optional[GraphSchedule] = None):
         self.config = config
-        self.check_every = check_every
         sched = schedule if schedule is not None else config.graph_schedule
         self._conn_io = sched.connected_infinitely_often
         self._mu_inf = config.mu_schedule.inf_positive
@@ -186,7 +185,8 @@ class OutcomeClassifier(TrajectoryObserver):
             return Verdict.CONSENSUS
         if diam <= params.epsilon:
             return Verdict.CONSENSUS if self._conn_io and self._mu_inf else None
-        comps = connected_components(opinion_graph(OpinionState(0, x), params), self.config.n)
+        n = self.config.n
+        comps = connected_components(profile(x, _all_pairs_array(n), params)[0], n)
         if len(comps) == 1:
             return None
         clusters = [x[np.asarray(c, dtype=int)] for c in comps]
@@ -209,7 +209,7 @@ class OutcomeClassifier(TrajectoryObserver):
 
     def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
         self._dirty = self._dirty or fired
-        if self.verdict is None and self._dirty and (t + 1) % self.check_every == 0:
+        if self.verdict is None and self._dirty and (t + 1) % self.config.check_every == 0:
             self._check(x, t + 1)
 
     def at_end(self, t, state, social_edges):
@@ -228,8 +228,7 @@ class OutcomeClassifier(TrajectoryObserver):
 # Trials and ensembles
 # ---------------------------------------------------------------------------
 
-def run_trial(config: TrialConfig, *, early_stop: bool = True,
-              check_every: int = 100) -> TrialResult:
+def run_trial(config: TrialConfig, *, early_stop: bool = True) -> TrialResult:
     """Run one trial: fresh initial opinions, classification, and optionally tau.
 
     With early_stop a trial halts once the verdict is in (and, when a delta
@@ -239,7 +238,7 @@ def run_trial(config: TrialConfig, *, early_stop: bool = True,
     init_rng, dyn_rng, graph_seed = seed_streams(config.master_seed, config.trial_index)
     schedule = config.graph_schedule.reseeded(graph_seed)
     initial = OpinionState(0, config.space.sample(init_rng, config.n))
-    classifier = OutcomeClassifier(config, schedule, check_every=check_every)
+    classifier = OutcomeClassifier(config, schedule)
     observers: list[TrajectoryObserver] = [classifier]
     tracker: Optional[StoppingTimeTracker] = None
     if config.track_delta is not None:

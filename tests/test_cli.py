@@ -81,6 +81,8 @@ def test_invalid_epsilon_flag_exits_config(tmp_path):
     {"epsilon": "abc"},                   # ValueError in float()
     {"n": "x"},                           # ValueError in int()
     {"graph": {"kind": "erdos_renyi"}},   # KeyError: no "p"
+    {"graph": {"kind": "edges", "pairs": [[0.9, 2.7], [0, 2]]}},   # float vertices
+    {"graph": {"kind": "edges", "pairs": [[0, 1], [True, 2]]}},    # bool vertex
 ])
 def test_bad_config_value_exits_config_without_traceback(tmp_path, bad):
     path = write_config(tmp_path, **bad)
@@ -250,6 +252,22 @@ def test_estimate_deterministic_across_threads(tmp_path):
         blobs.append(((out / "ensemble.json").read_bytes(),
                       (out / "trials.csv").read_bytes()))
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_estimate_check_every_takes_effect(tmp_path):
+    decided = {}
+    for check_every in (None, 1):
+        extra = {} if check_every is None else {"check_every": check_every}
+        path = write_config(tmp_path, epsilon=0.3, horizon=1000, **extra)
+        out = tmp_path / f"out{check_every}"
+        assert cli_main(["estimate", "--config", path, "--trials", "12", "--threads", "1",
+                         "--per-trial", "--seed", "4", "--out-dir", str(out)]) == 0
+        rows = (out / "trials.csv").read_text().splitlines()[1:]
+        decided[check_every] = [line.split(",")[2] for line in rows]
+    # the default checks every 100 steps; checking every step decides some trials earlier
+    assert all(d == "" or int(d) % 100 == 0 for d in decided[None])
+    assert decided[1] != decided[None]
+    assert all(b == "" or int(a) <= int(b) for a, b in zip(decided[1], decided[None]))
 
 
 def test_estimate_reports_inapplicable_bound(tmp_path):

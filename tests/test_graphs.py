@@ -1,13 +1,14 @@
 import pickle
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from deffuant import (
-    ALL_PAIRS,
+    NORMS,
     ConfigurationError,
     ConstantGraph,
     CyclicGraph,
@@ -16,15 +17,21 @@ from deffuant import (
     ModelParams,
     OpinionState,
     PiecewiseGraph,
+    StoppingTimeTracker,
     complete_edges,
     connected_components,
+    diameter,
     is_connected,
-    is_delta_trivial,
-    opinion_graph,
     path_edges,
     profile,
     step,
+    vector_norm,
 )
+
+
+def _opinion_graph(x, params):
+    """The opinion graph of x: the profile over all pairs."""
+    return EdgeSet._from_sorted_array(profile(x, complete_edges(len(x)).array, params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +71,6 @@ def test_edgeset_array_roundtrip():
     assert EdgeSet._from_sorted_array(arr) == e
 
 
-def test_edgeset_intersection():
-    a = EdgeSet([(0, 1), (1, 2), (2, 3)])
-    b = EdgeSet([(1, 2), (3, 2), (0, 4)])
-    assert profile(a, b) == EdgeSet([(1, 2), (2, 3)])
-    assert profile(a, EdgeSet()) == EdgeSet() == profile(EdgeSet(), a)
-
-
 _pairs = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12))
                   .filter(lambda p: p[0] != p[1]), max_size=40)
 
@@ -88,7 +88,6 @@ def test_edgeset_agrees_with_python_set_model(a, b):
     assert (ea == eb) == (model_a == model_b)
     same = EdgeSet((j, i) for i, j in reversed(a))
     assert same == ea and hash(same) == hash(ea)
-    assert list(profile(ea, eb)) == sorted(model_a & model_b)
     # pool workers receive edge sets pickled inside TrialConfig
     copy = pickle.loads(pickle.dumps(ea))
     assert copy == ea and hash(copy) == hash(ea)
@@ -107,22 +106,22 @@ def test_complete_and_path_edges():
 
 def test_opinion_graph_threshold_inclusive():
     params = ModelParams(epsilon=0.8)
-    state = OpinionState(0, np.array([0.0, 0.5, 1.0]))
-    assert list(opinion_graph(state, params)) == [(0, 1), (1, 2)]
+    x = np.array([[0.0], [0.5], [1.0]])
+    assert list(_opinion_graph(x, params)) == [(0, 1), (1, 2)]
     # exact boundary counts as connected
-    assert list(opinion_graph(state, ModelParams(epsilon=1.0))) == [(0, 1), (0, 2), (1, 2)]
+    assert list(_opinion_graph(x, ModelParams(epsilon=1.0))) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_opinion_graph_matches_explicit_construction():
     rng = np.random.default_rng(5)
     params = ModelParams(epsilon=0.4, dimension=2, norm="l1")
-    state = OpinionState(0, rng.random((8, 2)))
-    got = opinion_graph(state, params)
+    x = rng.random((8, 2))
+    got = _opinion_graph(x, params)
     expected = EdgeSet(
         (i, j)
         for i in range(8)
         for j in range(i + 1, 8)
-        if np.abs(state.opinions[i] - state.opinions[j]).sum() <= 0.4
+        if np.abs(x[i] - x[j]).sum() <= 0.4
     )
     assert got == expected
 
@@ -133,17 +132,50 @@ def test_opinion_graph_edges_can_appear():
     middle agent, and here within range of each other as well."""
     params = ModelParams(epsilon=0.8)
     state = OpinionState(0, np.array([0.0, 0.5, 1.0]))
-    assert (0, 2) not in opinion_graph(state, params)
+    assert (0, 2) not in _opinion_graph(state.opinions, params)
     new, fired = step(state, (1, 2), mu=0.5, params=params)
     assert fired
     assert np.allclose(new.opinions.ravel(), [0.0, 0.75, 0.75])
-    assert (0, 2) in opinion_graph(new, params)
+    assert (0, 2) in _opinion_graph(new.opinions, params)
 
 
 def test_profile_is_intersection():
-    social = path_edges(3)
-    opinion = EdgeSet([(0, 1), (0, 2)])
-    assert profile(social, opinion) == EdgeSet([(0, 1)])
+    # the profile over social edges is their intersection with the opinion graph
+    x = np.array([[0.0], [0.5], [0.9]])
+    params = ModelParams(epsilon=0.6)
+    assert list(_opinion_graph(x, params)) == [(0, 1), (1, 2)]
+    pairs, lengths = profile(x, EdgeSet([(0, 1), (0, 2)]).array, params)
+    assert pairs.tolist() == [[0, 1]] and lengths.tolist() == [0.5]
+    pairs, lengths = profile(x, EdgeSet().array, params)
+    assert pairs.shape == (0, 2) and lengths.shape == (0,)
+
+
+# Coordinates on the grid of quarters: every squared or absolute difference and
+# their sums are exact, so rowwise_norm and vector_norm, which sum in different
+# orders, agree to the bit and the inclusive boundary can be hit exactly.
+@given(
+    st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.lists(st.lists(st.integers(-16, 16).map(lambda k: k / 4), min_size=d, max_size=d),
+                 min_size=2, max_size=7),
+        st.sampled_from(NORMS),
+        st.floats(0.01, 6),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=25),
+        st.integers(0, 24),
+    )))
+def test_profile_matches_python_loop(case):
+    rows, norm, epsilon, raw_pairs, boundary = case
+    x = np.array(rows)
+    n = len(x)
+    pairs = np.array([(i % n, j % n) for i, j in raw_pairs] or np.empty((0, 2)), dtype=np.intp)
+    loop = [vector_norm(x[i] - x[j], norm) for i, j in pairs.tolist()]
+    if loop:
+        # sit epsilon exactly on one length, so the inclusive test is exercised
+        epsilon = max(loop[boundary % len(loop)], 1e-12)
+    params = ModelParams(epsilon=epsilon, dimension=x.shape[1], norm=norm)
+    got, lengths = profile(x, pairs, params)
+    keep = [k for k, length in enumerate(loop) if length <= epsilon]
+    assert got.tolist() == pairs[keep].tolist()
+    assert lengths.tolist() == [loop[k] for k in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -151,28 +183,48 @@ def test_profile_is_intersection():
 # ---------------------------------------------------------------------------
 
 def test_connected_components():
-    edges = EdgeSet([(0, 1), (1, 2), (4, 5)])
+    edges = EdgeSet([(0, 1), (1, 2), (4, 5)]).array
     assert connected_components(edges, 6) == [[0, 1, 2], [3], [4, 5]]
-    assert connected_components(EdgeSet(), 3) == [[0], [1], [2]]
+    assert connected_components(EdgeSet().array, 3) == [[0], [1], [2]]
     with pytest.raises(ConfigurationError):
-        connected_components(EdgeSet([(0, 5)]), 3)
+        connected_components(EdgeSet([(0, 5)]).array, 3)
+    with pytest.raises(ConfigurationError):
+        connected_components(np.array([[2, 1], [-1, 0]]), 3)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=30))))
+def test_connected_components_matches_networkx(case):
+    n, edges = case
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    expected = sorted(sorted(c) for c in nx.connected_components(g))
+    pairs = np.array(edges or np.empty((0, 2)), dtype=np.intp)
+    assert connected_components(pairs, n) == expected
+    assert is_connected(pairs, n) == nx.is_connected(g)
 
 
 def test_is_connected():
-    assert is_connected(path_edges(5), 5)
-    assert not is_connected(EdgeSet([(0, 1), (2, 3)]), 4)
-    assert is_connected(EdgeSet(), 1)
+    assert is_connected(path_edges(5).array, 5)
+    assert not is_connected(EdgeSet([(0, 1), (2, 3)]).array, 4)
+    assert is_connected(EdgeSet().array, 1)
 
 
 def test_is_delta_trivial():
-    state = OpinionState(0, np.array([0.0, 0.005, 0.01]))
-    assert is_delta_trivial(state, ALL_PAIRS, delta=0.01)
-    assert not is_delta_trivial(state, ALL_PAIRS, delta=0.009)
-    # restricted to listed pairs only
-    assert is_delta_trivial(state, EdgeSet([(0, 1)]), delta=0.006)
-    assert is_delta_trivial(state, EdgeSet(), delta=1e-9)
+    x = np.array([[0.0], [0.005], [0.01]])
+    # all pairs are within delta exactly when the diameter is
+    assert diameter(x) <= 0.01
+    assert not diameter(x) <= 0.009
+    # restricted to listed pairs only: the lengths of the profile over them
+    params = ModelParams(epsilon=1.0)
+    _, lengths = profile(x, EdgeSet([(0, 1)]).array, params)
+    assert np.all(lengths <= 0.006)
+    _, lengths = profile(x, EdgeSet().array, params)
+    assert np.all(lengths <= 1e-9)
     with pytest.raises(ConfigurationError):
-        is_delta_trivial(state, ALL_PAIRS, delta=0.0)
+        StoppingTimeTracker(0.0, params)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +262,8 @@ def test_piecewise_graph():
         PiecewiseGraph(3, ((1, a),))
     with pytest.raises(ConfigurationError):
         PiecewiseGraph(3, ((0, a), (5, b), (5, a)))
+    with pytest.raises(ConfigurationError):
+        g.edges_at(-1)
 
 
 # ---------------------------------------------------------------------------

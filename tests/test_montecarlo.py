@@ -155,7 +155,7 @@ def test_unknown_future_connectivity_blocks_the_certificate():
 
 def test_classifier_rejects_bad_check_interval():
     with pytest.raises(ConfigurationError):
-        OutcomeClassifier(_config(), check_every=0)
+        _config(check_every=0)
 
 
 def test_short_run_verdicts_agree_with_long_reruns():
