@@ -14,6 +14,7 @@ functions of (config, seed), independent of --threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -48,11 +49,13 @@ from .graphs import (
     path_edges,
 )
 from .invariants import (
+    AuditRun,
     ContractionObserver,
     DiameterMonotoneObserver,
     StoppingTimeRecord,
     StoppingTimeTracker,
     UpdateIdentityObserver,
+    audit_run,
     check_potential_monotone,
     lattice_points,
     settle_time,
@@ -277,6 +280,9 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
     if stride is None:
         stride = max(1, horizon // 1000)
     stride = int(stride)
+    check_every = int(raw["check_every"])
+    if check_every < 1:
+        raise ConfigurationError(f"check_every must be >= 1, got {check_every}")
     initial = None
     if raw["initial"] is not None:
         initial = np.asarray(raw["initial"], dtype=float)
@@ -289,7 +295,7 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
         n=n, params=params, space=space, graph=graph, mu=mu,
         horizon=horizon, consensus_tol=float(raw["consensus_tol"]),
         deltas=deltas, record_stride=stride, c_samples=int(raw["c_samples"]),
-        check_every=int(raw["check_every"]), initial=initial, raw=raw,
+        check_every=check_every, initial=initial, raw=raw,
     )
 
 
@@ -459,7 +465,7 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
     )
 
     t0 = time.perf_counter()
-    ensemble = run_ensemble(template, trials, master_seed=seed, workers=threads)
+    ensemble = run_ensemble(template, trials, workers=threads)
     elapsed = time.perf_counter() - t0
     estimate = ensemble.estimate
 
@@ -520,90 +526,39 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_runs(seed: int, observers_factory, runs: int = 12, steps: int = 2000):
-    """Randomized short trajectories over mixed dimensions and schedules."""
-    results = []
-    for k in range(runs):
-        init_rng, dyn_rng, graph_seed = seed_streams(seed, k)
-        d = 1 + k % 3
-        n = 8
-        params = ModelParams(epsilon=0.6, dimension=d, norm="euclidean")
-        x0 = init_rng.random((n, d))
-        style = k % 4
-        if style == 0:
-            schedule: GraphSchedule = ConstantGraph(n, complete_edges(n))
-        elif style == 1:
-            schedule = ConstantGraph(n, path_edges(n))
-        elif style == 2:
-            schedule = ErdosRenyiGraph(n, 0.4, seed=graph_seed)
-        else:
-            schedule = CyclicGraph(n, (complete_edges(n), path_edges(n)))
-        mu: MuSchedule = ConstantMu(0.5) if k % 2 == 0 else UniformMu(0.05, 0.5)
-        observers = observers_factory(params, x0)
-        trajectory = run_trajectory(
-            OpinionState(0, x0), schedule, mu, params, steps,
-            dyn_rng, observers=observers,
-            record_stride=50, record_events=False,
-        )
-        results.append((trajectory, observers, params))
-    return results
+AuditRuns = Callable[[], list[AuditRun]]
 
 
-def _suite_contraction(seed: int) -> dict:
-    checked = 0
-    worst = np.inf
-    for trajectory, observers, _ in _verify_runs(
-            seed,
-            lambda params, x0: [
-                ContractionObserver(
-                    lattice_points(x0.min(axis=0), x0.max(axis=0), 10), params,
-                    check_refined=False),
-                UpdateIdentityObserver(params),
-            ]):
-        checked += observers[0].fired_steps
-        worst = min(worst, observers[0].min_basic_slack)
-    return {"fired_steps": checked, "min_basic_slack": _finite_or_none(worst)}
+def _suite_contraction(seed: int, runs: AuditRuns) -> dict:
+    checks = [r.contraction for r in runs()]
+    return {"fired_steps": sum(c.fired_steps for c in checks),
+            "min_basic_slack": _finite_or_none(min(c.min_basic_slack for c in checks))}
 
 
-def _suite_potential_drop(seed: int) -> dict:
-    checked = 0
-    worst = np.inf
-    for trajectory, observers, _ in _verify_runs(
-            seed,
-            lambda params, x0: [ContractionObserver(
-                lattice_points(x0.min(axis=0), x0.max(axis=0), 10), params,
-                check_basic=False)]):
-        checked += observers[0].fired_steps
-        worst = min(worst, observers[0].min_refined_slack)
-    return {"fired_steps": checked, "min_refined_slack": _finite_or_none(worst)}
+def _suite_potential_drop(seed: int, runs: AuditRuns) -> dict:
+    checks = [r.contraction for r in runs()]
+    return {"fired_steps": sum(c.fired_steps for c in checks),
+            "min_refined_slack": _finite_or_none(min(c.min_refined_slack for c in checks))}
 
 
-def _suite_potential(seed: int) -> dict:
-    checked = 0
-    for trajectory, _, params in _verify_runs(seed, lambda params, x0: []):
-        x0 = trajectory.initial.opinions
-        cs = lattice_points(x0.min(axis=0), x0.max(axis=0), 10)
-        result = check_potential_monotone(trajectory.times, trajectory.states, cs,
-                                          params.norm)
+def _suite_potential(seed: int, runs: AuditRuns) -> dict:
+    for run in runs():
+        result = check_potential_monotone(run.times, run.states, run.c_points,
+                                          run.params.norm)
         if not result.ok:
             raise InvariantViolation(
                 "potential-monotone", step=result.step, slack=-result.drift,
                 detail=f"summed distance rose by {result.drift:.3e} "
                        f"(reference {result.c_index})")
-        checked += len(trajectory.states)
-    return {"states_checked": checked}
+    return {"states_checked": sum(len(run.states) for run in runs())}
 
 
-def _suite_triviality(seed: int) -> dict:
-    checked = 0
-    for trajectory, observers, params in _verify_runs(
-            seed, lambda params, x0: [DiameterMonotoneObserver(params)]):
-        diam_obs = observers[0]
-        checked += 1
+def _suite_triviality(seed: int, runs: AuditRuns) -> dict:
+    for run in runs():
         # Once the diameter is within delta, every later state stays trivial.
-        delta = max(diam_obs.diameter * 2.0, 1e-9)
-        times = trajectory.times.tolist()
-        trivial = [diameter(x, params.norm) <= delta for x in trajectory.states]
+        delta = max(run.diam.diameter * 2.0, 1e-9)
+        times = run.times.tolist()
+        trivial = [diameter(x, run.params.norm) <= delta for x in run.states]
         if True in trivial:
             first = trivial.index(True)
             if False in trivial[first:]:
@@ -611,10 +566,10 @@ def _suite_triviality(seed: int) -> dict:
                 raise InvariantViolation(
                     "triviality-preservation", step=late, slack=0.0,
                     detail=f"trivial at {times[first]} but not at {late}")
-    return {"trajectories": checked}
+    return {"trajectories": len(runs())}
 
 
-def _suite_geometry(seed: int) -> dict:
+def _suite_geometry(seed: int, runs: AuditRuns) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(99,)))
     ball = chebyshev_center(Interval(0.0, 1.0))
     if not (ball.center[0] == 0.5 and ball.radius == 0.5):
@@ -661,11 +616,16 @@ _SUITE_RUNNERS = {
 
 
 def cmd_verify(suite: str, seed: int, out_dir: Path) -> int:
-    """Run one named randomized suite (or all); exit 3 with diagnostics on failure."""
+    """Run one named randomized suite (or all); exit 3 with diagnostics on failure.
+
+    All suites but ``geometry`` read ``audit_run`` scenarios 0-11 (2000 steps),
+    built once on first request; a violation there counts against that suite.
+    """
     names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
+    runs = functools.cache(lambda: [audit_run(seed, k, 2000, 50) for k in range(12)])
     for name in names:
         try:
-            stats = _SUITE_RUNNERS[name](seed)
+            stats = _SUITE_RUNNERS[name](seed, runs)
         except InvariantViolation as exc:
             record = exc.as_record()
             record["suite"] = name

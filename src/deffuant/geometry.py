@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .norms import distances_to_point, rowwise_norm, validate_norm, vector_norm
+from .norms import cross_distances, distances_to_point, rowwise_norm, validate_norm, vector_norm
 
 log = logging.getLogger(__name__)
 
@@ -195,8 +195,6 @@ def diameter(points: np.ndarray, norm: str = "euclidean") -> float:
         raise ConfigurationError("diameter of an empty point set")
     if n == 1:
         return 0.0
-    from .norms import cross_distances
-
     return float(cross_distances(pts, pts, norm).max())
 
 
@@ -327,7 +325,6 @@ def expected_center_distance(
     norm: str = "euclidean",
     n_samples: int = 200_000,
     rng: Optional[np.random.Generator] = None,
-    distribution: str = "uniform",
 ) -> tuple[float, float]:
     """(estimate, std_error) of the mean distance from a uniform draw to ``center``.
 
@@ -335,8 +332,6 @@ def expected_center_distance(
     the midpoint is itself uniform); Monte Carlo with a sample standard error
     otherwise.
     """
-    if distribution != "uniform":
-        raise ConfigurationError(f"unsupported distribution {distribution!r}")
     validate_norm(norm)
     c = np.asarray(center, dtype=float).ravel()
     if c.shape[0] != space.dimension:

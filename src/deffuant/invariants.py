@@ -17,8 +17,10 @@ import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
 from .geometry import distance_potential
-from .graphs import GraphSchedule, is_connected, profile
-from .model import ModelParams, OpinionState, TrajectoryObserver
+from .graphs import (ConstantGraph, CyclicGraph, ErdosRenyiGraph, GraphSchedule,
+                     complete_edges, is_connected, path_edges, profile)
+from .model import (ConstantMu, ModelParams, OpinionState, SequenceMu, TrajectoryObserver,
+                    UniformMu, run_trajectory, seed_streams)
 from .norms import cross_distances, distances_to_point, rowwise_norm, vector_norm
 
 SLACK_TOL = 1e-9
@@ -112,7 +114,6 @@ def check_potential_monotone(
     states: Sequence[np.ndarray],
     c_samples: np.ndarray,
     norm: str = "euclidean",
-    tol: float = SLACK_TOL,
 ) -> MonotoneResult:
     """Check the summed distance to each sampled c never rises between states.
 
@@ -126,7 +127,7 @@ def check_potential_monotone(
         cur = cross_distances(x, cs, norm).sum(axis=0)
         drift = cur - prev
         worst = int(np.argmax(drift))
-        if drift[worst] > tol:
+        if drift[worst] > SLACK_TOL:
             return MonotoneResult(ok=False, step=int(t), c_index=worst,
                                   drift=float(drift[worst]))
         prev = cur
@@ -161,9 +162,8 @@ class UpdateIdentityObserver(TrajectoryObserver):
     gap (the rate itself is validated to [0, 1/2] at the schedule).
     """
 
-    def __init__(self, params: ModelParams, tol: float = IDENTITY_TOL):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.tol = float(tol)
         self.checked = 0
         self.max_sum_error = 0.0
         self.max_displacement_gap = 0.0
@@ -176,14 +176,14 @@ class UpdateIdentityObserver(TrajectoryObserver):
         xi1, xj1 = x[i], x[j]
         sum_err = float(np.max(np.abs((xi_old + xj_old) - (xi1 + xj1))))
         self.max_sum_error = max(self.max_sum_error, sum_err)
-        if sum_err > self.tol:
+        if sum_err > IDENTITY_TOL:
             raise InvariantViolation("pair-sum-conservation", step=t, slack=-sum_err,
                                      detail=f"pair ({i},{j}) sum moved by {sum_err:.3e}")
         di = vector_norm(xi1 - xi_old, norm)
         dj = vector_norm(xj1 - xj_old, norm)
         gap_err = abs(di - dj)
         self.max_displacement_gap = max(self.max_displacement_gap, gap_err)
-        if gap_err > self.tol:
+        if gap_err > IDENTITY_TOL:
             raise InvariantViolation("equal-displacement", step=t, slack=-gap_err,
                                      detail=f"pair ({i},{j}) moved {di:.6e} vs {dj:.6e}")
         if not (0.0 <= mu <= 0.5):
@@ -191,7 +191,7 @@ class UpdateIdentityObserver(TrajectoryObserver):
                                      detail=f"reported rate {mu!r}")
         resid = float(np.max(np.abs((xi1 - xi_old) - mu * (xj_old - xi_old))))
         self.max_rate_residual = max(self.max_rate_residual, resid)
-        if resid > self.tol:
+        if resid > IDENTITY_TOL:
             raise InvariantViolation("realized-rate", step=t, slack=-resid,
                                      detail=f"pair ({i},{j}) displacement off "
                                             f"rate*gap by {resid:.3e}")
@@ -208,18 +208,13 @@ class ContractionObserver(TrajectoryObserver):
     so its per-step drift equals minus the basic slack.
     """
 
-    def __init__(self, c_points: np.ndarray, params: ModelParams,
-                 tol: float = SLACK_TOL, check_basic: bool = True,
-                 check_refined: bool = True):
+    def __init__(self, c_points: np.ndarray, params: ModelParams):
         cs = np.atleast_2d(np.asarray(c_points, dtype=float))
         if cs.shape[1] != params.dimension:
             raise ConfigurationError(
                 f"reference points have d={cs.shape[1]}, model d={params.dimension}")
         self.c_points = cs
         self.params = params
-        self.tol = float(tol)
-        self.check_basic = check_basic
-        self.check_refined = check_refined
         self.fired_steps = 0
         self.min_basic_slack = np.inf
         self.min_refined_slack = np.inf
@@ -233,10 +228,10 @@ class ContractionObserver(TrajectoryObserver):
         self.min_basic_slack = min(self.min_basic_slack, basic)
         self.min_refined_slack = min(self.min_refined_slack, refined)
         self.max_potential_drift = max(self.max_potential_drift, -basic)
-        if self.check_basic and basic < -self.tol:
+        if basic < -SLACK_TOL:
             raise InvariantViolation("pair-contraction", step=t, slack=basic,
                                      detail=f"basic slack at {where}")
-        if self.check_refined and refined < -self.tol:
+        if refined < -SLACK_TOL:
             raise InvariantViolation("potential-drop", step=t, slack=refined,
                                      detail=f"refined slack at {where}")
 
@@ -273,9 +268,8 @@ class ContractionObserver(TrajectoryObserver):
 class DiameterMonotoneObserver(TrajectoryObserver):
     """Checks the opinion diameter never grows; caches the pairwise matrix."""
 
-    def __init__(self, params: ModelParams, tol: float = IDENTITY_TOL):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.tol = float(tol)
         self.max_increase = -np.inf
         self.diameter: float = 0.0
         self._mat: Optional[np.ndarray] = None
@@ -295,7 +289,7 @@ class DiameterMonotoneObserver(TrajectoryObserver):
         new_diam = float(self._mat.max())
         inc = new_diam - self.diameter
         self.max_increase = max(self.max_increase, inc)
-        if inc > self.tol:
+        if inc > IDENTITY_TOL:
             raise InvariantViolation("diameter-monotone", step=t, slack=-inc,
                                      detail=f"diameter rose {self.diameter!r} -> {new_diam!r}")
         self.diameter = new_diam
@@ -425,3 +419,53 @@ def settle_time(
     if hits.size == 0:
         return None
     return times[hits[0]]
+
+
+# ---------------------------------------------------------------------------
+# Random audited scenarios
+# ---------------------------------------------------------------------------
+
+@dataclass
+class AuditRun:
+    """One random scenario run under the full audit, as built by ``audit_run``."""
+
+    params: ModelParams
+    c_points: np.ndarray
+    identity: UpdateIdentityObserver
+    contraction: ContractionObserver
+    diam: DiameterMonotoneObserver
+    times: np.ndarray
+    states: np.ndarray
+
+
+def audit_run(seed: int, k: int, steps: int, record_stride: int) -> AuditRun:
+    """Run random scenario k of ``seed`` under all three audits (which raise
+    InvariantViolation on the first failed check).
+
+    n = 10 uniform opinions in [0, 1)^d, d = 1 + k % 3; epsilon 0.4, 0.8, 1.2 by
+    (k // 4) % 3; graph complete, G(10, 1/2), cycling complete/path, or path by
+    k % 4; rate 1/2, uniform on [0.1, 1/2], or the sequence 0.5..0.1 by (k // 2) % 3.
+    """
+    init_rng, dyn_rng, graph_seed = seed_streams(seed, k)
+    n, d = 10, 1 + k % 3
+    params = ModelParams(epsilon=(0.4, 0.8, 1.2)[(k // 4) % 3], dimension=d)
+    x0 = init_rng.random((n, d))
+    schedule = (
+        ConstantGraph(n, complete_edges(n)),
+        ErdosRenyiGraph(n, 0.5, seed=graph_seed),
+        CyclicGraph(n, (complete_edges(n), path_edges(n))),
+        ConstantGraph(n, path_edges(n)),
+    )[k % 4]
+    mu = (ConstantMu(0.5), UniformMu(0.1, 0.5),
+          SequenceMu((0.5, 0.4, 0.3, 0.2, 0.1)))[(k // 2) % 3]
+    c_points = lattice_points(x0.min(axis=0), x0.max(axis=0), 10)
+    identity = UpdateIdentityObserver(params)
+    contraction = ContractionObserver(c_points, params)
+    diam = DiameterMonotoneObserver(params)
+    trajectory = run_trajectory(
+        OpinionState(0, x0), schedule, mu, params, steps, dyn_rng,
+        observers=[identity, contraction, diam], record_stride=record_stride,
+        record_events=False)
+    return AuditRun(params=params, c_points=c_points, identity=identity,
+                    contraction=contraction, diam=diam, times=trajectory.times,
+                    states=trajectory.states)

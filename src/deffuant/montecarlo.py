@@ -167,10 +167,9 @@ class OutcomeClassifier(TrajectoryObserver):
     a verdict, it only delays decided_at.
     """
 
-    def __init__(self, config: TrialConfig, schedule: Optional[GraphSchedule] = None):
+    def __init__(self, config: TrialConfig):
         self.config = config
-        sched = schedule if schedule is not None else config.graph_schedule
-        self._conn_io = sched.connected_infinitely_often
+        self._conn_io = config.graph_schedule.connected_infinitely_often
         self._mu_inf = config.mu_schedule.inf_positive
         self.verdict: Optional[Verdict] = None
         self.decided_at: Optional[int] = None
@@ -238,7 +237,7 @@ def run_trial(config: TrialConfig, *, early_stop: bool = True) -> TrialResult:
     init_rng, dyn_rng, graph_seed = seed_streams(config.master_seed, config.trial_index)
     schedule = config.graph_schedule.reseeded(graph_seed)
     initial = OpinionState(0, config.space.sample(init_rng, config.n))
-    classifier = OutcomeClassifier(config, schedule)
+    classifier = OutcomeClassifier(config)
     observers: list[TrajectoryObserver] = [classifier]
     tracker: Optional[StoppingTimeTracker] = None
     if config.track_delta is not None:
@@ -340,10 +339,10 @@ class EnsembleResult:
 def run_ensemble(
     template: TrialConfig,
     n_trials: int,
-    master_seed: Optional[int] = None,
     workers: int = 1,
 ) -> EnsembleResult:
-    """Run independent trials indexed 0..n_trials-1 and aggregate verdicts.
+    """Run independent trials indexed 0..n_trials-1 under the template's
+    master_seed and aggregate verdicts.
 
     Results are keyed by trial index, so the worker count changes wall time
     but never the output.
@@ -352,9 +351,7 @@ def run_ensemble(
         raise ConfigurationError(f"need n_trials >= 1, got {n_trials}")
     if workers < 1:
         raise ConfigurationError(f"need workers >= 1, got {workers}")
-    seed = template.master_seed if master_seed is None else master_seed
-    configs = [dataclasses.replace(template, master_seed=seed, trial_index=k)
-               for k in range(n_trials)]
+    configs = [dataclasses.replace(template, trial_index=k) for k in range(n_trials)]
     if workers > 1:
         chunk = max(1, n_trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -10,7 +10,6 @@ import dataclasses
 import json
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,18 +19,13 @@ from deffuant import (
     Box,
     ConstantGraph,
     ConstantMu,
-    ContractionObserver,
-    CyclicGraph,
-    DiameterMonotoneObserver,
     ErdosRenyiGraph,
     Interval,
     ModelParams,
     OpinionState,
-    SequenceMu,
     TrajectoryObserver,
     TrialConfig,
     UniformMu,
-    UpdateIdentityObserver,
     Verdict,
     chebyshev_center,
     check_potential_monotone,
@@ -39,13 +33,13 @@ from deffuant import (
     diameter,
     lattice_points,
     minimum_enclosing_ball,
-    path_edges,
     run_ensemble,
     run_trajectory,
     run_trial,
     theoretical_lower_bound,
 )
 from deffuant.cli import main as cli_main
+from deffuant.invariants import audit_run
 from deffuant.norms import cross_distances, distances_to_point, vector_norm
 from oracles import bruteforce_enclosing_ball
 
@@ -66,65 +60,15 @@ def _criterion(num: int, description: str, ok: bool, detail: str = ""):
 # Shared ensemble for criteria 1-5
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunAudit:
-    identity: UpdateIdentityObserver
-    contraction: ContractionObserver
-    diam: DiameterMonotoneObserver
-    times: np.ndarray
-    states: np.ndarray
-    norm: str
-    c_points: np.ndarray
-
-
-def _build_run(k: int) -> RunAudit:
-    run_ss = np.random.SeedSequence(SEED, spawn_key=(k,))
-    init_ss, dyn_ss, graph_ss = run_ss.spawn(3)
-    d = 1 + k % 3
-    n = 10
-    epsilon = (0.4, 0.8, 1.2)[(k // 4) % 3]
-    params = ModelParams(epsilon=epsilon, dimension=d)
-    x0 = np.random.default_rng(init_ss).random((n, d))
-
-    style = k % 4
-    if style == 0:
-        schedule = ConstantGraph(n, complete_edges(n))
-    elif style == 1:
-        schedule = ErdosRenyiGraph(
-            n, 0.5, seed=int(graph_ss.generate_state(1, dtype=np.uint64)[0]))
-    elif style == 2:
-        schedule = CyclicGraph(n, (complete_edges(n), path_edges(n)))
-    else:
-        schedule = ConstantGraph(n, path_edges(n))
-    mu_style = (k // 2) % 3
-    if mu_style == 0:
-        mu = ConstantMu(0.5)
-    elif mu_style == 1:
-        mu = UniformMu(0.1, 0.5)
-    else:
-        mu = SequenceMu((0.5, 0.4, 0.3, 0.2, 0.1))
-
-    c_points = lattice_points(x0.min(axis=0), x0.max(axis=0), 10)
-    identity = UpdateIdentityObserver(params)
-    contraction = ContractionObserver(c_points, params)
-    diam = DiameterMonotoneObserver(params)
-    trajectory = run_trajectory(
-        OpinionState(0, x0), schedule, mu, params, ENSEMBLE_STEPS,
-        np.random.default_rng(dyn_ss), observers=[identity, contraction, diam],
-        record_stride=100, record_events=False)
-    return RunAudit(identity=identity, contraction=contraction, diam=diam,
-                    times=trajectory.times, states=trajectory.states, norm=params.norm,
-                    c_points=c_points)
-
-
 @pytest.fixture(scope="session")
 def ensemble():
     t0 = time.perf_counter()
-    audits = [_build_run(k) for k in range(ENSEMBLE_RUNS)]
+    audits = [audit_run(SEED, k, ENSEMBLE_STEPS, 100) for k in range(ENSEMBLE_RUNS)]
     elapsed = time.perf_counter() - t0
     fired = sum(a.contraction.fired_steps for a in audits)
+    us_per_step = 1e6 * elapsed / (ENSEMBLE_RUNS * ENSEMBLE_STEPS)
     print(f"\n[ensemble] {ENSEMBLE_RUNS} runs x {ENSEMBLE_STEPS} steps, "
-          f"{fired} fired, built in {elapsed:.1f}s")
+          f"{fired} fired, built in {elapsed:.1f}s ({us_per_step:.0f} us/step)")
     assert elapsed < 120, f"ensemble build took {elapsed:.1f}s, budget is 120s"
     assert fired > 100_000  # the checks must actually have had work to do
     return audits
@@ -195,7 +139,7 @@ def test_criterion_02_potential_decrement(ensemble):
 def test_criterion_03_potential_monotone(ensemble):
     worst_drift = max(a.contraction.max_potential_drift for a in ensemble)
     recorded_ok = all(
-        check_potential_monotone(a.times, a.states, a.c_points, a.norm).ok
+        check_potential_monotone(a.times, a.states, a.c_points, a.params.norm).ok
         for a in ensemble)
     ok = worst_drift <= 1e-9 and recorded_ok
     _criterion(3, "summed distance to each reference never rises > 1e-9", ok,
@@ -241,7 +185,7 @@ def test_criterion_06_consensus_bound():
     template = _reference_template(0.9)
     ball = chebyshev_center(template.space)
     bound = theoretical_lower_bound(0.9, ball, 0.25)
-    result = run_ensemble(template, 2000, master_seed=SEED, workers=WORKERS)
+    result = run_ensemble(template, 2000, workers=WORKERS)
     est = result.estimate
     ok = (abs(bound - 0.375) <= 1e-12
           and est.ci_high >= bound
@@ -254,7 +198,7 @@ def test_criterion_06_consensus_bound():
 
 def test_criterion_07_full_range_consensus():
     template = _reference_template(1.0)
-    result = run_ensemble(template, 500, master_seed=SEED, workers=WORKERS)
+    result = run_ensemble(template, 500, workers=WORKERS)
     ok = result.counts["consensus"] == 500
     _criterion(7, "epsilon = space diameter gives consensus in all 500 trials",
                ok, f"counts {result.counts}")

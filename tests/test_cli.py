@@ -14,7 +14,7 @@ from deffuant import (
     InvariantViolation,
     TrajectoryObserver,
 )
-from deffuant import cli
+from deffuant import cli, invariants, model
 
 cli_main = cli.main
 
@@ -83,6 +83,7 @@ def test_invalid_epsilon_flag_exits_config(tmp_path):
     {"graph": {"kind": "erdos_renyi"}},   # KeyError: no "p"
     {"graph": {"kind": "edges", "pairs": [[0.9, 2.7], [0, 2]]}},   # float vertices
     {"graph": {"kind": "edges", "pairs": [[0, 1], [True, 2]]}},    # bool vertex
+    {"check_every": 0},                   # classification cadence below 1
 ])
 def test_bad_config_value_exits_config_without_traceback(tmp_path, bad):
     path = write_config(tmp_path, **bad)
@@ -322,7 +323,7 @@ def test_verify_all_suites(tmp_path, capsys):
 
 
 def test_verify_failure_writes_diagnostics(tmp_path, monkeypatch):
-    def broken(seed):
+    def broken(seed, runs):
         raise InvariantViolation("synthetic", step=3, slack=-0.5, detail="boom")
 
     monkeypatch.setitem(cli._SUITE_RUNNERS, "geometry", broken)
@@ -331,3 +332,45 @@ def test_verify_failure_writes_diagnostics(tmp_path, monkeypatch):
     record = read_json(tmp_path / "verify-failure.json")
     assert record["suite"] == "geometry"
     assert record["invariant"] == "synthetic"
+
+
+def test_verify_builds_the_audited_runs_once_per_invocation(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def short_audit_run(seed, k, steps, record_stride):
+        calls.append((seed, k, steps, record_stride))
+        return invariants.audit_run(seed, k, 200, 10)  # fewer steps keep the test quick
+
+    monkeypatch.setattr(cli, "audit_run", short_audit_run)
+    scenarios = [(1, k, 2000, 50) for k in range(12)]
+    assert cli_main(["verify", "--suite", "all", "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert calls == scenarios
+    lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+    for name in ("contraction", "potential-drop", "potential", "triviality", "geometry"):
+        calls.clear()
+        assert cli_main(["verify", "--suite", name, "--seed", "1",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == lines[f"suite {name}"] + "\n"
+        assert calls == ([] if name == "geometry" else scenarios)
+
+
+@pytest.mark.parametrize("identity_check, failed_check", [
+    (True, "realized-rate"),     # the full audit: the identity observer sees it first
+    (False, "potential-drop"),   # without it, the refined contraction slack goes negative
+])
+def test_verify_catches_an_update_that_overshoots_the_midpoint(
+        tmp_path, capsys, monkeypatch, identity_check, failed_check):
+    update = model._update
+    monkeypatch.setattr(model, "_update",
+                        lambda x, i, j, mu, params: update(x, i, j, 0.9, params))
+    if not identity_check:
+        monkeypatch.setattr(invariants, "UpdateIdentityObserver",
+                            lambda params: TrajectoryObserver())
+    assert cli_main(["verify", "--suite", "potential-drop",
+                     "--out-dir", str(tmp_path)]) == cli.EXIT_INVARIANT
+    assert capsys.readouterr().out.startswith("suite potential-drop: FAIL")
+    record = read_json(tmp_path / "verify-failure.json")
+    assert record["suite"] == "potential-drop"
+    assert record["invariant"] == failed_check
+    assert record["slack"] < 0

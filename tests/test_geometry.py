@@ -270,6 +270,3 @@ def test_expected_distance_validation():
         expected_center_distance(s, np.zeros(2))  # rng required
     with pytest.raises(ConfigurationError):
         expected_center_distance(s, np.zeros(3), rng=np.random.default_rng(0))
-    with pytest.raises(ConfigurationError):
-        expected_center_distance(
-            s, np.zeros(2), rng=np.random.default_rng(0), distribution="gaussian")

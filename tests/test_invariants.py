@@ -6,23 +6,31 @@ from deffuant import (
     ConstantGraph,
     ConstantMu,
     ContractionObserver,
+    CyclicGraph,
     DiameterMonotoneObserver,
     EdgeSet,
+    ErdosRenyiGraph,
     InvariantViolation,
     ModelParams,
     OpinionGraphChangeCounter,
     OpinionState,
     StoppingTimeRecord,
+    SequenceMu,
     StoppingTimeTracker,
+    UniformMu,
     UpdateIdentityObserver,
     check_potential_monotone,
     complete_edges,
     lattice_points,
     pair_contraction_slacks,
+    path_edges,
     potential_drop_slack,
     run_trajectory,
     settle_time,
 )
+from deffuant import invariants
+from deffuant.invariants import audit_run
+from deffuant.model import seed_streams
 from deffuant.norms import NORMS
 
 P1 = ModelParams(epsilon=1.0)
@@ -341,3 +349,50 @@ def test_change_counter_sees_edge_disappear():
                    state.opinions[1].copy(), new, EdgeSet())
     assert obs.lost_steps == 1
     assert obs.gained_steps == 0
+
+
+# ---------------------------------------------------------------------------
+# Random audited scenarios
+# ---------------------------------------------------------------------------
+
+_COMPLETE = ConstantGraph(10, complete_edges(10))
+_PATH = ConstantGraph(10, path_edges(10))
+_CYCLIC = CyclicGraph(10, (complete_edges(10), path_edges(10)))
+_HALF = ConstantMu(0.5)
+_UNIFORM = UniformMu(0.1, 0.5)
+_SEQUENCE = SequenceMu((0.5, 0.4, 0.3, 0.2, 0.1))
+_ER = "erdos-renyi p=0.5 on the run's graph seed"
+
+# scenario k: (d, epsilon, graph, rate); the acceptance ensemble runs k = 0..99
+AUDIT_SCENARIOS = [
+    (1, 0.4, _COMPLETE, _HALF), (2, 0.4, _ER, _HALF),
+    (3, 0.4, _CYCLIC, _UNIFORM), (1, 0.4, _PATH, _UNIFORM),
+    (2, 0.8, _COMPLETE, _SEQUENCE), (3, 0.8, _ER, _SEQUENCE),
+    (1, 0.8, _CYCLIC, _HALF), (2, 0.8, _PATH, _HALF),
+    (3, 1.2, _COMPLETE, _UNIFORM), (1, 1.2, _ER, _UNIFORM),
+    (2, 1.2, _CYCLIC, _SEQUENCE), (3, 1.2, _PATH, _SEQUENCE),
+]
+
+
+def test_audit_run_scenario_table(monkeypatch):
+    seen = []
+    real = invariants.run_trajectory
+
+    def spy(initial, schedule, mu, params, horizon, rng, **kwargs):
+        seen.append((schedule, mu))
+        return real(initial, schedule, mu, params, horizon, rng, **kwargs)
+
+    monkeypatch.setattr(invariants, "run_trajectory", spy)
+    seed = 5
+    for k, (d, epsilon, graph, mu) in enumerate(AUDIT_SCENARIOS):
+        run = audit_run(seed, k, 20, 10)
+        init_rng, _, graph_seed = seed_streams(seed, k)
+        if graph is _ER:
+            graph = ErdosRenyiGraph(10, 0.5, seed=graph_seed)
+        assert run.params == ModelParams(epsilon=epsilon, dimension=d)
+        assert seen[-1] == (graph, mu)
+        assert np.array_equal(run.states[0], init_rng.random((10, d)))
+        assert run.times.tolist() == [0, 10, 20]
+        assert np.array_equal(
+            run.c_points, lattice_points(run.states[0].min(0), run.states[0].max(0), 10))
+    assert len(seen) == len(AUDIT_SCENARIOS)

@@ -215,10 +215,10 @@ def test_run_trial_waits_for_stopping_time():
 
 
 def test_ensemble_is_deterministic_and_worker_independent():
-    template = _config(horizon=2000, n=6)
-    a = run_ensemble(template, 40, master_seed=5)
-    b = run_ensemble(template, 40, master_seed=5)
-    c = run_ensemble(template, 40, master_seed=5, workers=2)
+    template = _config(horizon=2000, n=6, master_seed=5)
+    a = run_ensemble(template, 40)
+    b = run_ensemble(template, 40)
+    c = run_ensemble(template, 40, workers=2)
     assert a.rows == b.rows == c.rows
     assert a.estimate == b.estimate == c.estimate
     assert sum(a.counts.values()) == 40
@@ -226,17 +226,17 @@ def test_ensemble_is_deterministic_and_worker_independent():
 
 
 def test_trials_do_not_depend_on_ensemble_size():
-    template = _config(horizon=1000, n=5)
-    small = run_ensemble(template, 10, master_seed=11)
-    large = run_ensemble(template, 25, master_seed=11)
+    template = _config(horizon=1000, n=5, master_seed=11)
+    small = run_ensemble(template, 10)
+    large = run_ensemble(template, 25)
     assert small.rows == large.rows[:10]
 
 
 def test_frozen_dynamics_yield_no_consensus_claims():
     # mu identically 0 moves nothing and breaks the inf mu > 0 hypothesis,
     # so trials stay undecided (or prove dissensus); p_hat must be 0
-    template = _config(mu=ConstantMu(0.0), horizon=50, n=6)
-    result = run_ensemble(template, 30, master_seed=2)
+    template = _config(mu=ConstantMu(0.0), horizon=50, n=6, master_seed=2)
+    result = run_ensemble(template, 30)
     assert result.estimate.p_hat == 0.0
     assert result.counts["consensus"] == 0
     assert result.estimate.n_undecided == result.counts["undecided"]
