@@ -187,15 +187,37 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     return pts[:, None] if pts.ndim == 1 else pts
 
 
-def diameter(points: np.ndarray, norm: str = "euclidean") -> float:
-    """Maximum pairwise distance of a point set (0 for a single point)."""
+# Distance-matrix rows measured at once are capped so that the (rows, n, d)
+# difference array holds at most this many floats (1 MB); larger blocks were
+# no faster at n = 1000.
+_DISTANCE_CHUNK = 1 << 17
+
+
+def farthest_pair(points: np.ndarray, norm: str = "euclidean") -> tuple[float, int, int]:
+    """The diameter of a point set and one pair (a, b) of points that attains it.
+
+    The distance matrix is measured a block of rows at a time, so memory
+    stays bounded at any n; the maximum is the same as over the whole matrix.
+    """
     pts = _as_points(points)
-    n = pts.shape[0]
+    n, d = pts.shape
     if n == 0:
         raise ConfigurationError("diameter of an empty point set")
-    if n == 1:
-        return 0.0
-    return float(cross_distances(pts, pts, norm).max())
+    rows = max(1, _DISTANCE_CHUNK // (n * d))
+    best, a, b = 0.0, 0, 0
+    for start in range(0, n, rows):
+        block = cross_distances(pts[start:start + rows], pts, norm)
+        k = int(block.argmax())
+        if block.flat[k] > best:
+            best = float(block.flat[k])
+            a, b = divmod(k, n)
+            a += start
+    return best, a, b
+
+
+def diameter(points: np.ndarray, norm: str = "euclidean") -> float:
+    """Maximum pairwise distance of a point set (0 for a single point)."""
+    return farthest_pair(points, norm)[0]
 
 
 def distance_potential(points: np.ndarray, c: np.ndarray, norm: str = "euclidean") -> float:

@@ -10,15 +10,15 @@ slack dips below tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
-from .geometry import distance_potential
-from .graphs import (ConstantGraph, CyclicGraph, ErdosRenyiGraph, GraphSchedule,
-                     complete_edges, is_connected, path_edges, profile)
+from .geometry import distance_potential, farthest_pair
+from .graphs import (ConstantGraph, CyclicGraph, EdgeSet, ErdosRenyiGraph, GraphSchedule,
+                     complete_edges, is_connected, pair_lengths, path_edges, profile)
 from .model import (ConstantMu, ModelParams, OpinionState, SequenceMu, TrajectoryObserver,
                     UniformMu, run_trajectory, seed_streams)
 from .norms import cross_distances, distances_to_point, rowwise_norm, vector_norm
@@ -266,41 +266,61 @@ class ContractionObserver(TrajectoryObserver):
 
 
 class DiameterMonotoneObserver(TrajectoryObserver):
-    """Checks the opinion diameter never grows; caches the pairwise matrix."""
+    """Checks the opinion diameter never grows.
+
+    Keeps the exact diameter and one pair of agents at that distance.  A fired
+    step moves only agents i and j, so every other distance is unchanged: the
+    new diameter is the larger of the old one and the farthest distance from
+    i or j, an O(n d) measurement.  Only when i or j belongs to the kept pair
+    is the diameter measured again over all pairs.
+    """
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.max_increase = -np.inf
         self.diameter: float = 0.0
-        self._mat: Optional[np.ndarray] = None
+        self._pair: tuple[int, int] = (0, 0)
 
     def at_start(self, state: OpinionState):
-        self._mat = cross_distances(state.opinions, state.opinions, self.params.norm)
-        self.diameter = float(self._mat.max())
+        diam, a, b = farthest_pair(state.opinions, self.params.norm)
+        self.diameter, self._pair = diam, (a, b)
 
     def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
         if not fired:
             return
-        assert self._mat is not None
-        rows = cross_distances(x[np.array((i, j))], x, self.params.norm)
-        for k, a in enumerate((i, j)):
-            self._mat[a, :] = rows[k]
-            self._mat[:, a] = rows[k]
-        new_diam = float(self._mat.max())
+        if i in self._pair or j in self._pair:
+            new_diam, a, b = farthest_pair(x, self.params.norm)
+        else:
+            rows = cross_distances(x[np.array((i, j))], x, self.params.norm)
+            k = int(rows.argmax())
+            new_diam, (a, b) = self.diameter, self._pair
+            if rows.flat[k] > new_diam:
+                new_diam, a, b = float(rows.flat[k]), (i, j)[k // len(x)], k % len(x)
         inc = new_diam - self.diameter
         self.max_increase = max(self.max_increase, inc)
         if inc > IDENTITY_TOL:
             raise InvariantViolation("diameter-monotone", step=t, slack=-inc,
                                      detail=f"diameter rose {self.diameter!r} -> {new_diam!r}")
-        self.diameter = new_diam
+        self.diameter, self._pair = new_diam, (a, b)
 
 
-def _short_profile(x: np.ndarray, social_edges, delta: float,
-                   params: ModelParams) -> tuple[np.ndarray, bool]:
-    """The profile of x over the social edges, and whether every edge of it
-    is within delta: the one test behind both tau_delta and T_delta."""
-    pairs, lengths = profile(x, social_edges.array, params)
-    return pairs, bool(np.all(lengths <= delta))
+def _long_edges(x: np.ndarray, pairs: np.ndarray, delta: float,
+                params: ModelParams) -> np.ndarray:
+    """Flags of the rows of ``pairs`` within the confidence range (the
+    profile's exact <= epsilon) but longer than delta.  A state is delta-short
+    over E(t) when no row of E(t) is flagged: the one test behind both
+    tau_delta and T_delta."""
+    lengths = pair_lengths(x, pairs, params.norm)
+    return (lengths <= params.epsilon) & (lengths > delta)
+
+
+def _incidence(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex -> edge index of an (m, 2) edge array: the rows at vertex v are
+    ``rows[starts[v]:starts[v + 1]]``."""
+    ends = pairs.ravel()
+    rows = np.argsort(ends, kind="stable") // 2
+    starts = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
+    return rows, starts
 
 
 class StoppingTimeTracker(TrajectoryObserver):
@@ -309,6 +329,12 @@ class StoppingTimeTracker(TrajectoryObserver):
     The condition is evaluated on the pre-step state against that step's
     social edges, and once more on the final state; ``time`` stays None if
     the run ends before the condition holds.
+
+    The tracker keeps one flag per edge of the last E(t) it measured (in
+    range but longer than delta); the condition holds when none is set.  A
+    fired step moves only its two agents, so while E(t) stays the same object
+    the next check measures again only the edges at the agents that moved.
+    Any other E(t) is measured in full.  Once ``time`` is set it does nothing.
     """
 
     def __init__(self, delta: float, params: ModelParams):
@@ -317,13 +343,37 @@ class StoppingTimeTracker(TrajectoryObserver):
         self.delta = float(delta)
         self.params = params
         self.time: Optional[int] = None
+        self._edges: Optional[EdgeSet] = None   # the E(t) the flags describe
+        self._long = np.zeros(0, dtype=bool)
+        self._incident: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._moved: set[int] = set()           # agents moved since the last check
 
-    def _holds(self, x: np.ndarray, social_edges) -> bool:
-        return _short_profile(x, social_edges, self.delta, self.params)[1]
+    def at_start(self, state: OpinionState):
+        self._edges = None
+        self._moved.clear()
+
+    def _holds(self, x: np.ndarray, social_edges: EdgeSet) -> bool:
+        pairs = social_edges.array
+        if social_edges is not self._edges:
+            self._edges, self._incident = social_edges, None
+            self._long = _long_edges(x, pairs, self.delta, self.params)
+        elif self._moved:
+            if self._incident is None:
+                self._incident = _incidence(pairs, len(x))
+            rows, starts = self._incident
+            moved = np.concatenate([rows[starts[v]:starts[v + 1]] for v in self._moved])
+            self._long[moved] = _long_edges(x, pairs.take(moved, axis=0), self.delta,
+                                            self.params)
+        self._moved.clear()
+        return not self._long.any()
 
     def before_step(self, t, x, social_edges):
         if self.time is None and self._holds(x, social_edges):
             self.time = t
+
+    def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
+        if fired and self.time is None:
+            self._moved.update((i, j))
 
     def at_end(self, t, state, social_edges):
         if self.time is None and self._holds(state.opinions, social_edges):
@@ -402,23 +452,26 @@ def settle_time(
 ) -> Optional[int]:
     """First recorded time with a connected profile that stays short afterward.
 
-    Scans the recorded (n, d) states; each is paired with the social edges
-    active at its own step in ``times``.  Certification is only as strong as
-    the horizon and the recording stride.
+    Each recorded (n, d) state is paired with the social edges active at its
+    own step in ``times``.  Only the delta-short suffix of the states can
+    hold T_delta, so it is found first, scanning back from the last state to
+    the first state that is not short; connectivity is then tested forward
+    through that suffix alone.  Certification is only as strong as the
+    horizon and the recording stride.
     """
     if not (delta > 0):
         raise ConfigurationError(f"delta must be > 0, got {delta}")
     times = [int(t) for t in times]
-    connected = np.zeros(len(times), dtype=bool)
-    short = np.zeros(len(times), dtype=bool)
-    for k, (t, x) in enumerate(zip(times, states)):
-        prof, short[k] = _short_profile(x, schedule.edges_at(t), delta, params)
-        connected[k] = is_connected(prof, len(x))
-    ok_suffix = np.logical_and.accumulate(short[::-1])[::-1]
-    hits = np.nonzero(connected & ok_suffix)[0]
-    if hits.size == 0:
-        return None
-    return times[hits[0]]
+    start = len(times)
+    while start > 0:
+        t, x = times[start - 1], states[start - 1]
+        if _long_edges(x, schedule.edges_at(t).array, delta, params).any():
+            break
+        start -= 1
+    for t, x in zip(times[start:], states[start:]):
+        if is_connected(profile(x, schedule.edges_at(t).array, params)[0], len(x)):
+            return t
+    return None
 
 
 # ---------------------------------------------------------------------------

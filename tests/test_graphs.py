@@ -281,6 +281,19 @@ def test_er_replay_and_random_access():
     assert g.edges_at(123) == sequential[123]
 
 
+def test_er_edges_are_the_pairs_its_masks_select():
+    # step t keeps the pairs whose uniform draw in row t % 256 of block
+    # t // 256 falls below p
+    n, p, seed = 12, 0.4, 5
+    g = ErdosRenyiGraph(n, p, seed=seed)
+    pairs = complete_edges(n).array
+    for block in (0, 1):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, block]))
+        masks = rng.random((256, len(pairs))) < p
+        for offset in (0, 1, 255):
+            assert np.array_equal(g.edges_at(256 * block + offset).array, pairs[masks[offset]])
+
+
 def test_er_validation_and_degenerate_p():
     with pytest.raises(ConfigurationError):
         ErdosRenyiGraph(0, 0.5)

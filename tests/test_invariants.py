@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deffuant import (
     ConfigurationError,
@@ -14,24 +18,30 @@ from deffuant import (
     ModelParams,
     OpinionGraphChangeCounter,
     OpinionState,
+    PiecewiseGraph,
     StoppingTimeRecord,
     SequenceMu,
     StoppingTimeTracker,
+    TrajectoryObserver,
     UniformMu,
     UpdateIdentityObserver,
     check_potential_monotone,
     complete_edges,
+    diameter,
+    is_connected,
     lattice_points,
     pair_contraction_slacks,
     path_edges,
     potential_drop_slack,
+    profile,
     run_trajectory,
     settle_time,
 )
-from deffuant import invariants
-from deffuant.invariants import audit_run
+from deffuant import invariants, model
+from deffuant.graphs import pair_lengths
+from deffuant.invariants import IDENTITY_TOL, audit_run
 from deffuant.model import seed_streams
-from deffuant.norms import NORMS
+from deffuant.norms import NORMS, cross_distances
 
 P1 = ModelParams(epsilon=1.0)
 
@@ -230,6 +240,97 @@ def test_diameter_observer_tracks_current_diameter():
     assert obs.max_increase <= 1e-12
 
 
+class _DiameterProbe(TrajectoryObserver):
+    """Listed after a DiameterMonotoneObserver: after every step, compares its
+    diameter with the maximum of the full distance matrix, and counts the
+    fired steps whose pair touched the farthest pair it kept."""
+
+    def __init__(self, obs, norm):
+        self.obs, self.norm = obs, norm
+        self.diameters, self.pair_hits = [], 0
+
+    def before_step(self, t, x, social_edges):
+        self.kept = set(self.obs._pair)
+
+    def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
+        assert self.obs.diameter == float(cross_distances(x, x, self.norm).max())
+        self.diameters.append(self.obs.diameter)
+        self.pair_hits += fired and bool({i, j} & self.kept)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("n, d", [(2, 1), (7, 3), (40, 2)])
+def test_diameter_observer_matches_the_full_matrix_at_every_step(norm, n, d):
+    params = ModelParams(epsilon=10.0, dimension=d, norm=norm)
+    obs = DiameterMonotoneObserver(params)
+    probe = _DiameterProbe(obs, norm)
+    traj = run_trajectory(OpinionState(0, np.random.default_rng(n).random((n, d))),
+                          ConstantGraph(n, complete_edges(n)), UniformMu(0.1, 0.5), params,
+                          600, np.random.default_rng(d), observers=[obs, probe],
+                          record_stride=1)
+    assert probe.pair_hits > 0   # the full re-measurement ran
+    assert probe.diameters == [diameter(x, norm) for x in traj.states[1:]]
+    full = [float(cross_distances(x, x, norm).max()) for x in traj.states]
+    assert obs.max_increase == max(np.diff(full)[traj.events["fired"]])
+
+
+@pytest.mark.parametrize("rate, step", [
+    (0.9, None),   # both agents stay on the segment between them: no rise
+    (1.5, 17),     # the first agent is thrown past the second
+])
+def test_overshooting_update_fails_the_diameter_check_where_the_matrix_rises(
+        monkeypatch, rate, step):
+    update = model._update
+    monkeypatch.setattr(model, "_update",
+                        lambda x, i, j, mu, params: update(x, i, j, rate, params))
+    n, d, norm = 30, 3, "l1"
+    params = ModelParams(epsilon=0.9, dimension=d, norm=norm)
+
+    def run(observers):
+        return run_trajectory(OpinionState(0, np.random.default_rng(n).random((n, d))),
+                              ConstantGraph(n, complete_edges(n)), ConstantMu(0.5), params,
+                              300, np.random.default_rng(1), observers=observers,
+                              record_stride=1)
+
+    full = np.array([cross_distances(x, x, norm).max() for x in run([]).states])
+    rises = np.flatnonzero(np.diff(full) > IDENTITY_TOL)
+    obs = DiameterMonotoneObserver(params)
+    if step is None:
+        assert rises.size == 0
+        run([obs])
+        assert obs.diameter == full[-1]
+    else:
+        assert rises[0] == step
+        with pytest.raises(InvariantViolation, match="diameter-monotone") as exc:
+            run([obs])
+        assert exc.value.step == step
+        assert exc.value.slack == -(full[step + 1] - full[step])
+
+
+def test_diameter_observer_memory_stays_far_below_the_distance_matrix():
+    # an n x n float matrix at n = 2000 is 32 MB
+    n, d = 2000, 2
+    params = ModelParams(epsilon=10.0, dimension=d)
+    x = np.random.default_rng(0).random((n, d))
+    rng = np.random.default_rng(1)
+    obs = DiameterMonotoneObserver(params)
+    tracemalloc.start()
+    try:
+        obs.at_start(OpinionState(0, x))
+        for t in range(20):
+            # every fourth step moves an agent of the farthest pair
+            i = obs._pair[0] if t % 4 == 0 else int(rng.integers(n))
+            j = (i + 1 + int(rng.integers(n - 1))) % n
+            xi_old, xj_old = x[i].copy(), x[j].copy()
+            assert model._update(x, i, j, 0.5, params)
+            obs.after_step(t, i, j, True, 0.5, xi_old, xj_old, x, EdgeSet())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obs.diameter == diameter(x)
+    assert peak < 8e6
+
+
 # ---------------------------------------------------------------------------
 # Stopping times
 # ---------------------------------------------------------------------------
@@ -310,6 +411,138 @@ def test_settle_time_requires_connected_profile():
                           record_stride=1)
     assert tracker.time is not None
     assert settle_time(traj.times, traj.states, schedule, 0.005, params) is None
+
+
+class _RescanTracker(TrajectoryObserver):
+    """StoppingTimeTracker that measures the whole profile at every check."""
+
+    def __init__(self, delta, params):
+        self.delta, self.params, self.time = delta, params, None
+
+    def _short(self, x, social_edges):
+        return bool(np.all(profile(x, social_edges.array, self.params)[1] <= self.delta))
+
+    def before_step(self, t, x, social_edges):
+        if self.time is None and self._short(x, social_edges):
+            self.time = t
+
+    def at_end(self, t, state, social_edges):
+        if self.time is None and self._short(state.opinions, social_edges):
+            self.time = t
+
+
+_SCHEDULES = ("complete", "path", "cyclic", "piecewise", "erdos-renyi")
+
+
+def _schedule(kind, n, seed):
+    full, path = complete_edges(n), path_edges(n)
+    if kind == "complete":
+        return ConstantGraph(n, full)
+    if kind == "path":
+        return ConstantGraph(n, path)
+    if kind == "cyclic":
+        return CyclicGraph(n, (full, EdgeSet(), path))
+    if kind == "piecewise":
+        return PiecewiseGraph(n, ((0, path), (7, EdgeSet()), (12, full)))
+    return ErdosRenyiGraph(n, 0.5, seed=seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(_SCHEDULES), norm=st.sampled_from(NORMS),
+       d=st.integers(1, 3), n=st.integers(2, 9), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_tracker_matches_a_full_rescan(kind, norm, d, n, seed, data):
+    # Opinions on multiples of 1/8 and rates 1/2 and 1/4 keep every update
+    # exact; epsilon and delta are drawn from the initial pair lengths, so
+    # lengths sit exactly on both thresholds.
+    x0 = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 16), min_size=d, max_size=d), min_size=n, max_size=n))) / 8
+    lengths = sorted(set(pair_lengths(x0, complete_edges(n).array, norm).tolist()) - {0.0})
+    epsilon = data.draw(st.sampled_from(lengths or [1.0]))
+    delta = data.draw(st.sampled_from([v for v in lengths if v <= epsilon] + [1 / 64]))
+    mu = data.draw(st.sampled_from([ConstantMu(0.5), SequenceMu((0.25, 0.5, 0.25))]))
+    params = ModelParams(epsilon=epsilon, dimension=d, norm=norm)
+    tracker, reference = StoppingTimeTracker(delta, params), _RescanTracker(delta, params)
+    run_trajectory(OpinionState(0, x0), _schedule(kind, n, seed), mu, params, 60,
+                   np.random.default_rng(seed), observers=[tracker, reference],
+                   record_stride=None, record_events=False)
+    assert tracker.time == reference.time
+
+
+def test_tracker_measures_only_the_edges_at_moved_agents(monkeypatch):
+    measured = []
+    real = invariants.pair_lengths
+    monkeypatch.setattr(invariants, "pair_lengths",
+                        lambda x, pairs, norm: measured.append(len(pairs)) or real(x, pairs, norm))
+    n = 30
+    params = ModelParams(epsilon=0.5, dimension=2)
+    tracker = StoppingTimeTracker(1e-9, params)
+    traj = run_trajectory(OpinionState(0, np.random.default_rng(0).random((n, 2))),
+                          ConstantGraph(n, complete_edges(n)), ConstantMu(0.5), params, 200,
+                          np.random.default_rng(1), observers=[tracker])
+    assert tracker.time is None
+    # E(0) in full, then one re-measurement after each fired step: the n - 1
+    # rows at each of its two agents (the pair's own row twice)
+    assert measured == [n * (n - 1) // 2] + [2 * (n - 1)] * int(traj.events["fired"].sum())
+
+
+def test_tracker_records_nothing_once_time_is_set(monkeypatch):
+    measured = []
+    real = invariants.pair_lengths
+    monkeypatch.setattr(invariants, "pair_lengths",
+                        lambda x, pairs, norm: measured.append(len(pairs)) or real(x, pairs, norm))
+    n = 20
+    params = ModelParams(epsilon=0.5, dimension=2)
+    tracker = StoppingTimeTracker(0.3, params)   # holds once the first cluster forms
+    seen = []
+
+    class Watch(TrajectoryObserver):
+        def after_step(self, t, *args):
+            seen.append((tracker.time, len(tracker._moved)))
+
+    run_trajectory(OpinionState(0, np.random.default_rng(2).random((n, 2))),
+                   ConstantGraph(n, complete_edges(n)), ConstantMu(0.5), params, 400,
+                   np.random.default_rng(3), observers=[tracker, Watch()])
+    assert 0 < tracker.time < 400
+    assert all(moved <= 2 for _, moved in seen)
+    assert all(moved == 0 for time, moved in seen if time is not None)
+    assert len(measured) <= 1 + tracker.time
+
+
+def _settle_time_full_scan(times, states, schedule, delta, params):
+    """settle_time over every recorded state (connected, and short from then
+    on), and how many connectivity tests the short suffix needs to find it."""
+    connected, short = [], []
+    for t, x in zip(times, states):
+        pairs, lengths = profile(x, schedule.edges_at(int(t)).array, params)
+        connected.append(is_connected(pairs, len(x)))
+        short.append(bool(np.all(lengths <= delta)))
+    suffix = min(k for k in range(len(times) + 1) if all(short[k:]))
+    for k in range(len(times)):
+        if connected[k] and all(short[k:]):
+            return int(times[k]), k - suffix + 1
+    return None, len(times) - suffix
+
+
+@pytest.mark.parametrize("kind", _SCHEDULES)
+@pytest.mark.parametrize("clusters", [1, 2])
+@pytest.mark.parametrize("delta", [0.3, 0.02, 1e-12])
+def test_settle_time_tests_connectivity_only_inside_the_short_suffix(
+        monkeypatch, kind, clusters, delta):
+    n = 8
+    params = ModelParams(epsilon=0.6, dimension=2)
+    x0 = np.random.default_rng(4).random((n, 2)) * 0.5
+    x0[: n // 2] += 3.0 * (clusters - 1)   # two groups out of range of each other
+    schedule = _schedule(kind, n, seed=9)
+    traj = run_trajectory(OpinionState(0, x0), schedule, ConstantMu(0.5), params, 400,
+                          np.random.default_rng(5), record_stride=4)
+    expected, tests = _settle_time_full_scan(traj.times, traj.states, schedule, delta, params)
+    calls = []
+    real = invariants.is_connected
+    monkeypatch.setattr(invariants, "is_connected",
+                        lambda pairs, n: calls.append(n) or real(pairs, n))
+    assert settle_time(traj.times, traj.states, schedule, delta, params) == expected
+    assert len(calls) == tests
 
 
 def test_stopping_record_validation():
