@@ -261,9 +261,22 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> Experimen
             f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)) from None
 
 
+def _count(raw: dict[str, Any], key: str) -> int:
+    """``raw[key]`` as an integer of at least 1; a bool, a string or a
+    fractional number is rejected rather than rounded."""
+    value = raw[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigurationError(f"{key} must be >= 1, got {value}")
+    return value
+
+
 def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
-    n = int(raw["n"])
-    dimension = int(raw["dimension"])
+    n = _count(raw, "n")
+    dimension = _count(raw, "dimension")
     params = ModelParams(epsilon=float(raw["epsilon"]), dimension=dimension,
                          norm=str(raw["norm"]))
     for key in ("space", "graph", "mu"):
@@ -275,14 +288,10 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
     deltas = [float(d) for d in (raw["deltas"] or [])]
     if any(d <= 0 for d in deltas):
         raise ConfigurationError(f"deltas must be > 0, got {deltas}")
-    horizon = int(raw["horizon"])
-    stride = raw["record_stride"]
-    if stride is None:
-        stride = max(1, horizon // 1000)
-    stride = int(stride)
-    check_every = int(raw["check_every"])
-    if check_every < 1:
-        raise ConfigurationError(f"check_every must be >= 1, got {check_every}")
+    horizon = _count(raw, "horizon")
+    stride = (max(1, horizon // 1000) if raw["record_stride"] is None
+              else _count(raw, "record_stride"))
+    check_every = _count(raw, "check_every")
     initial = None
     if raw["initial"] is not None:
         initial = np.asarray(raw["initial"], dtype=float)
@@ -294,7 +303,7 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
     return ExperimentConfig(
         n=n, params=params, space=space, graph=graph, mu=mu,
         horizon=horizon, consensus_tol=float(raw["consensus_tol"]),
-        deltas=deltas, record_stride=stride, c_samples=int(raw["c_samples"]),
+        deltas=deltas, record_stride=stride, c_samples=_count(raw, "c_samples"),
         check_every=check_every, initial=initial, raw=raw,
     )
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 
 class ConfigurationError(ValueError):
@@ -17,13 +17,19 @@ class BoundInapplicableError(ValueError):
 
 
 class InvariantViolation(RuntimeError):
-    """A runtime invariant check failed; aborts the trial that raised it."""
+    """A runtime invariant check failed; aborts the trial that raised it.
 
-    def __init__(self, invariant: str, step: int, slack: float, detail: str = ""):
+    ``event`` holds the inputs of the failed update step when the check had
+    them: ``i``, ``j``, ``mu``, and rows i and j ``before`` and ``after`` it.
+    """
+
+    def __init__(self, invariant: str, step: int, slack: float, detail: str = "",
+                 event: Optional[dict[str, Any]] = None):
         self.invariant = invariant
         self.step = step
         self.slack = slack
         self.detail = detail
+        self.event = event
         message = f"invariant {invariant!r} violated at step {step}: slack={slack:.3e}"
         if detail:
             message += f" ({detail})"
@@ -31,9 +37,11 @@ class InvariantViolation(RuntimeError):
 
     def as_record(self) -> dict[str, Any]:
         """JSON-serializable diagnostic record."""
-        return {
+        record = {
             "invariant": self.invariant,
             "step": self.step,
             "slack": float(self.slack),
             "detail": self.detail,
         }
+        record.update(self.event or {})
+        return record

@@ -16,20 +16,87 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
-from .geometry import distance_potential, farthest_pair
+from .geometry import farthest_pair
 from .graphs import (ConstantGraph, CyclicGraph, EdgeSet, ErdosRenyiGraph, GraphSchedule,
                      complete_edges, is_connected, pair_lengths, path_edges, profile)
-from .model import (ConstantMu, ModelParams, OpinionState, SequenceMu, TrajectoryObserver,
-                    UniformMu, run_trajectory, seed_streams)
-from .norms import cross_distances, distances_to_point, rowwise_norm, vector_norm
+from .model import (BLOCK_BYTES, ConstantMu, FiredSteps, ModelParams, OpinionState,
+                    SequenceMu, TrajectoryObserver, UniformMu, run_trajectory, seed_streams)
+from .norms import cross_distances, distances_to_point, rowwise_norm, vector_norms
 
+# Tolerances at unit scale; ``scaled_tolerance`` grows them with the numbers checked.
 SLACK_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Pure single-step checks
+# Checks of fired update steps, a block of steps at a time
 # ---------------------------------------------------------------------------
+
+def scaled_tolerance(tol: float, *operands: np.ndarray, floor: float = 1.0) -> np.ndarray:
+    """Per-step bound: ``tol`` times the largest of ``floor`` and each step's
+    largest |coordinate| among its ``operands`` (arrays with the steps along
+    the first axis).
+
+    A float operation rounds relative to its result, fl(a op b) = (a op b)(1 + e)
+    with |e| <= 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2.2), so a bound fixed in absolute terms fails
+    correct runs far from the origin.  With every operand in [-1, 1] the
+    bound is ``tol`` itself.
+    """
+    scale = np.full(len(operands[0]), float(floor))
+    for op in operands:
+        np.maximum(scale, np.abs(op).reshape(len(op), -1).max(axis=1), out=scale)
+    return tol * scale
+
+
+def update_identity_errors(old: np.ndarray, new: np.ndarray, mu: np.ndarray,
+                           norm: str = "euclidean"):
+    """Errors of the update identities of m fired steps.
+
+    ``old`` and ``new`` (m, 2, d) are rows i and j before and after each step,
+    ``mu`` (m,) its reported rate.  Returns, per step, the largest coordinate
+    by which the pair sum moved, the distances moved by i and by j (m, 2),
+    and the largest coordinate by which i's move misses mu times the gap.
+    """
+    sum_error = np.abs((old[:, 0] + old[:, 1]) - (new[:, 0] + new[:, 1])).max(axis=1)
+    moved = new - old
+    gap = old[:, 1] - old[:, 0]
+    rate_residual = np.abs(moved[:, 0] - mu[:, None] * gap).max(axis=1)
+    return sum_error, vector_norms(moved, norm), rate_residual
+
+
+def contraction_slacks(old: np.ndarray, new: np.ndarray, c: np.ndarray,
+                       norm: str = "euclidean"):
+    """Slacks of the pair contraction inequalities for m fired steps.
+
+    ``old`` and ``new`` (m, 2, d) are rows i and j before and after each step,
+    ``c`` (k, d) the reference points.  Returns four arrays, each >= 0 for an
+    update with rate in [0, 1/2]:
+
+    basic (m, k):   the pair's summed distance to c before minus after;
+    refined (m, k): basic - 2 * (distance moved by i) + 2 * dist(midpoint, c),
+                    the bound on the drop of the summed distance of the whole
+                    population, of which only the pair moved;
+    and basic and refined with the pair's own midpoint as c, (m,) each.
+    """
+    m, _, d = old.shape
+    mid = (old[:, 0] + old[:, 1]) / 2.0
+    rows = np.concatenate((old, new, mid[:, None]), axis=1)       # (m, 5, d)
+    dist = cross_distances(rows.reshape(-1, d), c, norm).reshape(m, 5, -1)
+    basic = (dist[:, 0] + dist[:, 1]) - (dist[:, 2] + dist[:, 3])
+    disp = vector_norms(new[:, 0] - old[:, 0], norm)
+    refined = basic - 2.0 * disp[:, None] + 2.0 * dist[:, 4]
+    # the midpoint as reference: its distance to itself is 0
+    r = rowwise_norm((rows[:, :4] - mid[:, None]).reshape(-1, d), norm).reshape(m, 4)
+    basic_mid = (r[:, 0] + r[:, 1]) - (r[:, 2] + r[:, 3])
+    return basic, refined, basic_mid, basic_mid - 2.0 * disp
+
+
+def _first(*failed: np.ndarray) -> int:
+    """Index of the first step failing any check, or the number of steps."""
+    bad = np.logical_or.reduce(failed)
+    return int(bad.argmax()) if bad.any() else len(bad)
+
 
 @dataclass(frozen=True)
 class ContractionReport:
@@ -38,7 +105,8 @@ class ContractionReport:
     basic_slack:   (pair distance-sum to c before) - (after); >= 0.
     refined_slack: same but against the tighter budget that charges the
                    displacement and refunds twice the midpoint's distance
-                   to c; >= 0.
+                   to c; >= 0.  Only the pair moves in one step, so this is
+                   also the slack of the population's potential-drop bound.
     """
 
     step: int
@@ -47,12 +115,12 @@ class ContractionReport:
     c: np.ndarray
 
 
-def _pair_rows(state: OpinionState, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _pair_rows(state: OpinionState, pair: tuple[int, int]) -> np.ndarray:
     i, j = pair
     n = state.n
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ConfigurationError(f"invalid pair {pair} for n={n}")
-    return state.opinions[i], state.opinions[j]
+    return state.opinions[[i, j]]
 
 
 def pair_contraction_slacks(
@@ -62,43 +130,13 @@ def pair_contraction_slacks(
     c: np.ndarray,
     norm: str = "euclidean",
 ) -> ContractionReport:
-    """Slacks of the two pair inequalities for one interaction step."""
+    """Slacks of the two pair inequalities for one interaction step:
+    ``contraction_slacks`` of that one step."""
     c = np.asarray(c, dtype=float).ravel()
-    xi0, xj0 = _pair_rows(pre, pair)
-    xi1, xj1 = _pair_rows(post, pair)
-    lhs = vector_norm(xi1 - c, norm) + vector_norm(xj1 - c, norm)
-    rhs = vector_norm(xi0 - c, norm) + vector_norm(xj0 - c, norm)
-    disp = vector_norm(xi0 - xi1, norm)
-    mid = (xi0 + xj0) / 2.0
-    refined_rhs = rhs - 2.0 * disp + 2.0 * vector_norm(mid - c, norm)
-    return ContractionReport(
-        step=pre.time,
-        basic_slack=float(rhs - lhs),
-        refined_slack=float(refined_rhs - lhs),
-        c=c,
-    )
-
-
-def potential_drop_slack(
-    pre: OpinionState,
-    post: OpinionState,
-    pair: tuple[int, int],
-    c: np.ndarray,
-    norm: str = "euclidean",
-) -> float:
-    """Slack of the per-step potential decrement bound.
-
-    The drop of the summed distance to c must cover twice the displacement
-    of one updated agent minus twice the pair midpoint's distance to c.
-    """
-    c = np.asarray(c, dtype=float).ravel()
-    z_pre = distance_potential(pre.opinions, c, norm)
-    z_post = distance_potential(post.opinions, c, norm)
-    xi0, xj0 = _pair_rows(pre, pair)
-    xi1, _ = _pair_rows(post, pair)
-    disp = vector_norm(xi0 - xi1, norm)
-    mid = (xi0 + xj0) / 2.0
-    return float((z_pre - z_post) - 2.0 * (disp - vector_norm(mid - c, norm)))
+    basic, refined, _, _ = contraction_slacks(
+        _pair_rows(pre, pair)[None], _pair_rows(post, pair)[None], c[None], norm)
+    return ContractionReport(step=pre.time, basic_slack=float(basic[0, 0]),
+                             refined_slack=float(refined[0, 0]), c=c)
 
 
 @dataclass(frozen=True)
@@ -157,9 +195,9 @@ def lattice_points(lower: np.ndarray, upper: np.ndarray, count: int) -> np.ndarr
 class UpdateIdentityObserver(TrajectoryObserver):
     """Checks the algebraic identities of every fired update.
 
-    The pair sum is conserved, both agents move by the same distance, and
-    the realized displacement equals the reported rate times the pre-step
-    gap (the rate itself is validated to [0, 1/2] at the schedule).
+    The pair sum is conserved, both agents move by the same distance, the
+    reported rate lies in [0, 1/2], and the realized displacement equals the
+    reported rate times the pre-step gap.  A step is checked in that order.
     """
 
     def __init__(self, params: ModelParams):
@@ -169,43 +207,44 @@ class UpdateIdentityObserver(TrajectoryObserver):
         self.max_displacement_gap = 0.0
         self.max_rate_residual = 0.0
 
-    def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
-        if not fired:
-            return
-        norm = self.params.norm
-        xi1, xj1 = x[i], x[j]
-        sum_err = float(np.max(np.abs((xi_old + xj_old) - (xi1 + xj1))))
-        self.max_sum_error = max(self.max_sum_error, sum_err)
-        if sum_err > IDENTITY_TOL:
-            raise InvariantViolation("pair-sum-conservation", step=t, slack=-sum_err,
-                                     detail=f"pair ({i},{j}) sum moved by {sum_err:.3e}")
-        di = vector_norm(xi1 - xi_old, norm)
-        dj = vector_norm(xj1 - xj_old, norm)
-        gap_err = abs(di - dj)
-        self.max_displacement_gap = max(self.max_displacement_gap, gap_err)
-        if gap_err > IDENTITY_TOL:
-            raise InvariantViolation("equal-displacement", step=t, slack=-gap_err,
-                                     detail=f"pair ({i},{j}) moved {di:.6e} vs {dj:.6e}")
-        if not (0.0 <= mu <= 0.5):
-            raise InvariantViolation("rate-range", step=t, slack=min(mu, 0.5 - mu),
-                                     detail=f"reported rate {mu!r}")
-        resid = float(np.max(np.abs((xi1 - xi_old) - mu * (xj_old - xi_old))))
-        self.max_rate_residual = max(self.max_rate_residual, resid)
-        if resid > IDENTITY_TOL:
-            raise InvariantViolation("realized-rate", step=t, slack=-resid,
-                                     detail=f"pair ({i},{j}) displacement off "
-                                            f"rate*gap by {resid:.3e}")
-        self.checked += 1
+    def after_block(self, steps: FiredSteps):
+        mu = steps.mu
+        sum_err, moved, resid = update_identity_errors(steps.old, steps.new, mu,
+                                                       self.params.norm)
+        gap = np.abs(moved[:, 0] - moved[:, 1])
+        tol = scaled_tolerance(IDENTITY_TOL, steps.old, steps.new)
+        checks = (sum_err > tol, gap > tol, ~((0.0 <= mu) & (mu <= 0.5)), resid > tol)
+        k = _first(*checks)
+        seen = slice(0, k + 1)   # the extrema include the failing step
+        self.max_sum_error = max(self.max_sum_error, float(sum_err[seen].max()))
+        self.max_displacement_gap = max(self.max_displacement_gap, float(gap[seen].max()))
+        self.max_rate_residual = max(self.max_rate_residual, float(resid[seen].max()))
+        self.checked += k
+        if k == len(steps):
+            return None
+        pair = f"pair ({steps.i[k]},{steps.j[k]})"
+        if checks[0][k]:
+            return steps.violation(k, "pair-sum-conservation", -sum_err[k],
+                                   f"{pair} sum moved by {sum_err[k]:.3e}")
+        if checks[1][k]:
+            return steps.violation(k, "equal-displacement", -gap[k],
+                                   f"{pair} moved {moved[k, 0]:.6e} vs {moved[k, 1]:.6e}")
+        rate = float(mu[k])
+        if checks[2][k]:
+            return steps.violation(k, "rate-range", min(rate, 0.5 - rate),
+                                   f"reported rate {rate!r}")
+        return steps.violation(k, "realized-rate", -resid[k],
+                               f"{pair} displacement off rate*gap by {resid[k]:.3e}")
 
 
 class ContractionObserver(TrajectoryObserver):
     """Checks contraction slacks and potential decay against fixed reference points.
 
-    Distances from every agent to each reference point are cached; a fired
-    step only recomputes the two touched rows, so the per-step checks stay
-    O(k d).  The midpoint of the interacting pair is also used as an extra
-    per-step reference.  The summed distance only changes through the pair,
-    so its per-step drift equals minus the basic slack.
+    Every fired step is checked against each reference point and against the
+    pair's own midpoint (``contraction_slacks``), O(k d) a step.  The summed
+    distance only changes through the pair, so its per-step drift equals
+    minus the basic slack.  A block is measured in parts small enough that the
+    temporaries stay within BLOCK_BYTES for any number of reference points.
     """
 
     def __init__(self, c_points: np.ndarray, params: ModelParams):
@@ -219,50 +258,64 @@ class ContractionObserver(TrajectoryObserver):
         self.min_basic_slack = np.inf
         self.min_refined_slack = np.inf
         self.max_potential_drift = -np.inf
-        self._dist: Optional[np.ndarray] = None  # (n, k) agent-to-reference distances
+        # bytes a step: the (5, k, d) differences and about 14 k floats of
+        # distances and slacks
+        k, d = cs.shape
+        self._chunk = max(1, BLOCK_BYTES // (8 * k * (5 * d + 14)))
+        self._c_scale = max(1.0, float(np.abs(cs).max()))
 
-    def at_start(self, state: OpinionState):
-        self._dist = cross_distances(state.opinions, self.c_points, self.params.norm)
+    def _worst(self, old: np.ndarray, new: np.ndarray):
+        """Per step: the smallest slack of each kind and, for the reference
+        points, which point gave it."""
+        basic, refined, basic_mid, refined_mid = contraction_slacks(
+            old, new, self.c_points, self.params.norm)
+        at_b, at_r = basic.argmin(axis=1), refined.argmin(axis=1)
+        steps = np.arange(len(old))
+        return at_b, basic[steps, at_b], at_r, refined[steps, at_r], basic_mid, refined_mid
 
-    def _register(self, t, basic: float, refined: float, where: str):
-        self.min_basic_slack = min(self.min_basic_slack, basic)
-        self.min_refined_slack = min(self.min_refined_slack, refined)
-        self.max_potential_drift = max(self.max_potential_drift, -basic)
-        if basic < -SLACK_TOL:
-            raise InvariantViolation("pair-contraction", step=t, slack=basic,
-                                     detail=f"basic slack at {where}")
-        if refined < -SLACK_TOL:
-            raise InvariantViolation("potential-drop", step=t, slack=refined,
-                                     detail=f"refined slack at {where}")
+    def after_block(self, steps: FiredSteps):
+        old, new = steps.old, steps.new
+        parts = [self._worst(old[s:s + self._chunk], new[s:s + self._chunk])
+                 for s in range(0, len(steps), self._chunk)]
+        at_b, basic, at_r, refined, basic_mid, refined_mid = (
+            np.concatenate(p) for p in zip(*parts))
+        tol = -scaled_tolerance(SLACK_TOL, old, new, floor=self._c_scale)
+        checks = (basic < tol, refined < tol, basic_mid < tol, refined_mid < tol)
+        k = _first(*checks)
+        seen = slice(0, k + 1)   # the extrema include the failing step
+        worst_basic = float(min(basic[seen].min(), basic_mid[seen].min()))
+        self.min_basic_slack = min(self.min_basic_slack, worst_basic)
+        self.min_refined_slack = min(self.min_refined_slack, float(refined[seen].min()),
+                                     float(refined_mid[seen].min()))
+        self.max_potential_drift = max(self.max_potential_drift, -worst_basic)
+        self.fired_steps += k
+        if k == len(steps):
+            return None
+        pair = f"pair ({steps.i[k]},{steps.j[k]})"
+        where = f"reference {at_b[k]}/{at_r[k]}, {pair}"
+        if checks[0][k]:
+            return steps.violation(k, "pair-contraction", basic[k], f"basic slack at {where}")
+        if checks[1][k]:
+            return steps.violation(k, "potential-drop", refined[k],
+                                   f"refined slack at {where}")
+        if checks[2][k]:
+            return steps.violation(k, "pair-contraction", basic_mid[k],
+                                   f"basic slack at pair midpoint, {pair}")
+        return steps.violation(k, "potential-drop", refined_mid[k],
+                               f"refined slack at pair midpoint, {pair}")
 
-    def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
-        if not fired:
-            return
-        assert self._dist is not None
-        norm = self.params.norm
-        pre_rows = self._dist[i] + self._dist[j]  # (k,)
-        mid = (xi_old + xj_old) / 2.0
-        rows = cross_distances(np.stack((x[i], x[j], mid)), self.c_points, norm)
-        new_i, new_j, d_mid = rows[0], rows[1], rows[2]
-        post_rows = new_i + new_j
-        disp = vector_norm(x[i] - xi_old, norm)
 
-        basic = pre_rows - post_rows
-        refined = basic - 2.0 * disp + 2.0 * d_mid
-        worst_b = int(np.argmin(basic))
-        worst_r = int(np.argmin(refined))
-        self._register(t, float(basic[worst_b]), float(refined[worst_r]),
-                       f"reference {worst_b}/{worst_r}, pair ({i},{j})")
-
-        # Using the pair midpoint as reference: its distance to itself is 0.
-        r = rowwise_norm(np.stack((xi_old - mid, xj_old - mid, x[i] - mid, x[j] - mid)), norm)
-        b_mid = (r[0] + r[1]) - (r[2] + r[3])
-        self._register(t, float(b_mid), float(b_mid - 2.0 * disp),
-                       f"pair midpoint, pair ({i},{j})")
-
-        self._dist[i] = new_i
-        self._dist[j] = new_j
-        self.fired_steps += 1
+def _positions(x0: np.ndarray, steps: FiredSteps) -> np.ndarray:
+    """(m, n, d) opinions of every agent after each of the m steps, from the
+    opinions ``x0`` before the first: each agent keeps the row written by the
+    last step that moved it."""
+    m, (n, d) = len(steps), x0.shape
+    rows = np.tile(np.arange(n), (m, 1))       # row v of x0 until agent v moves
+    k = np.arange(m)
+    rows[k, steps.i] = n + 2 * k               # then row 2k or 2k + 1 of ``new``
+    rows[k, steps.j] = n + 2 * k + 1
+    np.maximum.accumulate(rows, axis=0, out=rows)
+    return np.concatenate((x0, steps.new.reshape(2 * m, d))).take(rows, axis=0)
 
 
 class DiameterMonotoneObserver(TrajectoryObserver):
@@ -271,8 +324,11 @@ class DiameterMonotoneObserver(TrajectoryObserver):
     Keeps the exact diameter and one pair of agents at that distance.  A fired
     step moves only agents i and j, so every other distance is unchanged: the
     new diameter is the larger of the old one and the farthest distance from
-    i or j, an O(n d) measurement.  Only when i or j belongs to the kept pair
-    is the diameter measured again over all pairs.
+    i or j.  Only when i or j belongs to the kept pair is the diameter
+    measured again over all pairs (``farthest_pair``).  For a block, the
+    opinions after each step are filled forward from the block's start,
+    O(m n d); rows i and j are measured against them in one call, and the
+    steps are then walked in order.
     """
 
     def __init__(self, params: ModelParams):
@@ -280,28 +336,39 @@ class DiameterMonotoneObserver(TrajectoryObserver):
         self.max_increase = -np.inf
         self.diameter: float = 0.0
         self._pair: tuple[int, int] = (0, 0)
+        self._x: Optional[np.ndarray] = None   # opinions before the next block
 
     def at_start(self, state: OpinionState):
-        diam, a, b = farthest_pair(state.opinions, self.params.norm)
+        self._x = state.opinions.copy()
+        diam, a, b = farthest_pair(self._x, self.params.norm)
         self.diameter, self._pair = diam, (a, b)
 
-    def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
-        if not fired:
-            return
-        if i in self._pair or j in self._pair:
-            new_diam, a, b = farthest_pair(x, self.params.norm)
-        else:
-            rows = cross_distances(x[np.array((i, j))], x, self.params.norm)
-            k = int(rows.argmax())
-            new_diam, (a, b) = self.diameter, self._pair
-            if rows.flat[k] > new_diam:
-                new_diam, a, b = float(rows.flat[k]), (i, j)[k // len(x)], k % len(x)
-        inc = new_diam - self.diameter
-        self.max_increase = max(self.max_increase, inc)
-        if inc > IDENTITY_TOL:
-            raise InvariantViolation("diameter-monotone", step=t, slack=-inc,
-                                     detail=f"diameter rose {self.diameter!r} -> {new_diam!r}")
-        self.diameter, self._pair = new_diam, (a, b)
+    def after_block(self, steps: FiredSteps):
+        assert self._x is not None
+        norm, n = self.params.norm, len(self._x)
+        x = _positions(self._x, steps)
+        dist = cross_distances(steps.new, x, norm).reshape(len(steps), 2 * n)
+        far = dist.argmax(axis=1)
+        tol = scaled_tolerance(IDENTITY_TOL, x, steps.old).tolist()
+        diam, (a, b) = self.diameter, self._pair
+        for k, (i, j, f, length) in enumerate(zip(
+                steps.i.tolist(), steps.j.tolist(), far.tolist(),
+                dist[np.arange(len(steps)), far].tolist())):
+            if i == a or i == b or j == a or j == b:
+                new_diam, a, b = farthest_pair(x[k], norm)
+            elif length > diam:
+                new_diam, a, b = length, (i, j)[f // n], f % n
+            else:
+                new_diam = diam
+            inc = new_diam - diam
+            self.max_increase = max(self.max_increase, inc)
+            if inc > tol[k]:
+                return steps.violation(k, "diameter-monotone", -inc,
+                                       f"diameter rose {diam!r} -> {new_diam!r}")
+            diam = new_diam
+        self.diameter, self._pair = diam, (a, b)
+        self._x = x[-1].copy()
+        return None
 
 
 def _long_edges(x: np.ndarray, pairs: np.ndarray, delta: float,

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvariantViolation
 from .norms import validate_norm, vector_norm
 
 if TYPE_CHECKING:
@@ -231,13 +231,63 @@ def step(
 # Trajectory engine
 # ---------------------------------------------------------------------------
 
+# The block hooks get as many fired steps at once as keep a block's positions
+# and the temporaries of its checks, about 48 n d bytes a step for n agents in
+# d dimensions, within BLOCK_BYTES; numpy's fixed cost per call is then spread
+# over many steps.
+BLOCK_BYTES = 1 << 20
+
+
+def block_size(n: int, d: int) -> int:
+    """How many fired steps ``run_trajectory`` gathers before each block hook call."""
+    return max(1, BLOCK_BYTES // (48 * n * d))
+
+
+@dataclass(frozen=True)
+class FiredSteps:
+    """A block of fired update steps, in the order they ran.
+
+    ``t``, ``i``, ``j`` and ``mu`` (m,) name each step; ``old`` and ``new``
+    (m, 2, d) hold rows i and j just before and just after it.
+    """
+
+    t: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    mu: np.ndarray
+    old: np.ndarray
+    new: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def violation(self, k: int, invariant: str, slack: float,
+                  detail: str) -> InvariantViolation:
+        """The failure of check ``invariant`` at the k-th step, with its inputs."""
+        event = {"i": int(self.i[k]), "j": int(self.j[k]), "mu": float(self.mu[k]),
+                 "before": self.old[k].tolist(), "after": self.new[k].tolist()}
+        return InvariantViolation(invariant, step=int(self.t[k]), slack=float(slack),
+                                  detail=detail, event=event)
+
+
 class TrajectoryObserver:
     """Hook interface called by ``run_trajectory``.
 
     ``before_step`` sees the state and social edges *at* time t (before the
     update); ``after_step`` sees the post-update state together with the
-    selected pair's pre-step rows. Arrays passed in are live views: copy
-    before retaining. Observers abort the run by raising InvariantViolation.
+    selected pair's pre-step rows.  Arrays passed in are live views: copy
+    before retaining.  Per-step observers abort the run by raising
+    InvariantViolation.
+
+    ``after_block`` is the audit's hook.  The engine records every fired step
+    (``FiredSteps``) and hands them over ``block_size(n, d)`` at a time, and
+    the rest before any ``at_end``.  The hook checks every step of the block
+    and returns, without raising, the violation of its first failing step, or
+    None.  The engine then raises the earliest failure over all observers,
+    a tie going to the observer listed first, so the run stops where a
+    per-step check would have stopped it; by then the live state may have
+    moved up to a block past that step.  The engine calls each hook only on
+    observers that define it.
     """
 
     def at_start(self, state: OpinionState) -> None:
@@ -260,8 +310,70 @@ class TrajectoryObserver:
     ) -> None:
         pass
 
+    def after_block(self, steps: FiredSteps) -> Optional[InvariantViolation]:
+        return None
+
     def at_end(self, t: int, state: OpinionState, social_edges: "EdgeSet") -> None:
         pass
+
+
+def _hooks(observers: Sequence[TrajectoryObserver], name: str) -> list:
+    """(position, bound hook) of each observer that defines hook ``name``."""
+    base = getattr(TrajectoryObserver, name)
+    return [(k, getattr(obs, name)) for k, obs in enumerate(observers)
+            if getattr(type(obs), name, base) is not base]
+
+
+class _BlockRecorder:
+    """Records fired steps and hands them to the block hooks a block at a time."""
+
+    def __init__(self, hooks: list, size: int, d: int):
+        self.hooks = hooks
+        self.old = np.empty((size, 2, d))
+        self.new = np.empty((size, 2, d))
+        self.t: list[int] = []
+        self.i: list[int] = []
+        self.j: list[int] = []
+        self.mu: list[float] = []
+
+    def hold(self, x: np.ndarray, i: int, j: int) -> np.ndarray:
+        """Copy rows i and j into the next slot, before the update; returns it."""
+        old = self.old[len(self.t)]
+        old[0] = x[i]
+        old[1] = x[j]
+        return old
+
+    def record(self, t: int, i: int, j: int, mu: float, x: np.ndarray) -> bool:
+        """Keep the held step, which fired; True when the block is full."""
+        new = self.new[len(self.t)]
+        new[0] = x[i]
+        new[1] = x[j]
+        self.t.append(t)
+        self.i.append(i)
+        self.j.append(j)
+        self.mu.append(mu)
+        return len(self.t) == len(self.old)
+
+    def flush(self) -> Optional[tuple[int, int, InvariantViolation]]:
+        """Check the recorded steps and empty the block; the earliest failure
+        as (step, observer position, violation), or None."""
+        m = len(self.t)
+        if m == 0:
+            return None
+        steps = FiredSteps(np.array(self.t), np.array(self.i), np.array(self.j),
+                           np.array(self.mu, dtype=float), self.old[:m], self.new[:m])
+        first = None
+        for position, hook in self.hooks:
+            found = hook(steps)
+            if found is not None and (first is None or found.step < first[0]):
+                first = (found.step, position, found)
+        self.t, self.i, self.j, self.mu = [], [], [], []
+        return first
+
+    def raise_first(self) -> None:
+        first = self.flush()
+        if first is not None:
+            raise first[2]
 
 
 EVENT_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("fired", bool), ("mu", float)])
@@ -319,6 +431,11 @@ def run_trajectory(
 
     x = initial.opinions.astype(float, copy=True)
     observers = tuple(observers)
+    before_hooks = [hook for _, hook in _hooks(observers, "before_step")]
+    after_hooks = _hooks(observers, "after_step")
+    block_hooks = _hooks(observers, "after_block")
+    recorder = (_BlockRecorder(block_hooks, block_size(*x.shape), x.shape[1])
+                if block_hooks else None)
 
     start_state = OpinionState(0, x.copy())
     times = [0]
@@ -329,33 +446,51 @@ def run_trajectory(
         obs.at_start(start_state)
 
     t = 0
+    at = 0   # position of the last per-step hook called
     stopped = False
-    while t < horizon:
-        if stop_condition is not None and stop_condition():
-            stopped = True
-            break
-        edges = graph_schedule.edges_at(t)
-        for obs in observers:
-            obs.before_step(t, x, edges)
-        pair = select_pair(edges, rng)
-        mu = mu_schedule.mu_at(t, rng)
-        fired = False
-        i = j = -1
-        xi_old = xj_old = None
-        if pair is not None:
-            i, j = pair
-            if observers:
-                xi_old = x[i].copy()
-                xj_old = x[j].copy()
-            fired = _update(x, i, j, mu, params)
-        if record_events:
-            events.append((i, j, fired, mu))
-        for obs in observers:
-            obs.after_step(t, i, j, fired, mu, xi_old, xj_old, x, edges)
-        t += 1
-        if record_stride is not None and t % record_stride == 0:
-            times.append(t)
-            states.append(x.copy())
+    try:
+        while t < horizon:
+            if stop_condition is not None and stop_condition():
+                stopped = True
+                break
+            edges = graph_schedule.edges_at(t)
+            for hook in before_hooks:
+                hook(t, x, edges)
+            pair = select_pair(edges, rng)
+            mu = mu_schedule.mu_at(t, rng)
+            fired = full = False
+            i = j = -1
+            xi_old = xj_old = None
+            if pair is not None:
+                i, j = pair
+                if recorder is not None:
+                    xi_old, xj_old = recorder.hold(x, i, j)
+                elif after_hooks:
+                    xi_old = x[i].copy()
+                    xj_old = x[j].copy()
+                fired = _update(x, i, j, mu, params)
+                if fired and recorder is not None:
+                    full = recorder.record(t, i, j, mu, x)
+            if record_events:
+                events.append((i, j, fired, mu))
+            for at, hook in after_hooks:
+                hook(t, i, j, fired, mu, xi_old, xj_old, x, edges)
+            if full:
+                recorder.raise_first()
+            t += 1
+            if record_stride is not None and t % record_stride == 0:
+                times.append(t)
+                states.append(x.copy())
+        if recorder is not None:
+            recorder.raise_first()
+    except InvariantViolation:
+        # A per-step hook failed at step t.  A failure that the pending block
+        # holds at an earlier step, or at step t from an observer listed
+        # before that hook, came first.
+        first = recorder.flush() if recorder is not None else None
+        if first is not None and first[:2] < (t, at):
+            raise first[2] from None
+        raise
 
     final = OpinionState(t, x.copy())
     if times[-1] != t:

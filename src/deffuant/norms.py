@@ -30,6 +30,21 @@ def vector_norm(v: np.ndarray, norm: str = "euclidean") -> float:
     raise ConfigurationError(f"unknown norm {norm!r}")
 
 
+def vector_norms(v: np.ndarray, norm: str = "euclidean") -> np.ndarray:
+    """``vector_norm`` of each vector along the last axis, bit for bit.
+
+    The euclidean case must round as ``np.dot`` does, which ``einsum`` does
+    not: a stack of row-by-column products is computed by the same dot kernel.
+    """
+    if norm == "euclidean":
+        return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+    if norm == "l1":
+        return np.abs(v).sum(axis=-1)
+    if norm == "linf":
+        return np.abs(v).max(axis=-1)
+    raise ConfigurationError(f"unknown norm {norm!r}")
+
+
 def rowwise_norm(m: np.ndarray, norm: str = "euclidean") -> np.ndarray:
     """Norms of the rows of a 2-D array, shape (k, d) -> (k,)."""
     if norm == "euclidean":
@@ -42,14 +57,15 @@ def rowwise_norm(m: np.ndarray, norm: str = "euclidean") -> np.ndarray:
 
 
 def cross_distances(a: np.ndarray, b: np.ndarray, norm: str = "euclidean") -> np.ndarray:
-    """All distances between rows of ``a`` (m, d) and rows of ``b`` (k, d) -> (m, k)."""
-    diff = a[:, None, :] - b[None, :, :]
+    """All distances between rows of ``a`` (..., m, d) and rows of ``b`` (..., k, d)
+    -> (..., m, k); leading axes pair up stack by stack."""
+    diff = a[..., :, None, :] - b[..., None, :, :]
     if norm == "euclidean":
-        return np.sqrt(np.einsum("mkd,mkd->mk", diff, diff))
+        return np.sqrt(np.einsum("...mkd,...mkd->...mk", diff, diff))
     if norm == "l1":
-        return np.abs(diff).sum(axis=2)
+        return np.abs(diff).sum(axis=-1)
     if norm == "linf":
-        return np.abs(diff).max(axis=2)
+        return np.abs(diff).max(axis=-1)
     raise ConfigurationError(f"unknown norm {norm!r}")
 
 

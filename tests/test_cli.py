@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from deffuant import (
@@ -12,8 +13,10 @@ from deffuant import (
     EnsembleResult,
     InvariantViolation,
     TrajectoryObserver,
+    lattice_points,
 )
 from deffuant import cli, invariants, model
+from deffuant.invariants import contraction_slacks, update_identity_errors
 
 cli_main = cli.main
 
@@ -96,6 +99,40 @@ def test_bad_config_value_exits_config_without_traceback(tmp_path, bad):
     assert proc.returncode == cli.EXIT_CONFIG
     assert proc.stderr.startswith("config error")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize("bad", [
+    {"n": 0},                # simulate took min() of no opinions
+    {"n": True},             # ran one agent
+    {"horizon": 1.5},        # ran one step
+    {"horizon": True},
+    {"horizon": 0},          # simulate ran no step, estimate exited 2
+    {"record_stride": 2.5},
+    {"record_stride": 0},    # estimate ignored it
+    {"c_samples": False},
+    {"c_samples": "10"},
+    {"dimension": True},
+    {"check_every": 2.5},
+])
+def test_both_commands_reject_a_count_that_is_not_a_whole_number(tmp_path, capsys,
+                                                                  command, bad):
+    path = write_config(tmp_path, **bad)
+    assert cli_main([command, "--config", path, "--trials", "2", "--threads", "1",
+                     "--out-dir", str(tmp_path / "out")]
+                    if command == "estimate" else
+                    [command, "--config", path, "--out-dir", str(tmp_path / "out")]
+                    ) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error")
+
+
+def test_a_whole_float_count_is_read_as_an_integer(tmp_path):
+    path = write_config(tmp_path, n=4.0, horizon=60.0, record_stride=20.0, c_samples=3.0,
+                        check_every=5.0)
+    config = cli.load_config(path, argparse.Namespace())
+    counts = (config.n, config.horizon, config.record_stride, config.c_samples,
+              config.check_every)
+    assert counts == (4, 60, 20, 3, 5) and all(type(v) is int for v in counts)
 
 
 def test_missing_graph_file_exits_config(tmp_path):
@@ -214,6 +251,39 @@ def test_simulate_invariant_violation_exits_3(tmp_path, monkeypatch):
     assert record["seed"] == 1
     assert "config_digest" in record
     assert not (out / "states.csv").exists()
+
+
+@pytest.mark.parametrize("identity_check, failed_check", [
+    (True, "realized-rate"), (False, "potential-drop")])
+def test_violation_json_holds_the_failed_step_and_reproduces_its_slack(
+        tmp_path, monkeypatch, identity_check, failed_check):
+    # rate 0.9 at every update while 0.5 is reported
+    update = model._update
+    monkeypatch.setattr(model, "_update",
+                        lambda x, i, j, mu, params: update(x, i, j, 0.9, params))
+    if not identity_check:
+        monkeypatch.setattr(cli, "UpdateIdentityObserver", lambda params: TrajectoryObserver())
+    initial = [[0.0, 0.1], [0.9, 0.3], [0.4, 1.0], [0.7, 0.6]]
+    path = write_config(tmp_path, n=4, dimension=2, initial=initial, c_samples=5,
+                        space={"kind": "box", "lower": [0, 0], "upper": [1, 1]})
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", path, "--seed", "2",
+                     "--out-dir", str(out)]) == cli.EXIT_INVARIANT
+    record = read_json(out / "violation.json")
+    assert record["invariant"] == failed_check
+    old, new = np.array([record["before"]]), np.array([record["after"]])
+    x0 = np.array(initial)
+    assert {record["i"], record["j"]} <= set(range(4)) and record["i"] != record["j"]
+    assert record["mu"] == 0.5
+    assert np.allclose(new[0, 0] - old[0, 0], 0.9 * (old[0, 1] - old[0, 0]))
+    if identity_check:
+        resid = update_identity_errors(old, new, np.array([record["mu"]]))[2][0]
+        assert record["slack"] == -resid
+    else:
+        c = lattice_points(x0.min(axis=0), x0.max(axis=0), 5)
+        _, refined, _, refined_mid = contraction_slacks(old, new, c)
+        at_midpoint = "pair midpoint" in record["detail"]
+        assert record["slack"] == (refined_mid[0] if at_midpoint else refined[0].min())
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from deffuant import (
     DiameterMonotoneObserver,
     EdgeSet,
     ErdosRenyiGraph,
+    FiredSteps,
     InvariantViolation,
     ModelParams,
     OpinionGraphChangeCounter,
@@ -32,15 +33,17 @@ from deffuant import (
     lattice_points,
     pair_contraction_slacks,
     path_edges,
-    potential_drop_slack,
     profile,
     run_trajectory,
     settle_time,
+    step,
+    vector_norm,
 )
 from deffuant import invariants, model
 from deffuant.graphs import pair_lengths
-from deffuant.invariants import IDENTITY_TOL, audit_run
-from deffuant.model import seed_streams
+from deffuant.invariants import (IDENTITY_TOL, audit_run, contraction_slacks,
+                                  update_identity_errors)
+from deffuant.model import block_size, seed_streams
 from deffuant.norms import NORMS, cross_distances
 
 P1 = ModelParams(epsilon=1.0)
@@ -59,8 +62,6 @@ def test_contraction_slacks_tight_at_midpoint_merge():
     rep = pair_contraction_slacks(pre, post, (0, 1), np.array([0.2]))
     assert rep.basic_slack == pytest.approx(0.4, abs=1e-15)
     assert rep.refined_slack == pytest.approx(0.0, abs=1e-14)
-    assert potential_drop_slack(pre, post, (0, 1), np.array([0.2])) == pytest.approx(
-        0.0, abs=1e-14)
 
 
 def test_contraction_slacks_nonnegative_for_real_updates():
@@ -81,7 +82,6 @@ def test_contraction_slacks_nonnegative_for_real_updates():
         rep = pair_contraction_slacks(pre, post, (int(i), int(j)), c, norm)
         assert rep.basic_slack >= -1e-12
         assert rep.refined_slack >= -1e-12
-        assert potential_drop_slack(pre, post, (int(i), int(j)), c, norm) >= -1e-12
 
 
 def test_contraction_slacks_flag_agents_moving_apart():
@@ -89,8 +89,7 @@ def test_contraction_slacks_flag_agents_moving_apart():
     bad = OpinionState(1, np.array([-0.2, 0.6]))
     rep = pair_contraction_slacks(pre, bad, (0, 1), np.array([0.2]))
     assert rep.basic_slack == pytest.approx(-0.4)
-    assert rep.refined_slack < 0
-    assert potential_drop_slack(pre, bad, (0, 1), np.array([0.2])) == pytest.approx(-0.8)
+    assert rep.refined_slack == pytest.approx(-0.8)
 
 
 def test_refined_slack_flags_overshoot_that_basic_misses():
@@ -151,13 +150,27 @@ def test_lattice_points():
 # Observers: clean runs and injected faults
 # ---------------------------------------------------------------------------
 
-def _fake_after_step(obs, x_new, pre=(0.0, 1.0), mu=0.5):
-    """Feed the observer one fabricated fired step on a two-agent state."""
-    pre_arr = np.asarray(pre, dtype=float)[:, None]
-    obs.at_start(OpinionState(0, pre_arr.copy()))
-    obs.after_step(0, 0, 1, True, mu,
-                   pre_arr[0].copy(), pre_arr[1].copy(),
-                   np.asarray(x_new, dtype=float)[:, None], EdgeSet())
+def _fake_fired_step(obs, x_new, pre=(0.0, 1.0), mu=0.5):
+    """Feed the observer one fabricated fired step on a two-agent state, as a
+    block of one step, and raise the violation it returns."""
+    old = np.asarray(pre, dtype=float)[:, None]
+    new = np.asarray(x_new, dtype=float)[:, None]
+    obs.at_start(OpinionState(0, old.copy()))
+    found = obs.after_block(FiredSteps(np.array([0]), np.array([0]), np.array([1]),
+                                       np.array([mu]), old[None], new[None]))
+    if found is not None:
+        raise found
+
+
+def _fired_blocks(traj, size):
+    """The fired steps of a run recorded at stride 1, in blocks of ``size``."""
+    t = np.flatnonzero(traj.events["fired"])
+    i, j, mu = traj.events["i"][t], traj.events["j"][t], traj.events["mu"][t]
+    old = np.stack((traj.states[t, i], traj.states[t, j]), axis=1)
+    new = np.stack((traj.states[t + 1, i], traj.states[t + 1, j]), axis=1)
+    for s in range(0, len(t), size):
+        part = slice(s, s + size)
+        yield FiredSteps(t[part], i[part], j[part], mu[part], old[part], new[part])
 
 
 def test_identity_observer_passes_clean_run():
@@ -175,7 +188,7 @@ def test_identity_observer_passes_clean_run():
 def test_identity_observer_flags_broken_sum():
     obs = UpdateIdentityObserver(P1)
     with pytest.raises(InvariantViolation, match="pair-sum-conservation"):
-        _fake_after_step(obs, [0.5, 0.9])
+        _fake_fired_step(obs, [0.5, 0.9])
 
 
 def test_identity_observer_flags_wrong_rate():
@@ -183,25 +196,25 @@ def test_identity_observer_flags_wrong_rate():
     # while 0.5 was reported
     obs = UpdateIdentityObserver(P1)
     with pytest.raises(InvariantViolation, match="realized-rate"):
-        _fake_after_step(obs, [0.3, 0.7], mu=0.5)
+        _fake_fired_step(obs, [0.3, 0.7], mu=0.5)
 
 
 def test_identity_observer_flags_rate_out_of_range():
     obs = UpdateIdentityObserver(P1)
     with pytest.raises(InvariantViolation, match="rate-range"):
-        _fake_after_step(obs, [0.7, 0.3], mu=0.7)
+        _fake_fired_step(obs, [0.7, 0.3], mu=0.7)
 
 
 def test_contraction_observer_flags_separation():
     obs = ContractionObserver(np.array([[0.0]]), P1)
     with pytest.raises(InvariantViolation, match="pair-contraction"):
-        _fake_after_step(obs, [-0.2, 1.2])
+        _fake_fired_step(obs, [-0.2, 1.2])
 
 
 def test_contraction_observer_flags_overshoot():
     obs = ContractionObserver(np.array([[0.0]]), P1)
     with pytest.raises(InvariantViolation, match="potential-drop"):
-        _fake_after_step(obs, [0.9, 0.1])
+        _fake_fired_step(obs, [0.9, 0.1])
 
 
 def test_contraction_observer_clean_run_stats():
@@ -225,7 +238,7 @@ def test_contraction_observer_dimension_check():
 def test_diameter_observer_flags_expansion():
     obs = DiameterMonotoneObserver(P1)
     with pytest.raises(InvariantViolation, match="diameter-monotone"):
-        _fake_after_step(obs, [-0.5, 1.0])
+        _fake_fired_step(obs, [-0.5, 1.0])
 
 
 def test_diameter_observer_tracks_current_diameter():
@@ -240,38 +253,40 @@ def test_diameter_observer_tracks_current_diameter():
     assert obs.max_increase <= 1e-12
 
 
-class _DiameterProbe(TrajectoryObserver):
-    """Listed after a DiameterMonotoneObserver: after every step, compares its
-    diameter with the maximum of the full distance matrix, and counts the
-    fired steps whose pair touched the farthest pair it kept."""
-
-    def __init__(self, obs, norm):
-        self.obs, self.norm = obs, norm
-        self.diameters, self.pair_hits = [], 0
-
-    def before_step(self, t, x, social_edges):
-        self.kept = set(self.obs._pair)
-
-    def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
-        assert self.obs.diameter == float(cross_distances(x, x, self.norm).max())
-        self.diameters.append(self.obs.diameter)
-        self.pair_hits += fired and bool({i, j} & self.kept)
-
-
 @pytest.mark.parametrize("norm", NORMS)
 @pytest.mark.parametrize("n, d", [(2, 1), (7, 3), (40, 2)])
-def test_diameter_observer_matches_the_full_matrix_at_every_step(norm, n, d):
+def test_diameter_observer_matches_the_full_matrix_at_every_step(monkeypatch, norm, n, d):
     params = ModelParams(epsilon=10.0, dimension=d, norm=norm)
-    obs = DiameterMonotoneObserver(params)
-    probe = _DiameterProbe(obs, norm)
     traj = run_trajectory(OpinionState(0, np.random.default_rng(n).random((n, d))),
                           ConstantGraph(n, complete_edges(n)), UniformMu(0.1, 0.5), params,
-                          600, np.random.default_rng(d), observers=[obs, probe],
-                          record_stride=1)
-    assert probe.pair_hits > 0   # the full re-measurement ran
-    assert probe.diameters == [diameter(x, norm) for x in traj.states[1:]]
+                          600, np.random.default_rng(d), record_stride=1)
     full = [float(cross_distances(x, x, norm).max()) for x in traj.states]
-    assert obs.max_increase == max(np.diff(full)[traj.events["fired"]])
+    largest_rise = max(np.diff(full)[traj.events["fired"]])
+    remeasured = []
+    farthest = invariants.farthest_pair
+    monkeypatch.setattr(invariants, "farthest_pair",
+                        lambda x, norm: remeasured.append(len(x)) or farthest(x, norm))
+    # blocks of one step, of 7 and of the engine's size: the forward-filled
+    # opinions match the recorded state after every step of a block, and the
+    # diameter after each block matches the full matrix
+    for size in (1, 7, block_size(n, d)):
+        obs = DiameterMonotoneObserver(params)
+        obs.at_start(traj.initial)
+        remeasured.clear()
+        for steps in _fired_blocks(traj, size):
+            positions = invariants._positions(traj.states[steps.t[0]], steps)
+            for k, t in enumerate(steps.t):
+                assert np.array_equal(positions[k], traj.states[t + 1])
+            assert obs.after_block(steps) is None
+            end = steps.t[-1] + 1
+            assert obs.diameter == full[end] == diameter(traj.states[end], norm)
+        assert remeasured   # steps touched the kept pair: the full re-measurement ran
+        assert obs.max_increase == largest_rise
+    # the engine's blocks reach the same diameter and the same largest increase
+    audited = DiameterMonotoneObserver(params)
+    run_trajectory(traj.initial, ConstantGraph(n, complete_edges(n)), UniformMu(0.1, 0.5),
+                   params, 600, np.random.default_rng(d), observers=[audited])
+    assert (audited.diameter, audited.max_increase) == (obs.diameter, obs.max_increase)
 
 
 @pytest.mark.parametrize("rate, step", [
@@ -321,9 +336,11 @@ def test_diameter_observer_memory_stays_far_below_the_distance_matrix():
             # every fourth step moves an agent of the farthest pair
             i = obs._pair[0] if t % 4 == 0 else int(rng.integers(n))
             j = (i + 1 + int(rng.integers(n - 1))) % n
-            xi_old, xj_old = x[i].copy(), x[j].copy()
+            old = x[[i, j]]
             assert model._update(x, i, j, 0.5, params)
-            obs.after_step(t, i, j, True, 0.5, xi_old, xj_old, x, EdgeSet())
+            assert obs.after_block(FiredSteps(np.array([t]), np.array([i]), np.array([j]),
+                                              np.array([0.5]), old[None],
+                                              x[[i, j]][None])) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -629,3 +646,232 @@ def test_audit_run_scenario_table(monkeypatch):
         assert np.array_equal(
             run.c_points, lattice_points(run.states[0].min(0), run.states[0].max(0), 10))
     assert len(seen) == len(AUDIT_SCENARIOS)
+
+
+# ---------------------------------------------------------------------------
+# Blocks of fired steps: where a failure is reported, at any scale
+# ---------------------------------------------------------------------------
+
+N_BLOCK, D_BLOCK = 10, 2
+B = block_size(N_BLOCK, D_BLOCK)
+HORIZON = 2 * B + 37   # not a multiple of B
+
+
+def _faulty_update(monkeypatch, faults):
+    """Make the update at each step in ``faults`` misbehave.  Every step of
+    the runs below fires, so the update's call count is the step.  "push"
+    moves both agents 10 apart in every coordinate (the pair sum is kept):
+    the pair separates and the diameter rises.  "overshoot" uses rate 0.9."""
+    update, calls = model._update, []
+
+    def faulty(x, i, j, mu, params):
+        t = len(calls)
+        calls.append(t)
+        if faults.get(t) == "push":
+            x[i] -= 10.0
+            x[j] += 10.0
+            return True
+        return update(x, i, j, 0.9 if faults.get(t) == "overshoot" else mu, params)
+
+    monkeypatch.setattr(model, "_update", faulty)
+
+
+def _block_run(observers, offset=0.0, seed=0, horizon=HORIZON):
+    params = ModelParams(epsilon=1e3, dimension=D_BLOCK)
+    x0 = np.random.default_rng(seed).random((N_BLOCK, D_BLOCK)) + offset
+    return run_trajectory(OpinionState(0, x0), ConstantGraph(N_BLOCK, complete_edges(N_BLOCK)),
+                          UniformMu(0.1, 0.5), params, horizon, np.random.default_rng(seed + 1),
+                          observers=observers, record_stride=1)
+
+
+def _audit(kind, params, c):
+    return {"identity": lambda: UpdateIdentityObserver(params),
+            "contraction": lambda: ContractionObserver(c, params),
+            "diameter": lambda: DiameterMonotoneObserver(params)}[kind]()
+
+
+def _expected_push_failure(kind, traj, s, c):
+    """The invariant and slack a check of ``kind`` on step s alone gives for
+    the push there, from the states of a run recorded without any audit."""
+    i, j, mu = traj.events["i"][s], traj.events["j"][s], traj.events["mu"][s]
+    (oi, oj), (ni, nj) = traj.states[s, [i, j]], traj.states[s + 1, [i, j]]
+    if kind == "identity":
+        return "realized-rate", -float(np.max(np.abs((ni - oi) - mu * (oj - oi))))
+    if kind == "contraction":
+        dist = cross_distances(np.stack((oi, oj, ni, nj)), c)
+        return "pair-contraction", float(((dist[0] + dist[1]) - (dist[2] + dist[3])).min())
+    before, after = (float(cross_distances(x, x).max()) for x in traj.states[s:s + 2])
+    return "diameter-monotone", -(after - before)
+
+
+@pytest.mark.parametrize("kind", ["identity", "contraction", "diameter"])
+@pytest.mark.parametrize("step", [B - 1, B, B + 1, HORIZON - 1])
+def test_a_fault_is_reported_at_its_step_whatever_its_place_in_the_block(
+        monkeypatch, kind, step):
+    _faulty_update(monkeypatch, {step: "push"})
+    traj = _block_run([])
+    params = ModelParams(epsilon=1e3, dimension=D_BLOCK)
+    c = lattice_points(np.zeros(2), np.ones(2), 10)
+    _faulty_update(monkeypatch, {step: "push"})
+    with pytest.raises(InvariantViolation) as exc:
+        _block_run([_audit(kind, params, c)])
+    invariant, slack = _expected_push_failure(kind, traj, step, c)
+    assert (exc.value.invariant, exc.value.step, exc.value.slack) == (invariant, step, slack)
+
+
+@pytest.mark.parametrize("order", [("identity", "contraction", "diameter"),
+                                   ("diameter", "contraction", "identity"),
+                                   ("contraction", "diameter", "identity")])
+def test_at_one_step_the_observer_listed_first_wins(monkeypatch, order):
+    params = ModelParams(epsilon=1e3, dimension=D_BLOCK)
+    c = lattice_points(np.zeros(2), np.ones(2), 10)
+    _faulty_update(monkeypatch, {B + 5: "push"})
+    with pytest.raises(InvariantViolation) as exc:
+        _block_run([_audit(kind, params, c) for kind in order])
+    first = {"identity": "realized-rate", "contraction": "pair-contraction",
+             "diameter": "diameter-monotone"}[order[0]]
+    assert (exc.value.invariant, exc.value.step) == (first, B + 5)
+
+
+def test_in_one_block_the_earlier_step_wins(monkeypatch):
+    params = ModelParams(epsilon=1e3, dimension=D_BLOCK)
+    # The overshoot at step 3 is invisible to the diameter check, which is
+    # listed first and fails on the push at step 9.  (The first block: later
+    # on the opinions have merged, and an overshoot moves nothing.)
+    _faulty_update(monkeypatch, {3: "overshoot", 9: "push"})
+    with pytest.raises(InvariantViolation) as exc:
+        _block_run([DiameterMonotoneObserver(params), UpdateIdentityObserver(params)])
+    assert (exc.value.invariant, exc.value.step) == ("realized-rate", 3)
+    _faulty_update(monkeypatch, {B + 3: "push", B + 9: "push"})
+    with pytest.raises(InvariantViolation) as exc:
+        _block_run([DiameterMonotoneObserver(params)])
+    assert (exc.value.invariant, exc.value.step) == ("diameter-monotone", B + 3)
+
+
+def test_a_per_step_failure_after_an_earlier_block_failure_loses(monkeypatch):
+    class FailsAt(TrajectoryObserver):
+        def __init__(self, step):
+            self.step = step
+
+        def after_step(self, t, *args):
+            if t == self.step:
+                raise InvariantViolation("per-step", step=t, slack=-1.0)
+
+    params = ModelParams(epsilon=1e3, dimension=D_BLOCK)
+    _faulty_update(monkeypatch, {B + 3: "push"})
+    for observers, expected in (
+            ([FailsAt(B + 7), UpdateIdentityObserver(params)], ("realized-rate", B + 3)),
+            ([FailsAt(B + 3), UpdateIdentityObserver(params)], ("per-step", B + 3)),
+            ([UpdateIdentityObserver(params), FailsAt(B + 3)], ("realized-rate", B + 3)),
+            ([UpdateIdentityObserver(params), FailsAt(B + 2)], ("per-step", B + 2))):
+        _faulty_update(monkeypatch, {B + 3: "push"})
+        with pytest.raises(InvariantViolation) as exc:
+            _block_run(observers)
+        assert (exc.value.invariant, exc.value.step) == expected
+
+
+def test_the_block_hook_gets_every_fired_step_once_in_order():
+    class Blocks(TrajectoryObserver):
+        def __init__(self):
+            self.sizes, self.t, self.at_end_after = [], [], None
+
+        def after_block(self, steps):
+            self.sizes.append(len(steps))
+            self.t.extend(steps.t.tolist())
+
+        def at_end(self, t, state, social_edges):
+            self.at_end_after = list(self.sizes)
+
+    watch = Blocks()
+    traj = _block_run([watch])
+    assert watch.t == np.flatnonzero(traj.events["fired"]).tolist() == list(range(HORIZON))
+    assert watch.sizes == [B, B, 37] == watch.at_end_after
+
+
+def test_the_contraction_check_splits_a_block_by_its_reference_points():
+    params = ModelParams(epsilon=1e3, dimension=D_BLOCK)
+    many = lattice_points(np.zeros(2), np.ones(2), 2000)
+    obs = ContractionObserver(many, params)
+    assert obs._chunk < B   # the block is checked in several parts
+    traj = _block_run([obs], horizon=B)
+    steps = next(_fired_blocks(traj, B))
+    basic, refined, basic_mid, refined_mid = contraction_slacks(steps.old, steps.new, many)
+    assert obs.fired_steps == B
+    assert obs.min_basic_slack == min(basic.min(), basic_mid.min())
+    assert obs.min_refined_slack == min(refined.min(), refined_mid.min())
+
+
+@pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+def test_correct_runs_far_from_the_origin_raise_nothing(offset):
+    # With the fixed tolerances of unit scale, every one of these runs raised
+    # pair-sum-conservation, equal-displacement or realized-rate.
+    params = ModelParams(epsilon=1.5e4, dimension=2)
+    for seed in range(20):
+        x0 = np.random.default_rng(seed).random((10, 2)) * 1e4 + offset
+        observers = [UpdateIdentityObserver(params),
+                     ContractionObserver(lattice_points(x0.min(0), x0.max(0), 10), params),
+                     DiameterMonotoneObserver(params)]
+        run_trajectory(OpinionState(0, x0), ConstantGraph(10, complete_edges(10)),
+                       (UniformMu(0.1, 0.5), ConstantMu(0.5))[seed % 2], params, 1000,
+                       np.random.default_rng(seed), observers=observers,
+                       record_stride=None, record_events=False)
+        assert observers[0].checked == observers[1].fired_steps > 500
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("identity, failed", [(True, "realized-rate"),
+                                              (False, "potential-drop")])
+def test_an_overshoot_far_from_the_origin_still_fails(monkeypatch, offset, identity, failed):
+    _faulty_update(monkeypatch, {5: "overshoot"})
+    params = ModelParams(epsilon=1e3, dimension=D_BLOCK)
+    x0 = np.random.default_rng(0).random((N_BLOCK, D_BLOCK)) + offset
+    observers = [ContractionObserver(lattice_points(x0.min(0), x0.max(0), 10), params),
+                 DiameterMonotoneObserver(params)]
+    if identity:
+        observers.insert(0, UpdateIdentityObserver(params))
+    with pytest.raises(InvariantViolation) as exc:
+        _block_run(observers, offset=offset, horizon=50)
+    assert (exc.value.invariant, exc.value.step) == (failed, 5)
+
+
+@pytest.mark.parametrize("k", [-20, 26])
+def test_scaling_opinions_and_epsilon_by_a_power_of_two_scales_the_run_exactly(k):
+    def run(scale):
+        params = ModelParams(epsilon=0.7 * scale, dimension=3)
+        x0 = np.random.default_rng(3).random((10, 3)) * scale
+        obs = [UpdateIdentityObserver(params),
+               ContractionObserver(lattice_points(np.zeros(3), np.ones(3), 10) * scale, params),
+               DiameterMonotoneObserver(params)]
+        traj = run_trajectory(OpinionState(0, x0), ConstantGraph(10, complete_edges(10)),
+                              UniformMu(0.1, 0.5), params, 3000, np.random.default_rng(4),
+                              observers=obs, record_stride=1)
+        identity, contraction, diam = obs
+        return traj, [identity.max_sum_error, identity.max_displacement_gap,
+                      identity.max_rate_residual, contraction.min_basic_slack,
+                      contraction.min_refined_slack, diam.diameter, diam.max_increase]
+
+    base, base_stats = run(1.0)
+    scaled, stats = run(2.0 ** k)
+    assert base.events["fired"].any() and not base.events["fired"].all()
+    assert np.array_equal(scaled.events, base.events)
+    assert np.array_equal(scaled.states, base.states * 2.0 ** k)
+    assert stats == [v * 2.0 ** k for v in base_stats]
+
+
+def test_block_functions_match_the_one_step_forms():
+    rng = np.random.default_rng(6)
+    for norm in NORMS:
+        x = rng.normal(size=(5, 3))
+        post, fired = step(OpinionState(0, x), (1, 3), 0.25, ModelParams(10.0, 3, norm))
+        assert fired
+        post = post.opinions
+        c = rng.normal(size=3)
+        basic, refined, _, _ = contraction_slacks(x[[1, 3]][None], post[[1, 3]][None],
+                                                  c[None], norm)
+        rep = pair_contraction_slacks(OpinionState(0, x), OpinionState(1, post), (1, 3), c, norm)
+        assert (rep.basic_slack, rep.refined_slack) == (basic[0, 0], refined[0, 0])
+        sum_err, moved, resid = update_identity_errors(x[[1, 3]][None], post[[1, 3]][None],
+                                                       np.array([0.25]), norm)
+        assert sum_err[0] <= 1e-15 and resid[0] <= 1e-15
+        assert moved[0].tolist() == [vector_norm(post[1] - x[1], norm),
+                                     vector_norm(post[3] - x[3], norm)]
