@@ -76,6 +76,7 @@ from .montecarlo import (
     run_ensemble,
     theoretical_lower_bound,
 )
+from .norms import lengths
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -283,6 +284,9 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
         if not isinstance(raw[key], dict):
             raise ConfigurationError(f"{key} must be a JSON object")
     space = _build_space(raw["space"], dimension)
+    if isinstance(space, BallSpace) and space.norm != params.norm:
+        raise ConfigurationError(
+            f"space is a ball in norm {space.norm!r}, the model measures in {params.norm!r}")
     graph = _build_graph(raw["graph"], n)
     mu = _build_mu(raw["mu"])
     deltas = [float(d) for d in (raw["deltas"] or [])]
@@ -292,6 +296,9 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
     stride = (max(1, horizon // 1000) if raw["record_stride"] is None
               else _count(raw, "record_stride"))
     check_every = _count(raw, "check_every")
+    consensus_tol = float(raw["consensus_tol"])
+    if not (consensus_tol > 0):
+        raise ConfigurationError(f"consensus_tol must be > 0, got {consensus_tol}")
     initial = None
     if raw["initial"] is not None:
         initial = np.asarray(raw["initial"], dtype=float)
@@ -300,9 +307,11 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
         if initial.shape != (n, dimension):
             raise ConfigurationError(
                 f"initial opinions must be ({n}, {dimension}), got {initial.shape}")
+        if not np.isfinite(initial).all():
+            raise ConfigurationError("initial opinions must be finite")
     return ExperimentConfig(
         n=n, params=params, space=space, graph=graph, mu=mu,
-        horizon=horizon, consensus_tol=float(raw["consensus_tol"]),
+        horizon=horizon, consensus_tol=consensus_tol,
         deltas=deltas, record_stride=stride, c_samples=_count(raw, "c_samples"),
         check_every=check_every, initial=initial, raw=raw,
     )
@@ -605,7 +614,7 @@ def _suite_geometry(seed: int, runs: AuditRuns) -> dict:
             # No alternative center may enclose with a smaller radius.
             for _ in range(20):
                 alt = meb.center + rng.normal(scale=0.1 * (meb.radius + 1e-6), size=d)
-                alt_radius = float(np.max(np.sqrt(((pts - alt) ** 2).sum(axis=1))))
+                alt_radius = float(lengths(pts - alt).max())
                 if alt_radius < meb.radius - 1e-9:
                     raise InvariantViolation(
                         "enclosing-minimality", step=0,

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .norms import cross_distances, distances_to_point, rowwise_norm, validate_norm, vector_norm
+from .norms import cross_distances, lengths, validate_norm
 
 log = logging.getLogger(__name__)
 
@@ -40,7 +40,7 @@ class Ball:
 
     def contains(self, points: np.ndarray, norm: str = "euclidean", tol: float = _COVER_TOL) -> bool:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return bool(np.all(distances_to_point(pts, self.center, norm) <= self.radius + tol))
+        return bool(np.all(lengths(pts - self.center, norm) <= self.radius + tol))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ class Box(OpinionSpace):
         return rng.uniform(self.lower, self.upper, size=(size, self.dimension))
 
     def diameter(self, norm="euclidean"):
-        return vector_norm(self.upper - self.lower, norm)
+        return float(lengths(self.upper - self.lower, norm))
 
 
 @dataclass(eq=False)
@@ -129,7 +129,7 @@ class BallSpace(OpinionSpace):
         d = self.dimension
         if self.norm == "euclidean":
             dirs = rng.normal(size=(size, d))
-            dirs /= rowwise_norm(dirs, "euclidean")[:, None]
+            dirs /= lengths(dirs)[:, None]
             radii = self.radius * rng.random(size) ** (1.0 / d)
             return self.center + dirs * radii[:, None]
         # l1/linf balls: rejection from the bounding box
@@ -137,7 +137,7 @@ class BallSpace(OpinionSpace):
         filled = 0
         while filled < size:
             batch = rng.uniform(-self.radius, self.radius, size=(max(size, 64), d))
-            keep = batch[rowwise_norm(batch, self.norm) <= self.radius]
+            keep = batch[lengths(batch, self.norm) <= self.radius]
             take = min(size - filled, keep.shape[0])
             out[filled : filled + take] = keep[:take]
             filled += take
@@ -226,7 +226,7 @@ def distance_potential(points: np.ndarray, c: np.ndarray, norm: str = "euclidean
     c = np.asarray(c, dtype=float).ravel()
     if pts.shape[1] != c.shape[0]:
         raise ConfigurationError(f"dimension mismatch: points d={pts.shape[1]}, c d={c.shape[0]}")
-    return float(distances_to_point(pts, c, norm).sum())
+    return float(lengths(pts - c, norm).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +240,21 @@ def _circumball(pts: np.ndarray) -> Ball:
         return Ball(pts[0].copy(), 0.0)
     p0 = pts[0]
     v = pts[1:] - p0
-    rhs = np.einsum("ij,ij->i", v, v)
     gram = 2.0 * (v @ v.T)
+    rhs = gram.diagonal() / 2.0
     try:
         w = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         w = np.linalg.lstsq(gram, rhs, rcond=None)[0]
     offset = v.T @ w
     center = p0 + offset
-    return Ball(center, float(np.sqrt(np.dot(offset, offset))))
+    return Ball(center, float(lengths(offset)))
 
 
 def _in_ball(ball: Optional[Ball], p: np.ndarray) -> bool:
     if ball is None:
         return False
-    diff = p - ball.center
-    return float(np.sqrt(np.dot(diff, diff))) <= ball.radius * (1 + 1e-13) + 1e-13
+    return float(lengths(p - ball.center)) <= ball.radius * (1 + 1e-13) + 1e-13
 
 
 def minimum_enclosing_ball(points: np.ndarray) -> Ball:
@@ -288,7 +287,7 @@ def minimum_enclosing_ball(points: np.ndarray) -> Ball:
                 stack.append((idx + 1, 0, support + (idx,)))
     assert result is not None
     # Report the true attained radius so containment holds exactly.
-    attained = float(distances_to_point(pts, result.center, "euclidean").max())
+    attained = float(lengths(pts - result.center).max())
     return Ball(result.center, attained)
 
 
@@ -308,7 +307,7 @@ def chebyshev_center(space: OpinionSpace, norm: str = "euclidean") -> Ball:
         ball = Ball(np.array([(space.a + space.b) / 2.0]), (space.b - space.a) / 2.0)
     elif isinstance(space, Box):
         half = (space.upper - space.lower) / 2.0
-        ball = Ball((space.lower + space.upper) / 2.0, vector_norm(half, norm))
+        ball = Ball((space.lower + space.upper) / 2.0, float(lengths(half, norm)))
     elif isinstance(space, BallSpace):
         if norm != space.norm:
             raise ConfigurationError(
@@ -323,7 +322,7 @@ def chebyshev_center(space: OpinionSpace, norm: str = "euclidean") -> Ball:
                 log.info("l1 chebyshev center of a point cloud uses the bounding-box "
                          "midpoint (approximate)")
             center = (space.points.min(axis=0) + space.points.max(axis=0)) / 2.0
-            radius = float(distances_to_point(space.points, center, norm).max())
+            radius = float(lengths(space.points - center, norm).max())
             ball = Ball(center, radius)
     else:
         raise ConfigurationError(f"unsupported opinion space {type(space).__name__}")
@@ -382,7 +381,7 @@ def expected_center_distance(
     if rng is None:
         raise ConfigurationError("Monte Carlo estimate needs an rng")
     draws = space.sample(rng, n_samples)
-    dists = distances_to_point(draws, c, norm)
+    dists = lengths(draws - c, norm)
     est = float(dists.mean())
     se = float(dists.std(ddof=1) / np.sqrt(n_samples))
     return est, se

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import ModelParams
-from .norms import rowwise_norm
+from .norms import lengths
 
 
 class EdgeSet:
@@ -96,7 +96,7 @@ def pair_lengths(x: np.ndarray, pairs: np.ndarray, norm: str) -> np.ndarray:
     so measuring a subset of rows gives the same bits as measuring them all.
     """
     # take() copies rows several times faster than fancy or boolean indexing
-    return rowwise_norm(x.take(pairs[:, 0], axis=0) - x.take(pairs[:, 1], axis=0), norm)
+    return lengths(x.take(pairs[:, 0], axis=0) - x.take(pairs[:, 1], axis=0), norm)
 
 
 def profile(x: np.ndarray, pairs: np.ndarray,

@@ -21,7 +21,7 @@ from .graphs import (ConstantGraph, CyclicGraph, EdgeSet, ErdosRenyiGraph, Graph
                      complete_edges, is_connected, pair_lengths, path_edges, profile)
 from .model import (BLOCK_BYTES, ConstantMu, FiredSteps, ModelParams, OpinionState,
                     SequenceMu, TrajectoryObserver, UniformMu, run_trajectory, seed_streams)
-from .norms import cross_distances, distances_to_point, rowwise_norm, vector_norms
+from .norms import cross_distances, lengths
 
 # Tolerances at unit scale; ``scaled_tolerance`` grows them with the numbers checked.
 SLACK_TOL = 1e-9
@@ -62,7 +62,7 @@ def update_identity_errors(old: np.ndarray, new: np.ndarray, mu: np.ndarray,
     moved = new - old
     gap = old[:, 1] - old[:, 0]
     rate_residual = np.abs(moved[:, 0] - mu[:, None] * gap).max(axis=1)
-    return sum_error, vector_norms(moved, norm), rate_residual
+    return sum_error, lengths(moved, norm), rate_residual
 
 
 def contraction_slacks(old: np.ndarray, new: np.ndarray, c: np.ndarray,
@@ -79,15 +79,14 @@ def contraction_slacks(old: np.ndarray, new: np.ndarray, c: np.ndarray,
                     population, of which only the pair moved;
     and basic and refined with the pair's own midpoint as c, (m,) each.
     """
-    m, _, d = old.shape
     mid = (old[:, 0] + old[:, 1]) / 2.0
     rows = np.concatenate((old, new, mid[:, None]), axis=1)       # (m, 5, d)
-    dist = cross_distances(rows.reshape(-1, d), c, norm).reshape(m, 5, -1)
+    dist = cross_distances(rows, c, norm)                         # (m, 5, k)
     basic = (dist[:, 0] + dist[:, 1]) - (dist[:, 2] + dist[:, 3])
-    disp = vector_norms(new[:, 0] - old[:, 0], norm)
+    disp = lengths(new[:, 0] - old[:, 0], norm)
     refined = basic - 2.0 * disp[:, None] + 2.0 * dist[:, 4]
     # the midpoint as reference: its distance to itself is 0
-    r = rowwise_norm((rows[:, :4] - mid[:, None]).reshape(-1, d), norm).reshape(m, 4)
+    r = lengths(rows[:, :4] - mid[:, None], norm)                 # (m, 4)
     basic_mid = (r[:, 0] + r[:, 1]) - (r[:, 2] + r[:, 3])
     return basic, refined, basic_mid, basic_mid - 2.0 * disp
 
@@ -377,8 +376,8 @@ def _long_edges(x: np.ndarray, pairs: np.ndarray, delta: float,
     profile's exact <= epsilon) but longer than delta.  A state is delta-short
     over E(t) when no row of E(t) is flagged: the one test behind both
     tau_delta and T_delta."""
-    lengths = pair_lengths(x, pairs, params.norm)
-    return (lengths <= params.epsilon) & (lengths > delta)
+    dist = pair_lengths(x, pairs, params.norm)
+    return (dist <= params.epsilon) & (dist > delta)
 
 
 def _incidence(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -468,17 +467,12 @@ class OpinionGraphChangeCounter(TrajectoryObserver):
         if not fired:
             return
         assert self._adj is not None
-        norm, eps = self.params.norm, self.params.epsilon
-        gained = lost = False
-        for a in (i, j):
-            row = distances_to_point(x, x[a], norm) <= eps
-            old = self._adj[a]
-            gained = gained or bool(np.any(row & ~old))
-            lost = lost or bool(np.any(old & ~row))
-            self._adj[a, :] = row
-            self._adj[:, a] = row
-        self.gained_steps += int(gained)
-        self.lost_steps += int(lost)
+        rows = cross_distances(x[[i, j]], x, self.params.norm) <= self.params.epsilon
+        old = self._adj[[i, j]]
+        self.gained_steps += int((rows & ~old).any())
+        self.lost_steps += int((old & ~rows).any())
+        self._adj[[i, j]] = rows
+        self._adj[:, [i, j]] = rows.T
 
 
 # ---------------------------------------------------------------------------

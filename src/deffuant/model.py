@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
-from .norms import validate_norm, vector_norm
+from .norms import lengths, validate_norm
 
 if TYPE_CHECKING:
     from .graphs import EdgeSet, GraphSchedule
@@ -191,7 +191,7 @@ def _update(x: np.ndarray, i: int, j: int, mu: float, params: ModelParams) -> bo
     outside [0, 1/2].
     """
     diff = x[j] - x[i]
-    fired = vector_norm(diff, params.norm) <= params.epsilon
+    fired = bool(lengths(diff, params.norm) <= params.epsilon)
     if fired:
         upd = mu * diff
         x[i] += upd

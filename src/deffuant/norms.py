@@ -1,7 +1,12 @@
-"""Vector norms shared by the model, geometry and invariant checks.
+"""The one length of an opinion difference: ``lengths``, summed in coordinate
+order, column by column: euclidean sqrt(((v0*v0) + v1*v1) + ...), l1
+(|v0| + |v1|) + ..., linf max |vk|.
 
-All public entry points accept ``norm`` as one of ``"euclidean"``, ``"l1"``
-or ``"linf"``.
+A numpy ufunc rounds each multiply and add once, as Python floats do (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., 2.2), so a length
+has the same bits in any array and in a scalar loop of the same order.  The
+engine's firing test, the profile, the audit and the geometry all use it, so
+the engine fires on exactly the pairs the profile holds.
 """
 
 from __future__ import annotations
@@ -19,56 +24,24 @@ def validate_norm(norm: str) -> str:
     return norm
 
 
-def vector_norm(v: np.ndarray, norm: str = "euclidean") -> float:
-    """Norm of a single vector."""
-    if norm == "euclidean":
-        return float(np.sqrt(np.dot(v, v)))
-    if norm == "l1":
-        return float(np.abs(v).sum())
-    if norm == "linf":
-        return float(np.abs(v).max())
-    raise ConfigurationError(f"unknown norm {norm!r}")
-
-
-def vector_norms(v: np.ndarray, norm: str = "euclidean") -> np.ndarray:
-    """``vector_norm`` of each vector along the last axis, bit for bit.
-
-    The euclidean case must round as ``np.dot`` does, which ``einsum`` does
-    not: a stack of row-by-column products is computed by the same dot kernel.
-    """
-    if norm == "euclidean":
-        return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
-    if norm == "l1":
-        return np.abs(v).sum(axis=-1)
+def lengths(v: np.ndarray, norm: str = "euclidean") -> np.ndarray:
+    """Length of each vector along the last axis: (..., d) -> (...)."""
     if norm == "linf":
         return np.abs(v).max(axis=-1)
-    raise ConfigurationError(f"unknown norm {norm!r}")
-
-
-def rowwise_norm(m: np.ndarray, norm: str = "euclidean") -> np.ndarray:
-    """Norms of the rows of a 2-D array, shape (k, d) -> (k,)."""
     if norm == "euclidean":
-        return np.sqrt(np.einsum("ij,ij->i", m, m))
+        total = v[..., 0] * v[..., 0]
+        for k in range(1, v.shape[-1]):
+            total += v[..., k] * v[..., k]
+        return np.sqrt(total)
     if norm == "l1":
-        return np.abs(m).sum(axis=1)
-    if norm == "linf":
-        return np.abs(m).max(axis=1)
+        total = np.abs(v[..., 0])
+        for k in range(1, v.shape[-1]):
+            total += np.abs(v[..., k])
+        return total
     raise ConfigurationError(f"unknown norm {norm!r}")
 
 
 def cross_distances(a: np.ndarray, b: np.ndarray, norm: str = "euclidean") -> np.ndarray:
     """All distances between rows of ``a`` (..., m, d) and rows of ``b`` (..., k, d)
     -> (..., m, k); leading axes pair up stack by stack."""
-    diff = a[..., :, None, :] - b[..., None, :, :]
-    if norm == "euclidean":
-        return np.sqrt(np.einsum("...mkd,...mkd->...mk", diff, diff))
-    if norm == "l1":
-        return np.abs(diff).sum(axis=-1)
-    if norm == "linf":
-        return np.abs(diff).max(axis=-1)
-    raise ConfigurationError(f"unknown norm {norm!r}")
-
-
-def distances_to_point(points: np.ndarray, c: np.ndarray, norm: str = "euclidean") -> np.ndarray:
-    """Distances from each row of ``points`` (n, d) to a single point ``c`` (d,)."""
-    return rowwise_norm(points - c[None, :], norm)
+    return lengths(a[..., :, None, :] - b[..., None, :, :], norm)

@@ -40,7 +40,7 @@ from deffuant import (
 )
 from deffuant.cli import main as cli_main
 from deffuant.invariants import audit_run
-from deffuant.norms import cross_distances, distances_to_point, vector_norm
+from deffuant.norms import cross_distances, lengths
 from oracles import bruteforce_enclosing_ball
 
 SEED = 20260815
@@ -101,7 +101,7 @@ class _FullPotentialAudit(TrajectoryObserver):
         if not fired:
             return
         z_now = cross_distances(x, self.c_points, self.params.norm).sum(axis=0)
-        disp = vector_norm(x[i] - xi_old, self.params.norm)
+        disp = lengths(x[i] - xi_old, self.params.norm)
         mid = (xi_old + xj_old) / 2.0
         d_mid = cross_distances(mid[None, :], self.c_points, self.params.norm)[0]
         slack = (self._z - z_now) - 2.0 * disp + 2.0 * d_mid
@@ -243,7 +243,7 @@ def test_criterion_09_enclosing_ball_geometry():
         _, ref_radius = bruteforce_enclosing_ball(pts)
         max_err = max(max_err,
                       abs(got.radius - ref_radius),
-                      float(distances_to_point(pts, got.center, "euclidean").max())
+                      float(lengths(pts - got.center).max())
                       - ref_radius)
         diam = diameter(pts)
         bounds_ok = bounds_ok and diam / 2.0 - 1e-9 <= got.radius <= (

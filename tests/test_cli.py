@@ -126,6 +126,23 @@ def test_both_commands_reject_a_count_that_is_not_a_whole_number(tmp_path, capsy
     assert capsys.readouterr().err.startswith("config error")
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize("bad", [
+    {"consensus_tol": 0},                     # simulate ignored it
+    {"dimension": 2, "space": {"kind": "ball", "center": [0, 0], "radius": 1,
+                               "norm": "l1"}},  # an l1 ball under a euclidean model
+    {"n": 3, "initial": [0.1, float("nan"), 0.3]},   # estimate ignored it
+])
+def test_both_commands_reject_the_same_configs(tmp_path, capsys, command, bad):
+    path = write_config(tmp_path, **bad)
+    argv = [command, "--config", path, "--out-dir", str(tmp_path / "out")]
+    if command == "estimate":
+        argv += ["--trials", "2", "--threads", "1"]
+    assert cli_main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+
+
 def test_a_whole_float_count_is_read_as_an_integer(tmp_path):
     path = write_config(tmp_path, n=4.0, horizon=60.0, record_stride=20.0, c_samples=3.0,
                         check_every=5.0)

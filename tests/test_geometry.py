@@ -14,7 +14,7 @@ from deffuant import (
     expected_center_distance,
     minimum_enclosing_ball,
 )
-from deffuant.norms import NORMS, distances_to_point
+from deffuant.norms import NORMS, lengths
 from oracles import bruteforce_enclosing_ball
 
 EQUILATERAL_CIRCUMRADIUS = 0.5773502691896258  # side 1: 1/sqrt(3)
@@ -52,7 +52,7 @@ def test_ball_space_sampling_stays_inside():
     for norm in NORMS:
         s = BallSpace([1.0, -2.0], 0.7, norm=norm)
         draws = s.sample(rng, 2000)
-        assert np.all(distances_to_point(draws, s.center, norm) <= 0.7 + 1e-12)
+        assert np.all(lengths(draws - s.center, norm) <= 0.7 + 1e-12)
     assert BallSpace([0.0], 1.0).diameter() == 2.0
 
 
@@ -149,7 +149,7 @@ def test_meb_matches_bruteforce_oracle():
         assert ball.radius == pytest.approx(ref_radius, abs=1e-6)
         # center is optimal: covering from our center needs no more than the
         # oracle radius
-        attained = distances_to_point(pts, ball.center, "euclidean").max()
+        attained = lengths(pts - ball.center).max()
         assert attained <= ref_radius + 1e-6
 
 

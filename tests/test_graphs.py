@@ -25,8 +25,8 @@ from deffuant import (
     path_edges,
     profile,
     step,
-    vector_norm,
 )
+from oracles import loop_length
 
 
 def _opinion_graph(x, params):
@@ -150,12 +150,12 @@ def test_profile_is_intersection():
     assert pairs.shape == (0, 2) and lengths.shape == (0,)
 
 
-# Coordinates on the grid of quarters: every squared or absolute difference and
-# their sums are exact, so rowwise_norm and vector_norm, which sum in different
-# orders, agree to the bit and the inclusive boundary can be hit exactly.
+# Finite coordinates of mixed magnitude; epsilon sits exactly on one length,
+# so the inclusive test is exercised, and every length must have the bits of
+# the coordinate-order sum on Python floats.
 @given(
     st.integers(1, 4).flatmap(lambda d: st.tuples(
-        st.lists(st.lists(st.integers(-16, 16).map(lambda k: k / 4), min_size=d, max_size=d),
+        st.lists(st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d),
                  min_size=2, max_size=7),
         st.sampled_from(NORMS),
         st.floats(0.01, 6),
@@ -167,10 +167,11 @@ def test_profile_matches_python_loop(case):
     x = np.array(rows)
     n = len(x)
     pairs = np.array([(i % n, j % n) for i, j in raw_pairs] or np.empty((0, 2)), dtype=np.intp)
-    loop = [vector_norm(x[i] - x[j], norm) for i, j in pairs.tolist()]
+    loop = [loop_length([a - b for a, b in zip(rows[i], rows[j])], norm)
+            for i, j in pairs.tolist()]
     if loop:
-        # sit epsilon exactly on one length, so the inclusive test is exercised
-        epsilon = max(loop[boundary % len(loop)], 1e-12)
+        # the smallest positive float stands in for a zero length
+        epsilon = loop[boundary % len(loop)] or 5e-324
     params = ModelParams(epsilon=epsilon, dimension=x.shape[1], norm=norm)
     got, lengths = profile(x, pairs, params)
     keep = [k for k, length in enumerate(loop) if length <= epsilon]

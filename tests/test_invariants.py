@@ -31,13 +31,13 @@ from deffuant import (
     diameter,
     is_connected,
     lattice_points,
+    lengths,
     pair_contraction_slacks,
     path_edges,
     profile,
     run_trajectory,
     settle_time,
     step,
-    vector_norm,
 )
 from deffuant import invariants, model
 from deffuant.graphs import pair_lengths
@@ -873,5 +873,5 @@ def test_block_functions_match_the_one_step_forms():
         sum_err, moved, resid = update_identity_errors(x[[1, 3]][None], post[[1, 3]][None],
                                                        np.array([0.25]), norm)
         assert sum_err[0] <= 1e-15 and resid[0] <= 1e-15
-        assert moved[0].tolist() == [vector_norm(post[1] - x[1], norm),
-                                     vector_norm(post[3] - x[3], norm)]
+        assert moved[0].tolist() == [lengths(post[1] - x[1], norm),
+                                     lengths(post[3] - x[3], norm)]

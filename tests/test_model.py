@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from deffuant import (
     NORMS,
@@ -17,11 +19,13 @@ from deffuant import (
     UniformMu,
     complete_edges,
     path_edges,
+    profile,
     run_trajectory,
     select_pair,
     step,
 )
 from deffuant import cli
+from oracles import loop_length
 
 # 99.9% chi-square quantile, 44 degrees of freedom (scipy.stats.chi2.ppf,
 # computed once offline; scipy is not a dependency).
@@ -131,6 +135,26 @@ def test_step_fires_exactly_at_threshold():
     new, fired = step(above, (0, 1), mu=0.5, params=params)
     assert not fired
     assert np.array_equal(new.opinions, above.opinions)
+
+
+@given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d), min_size=2, max_size=5),
+    st.sampled_from(NORMS))))
+def test_the_engine_fires_on_exactly_the_profiles_pairs(case):
+    # epsilon on each pair's length and one ulp either side of it
+    rows, norm = case
+    x = np.array(rows)
+    n, d = x.shape
+    pairs = complete_edges(n).array
+    for i, j in pairs.tolist():
+        length = loop_length([a - b for a, b in zip(rows[i], rows[j])], norm)
+        for eps in (np.nextafter(length, 0.0), length, np.nextafter(length, np.inf)):
+            if not eps > 0:
+                continue
+            params = ModelParams(epsilon=float(eps), dimension=d, norm=norm)
+            fired = step(OpinionState(0, x), (i, j), 0.5, params)[1]
+            kept = [i, j] in profile(x, pairs, params)[0].tolist()
+            assert fired == kept == (length <= eps), (i, j, eps)
 
 
 def test_step_multidimensional():

@@ -1,0 +1,159 @@
+"""Compare the artifacts of this checkout with those of a parent revision.
+
+Usage, from the root of the repository:
+
+    python3 tools/artifact_diff.py --parent REV
+
+The committed files of REV are exported with ``bench_pair.export`` into a
+temporary directory; the change is this checkout as it stands.  Both roots
+then run, with their own ``src`` on the path:
+
+* ``simulate`` at seeds 0 and 7 on the six reference configs below and on the
+  two benchmark ``simulate`` configs of ``perfbench/workloads.py``;
+* ``estimate --trials 12 --per-trial --threads 1`` at seeds 0 and 7 on four of
+  the reference configs;
+* ``verify --suite all`` at seeds 0 and 7, whose stdout is its artifact.
+
+One line per artifact reads ``same`` or ``DIFF``; under a JSON artifact that
+differs, each differing key is printed with the parent's and the change's
+value, and under a ``verify`` stdout each differing line.  The exit status
+is 1 if any artifact differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pair import ROOT, export
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+SEEDS = (0, 7)
+_BOX2 = {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+_PATH6 = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]
+
+# The six reference configs: each graph schedule, an empty E(t), a rate
+# sequence, three recording strides, d = 1 to 3 and two norms.
+CONFIGS = {
+    "complete-box2-two-deltas": {
+        "n": 12, "dimension": 2, "epsilon": 0.5, "space": _BOX2,
+        "mu": {"kind": "uniform", "low": 0.1, "high": 0.5},
+        "horizon": 3000, "deltas": [0.05, 0.2]},
+    "erdos-renyi-p0.3": {
+        "n": 15, "epsilon": 0.4, "graph": {"kind": "erdos_renyi", "p": 0.3},
+        "horizon": 3000},
+    "cyclic-empty-member-sequence-mu": {
+        "n": 6, "dimension": 2, "epsilon": 0.6, "space": _BOX2,
+        "graph": {"kind": "cyclic", "members": [_PATH6, [], [[0, 5], [1, 4], [2, 3]]]},
+        "mu": {"kind": "sequence", "values": [0.5, 0.3, 0.1]}, "horizon": 2000},
+    "piecewise-empty-stretch-stride1": {
+        "n": 6, "epsilon": 0.7,
+        "graph": {"kind": "piecewise", "steps": {"0": _PATH6, "150": [],
+                                                 "300": [[0, 2], [2, 4], [1, 3], [3, 5]]}},
+        "horizon": 600, "record_stride": 1},
+    "path-stride7": {
+        "n": 10, "epsilon": 0.5, "graph": {"kind": "path"}, "horizon": 2000,
+        "record_stride": 7},
+    "linf-d3-stride13": {
+        "n": 10, "dimension": 3, "norm": "linf", "epsilon": 0.7,
+        "space": {"kind": "box", "lower": [0.0] * 3, "upper": [1.0] * 3},
+        "horizon": 2000, "record_stride": 13},
+}
+ESTIMATED = ("complete-box2-two-deltas", "erdos-renyi-p0.3",
+             "cyclic-empty-member-sequence-mu", "linf-d3-stride13")
+
+
+def runs(configs: Path) -> list[tuple[str, list[str]]]:
+    """(label, deffuant arguments) of every run, the configs written into ``configs``."""
+    simulated = dict(CONFIGS)
+    for workload in WORKLOADS.values():
+        simulated[f"benchmark-{workload.simulate_label}"] = workload.simulate
+    out = []
+    for name, config in simulated.items():
+        path = configs / f"{name}.json"
+        path.write_text(json.dumps(config))
+        for seed in SEEDS:
+            out.append((f"simulate {name} seed {seed}",
+                        ["simulate", "--config", str(path), "--seed", str(seed)]))
+            if name in ESTIMATED:
+                out.append((f"estimate {name} seed {seed}",
+                            ["estimate", "--config", str(path), "--seed", str(seed),
+                             "--trials", "12", "--per-trial", "--threads", "1"]))
+    out += [(f"verify all seed {seed}", ["verify", "--suite", "all", "--seed", str(seed)])
+            for seed in SEEDS]
+    return out
+
+
+def run(root: Path, args: list[str], out_dir: Path) -> dict[str, bytes]:
+    """Run deffuant from ``root``; its output files, and for ``verify`` its stdout."""
+    out_dir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "deffuant.cli", *args,
+                           "--out-dir", str(out_dir)],
+                          cwd=root, env=env, capture_output=True, timeout=600)
+    artifacts = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    artifacts["exit status"] = str(proc.returncode).encode()
+    if args[0] == "verify":
+        artifacts["stdout"] = proc.stdout
+    return artifacts
+
+
+def flatten(value, key: str = "") -> dict:
+    if isinstance(value, dict):
+        return {k: v for name, item in value.items()
+                for k, v in flatten(item, f"{key}.{name}" if key else name).items()}
+    if isinstance(value, list):
+        return {k: v for n, item in enumerate(value)
+                for k, v in flatten(item, f"{key}[{n}]").items()}
+    return {key: value}
+
+
+def compare(name: str, parent: bytes | None, change: bytes | None) -> bool:
+    """Print one artifact's verdict; True when both sides hold the same bytes."""
+    same = parent == change
+    print(f"  {name}: {'same' if same else 'DIFF'}")
+    if same or parent is None or change is None:
+        return same
+    if name.endswith(".json"):
+        old, new = flatten(json.loads(parent)), flatten(json.loads(change))
+        for key in sorted(set(old) | set(new)):
+            if old.get(key) != new.get(key):
+                print(f"    {key}: {old.get(key)!r} -> {new.get(key)!r}")
+    elif name == "stdout":
+        for old, new in zip(parent.decode().splitlines(), change.decode().splitlines()):
+            if old != new:
+                print(f"    {old}\n    -> {new}")
+    return same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="revision to compare against")
+    args = parser.parse_args(argv)
+    all_same = True
+    with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
+        tmp = Path(tmp)
+        parent_root = tmp / "parent"
+        parent_root.mkdir()
+        commit = export(args.parent, parent_root)
+        configs = tmp / "configs"
+        configs.mkdir()
+        print(f"parent {commit}, change {ROOT}")
+        for n, (label, deffuant_args) in enumerate(runs(configs)):
+            print(label)
+            parent = run(parent_root, deffuant_args, tmp / f"{n}-parent")
+            change = run(ROOT, deffuant_args, tmp / f"{n}-change")
+            for name in sorted(set(parent) | set(change)):
+                all_same &= compare(name, parent.get(name), change.get(name))
+    return 0 if all_same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
