@@ -69,6 +69,7 @@ from .model import (
     UniformMu,
     run_trajectory,
     seed_streams,
+    side_stream,
 )
 from .montecarlo import (
     TrialConfig,
@@ -488,9 +489,8 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
     estimate = ensemble.estimate
 
     ball = chebyshev_center(config.space, config.params.norm)
-    dist_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 1)))
     expected_dist, expected_se = expected_center_distance(
-        config.space, ball.center, norm=config.params.norm, rng=dist_rng)
+        config.space, ball.center, norm=config.params.norm, rng=side_stream(seed, "bound"))
     try:
         bound = theoretical_lower_bound(config.params.epsilon, ball, expected_dist)
         bound_note = None
@@ -588,7 +588,7 @@ def _suite_triviality(seed: int, runs: AuditRuns) -> dict:
 
 
 def _suite_geometry(seed: int, runs: AuditRuns) -> dict:
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(99,)))
+    rng = side_stream(seed, "geometry")
     ball = chebyshev_center(Interval(0.0, 1.0))
     if not (ball.center[0] == 0.5 and ball.radius == 0.5):
         raise InvariantViolation("interval-center", step=0, slack=0.0,

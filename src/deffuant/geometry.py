@@ -62,26 +62,6 @@ class OpinionSpace:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Interval(OpinionSpace):
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a < self.b):
-            raise ConfigurationError(f"interval needs a < b, got [{self.a}, {self.b}]")
-
-    @property
-    def dimension(self):
-        return 1
-
-    def sample(self, rng, size):
-        return rng.uniform(self.a, self.b, size=(size, 1))
-
-    def diameter(self, norm="euclidean"):
-        return self.b - self.a
-
-
 @dataclass(eq=False)
 class Box(OpinionSpace):
     lower: np.ndarray
@@ -92,18 +72,26 @@ class Box(OpinionSpace):
         self.upper = np.asarray(self.upper, dtype=float).ravel()
         if self.lower.shape != self.upper.shape:
             raise ConfigurationError("box bounds must have equal length")
-        if not np.all(self.lower < self.upper):
-            raise ConfigurationError("box needs lower < upper on every axis")
+        with np.errstate(over="ignore"):
+            if not (np.all(self.lower < self.upper) and np.isfinite(self.upper - self.lower).all()):
+                raise ConfigurationError("box needs lower < upper and a finite side on every "
+                                         f"axis, got {self.lower} and {self.upper}")
 
     @property
     def dimension(self):
         return self.lower.shape[0]
 
     def sample(self, rng, size):
-        return rng.uniform(self.lower, self.upper, size=(size, self.dimension))
+        # The bits of rng.uniform(lower, upper), without its per-call broadcasting.
+        return self.lower + (self.upper - self.lower) * rng.random((size, self.dimension))
 
     def diameter(self, norm="euclidean"):
         return float(lengths(self.upper - self.lower, norm))
+
+
+def Interval(a: float, b: float) -> Box:
+    """The interval [a, b]: the one-dimensional ``Box``."""
+    return Box([a], [b])
 
 
 @dataclass(eq=False)
@@ -117,8 +105,10 @@ class BallSpace(OpinionSpace):
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float).ravel()
         self.radius = float(self.radius)
-        if not (self.radius > 0):
-            raise ConfigurationError(f"ball radius must be > 0, got {self.radius}")
+        with np.errstate(over="ignore"):
+            if not (self.radius > 0 and np.isfinite(np.abs(self.center) + self.radius).all()):
+                raise ConfigurationError("ball needs radius > 0 and a finite center +/- "
+                                         f"radius, got {self.center} and {self.radius}")
         validate_norm(self.norm)
 
     @property
@@ -161,8 +151,8 @@ class PointCloud(OpinionSpace):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ConfigurationError("point cloud needs an (n, d) array with n >= 1")
+        if pts.ndim != 2 or pts.shape[0] == 0 or not np.isfinite(pts).all():
+            raise ConfigurationError("point cloud needs a finite (n, d) array with n >= 1")
         self.points = pts
 
     @property
@@ -298,22 +288,16 @@ def minimum_enclosing_ball(points: np.ndarray) -> Ball:
 def chebyshev_center(space: OpinionSpace, norm: str = "euclidean") -> Ball:
     """Center and radius of the smallest enclosing ball of the region.
 
-    interval/box/ball have closed forms; point clouds use the exact MEB for
+    box/ball have closed forms; point clouds use the exact MEB for
     the euclidean norm and the bounding-box midpoint otherwise (exact for
     linf, an approximation for l1).
     """
     validate_norm(norm)
-    if isinstance(space, Interval):
-        ball = Ball(np.array([(space.a + space.b) / 2.0]), (space.b - space.a) / 2.0)
-    elif isinstance(space, Box):
+    if isinstance(space, Box):
         half = (space.upper - space.lower) / 2.0
         ball = Ball((space.lower + space.upper) / 2.0, float(lengths(half, norm)))
     elif isinstance(space, BallSpace):
-        if norm != space.norm:
-            raise ConfigurationError(
-                f"ball declared in norm {space.norm!r}, queried in {norm!r}"
-            )
-        ball = Ball(space.center.copy(), space.radius)
+        ball = Ball(space.center.copy(), space.radius)   # space.diameter checks the norm
     elif isinstance(space, PointCloud):
         if norm == "euclidean":
             ball = minimum_enclosing_ball(space.points)
@@ -340,18 +324,20 @@ def chebyshev_center(space: OpinionSpace, norm: str = "euclidean") -> Ball:
 # Expected distance to the center
 # ---------------------------------------------------------------------------
 
+MONTE_CARLO_SAMPLES = 200_000
+
+
 def expected_center_distance(
     space: OpinionSpace,
     center: np.ndarray,
     norm: str = "euclidean",
-    n_samples: int = 200_000,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[float, float]:
     """(estimate, std_error) of the mean distance from a uniform draw to ``center``.
 
-    Exact in closed form for intervals and 1-D balls (where the distance to
-    the midpoint is itself uniform); Monte Carlo with a sample standard error
-    otherwise.
+    Exact in closed form for every one-dimensional box or ball, an interval
+    [a, b] in any norm; otherwise a Monte Carlo mean of MONTE_CARLO_SAMPLES
+    draws from ``rng`` with its sample standard error.
     """
     validate_norm(norm)
     c = np.asarray(center, dtype=float).ravel()
@@ -361,8 +347,8 @@ def expected_center_distance(
         )
 
     interval = None
-    if isinstance(space, Interval):
-        interval = (space.a, space.b)
+    if isinstance(space, Box) and space.dimension == 1:
+        interval = (space.lower[0], space.upper[0])
     elif isinstance(space, BallSpace) and space.dimension == 1:
         interval = (space.center[0] - space.radius, space.center[0] + space.radius)
     if interval is not None:
@@ -376,12 +362,10 @@ def expected_center_distance(
             mean = ((c0 - a) ** 2 + (b - c0) ** 2) / (2.0 * (b - a))
         return float(mean), 0.0
 
-    if n_samples < 2:
-        raise ConfigurationError(f"need n_samples >= 2, got {n_samples}")
     if rng is None:
         raise ConfigurationError("Monte Carlo estimate needs an rng")
-    draws = space.sample(rng, n_samples)
+    draws = space.sample(rng, MONTE_CARLO_SAMPLES)
     dists = lengths(draws - c, norm)
     est = float(dists.mean())
-    se = float(dists.std(ddof=1) / np.sqrt(n_samples))
+    se = float(dists.std(ddof=1) / np.sqrt(MONTE_CARLO_SAMPLES))
     return est, se

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantViolation
+from .errors import ConfigurationError
 from .geometry import farthest_pair
 from .graphs import (ConstantGraph, CyclicGraph, EdgeSet, ErdosRenyiGraph, GraphSchedule,
                      complete_edges, is_connected, pair_lengths, path_edges, profile)

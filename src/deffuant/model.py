@@ -184,6 +184,17 @@ def seed_streams(seed: int, *spawn_key: int):
     return np.random.default_rng(init_ss), np.random.default_rng(dyn_ss), graph_seed
 
 
+# Run k (a trial or an audit scenario) draws from the spawn keys (k, 0) to
+# (k, 2) and ``simulate`` from (0,) to (2,), so these keys belong to no run.
+_SIDE_STREAMS = {"bound": (0, 3), "geometry": (0, 4)}
+
+
+def side_stream(seed: int, purpose: str) -> np.random.Generator:
+    """The rng of a draw outside every run: ``"bound"`` feeds the Monte Carlo
+    E d of the consensus bound, ``"geometry"`` the ``verify`` geometry suite."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_SIDE_STREAMS[purpose]))
+
+
 def _update(x: np.ndarray, i: int, j: int, mu: float, params: ModelParams) -> bool:
     """Apply the update rule to rows i and j of x in place; True iff it fired.
 

@@ -35,6 +35,15 @@ def write_config(tmp_path, name="config.json", **overrides):
     return str(path)
 
 
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "deffuant.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -89,13 +98,25 @@ def test_invalid_epsilon_flag_exits_config(tmp_path):
 ])
 def test_bad_config_value_exits_config_without_traceback(tmp_path, bad):
     path = write_config(tmp_path, **bad)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "deffuant.cli", "simulate", "--config", path,
-         "--out-dir", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_cli_process(["simulate", "--config", path, "--out-dir", str(tmp_path / "out")])
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr.startswith("config error")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize("space", [
+    {"kind": "interval", "a": 0.0, "b": float("inf")},
+    {"kind": "interval", "a": -1e308, "b": 1e308},     # the side overflows
+    {"kind": "box", "lower": [0.0], "upper": [float("inf")]},
+    {"kind": "ball", "center": [0.5], "radius": float("inf")},
+])
+def test_a_non_finite_space_exits_config_without_traceback(tmp_path, command, space):
+    path = write_config(tmp_path, space=space)
+    argv = [command, "--config", path, "--out-dir", str(tmp_path / "out")]
+    if command == "estimate":
+        argv += ["--trials", "2", "--threads", "1"]
+    proc = run_cli_process(argv)
     assert proc.returncode == cli.EXIT_CONFIG
     assert proc.stderr.startswith("config error")
     assert "Traceback" not in proc.stderr
@@ -386,6 +407,33 @@ def test_estimate_contradicted_bound_exits_4(tmp_path, monkeypatch):
     payload = read_json(out / "ensemble.json")
     assert payload["passed"] is False
     assert payload["margin"] == pytest.approx(0.05 - 0.5)
+
+
+def test_an_interval_and_the_same_one_dimensional_box_give_the_same_artifacts(tmp_path):
+    spellings = {"interval": {"kind": "interval", "a": -0.5, "b": 1.5},
+                 "box": {"kind": "box", "lower": [-0.5], "upper": [1.5]}}
+    artifacts = {}
+    for name, space in spellings.items():
+        path = write_config(tmp_path, f"{name}.json", space=space, epsilon=2.0)
+        out = tmp_path / name
+        assert cli_main(["simulate", "--config", path, "--seed", "3",
+                         "--out-dir", str(out)]) == 0
+        assert cli_main(["estimate", "--config", path, "--seed", "3", "--trials", "20",
+                         "--threads", "1", "--per-trial", "--out-dir", str(out)]) == 0
+        files = {}
+        for f in ("states.csv", "events.csv", "trials.csv", "summary.json", "ensemble.json"):
+            files[f] = (out / f).read_bytes()
+            if f.endswith(".json"):
+                payload = json.loads(files[f])
+                assert payload.pop("config_digest")
+                files[f] = payload
+        artifacts[name] = files
+    assert artifacts["interval"] == artifacts["box"]
+    ensemble = artifacts["box"]["ensemble.json"]
+    assert ensemble["radius"] == 1.0
+    assert ensemble["expected_center_distance"] == 0.5   # exact: (b - a) / 4
+    assert ensemble["expected_center_distance_se"] == 0.0
+    assert ensemble["bound"] == 0.5                       # 1 - E d / (epsilon - r)
 
 
 # ---------------------------------------------------------------------------

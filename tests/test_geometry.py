@@ -35,6 +35,36 @@ def test_interval_space():
         Interval(1.0, 1.0)
 
 
+def test_an_interval_is_the_one_dimensional_box():
+    s = Interval(-1.0, 3.0)
+    assert isinstance(s, Box)
+    assert s.lower.tolist() == [-1.0] and s.upper.tolist() == [3.0]
+
+
+@pytest.mark.parametrize("lower, upper", [([-1.0], [3.0]), ([0.0, -2.0], [1e-3, 5.0]),
+                                          ([1e6, 0.0, -7.5], [1e6 + 1.0, 1e-9, 2.25])])
+def test_box_sample_has_the_bits_of_rng_uniform(lower, upper):
+    draws = Box(lower, upper).sample(np.random.default_rng(3), 4000)
+    reference = np.random.default_rng(3).uniform(lower, upper, size=(4000, len(lower)))
+    assert np.array_equal(draws, reference)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Interval(0.0, np.inf),
+    lambda: Interval(-1e308, 1e308),        # the side overflows
+    lambda: Box([0.0, 0.0], [1.0, np.inf]),
+    lambda: Box([np.nan], [1.0]),
+    lambda: BallSpace([0.0], np.inf),
+    lambda: BallSpace([np.inf, 0.0], 1.0),
+    lambda: BallSpace([1e308], 1e308),      # center + radius overflows
+    lambda: PointCloud([[0.0, 1.0], [np.nan, 2.0]]),
+    lambda: PointCloud([0.0, -np.inf]),
+])
+def test_spaces_reject_non_finite_parameters(make):
+    with pytest.raises(ConfigurationError):
+        make()
+
+
 def test_box_space():
     s = Box([0.0, 0.0], [2.0, 1.0])
     assert s.dimension == 2
@@ -240,6 +270,21 @@ def test_expected_distance_interval_matches_quadrature():
     xs = np.linspace(a, b, 2_000_001)
     ref = np.trapezoid(np.abs(xs - c), xs) / (b - a)
     assert est == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("a, b, c", [(0.0, 1.0, 0.5), (-1.0, 2.5, 0.4), (0.0, 1.0, -0.5),
+                                     (0.0, 1.0, 2.0), (-3.0, -2.0, -2.75)])
+def test_expected_distance_of_a_one_dimensional_box_is_the_interval_closed_form(a, b, c):
+    center = np.array([c])
+    if c <= a:
+        exact = (a + b) / 2.0 - c
+    elif c >= b:
+        exact = c - (a + b) / 2.0
+    else:
+        exact = ((c - a) ** 2 + (b - c) ** 2) / (2.0 * (b - a))
+    assert expected_center_distance(Box([a], [b]), center) == (exact, 0.0)
+    for norm in NORMS:   # every norm is |x| on a line
+        assert expected_center_distance(Box([a], [b]), center, norm) == (exact, 0.0)
 
 
 def test_expected_distance_1d_ball_closed_form():

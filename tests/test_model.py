@@ -25,6 +25,7 @@ from deffuant import (
     step,
 )
 from deffuant import cli
+from deffuant.model import seed_streams, side_stream
 from oracles import loop_length
 
 # 99.9% chi-square quantile, 44 degrees of freedom (scipy.stats.chi2.ppf,
@@ -373,3 +374,22 @@ def test_events_csv_row_of_a_step_without_edges(tmp_path):
     assert cli.main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 0
     assert (out / "events.csv").read_text() == (
         "step,i,j,fired,mu\n0,,,0,0.25\n1,,,0,0.25\n2,,,0,0.25\n")
+
+
+# ---------------------------------------------------------------------------
+# Random streams
+# ---------------------------------------------------------------------------
+
+def _pcg_state(rng: np.random.Generator) -> int:
+    return rng.bit_generator.state["state"]["state"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**40 + 3])
+def test_side_streams_share_no_state_with_any_run(seed):
+    run_states = set()
+    for key in [()] + [(k,) for k in range(256)]:   # simulate, then trials 0-255
+        init_rng, dyn_rng, _ = seed_streams(seed, *key)
+        run_states |= {_pcg_state(init_rng), _pcg_state(dyn_rng)}
+    assert len(run_states) == 2 * 257
+    side = {_pcg_state(side_stream(seed, purpose)) for purpose in ("bound", "geometry")}
+    assert len(side) == 2 and not side & run_states

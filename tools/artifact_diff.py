@@ -8,10 +8,12 @@ The committed files of REV are exported with ``bench_pair.export`` into a
 temporary directory; the change is this checkout as it stands.  Both roots
 then run, with their own ``src`` on the path:
 
-* ``simulate`` at seeds 0 and 7 on the six reference configs below and on the
+* ``simulate`` at seeds 0 and 7 on the nine reference configs below and on the
   two benchmark ``simulate`` configs of ``perfbench/workloads.py``;
-* ``estimate --trials 12 --per-trial --threads 1`` at seeds 0 and 7 on four of
-  the reference configs;
+* ``estimate --trials 12 --per-trial --threads 1`` at seeds 0 and 7 on seven of
+  the reference configs, which between them reach every branch of the bound's
+  geometry: an interval, a one-dimensional box, boxes of d = 2 and 3, a ball
+  and a point cloud;
 * ``verify --suite all`` at seeds 0 and 7, whose stdout is its artifact.
 
 One line per artifact reads ``same`` or ``DIFF``; under a JSON artifact that
@@ -39,8 +41,8 @@ SEEDS = (0, 7)
 _BOX2 = {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
 _PATH6 = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]
 
-# The six reference configs: each graph schedule, an empty E(t), a rate
-# sequence, three recording strides, d = 1 to 3 and two norms.
+# The reference configs: each graph schedule, an empty E(t), a rate sequence,
+# three recording strides, d = 1 to 3, two norms and each kind of space.
 CONFIGS = {
     "complete-box2-two-deltas": {
         "n": 12, "dimension": 2, "epsilon": 0.5, "space": _BOX2,
@@ -65,9 +67,20 @@ CONFIGS = {
         "n": 10, "dimension": 3, "norm": "linf", "epsilon": 0.7,
         "space": {"kind": "box", "lower": [0.0] * 3, "upper": [1.0] * 3},
         "horizon": 2000, "record_stride": 13},
+    "box1": {
+        "n": 8, "epsilon": 0.9, "space": {"kind": "box", "lower": [-0.5], "upper": [1.0]},
+        "horizon": 2000},
+    "ball2": {
+        "n": 8, "dimension": 2, "epsilon": 1.2, "horizon": 2000,
+        "space": {"kind": "ball", "center": [0.5, -0.5], "radius": 0.5}},
+    "cloud2": {
+        "n": 8, "dimension": 2, "epsilon": 1.2, "horizon": 2000,
+        "space": {"kind": "cloud",
+                  "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.7], [0.2, 0.3]]}},
 }
 ESTIMATED = ("complete-box2-two-deltas", "erdos-renyi-p0.3",
-             "cyclic-empty-member-sequence-mu", "linf-d3-stride13")
+             "cyclic-empty-member-sequence-mu", "linf-d3-stride13", "box1", "ball2",
+             "cloud2")
 
 
 def runs(configs: Path) -> list[tuple[str, list[str]]]:
