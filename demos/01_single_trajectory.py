@@ -73,11 +73,11 @@ def main() -> None:
     for t, x in zip(trajectory.times, trajectory.states):
         print(f"{t:>6}   {ascii_row(x)}")
 
-    in_range, _ = profile(trajectory.final.opinions, complete_edges(N).array, params)
+    in_range, _ = profile(trajectory.states[-1], complete_edges(N).array, params)
     groups = connected_components(in_range, N)
     print(f"\nfinal clusters (mutually within epsilon): {len(groups)}")
     for members in groups:
-        value = trajectory.final.opinions[members[0], 0]
+        value = trajectory.states[-1][members[0], 0]
         print(f"  {len(members):>2} agents near {value:.4f}: {members}")
 
     print("\nlive audit totals")

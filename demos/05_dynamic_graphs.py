@@ -79,7 +79,7 @@ def run_once(schedule, seed: int):
         record_events=False,
     )
     settled = settle_time(trajectory.times, trajectory.states, schedule, DELTA, params)
-    spread = float(np.ptp(trajectory.final.opinions))
+    spread = float(np.ptp(trajectory.states[-1]))
     return tracker.time, settled, spread, changes
 
 

@@ -310,6 +310,19 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
                 f"initial opinions must be ({n}, {dimension}), got {initial.shape}")
         if not np.isfinite(initial).all():
             raise ConfigurationError("initial opinions must be finite")
+    # Opinions whose distance overflows never interact and make every bound
+    # infinite: the bounding boxes of space and ``initial`` need a finite diagonal.
+    corners = {"space": ((space.lower, space.upper) if isinstance(space, Box) else
+                         (space.center - space.radius, space.center + space.radius)
+                         if isinstance(space, BallSpace) else
+                         (space.points.min(axis=0), space.points.max(axis=0)))}
+    if initial is not None:
+        corners["initial opinions"] = (initial.min(axis=0), initial.max(axis=0))
+    for name, (lo, hi) in corners.items():
+        with np.errstate(over="ignore"):
+            if not np.isfinite(lengths(hi - lo, params.norm)):
+                raise ConfigurationError(f"the bounding box of the {name} has a diagonal "
+                                         f"that overflows in the {params.norm} norm")
     return ExperimentConfig(
         n=n, params=params, space=space, graph=graph, mu=mu,
         horizon=horizon, consensus_tol=consensus_tol,

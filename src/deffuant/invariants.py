@@ -337,8 +337,8 @@ class DiameterMonotoneObserver(TrajectoryObserver):
         self._pair: tuple[int, int] = (0, 0)
         self._x: Optional[np.ndarray] = None   # opinions before the next block
 
-    def at_start(self, state: OpinionState):
-        self._x = state.opinions.copy()
+    def at_start(self, x):
+        self._x = x.copy()
         diam, a, b = farthest_pair(self._x, self.params.norm)
         self.diameter, self._pair = diam, (a, b)
 
@@ -414,7 +414,7 @@ class StoppingTimeTracker(TrajectoryObserver):
         self._incident: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._moved: set[int] = set()           # agents moved since the last check
 
-    def at_start(self, state: OpinionState):
+    def at_start(self, x):
         self._edges = None
         self._moved.clear()
 
@@ -437,12 +437,12 @@ class StoppingTimeTracker(TrajectoryObserver):
         if self.time is None and self._holds(x, social_edges):
             self.time = t
 
-    def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
+    def after_step(self, t, i, j, fired, x):
         if fired and self.time is None:
             self._moved.update((i, j))
 
-    def at_end(self, t, state, social_edges):
-        if self.time is None and self._holds(state.opinions, social_edges):
+    def at_end(self, t, x, social_edges):
+        if self.time is None and self._holds(x, social_edges):
             self.time = t
 
 
@@ -459,11 +459,10 @@ class OpinionGraphChangeCounter(TrajectoryObserver):
         self.lost_steps = 0
         self._adj: Optional[np.ndarray] = None
 
-    def at_start(self, state: OpinionState):
-        d = cross_distances(state.opinions, state.opinions, self.params.norm)
-        self._adj = d <= self.params.epsilon
+    def at_start(self, x):
+        self._adj = cross_distances(x, x, self.params.norm) <= self.params.epsilon
 
-    def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
+    def after_step(self, t, i, j, fired, x):
         if not fired:
             return
         assert self._adj is not None

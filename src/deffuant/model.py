@@ -154,9 +154,6 @@ class OpinionState:
     def dimension(self) -> int:
         return self.opinions.shape[1]
 
-    def copy(self) -> "OpinionState":
-        return OpinionState(self.time, self.opinions.copy())
-
 
 # ---------------------------------------------------------------------------
 # Elementary operations
@@ -284,54 +281,43 @@ class FiredSteps:
 class TrajectoryObserver:
     """Hook interface called by ``run_trajectory``.
 
-    ``before_step`` sees the state and social edges *at* time t (before the
-    update); ``after_step`` sees the post-update state together with the
-    selected pair's pre-step rows.  Arrays passed in are live views: copy
-    before retaining.  Per-step observers abort the run by raising
-    InvariantViolation.
+    ``at_start`` sees the initial opinions x (n, d); ``before_step`` the
+    opinions and social edges *at* time t, before the update; ``after_step``
+    the pair drawn at step t (i = j = -1 when E(t) is empty), whether it
+    fired, and the opinions after it; ``at_end`` the final time, opinions and
+    social edges.  Arrays passed in are live views: copy before retaining.
+    The per-step hooks observe: an exception raised in one propagates as it is.
 
-    ``after_block`` is the audit's hook.  The engine records every fired step
-    (``FiredSteps``) and hands them over ``block_size(n, d)`` at a time, and
-    the rest before any ``at_end``.  The hook checks every step of the block
-    and returns, without raising, the violation of its first failing step, or
-    None.  The engine then raises the earliest failure over all observers,
-    a tie going to the observer listed first, so the run stops where a
-    per-step check would have stopped it; by then the live state may have
-    moved up to a block past that step.  The engine calls each hook only on
-    observers that define it.
+    ``after_block`` is the audit's hook, and the one that reports a violation.
+    The engine records every fired step (``FiredSteps``) and hands them over
+    ``block_size(n, d)`` at a time, and the rest before any ``at_end``.  The
+    hook checks every step of the block and returns, without raising, the
+    violation of its first failing step, or None.  The engine then raises the
+    earliest failure over all observers, a tie going to the observer listed
+    first; by then the live state may have moved up to a block past that
+    step.  The engine calls each hook only on observers that define it.
     """
 
-    def at_start(self, state: OpinionState) -> None:
+    def at_start(self, x: np.ndarray) -> None:
         pass
 
     def before_step(self, t: int, x: np.ndarray, social_edges: "EdgeSet") -> None:
         pass
 
-    def after_step(
-        self,
-        t: int,
-        i: int,
-        j: int,
-        fired: bool,
-        mu: float,
-        xi_old: Optional[np.ndarray],
-        xj_old: Optional[np.ndarray],
-        x: np.ndarray,
-        social_edges: "EdgeSet",
-    ) -> None:
+    def after_step(self, t: int, i: int, j: int, fired: bool, x: np.ndarray) -> None:
         pass
 
     def after_block(self, steps: FiredSteps) -> Optional[InvariantViolation]:
         return None
 
-    def at_end(self, t: int, state: OpinionState, social_edges: "EdgeSet") -> None:
+    def at_end(self, t: int, x: np.ndarray, social_edges: "EdgeSet") -> None:
         pass
 
 
 def _hooks(observers: Sequence[TrajectoryObserver], name: str) -> list:
-    """(position, bound hook) of each observer that defines hook ``name``."""
+    """The bound hook ``name`` of each observer that defines it, in order."""
     base = getattr(TrajectoryObserver, name)
-    return [(k, getattr(obs, name)) for k, obs in enumerate(observers)
+    return [getattr(obs, name) for obs in observers
             if getattr(type(obs), name, base) is not base]
 
 
@@ -347,12 +333,11 @@ class _BlockRecorder:
         self.j: list[int] = []
         self.mu: list[float] = []
 
-    def hold(self, x: np.ndarray, i: int, j: int) -> np.ndarray:
-        """Copy rows i and j into the next slot, before the update; returns it."""
+    def hold(self, x: np.ndarray, i: int, j: int) -> None:
+        """Copy rows i and j into the next slot, before the update."""
         old = self.old[len(self.t)]
         old[0] = x[i]
         old[1] = x[j]
-        return old
 
     def record(self, t: int, i: int, j: int, mu: float, x: np.ndarray) -> bool:
         """Keep the held step, which fired; True when the block is full."""
@@ -365,26 +350,18 @@ class _BlockRecorder:
         self.mu.append(mu)
         return len(self.t) == len(self.old)
 
-    def flush(self) -> Optional[tuple[int, int, InvariantViolation]]:
-        """Check the recorded steps and empty the block; the earliest failure
-        as (step, observer position, violation), or None."""
+    def flush(self) -> None:
+        """Check the recorded steps and empty the block; raises the earliest
+        failure, a tie going to the hook listed first."""
         m = len(self.t)
         if m == 0:
-            return None
+            return
         steps = FiredSteps(np.array(self.t), np.array(self.i), np.array(self.j),
                            np.array(self.mu, dtype=float), self.old[:m], self.new[:m])
-        first = None
-        for position, hook in self.hooks:
-            found = hook(steps)
-            if found is not None and (first is None or found.step < first[0]):
-                first = (found.step, position, found)
         self.t, self.i, self.j, self.mu = [], [], [], []
-        return first
-
-    def raise_first(self) -> None:
-        first = self.flush()
-        if first is not None:
-            raise first[2]
+        found = [v for v in [hook(steps) for hook in self.hooks] if v is not None]
+        if found:
+            raise min(found, key=lambda v: v.step)
 
 
 EVENT_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("fired", bool), ("mu", float)])
@@ -394,14 +371,12 @@ EVENT_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("fired", bool), ("mu", 
 class Trajectory:
     """Recorded run: states at the recording stride plus every step event.
 
-    ``times`` (k,) and ``states`` (k, n, d) hold the recorded states.
-    ``events`` has one row per step with columns i, j, fired, mu (empty
-    unless events were recorded); i = j = -1 where the step had no edge.
+    ``times`` (k,) and ``states`` (k, n, d) hold the recorded states, from
+    the initial ``states[0]`` to the final ``states[-1]``.  ``events`` has one
+    row per step with columns i, j, fired, mu (empty unless events were
+    recorded); i = j = -1 where the step had no edge.
     """
 
-    params: ModelParams
-    initial: OpinionState
-    final: OpinionState
     times: np.ndarray
     states: np.ndarray
     events: np.ndarray
@@ -442,79 +417,60 @@ def run_trajectory(
 
     x = initial.opinions.astype(float, copy=True)
     observers = tuple(observers)
-    before_hooks = [hook for _, hook in _hooks(observers, "before_step")]
+    before_hooks = _hooks(observers, "before_step")
     after_hooks = _hooks(observers, "after_step")
     block_hooks = _hooks(observers, "after_block")
     recorder = (_BlockRecorder(block_hooks, block_size(*x.shape), x.shape[1])
                 if block_hooks else None)
 
-    start_state = OpinionState(0, x.copy())
     times = [0]
-    states = [start_state.opinions]
+    states = [x.copy()]
     events: list[tuple[int, int, bool, float]] = []
 
     for obs in observers:
-        obs.at_start(start_state)
+        obs.at_start(x)
 
     t = 0
-    at = 0   # position of the last per-step hook called
     stopped = False
-    try:
-        while t < horizon:
-            if stop_condition is not None and stop_condition():
-                stopped = True
-                break
-            edges = graph_schedule.edges_at(t)
-            for hook in before_hooks:
-                hook(t, x, edges)
-            pair = select_pair(edges, rng)
-            mu = mu_schedule.mu_at(t, rng)
-            fired = full = False
-            i = j = -1
-            xi_old = xj_old = None
-            if pair is not None:
-                i, j = pair
-                if recorder is not None:
-                    xi_old, xj_old = recorder.hold(x, i, j)
-                elif after_hooks:
-                    xi_old = x[i].copy()
-                    xj_old = x[j].copy()
-                fired = _update(x, i, j, mu, params)
-                if fired and recorder is not None:
-                    full = recorder.record(t, i, j, mu, x)
-            if record_events:
-                events.append((i, j, fired, mu))
-            for at, hook in after_hooks:
-                hook(t, i, j, fired, mu, xi_old, xj_old, x, edges)
-            if full:
-                recorder.raise_first()
-            t += 1
-            if record_stride is not None and t % record_stride == 0:
-                times.append(t)
-                states.append(x.copy())
-        if recorder is not None:
-            recorder.raise_first()
-    except InvariantViolation:
-        # A per-step hook failed at step t.  A failure that the pending block
-        # holds at an earlier step, or at step t from an observer listed
-        # before that hook, came first.
-        first = recorder.flush() if recorder is not None else None
-        if first is not None and first[:2] < (t, at):
-            raise first[2] from None
-        raise
+    while t < horizon:
+        if stop_condition is not None and stop_condition():
+            stopped = True
+            break
+        edges = graph_schedule.edges_at(t)
+        for hook in before_hooks:
+            hook(t, x, edges)
+        pair = select_pair(edges, rng)
+        mu = mu_schedule.mu_at(t, rng)
+        fired = full = False
+        i = j = -1
+        if pair is not None:
+            i, j = pair
+            if recorder is not None:
+                recorder.hold(x, i, j)
+            fired = _update(x, i, j, mu, params)
+            if fired and recorder is not None:
+                full = recorder.record(t, i, j, mu, x)
+        if record_events:
+            events.append((i, j, fired, mu))
+        for hook in after_hooks:
+            hook(t, i, j, fired, x)
+        if full:
+            recorder.flush()
+        t += 1
+        if record_stride is not None and t % record_stride == 0:
+            times.append(t)
+            states.append(x.copy())
+    if recorder is not None:
+        recorder.flush()
 
-    final = OpinionState(t, x.copy())
     if times[-1] != t:
         times.append(t)
-        states.append(final.opinions)
+        states.append(x.copy())
     final_edges = graph_schedule.edges_at(t)
     for obs in observers:
-        obs.at_end(t, final, final_edges)
+        obs.at_end(t, x, final_edges)
 
     return Trajectory(
-        params=params,
-        initial=start_state,
-        final=final,
         times=np.array(times),
         states=np.stack(states),
         events=np.array(events, dtype=EVENT_DTYPE),

@@ -203,17 +203,17 @@ class OutcomeClassifier(TrajectoryObserver):
             self.verdict = verdict
             self.decided_at = t
 
-    def at_start(self, state: OpinionState):
-        self._check(state.opinions, state.time)
+    def at_start(self, x):
+        self._check(x, 0)
 
-    def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
+    def after_step(self, t, i, j, fired, x):
         self._dirty = self._dirty or fired
         if self.verdict is None and self._dirty and (t + 1) % self.config.check_every == 0:
             self._check(x, t + 1)
 
-    def at_end(self, t, state, social_edges):
+    def at_end(self, t, x, social_edges):
         if self._dirty or self.verdict is None:
-            self._check(state.opinions, t)
+            self._check(x, t)
 
     def outcome(self) -> TrialOutcome:
         return TrialOutcome(

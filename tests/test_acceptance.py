@@ -84,7 +84,8 @@ def test_criterion_01_pair_contraction(ensemble):
 
 class _FullPotentialAudit(TrajectoryObserver):
     """Recomputes the whole-population potential around every fired step and
-    measures the decrement-inequality slack directly (no pair shortcut)."""
+    measures the decrement-inequality slack directly (no pair shortcut).
+    The pre-step rows come from its own copy of the opinions."""
 
     def __init__(self, c_points: np.ndarray, params: ModelParams):
         self.c_points = c_points
@@ -92,14 +93,18 @@ class _FullPotentialAudit(TrajectoryObserver):
         self.min_slack = np.inf
         self.checked = 0
         self._z = None
+        self._pre = None
 
-    def at_start(self, state):
-        self._z = cross_distances(state.opinions, self.c_points,
-                                  self.params.norm).sum(axis=0)
+    def at_start(self, x):
+        self._z = cross_distances(x, self.c_points, self.params.norm).sum(axis=0)
 
-    def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
+    def before_step(self, t, x, social_edges):
+        self._pre = x.copy()
+
+    def after_step(self, t, i, j, fired, x):
         if not fired:
             return
+        xi_old, xj_old = self._pre[i], self._pre[j]
         z_now = cross_distances(x, self.c_points, self.params.norm).sum(axis=0)
         disp = lengths(x[i] - xi_old, self.params.norm)
         mid = (xi_old + xj_old) / 2.0

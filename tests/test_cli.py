@@ -44,6 +44,11 @@ def run_cli_process(argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def _command_argv(command, path, out):
+    argv = [command, "--config", path, "--out-dir", str(out)]
+    return argv + (["--trials", "2", "--threads", "1"] if command == "estimate" else [])
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -113,13 +118,35 @@ def test_bad_config_value_exits_config_without_traceback(tmp_path, bad):
 ])
 def test_a_non_finite_space_exits_config_without_traceback(tmp_path, command, space):
     path = write_config(tmp_path, space=space)
-    argv = [command, "--config", path, "--out-dir", str(tmp_path / "out")]
-    if command == "estimate":
-        argv += ["--trials", "2", "--threads", "1"]
-    proc = run_cli_process(argv)
+    proc = run_cli_process(_command_argv(command, path, tmp_path / "out"))
     assert proc.returncode == cli.EXIT_CONFIG
     assert proc.stderr.startswith("config error")
     assert "Traceback" not in proc.stderr
+
+
+_FAR_INTERVAL = {"kind": "interval", "a": 0.0, "b": 1e200}
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize("overrides", [
+    {"space": _FAR_INTERVAL},
+    {"dimension": 2, "space": {"kind": "ball", "center": [0.0, 0.0], "radius": 1e200}},
+    {"n": 2, "initial": [0.0, 1e200]},
+])
+def test_a_region_whose_euclidean_lengths_overflow_exits_config(tmp_path, command, overrides):
+    # A coordinate gap of 1e200 squares to Infinity.  The interval made
+    # simulate report "final diameter inf" and estimate radius inf, exit 0.
+    path = write_config(tmp_path, epsilon=1e300, **overrides)
+    proc = run_cli_process(_command_argv(command, path, tmp_path / "out"))
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr.startswith("config error") and "overflows" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_the_same_interval_loads_in_l1_where_its_lengths_are_finite(tmp_path, command):
+    path = write_config(tmp_path, epsilon=1e300, norm="l1", space=_FAR_INTERVAL)
+    assert cli_main(_command_argv(command, path, tmp_path / "out")) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("command", ["simulate", "estimate"])
@@ -139,11 +166,7 @@ def test_a_non_finite_space_exits_config_without_traceback(tmp_path, command, sp
 def test_both_commands_reject_a_count_that_is_not_a_whole_number(tmp_path, capsys,
                                                                   command, bad):
     path = write_config(tmp_path, **bad)
-    assert cli_main([command, "--config", path, "--trials", "2", "--threads", "1",
-                     "--out-dir", str(tmp_path / "out")]
-                    if command == "estimate" else
-                    [command, "--config", path, "--out-dir", str(tmp_path / "out")]
-                    ) == cli.EXIT_CONFIG
+    assert cli_main(_command_argv(command, path, tmp_path / "out")) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error")
 
 
@@ -156,10 +179,7 @@ def test_both_commands_reject_a_count_that_is_not_a_whole_number(tmp_path, capsy
 ])
 def test_both_commands_reject_the_same_configs(tmp_path, capsys, command, bad):
     path = write_config(tmp_path, **bad)
-    argv = [command, "--config", path, "--out-dir", str(tmp_path / "out")]
-    if command == "estimate":
-        argv += ["--trials", "2", "--threads", "1"]
-    assert cli_main(argv) == cli.EXIT_CONFIG
+    assert cli_main(_command_argv(command, path, tmp_path / "out")) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
 
@@ -272,10 +292,11 @@ def test_simulate_piecewise_graph_from_file(tmp_path):
 
 def test_simulate_invariant_violation_exits_3(tmp_path, monkeypatch):
     class Faulty(TrajectoryObserver):
-        def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
-            if t == 5:
-                raise InvariantViolation("injected-fault", step=t, slack=-1.0,
-                                         detail="synthetic failure")
+        def after_block(self, steps):
+            at = np.flatnonzero(steps.t == 5)
+            if at.size:
+                return steps.violation(int(at[0]), "injected-fault", -1.0,
+                                       "synthetic failure")
 
     monkeypatch.setattr(cli, "UpdateIdentityObserver", lambda params: Faulty())
     out = tmp_path / "out"

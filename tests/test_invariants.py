@@ -155,7 +155,7 @@ def _fake_fired_step(obs, x_new, pre=(0.0, 1.0), mu=0.5):
     block of one step, and raise the violation it returns."""
     old = np.asarray(pre, dtype=float)[:, None]
     new = np.asarray(x_new, dtype=float)[:, None]
-    obs.at_start(OpinionState(0, old.copy()))
+    obs.at_start(old.copy())
     found = obs.after_block(FiredSteps(np.array([0]), np.array([0]), np.array([1]),
                                        np.array([mu]), old[None], new[None]))
     if found is not None:
@@ -248,7 +248,7 @@ def test_diameter_observer_tracks_current_diameter():
                           ConstantMu(0.5), ModelParams(epsilon=2.0), 400,
                           np.random.default_rng(4), observers=[obs],
                           record_stride=None)
-    x = traj.final.opinions
+    x = traj.states[-1]
     assert obs.diameter == pytest.approx(float(np.ptp(x)), abs=1e-12)
     assert obs.max_increase <= 1e-12
 
@@ -271,7 +271,7 @@ def test_diameter_observer_matches_the_full_matrix_at_every_step(monkeypatch, no
     # diameter after each block matches the full matrix
     for size in (1, 7, block_size(n, d)):
         obs = DiameterMonotoneObserver(params)
-        obs.at_start(traj.initial)
+        obs.at_start(traj.states[0])
         remeasured.clear()
         for steps in _fired_blocks(traj, size):
             positions = invariants._positions(traj.states[steps.t[0]], steps)
@@ -284,8 +284,9 @@ def test_diameter_observer_matches_the_full_matrix_at_every_step(monkeypatch, no
         assert obs.max_increase == largest_rise
     # the engine's blocks reach the same diameter and the same largest increase
     audited = DiameterMonotoneObserver(params)
-    run_trajectory(traj.initial, ConstantGraph(n, complete_edges(n)), UniformMu(0.1, 0.5),
-                   params, 600, np.random.default_rng(d), observers=[audited])
+    run_trajectory(OpinionState(0, traj.states[0]), ConstantGraph(n, complete_edges(n)),
+                   UniformMu(0.1, 0.5), params, 600, np.random.default_rng(d),
+                   observers=[audited])
     assert (audited.diameter, audited.max_increase) == (obs.diameter, obs.max_increase)
 
 
@@ -331,7 +332,7 @@ def test_diameter_observer_memory_stays_far_below_the_distance_matrix():
     obs = DiameterMonotoneObserver(params)
     tracemalloc.start()
     try:
-        obs.at_start(OpinionState(0, x))
+        obs.at_start(x)
         for t in range(20):
             # every fourth step moves an agent of the farthest pair
             i = obs._pair[0] if t % 4 == 0 else int(rng.integers(n))
@@ -443,8 +444,8 @@ class _RescanTracker(TrajectoryObserver):
         if self.time is None and self._short(x, social_edges):
             self.time = t
 
-    def at_end(self, t, state, social_edges):
-        if self.time is None and self._short(state.opinions, social_edges):
+    def at_end(self, t, x, social_edges):
+        if self.time is None and self._short(x, social_edges):
             self.time = t
 
 
@@ -578,12 +579,11 @@ def test_stopping_record_validation():
 def test_change_counter_sees_edge_appear():
     params = ModelParams(epsilon=0.8)
     obs = OpinionGraphChangeCounter(params)
-    state = OpinionState(0, np.array([0.0, 0.5, 1.0]))
-    obs.at_start(state)
-    new = state.opinions.copy()
+    x = np.array([[0.0], [0.5], [1.0]])
+    obs.at_start(x)
+    new = x.copy()
     new[1], new[2] = 0.75, 0.75  # (1, 2) fire with mu = 1/2
-    obs.after_step(0, 1, 2, True, 0.5, state.opinions[1].copy(),
-                   state.opinions[2].copy(), new, EdgeSet())
+    obs.after_step(0, 1, 2, True, new)
     assert obs.gained_steps == 1  # agent 2 came within range of agent 0
     assert obs.lost_steps == 0
 
@@ -591,12 +591,11 @@ def test_change_counter_sees_edge_appear():
 def test_change_counter_sees_edge_disappear():
     params = ModelParams(epsilon=0.8)
     obs = OpinionGraphChangeCounter(params)
-    state = OpinionState(0, np.array([0.0, 0.5, 1.3]))
-    obs.at_start(state)
-    new = state.opinions.copy()
+    x = np.array([[0.0], [0.5], [1.3]])
+    obs.at_start(x)
+    new = x.copy()
     new[0], new[1] = 0.25, 0.25  # (0, 1) merge; agent 1 leaves agent 2's range
-    obs.after_step(0, 0, 1, True, 0.5, state.opinions[0].copy(),
-                   state.opinions[1].copy(), new, EdgeSet())
+    obs.after_step(0, 0, 1, True, new)
     assert obs.lost_steps == 1
     assert obs.gained_steps == 0
 
@@ -748,26 +747,56 @@ def test_in_one_block_the_earlier_step_wins(monkeypatch):
     assert (exc.value.invariant, exc.value.step) == ("diameter-monotone", B + 3)
 
 
-def test_a_per_step_failure_after_an_earlier_block_failure_loses(monkeypatch):
+def test_the_hooks_get_arrays_and_a_per_step_exception_propagates_as_raised(monkeypatch):
+    class Record(TrajectoryObserver):
+        def __init__(self):
+            self.start, self.steps, self.end = None, [], None
+
+        def at_start(self, x):
+            self.start = x.copy()
+
+        def after_step(self, t, i, j, fired, x):
+            self.steps.append((t, i, j, fired, x.copy()))
+
+        def at_end(self, t, x, social_edges):
+            self.end = (t, x.copy(), social_edges)
+
+    n, last = 6, path_edges(6)
+    x0 = np.random.default_rng(0).random((n, 2))
+    # steps 3..5 have no social edge
+    schedule = PiecewiseGraph(n, ((0, complete_edges(n)), (3, EdgeSet()), (6, last)))
+    record = Record()
+    traj = run_trajectory(OpinionState(0, x0), schedule, UniformMu(0.1, 0.5),
+                          ModelParams(epsilon=0.6, dimension=2), 10,
+                          np.random.default_rng(1), observers=[record], record_stride=1)
+    assert np.array_equal(record.start, x0)
+    assert [step[:4] for step in record.steps] == [
+        (t, i, j, fired) for t, (i, j, fired, _) in enumerate(traj.events.tolist())]
+    assert [step[1:4] for step in record.steps[3:6]] == [(-1, -1, False)] * 3
+    assert any(fired for _, _, _, fired, _ in record.steps)
+    assert all(np.array_equal(x, traj.states[t + 1]) for t, *_, x in record.steps)
+    t, x, edges = record.end
+    assert t == 10 and np.array_equal(x, traj.states[-1]) and edges is last
+
+    # A per-step hook reports nothing: what it raises leaves the run as it
+    # is, even with an earlier failure waiting in the block.
     class FailsAt(TrajectoryObserver):
         def __init__(self, step):
-            self.step = step
+            self.step, self.raised = step, None
 
         def after_step(self, t, *args):
             if t == self.step:
-                raise InvariantViolation("per-step", step=t, slack=-1.0)
+                self.raised = InvariantViolation("per-step", step=t, slack=-1.0)
+                raise self.raised
 
     params = ModelParams(epsilon=1e3, dimension=D_BLOCK)
-    _faulty_update(monkeypatch, {B + 3: "push"})
-    for observers, expected in (
-            ([FailsAt(B + 7), UpdateIdentityObserver(params)], ("realized-rate", B + 3)),
-            ([FailsAt(B + 3), UpdateIdentityObserver(params)], ("per-step", B + 3)),
-            ([UpdateIdentityObserver(params), FailsAt(B + 3)], ("realized-rate", B + 3)),
-            ([UpdateIdentityObserver(params), FailsAt(B + 2)], ("per-step", B + 2))):
+    for failing_first in (True, False):
+        fails = FailsAt(B + 7)
+        observers = [fails, UpdateIdentityObserver(params)]
         _faulty_update(monkeypatch, {B + 3: "push"})
         with pytest.raises(InvariantViolation) as exc:
-            _block_run(observers)
-        assert (exc.value.invariant, exc.value.step) == expected
+            _block_run(observers if failing_first else observers[::-1])
+        assert exc.value is fails.raised
 
 
 def test_the_block_hook_gets_every_fired_step_once_in_order():
@@ -779,7 +808,7 @@ def test_the_block_hook_gets_every_fired_step_once_in_order():
             self.sizes.append(len(steps))
             self.t.extend(steps.t.tolist())
 
-        def at_end(self, t, state, social_edges):
+        def at_end(self, t, x, social_edges):
             self.at_end_after = list(self.sizes)
 
     watch = Blocks()

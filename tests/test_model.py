@@ -103,13 +103,6 @@ def test_state_rejects_nonfinite():
         OpinionState(0, np.array([[np.inf, 0.0]]))
 
 
-def test_state_copy_is_independent():
-    s = OpinionState(0, np.zeros((2, 1)))
-    c = s.copy()
-    c.opinions[0, 0] = 5.0
-    assert s.opinions[0, 0] == 0.0
-
-
 # ---------------------------------------------------------------------------
 # Single step
 # ---------------------------------------------------------------------------
@@ -231,28 +224,28 @@ def test_trajectory_recording_stride():
 def test_trajectory_endpoints_only_recording():
     traj = _run(0, horizon=7, record_stride=None)
     assert traj.times.tolist() == [0, 7]
-    assert np.array_equal(traj.states[-1], traj.final.opinions)
+    assert traj.states.shape == (2, 6, 1)
 
 
 def test_trajectory_zero_horizon():
     traj = _run(0, horizon=0)
     assert traj.steps_run == 0
-    assert np.array_equal(traj.initial.opinions, traj.final.opinions)
+    assert np.array_equal(traj.states[0], traj.states[-1])
 
 
 def test_trajectory_deterministic_replay():
     a = _run(42)
     b = _run(42)
     c = _run(43)
-    assert np.array_equal(a.final.opinions, b.final.opinions)
+    assert np.array_equal(a.states[-1], b.states[-1])
     assert np.array_equal(a.events, b.events)
-    assert not np.array_equal(a.final.opinions, c.final.opinions)
+    assert not np.array_equal(a.states[-1], c.states[-1])
 
 
 def test_recording_does_not_consume_randomness():
     a = _run(7, record_stride=1, record_events=True)
     b = _run(7, record_stride=None, record_events=False)
-    assert np.array_equal(a.final.opinions, b.final.opinions)
+    assert np.array_equal(a.states[-1], b.states[-1])
 
 
 def test_mu_drawn_even_without_edges():
@@ -264,21 +257,21 @@ def test_mu_drawn_even_without_edges():
     assert (traj.events["i"] == -1).all() and (traj.events["j"] == -1).all()
     assert not traj.events["fired"].any()
     assert len(set(traj.events["mu"])) > 1
-    assert np.array_equal(traj.final.opinions, initial.opinions)
+    assert np.array_equal(traj.states[-1], initial.opinions)
 
 
 def test_stop_condition_halts_early():
     seen = []
 
     class Counter(TrajectoryObserver):
-        def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, social_edges):
+        def after_step(self, t, i, j, fired, x):
             seen.append(t)
 
     traj = _run(0, horizon=100, observers=[Counter()],
                 stop_condition=lambda: len(seen) >= 5)
     assert traj.steps_run == 5
     assert traj.stopped_early
-    assert traj.final.time == 5
+    assert traj.times[-1] == 5
 
 
 def test_trajectory_validation():
@@ -301,16 +294,21 @@ def test_trajectory_validation():
 class _PairNeverCrosses(TrajectoryObserver):
     """Checks that with mu <= 1/2 a fired update never swaps the pair's
     one-dimensional order: both agents move toward each other by the same
-    amount, ending at most at their midpoint."""
+    amount, ending at most at their midpoint.  The pre-step rows come from its
+    own copy of the opinions."""
 
     def __init__(self):
         self.fired = 0
+        self._pre = None
 
-    def after_step(self, t, i, j, fired, mu, xi_old, xj_old, x, edges):
+    def before_step(self, t, x, edges):
+        self._pre = x.copy()
+
+    def after_step(self, t, i, j, fired, x):
         if not fired:
             return
         self.fired += 1
-        gap_old = float(xj_old[0] - xi_old[0])
+        gap_old = float(self._pre[j, 0] - self._pre[i, 0])
         gap_new = float(x[j, 0] - x[i, 0])
         assert gap_old * gap_new >= 0.0
         assert abs(gap_new) <= abs(gap_old) + 1e-15
@@ -352,7 +350,7 @@ def test_step_replays_every_recorded_event(norm):
     assert traj.times.tolist() == list(range(151))
     assert (traj.events["i"][40:70] == -1).all()
     assert traj.events["fired"].any()
-    state = traj.initial
+    state = OpinionState(0, traj.states[0])
     for t, (i, j, fired, mu) in enumerate(traj.events.tolist()):
         if i < 0:
             assert j < 0 and not fired
@@ -361,7 +359,7 @@ def test_step_replays_every_recorded_event(norm):
             state, replay_fired = step(state, (i, j), mu, params)
             assert replay_fired == fired
         assert np.array_equal(state.opinions, traj.states[t + 1])
-    assert np.array_equal(state.opinions, traj.final.opinions)
+    assert np.array_equal(state.opinions, traj.states[-1])
 
 
 def test_events_csv_row_of_a_step_without_edges(tmp_path):

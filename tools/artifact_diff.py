@@ -14,12 +14,13 @@ then run, with their own ``src`` on the path:
   the reference configs, which between them reach every branch of the bound's
   geometry: an interval, a one-dimensional box, boxes of d = 2 and 3, a ball
   and a point cloud;
-* ``verify --suite all`` at seeds 0 and 7, whose stdout is its artifact.
+* ``verify --suite all`` at seeds 0 and 7, whose stdout is its artifact;
+* the demos ``demos/01_*.py`` to ``demos/05_*.py``, whose stdout is theirs.
 
 One line per artifact reads ``same`` or ``DIFF``; under a JSON artifact that
 differs, each differing key is printed with the parent's and the change's
-value, and under a ``verify`` stdout each differing line.  The exit status
-is 1 if any artifact differs, else 0.
+value, and under a ``verify`` or demo stdout each differing line.  The exit
+status is 1 if any artifact differs, else 0.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ CONFIGS = {
         "space": {"kind": "cloud",
                   "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.7], [0.2, 0.3]]}},
 }
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("0[1-5]_*.py"))
 ESTIMATED = ("complete-box2-two-deltas", "erdos-renyi-p0.3",
              "cyclic-empty-member-sequence-mu", "linf-d3-stride13", "box1", "ball2",
              "cloud2")
@@ -104,13 +106,17 @@ def runs(configs: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
+def python(root: Path, args: list[str]) -> subprocess.CompletedProcess:
+    """Run Python in ``root`` with its own ``src`` on the path."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, *args], cwd=root, env=env,
+                          capture_output=True, timeout=600)
+
+
 def run(root: Path, args: list[str], out_dir: Path) -> dict[str, bytes]:
     """Run deffuant from ``root``; its output files, and for ``verify`` its stdout."""
     out_dir.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-m", "deffuant.cli", *args,
-                           "--out-dir", str(out_dir)],
-                          cwd=root, env=env, capture_output=True, timeout=600)
+    proc = python(root, ["-m", "deffuant.cli", *args, "--out-dir", str(out_dir)])
     artifacts = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
     artifacts["exit status"] = str(proc.returncode).encode()
     if args[0] == "verify":
@@ -165,6 +171,12 @@ def main(argv=None) -> int:
             change = run(ROOT, deffuant_args, tmp / f"{n}-change")
             for name in sorted(set(parent) | set(change)):
                 all_same &= compare(name, parent.get(name), change.get(name))
+        for demo in DEMOS:
+            print(f"demo {demo}")
+            parent, change = (python(root, [f"demos/{demo}"]) for root in (parent_root, ROOT))
+            all_same &= compare("stdout", parent.stdout, change.stdout)
+            all_same &= compare("exit status", str(parent.returncode).encode(),
+                                str(change.returncode).encode())
     return 0 if all_same else 1
 
 
