@@ -342,12 +342,19 @@ def _resolve_out_dir(arg: Optional[str]) -> Path:
     return path
 
 
+# CSV text of a value by its exact type: floats by repr, bools as 0 or 1,
+# None as an empty field; other types (numpy scalars) go through ``_fmt``.
+_CSV_TEXT = {float: float.__repr__, int: int.__repr__, str: str,
+             bool: lambda v: "1" if v else "0", type(None): lambda v: ""}
+
+
 def _fmt(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
+    text = _CSV_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    if isinstance(value, np.bool_):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, np.floating):
         return repr(float(value))
     return str(value)
 
@@ -355,8 +362,7 @@ def _fmt(value: Any) -> str:
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:

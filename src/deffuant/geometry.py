@@ -10,6 +10,7 @@ the Gram system of the support).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -352,15 +353,19 @@ def expected_center_distance(
     elif isinstance(space, BallSpace) and space.dimension == 1:
         interval = (space.center[0] - space.radius, space.center[0] + space.radius)
     if interval is not None:
-        a, b = interval
-        c0 = c[0]
+        # Past about 2^500 the squares below overflow, so such an interval is
+        # measured scaled by a power of two, which is exact, and scaled back;
+        # below it every number keeps its bits.
+        big = max(abs(v) for v in (*interval, c[0]))
+        k = math.frexp(big)[1] if big > 2.0 ** 500 else 0
+        a, b, c0 = (math.ldexp(float(v), -k) for v in (*interval, c[0]))
         if c0 <= a:
             mean = (a + b) / 2.0 - c0
         elif c0 >= b:
             mean = c0 - (a + b) / 2.0
         else:
             mean = ((c0 - a) ** 2 + (b - c0) ** 2) / (2.0 * (b - a))
-        return float(mean), 0.0
+        return math.ldexp(mean, k), 0.0
 
     if rng is None:
         raise ConfigurationError("Monte Carlo estimate needs an rng")

@@ -53,8 +53,12 @@ class EdgeSet:
         return map(tuple, self.array.tolist())
 
     def __contains__(self, edge: tuple[int, int]) -> bool:
+        """Binary search of the lex-sorted rows, O(log m)."""
         i, j = sorted(edge)
-        return bool(np.any((self.array[:, 0] == i) & (self.array[:, 1] == j)))
+        arr = self.array
+        lo, hi = arr[:, 0].searchsorted((i, i + 1))
+        k = lo + arr[lo:hi, 1].searchsorted(j)
+        return bool(k < hi and arr[k, 1] == j)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EdgeSet) and np.array_equal(self.array, other.array)
@@ -109,24 +113,36 @@ def profile(x: np.ndarray, pairs: np.ndarray,
 
 
 def connected_components(pairs: np.ndarray, n: int) -> list[list[int]]:
-    """Partition of [0, n) by the (m, 2) edge array (union-find); singletons included."""
+    """Partition of [0, n) by the (m, 2) edge array, each part sorted and the
+    parts in order of their least vertex; singletons included.
+
+    Min-label propagation with pointer jumping: every vertex starts labelled
+    by itself and takes the least label across its edges, then each label is
+    replaced by its own label until they stop changing.  A label is always a
+    vertex of the same component no larger than the vertex, so labels only
+    fall; once every edge joins equal labels, each component carries its
+    least vertex.
+    """
     _check_edges_range(pairs, n)
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in pairs.tolist():
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
+    if n == 0:
+        return []
+    label = np.arange(n)
+    a, b = pairs[:, 0], pairs[:, 1]
+    while True:
+        la, lb = label.take(a), label.take(b)
+        if np.array_equal(la, lb):
+            break
+        np.minimum.at(label, a, lb)
+        np.minimum.at(label, b, la)
+        while True:
+            jumped = label.take(label)
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    order = np.argsort(label, kind="stable")
+    cuts = (np.flatnonzero(np.diff(label.take(order))) + 1).tolist()
+    vertices = order.tolist()
+    return [vertices[s:e] for s, e in zip([0] + cuts, cuts + [n])]
 
 
 def is_connected(pairs: np.ndarray, n: int) -> bool:

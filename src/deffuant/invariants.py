@@ -380,6 +380,25 @@ def _long_edges(x: np.ndarray, pairs: np.ndarray, delta: float,
     return (dist <= params.epsilon) & (dist > delta)
 
 
+def _first_long_edge(x: np.ndarray, pairs: np.ndarray, delta: float,
+                     params: ModelParams) -> Optional[int]:
+    """Index of the first row of ``pairs`` that ``_long_edges`` flags, or None
+    when the state is delta-short over them.
+
+    The rows are measured in chunks that partition them, 64 rows and then
+    four times the chunk before, and the search stops at the chunk holding
+    the first flagged row: a state that is not short usually shows it in the
+    first chunk, and a short one costs one pass over all the rows.
+    """
+    start, size = 0, 64
+    while start < len(pairs):
+        long = _long_edges(x, pairs[start:start + size], delta, params)
+        if long.any():
+            return start + int(long.argmax())
+        start, size = start + size, 4 * size
+    return None
+
+
 def _incidence(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertex -> edge index of an (m, 2) edge array: the rows at vertex v are
     ``rows[starts[v]:starts[v + 1]]``."""
@@ -396,11 +415,21 @@ class StoppingTimeTracker(TrajectoryObserver):
     social edges, and once more on the final state; ``time`` stays None if
     the run ends before the condition holds.
 
-    The tracker keeps one flag per edge of the last E(t) it measured (in
-    range but longer than delta); the condition holds when none is set.  A
-    fired step moves only its two agents, so while E(t) stays the same object
-    the next check measures again only the edges at the agents that moved.
-    Any other E(t) is measured in full.  Once ``time`` is set it does nothing.
+    Until it holds, one edge of E(t) in range but longer than delta, the
+    witness, proves that it fails.  The witness stands while neither of its
+    agents has moved since it was measured and E(t) holds it (the same
+    EdgeSet, or a binary search of another); such a check measures nothing.
+    When the witness falls:
+
+    - on an unchanged E(t), the tracker keeps one flag per edge (in range
+      but longer than delta), measured in full at the first such loss and
+      then only at the edges of the agents moved since the last measurement;
+      any flagged edge is the next witness, and the condition holds when
+      none is set;
+    - on any other E(t), its rows are searched in chunks up to the first
+      long edge (``_first_long_edge``), which becomes the witness.
+
+    Once ``time`` is set it does nothing.
     """
 
     def __init__(self, delta: float, params: ModelParams):
@@ -409,29 +438,43 @@ class StoppingTimeTracker(TrajectoryObserver):
         self.delta = float(delta)
         self.params = params
         self.time: Optional[int] = None
-        self._edges: Optional[EdgeSet] = None   # the E(t) the flags describe
-        self._long = np.zeros(0, dtype=bool)
+        self._edges: Optional[EdgeSet] = None   # the E(t) of the last check
+        self._witness: Optional[tuple[int, int]] = None
+        self._long: Optional[np.ndarray] = None  # flags of the rows of _edges
         self._incident: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._moved: set[int] = set()           # agents moved since the last check
+        self._moved: set[int] = set()           # agents moved since the flags were measured
 
     def at_start(self, x):
-        self._edges = None
+        self._edges, self._witness, self._long = None, None, None
         self._moved.clear()
 
     def _holds(self, x: np.ndarray, social_edges: EdgeSet) -> bool:
         pairs = social_edges.array
         if social_edges is not self._edges:
-            self._edges, self._incident = social_edges, None
-            self._long = _long_edges(x, pairs, self.delta, self.params)
-        elif self._moved:
-            if self._incident is None:
-                self._incident = _incidence(pairs, len(x))
-            rows, starts = self._incident
-            moved = np.concatenate([rows[starts[v]:starts[v + 1]] for v in self._moved])
-            self._long[moved] = _long_edges(x, pairs.take(moved, axis=0), self.delta,
-                                            self.params)
-        self._moved.clear()
-        return not self._long.any()
+            self._edges, self._long, self._incident = social_edges, None, None
+            self._moved.clear()
+            if self._witness is not None and self._witness in social_edges:
+                return False
+            k = _first_long_edge(x, pairs, self.delta, self.params)
+        elif self._witness is not None:
+            return False
+        else:
+            if self._long is None:
+                self._long = _long_edges(x, pairs, self.delta, self.params)
+            elif self._moved:
+                if self._incident is None:
+                    self._incident = _incidence(pairs, len(x))
+                rows, starts = self._incident
+                moved = np.concatenate([rows[starts[v]:starts[v + 1]] for v in self._moved])
+                # each row once; the stable argsort is the one _incidence runs
+                moved = moved.take(np.argsort(moved, kind="stable"))
+                moved = moved[np.concatenate(([True], moved[1:] != moved[:-1]))]
+                self._long[moved] = _long_edges(x, pairs.take(moved, axis=0), self.delta,
+                                                self.params)
+            self._moved.clear()
+            k = int(self._long.argmax()) if self._long.any() else None
+        self._witness = None if k is None else tuple(pairs[k].tolist())
+        return k is None
 
     def before_step(self, t, x, social_edges):
         if self.time is None and self._holds(x, social_edges):
@@ -439,7 +482,10 @@ class StoppingTimeTracker(TrajectoryObserver):
 
     def after_step(self, t, i, j, fired, x):
         if fired and self.time is None:
-            self._moved.update((i, j))
+            if self._long is not None:
+                self._moved.update((i, j))
+            if self._witness is not None and (i in self._witness or j in self._witness):
+                self._witness = None
 
     def at_end(self, t, x, social_edges):
         if self.time is None and self._holds(x, social_edges):
@@ -515,8 +561,9 @@ def settle_time(
     Each recorded (n, d) state is paired with the social edges active at its
     own step in ``times``.  Only the delta-short suffix of the states can
     hold T_delta, so it is found first, scanning back from the last state to
-    the first state that is not short; connectivity is then tested forward
-    through that suffix alone.  Certification is only as strong as the
+    the first state that is not short (each searched up to its first long
+    edge, ``_first_long_edge``); connectivity is then tested forward through
+    that suffix alone.  Certification is only as strong as the
     horizon and the recording stride.
     """
     if not (delta > 0):
@@ -525,7 +572,7 @@ def settle_time(
     start = len(times)
     while start > 0:
         t, x = times[start - 1], states[start - 1]
-        if _long_edges(x, schedule.edges_at(t).array, delta, params).any():
+        if _first_long_edge(x, schedule.edges_at(t).array, delta, params) is not None:
             break
         start -= 1
     for t, x in zip(times[start:], states[start:]):

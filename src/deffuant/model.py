@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
-from .norms import lengths, validate_norm
+from .norms import scalar_length, validate_norm
 
 if TYPE_CHECKING:
     from .graphs import EdgeSet, GraphSchedule
@@ -165,8 +165,8 @@ def select_pair(edges: "EdgeSet", rng: np.random.Generator) -> Optional[tuple[in
     m = arr.shape[0]
     if m == 0:
         return None
-    k = rng.integers(0, m)
-    return int(arr[k, 0]), int(arr[k, 1])
+    i, j = arr[rng.integers(0, m)].tolist()
+    return i, j
 
 
 def seed_streams(seed: int, *spawn_key: int):
@@ -198,13 +198,17 @@ def _update(x: np.ndarray, i: int, j: int, mu: float, params: ModelParams) -> bo
     mu is used as given: the audit observers, not this rule, catch a rate
     outside [0, 1/2].
     """
-    diff = x[j] - x[i]
-    fired = bool(lengths(diff, params.norm) <= params.epsilon)
-    if fired:
-        upd = mu * diff
-        x[i] += upd
-        x[j] -= upd
-    return fired
+    # on Python floats, with the bits of the numpy forms: each operation
+    # rounds once either way
+    xi, xj = x[i].tolist(), x[j].tolist()
+    diff = [b - a for a, b in zip(xi, xj)]
+    if not scalar_length(diff, params.norm) <= params.epsilon:
+        return False
+    for k, gap in enumerate(diff):
+        upd = mu * gap
+        x[i, k] = xi[k] + upd
+        x[j, k] = xj[k] - upd
+    return True
 
 
 def step(

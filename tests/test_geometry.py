@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -285,6 +288,22 @@ def test_expected_distance_of_a_one_dimensional_box_is_the_interval_closed_form(
     assert expected_center_distance(Box([a], [b]), center) == (exact, 0.0)
     for norm in NORMS:   # every norm is |x| on a line
         assert expected_center_distance(Box([a], [b]), center, norm) == (exact, 0.0)
+
+
+def test_expected_distance_of_a_wide_interval_is_finite_and_warns_of_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, se = expected_center_distance(Interval(0.0, 1e200), np.array([5e199]), "l1")
+    assert est == pytest.approx(2.5e199, rel=1e-15) and se == 0.0
+
+
+@pytest.mark.parametrize("k", [0, 400, 499, 500, 501, 600, 900])
+@pytest.mark.parametrize("a, b, c", [(-1.0, 2.5, 0.4), (0.0, 1.0, -0.5), (0.0, 1.0, 2.0)])
+def test_expected_distance_scales_exactly_with_a_power_of_two(k, a, b, c):
+    # scaling a, b and c by 2^k is exact, on either side of the rescaling
+    est, _ = expected_center_distance(Interval(math.ldexp(a, k), math.ldexp(b, k)),
+                                      np.array([math.ldexp(c, k)]))
+    assert est == math.ldexp(expected_center_distance(Interval(a, b), np.array([c]))[0], k)
 
 
 def test_expected_distance_1d_ball_closed_form():

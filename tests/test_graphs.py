@@ -26,7 +26,7 @@ from deffuant import (
     profile,
     step,
 )
-from oracles import loop_length
+from oracles import loop_length, union_find_components
 
 
 def _opinion_graph(x, params):
@@ -205,6 +205,29 @@ def test_connected_components_matches_networkx(case):
     pairs = np.array(edges or np.empty((0, 2)), dtype=np.intp)
     assert connected_components(pairs, n) == expected
     assert is_connected(pairs, n) == nx.is_connected(g)
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.integers(0, max(n - 1, 0))),
+                         max_size=0 if n == 0 else 80))))
+def test_connected_components_match_union_find(case):
+    # the empty graph, n = 0 and n = 1, singletons, self-loops, repeated edges
+    n, edges = case
+    pairs = np.array(edges or np.empty((0, 2)), dtype=np.intp)
+    assert connected_components(pairs, n) == union_find_components(edges, n)
+
+
+def test_connected_components_of_long_paths_and_stars():
+    # labels travel the length of a path, and a star joins through its hub
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 100, 1000):
+        order = rng.permutation(n)
+        path = np.column_stack((order[:-1], order[1:]))
+        assert connected_components(path, n) == [list(range(n))]
+        star = np.column_stack((np.full(n - 1, order[0]), order[1:]))
+        assert connected_components(star[rng.permutation(n - 1)], n) == [list(range(n))]
+    assert connected_components(np.empty((0, 2), dtype=np.intp), 0) == []
 
 
 def test_is_connected():

@@ -487,28 +487,107 @@ def test_tracker_matches_a_full_rescan(kind, norm, d, n, seed, data):
     assert tracker.time == reference.time
 
 
-def test_tracker_measures_only_the_edges_at_moved_agents(monkeypatch):
+def _count_measured(monkeypatch) -> list[int]:
+    """The number of rows of each ``pair_lengths`` call the stopping times make."""
     measured = []
     real = invariants.pair_lengths
     monkeypatch.setattr(invariants, "pair_lengths",
                         lambda x, pairs, norm: measured.append(len(pairs)) or real(x, pairs, norm))
+    return measured
+
+
+def _merge(x, tracker, t, i, j):
+    """Fire a rate-1/2 update on agents i and j and tell the tracker."""
+    x[[i, j]] = (x[i] + x[j]) / 2.0
+    tracker.after_step(t, i, j, True, x)
+
+
+def test_tracker_measures_nothing_while_the_witness_stands(monkeypatch):
+    measured = _count_measured(monkeypatch)
     n = 30
     params = ModelParams(epsilon=0.5, dimension=2)
+    x = np.random.default_rng(0).random((n, 2))
+    edges = complete_edges(n)
     tracker = StoppingTimeTracker(1e-9, params)
-    traj = run_trajectory(OpinionState(0, np.random.default_rng(0).random((n, 2))),
-                          ConstantGraph(n, complete_edges(n)), ConstantMu(0.5), params, 200,
-                          np.random.default_rng(1), observers=[tracker])
-    assert tracker.time is None
-    # E(0) in full, then one re-measurement after each fired step: the n - 1
-    # rows at each of its two agents (the pair's own row twice)
-    assert measured == [n * (n - 1) // 2] + [2 * (n - 1)] * int(traj.events["fired"].sum())
+    tracker.at_start(x)
+    tracker.before_step(0, x, edges)
+    assert measured == [64]   # the first chunk of E(0) holds a long edge
+    a, b = witness = tracker._witness
+    others = [v for v in range(n) if v not in witness]
+    for t, (i, j) in enumerate(zip(others[0::2], others[1::2]), start=1):
+        _merge(x, tracker, t - 1, i, j)
+        # the same E(t), and another EdgeSet that holds the witness
+        tracker.before_step(t, x, edges if t % 2 else complete_edges(n))
+    assert measured == [64] and tracker._witness == witness and tracker.time is None
+    _merge(x, tracker, n, a, others[0])   # the witness falls
+    tracker.before_step(n + 1, x, edges)
+    assert len(measured) > 1
+
+
+def test_tracker_measures_only_the_edges_at_moved_agents(monkeypatch):
+    # after the first loss of the witness on an unchanged E(t), which measures
+    # its flags in full, each loss measures the rows at the agents moved since
+    # the last measurement, each row once, and nothing in between
+    measured = _count_measured(monkeypatch)
+    n = 40
+    params = ModelParams(epsilon=0.5, dimension=2)
+    rng = np.random.default_rng(1)
+    for kind in ("complete", "path", "erdos-renyi"):
+        x = rng.random((n, 2))
+        edges = _schedule(kind, n, seed=2).edges_at(0)
+        pairs = edges.array
+        tracker = StoppingTimeTracker(1e-9, params)
+        tracker.at_start(x)
+        tracker.before_step(0, x, edges)
+        t = 1
+        for loss in range(12):
+            witness = tracker._witness
+            moved = {witness[0]}
+            for i, j in rng.choice([v for v in range(n) if v not in witness],
+                                   size=(rng.integers(0, 4), 2), replace=False).tolist():
+                _merge(x, tracker, t, i, j)
+                moved |= {i, j}
+                before = len(measured)
+                tracker.before_step(t, x, edges)
+                assert len(measured) == before and tracker._witness == witness
+                t += 1
+            partner = next(v for v in range(n) if v not in moved and v not in witness)
+            _merge(x, tracker, t, witness[0], partner)
+            moved.add(partner)
+            before = len(measured)
+            tracker.before_step(t, x, edges)
+            at_moved = int(np.isin(pairs, list(moved)).any(axis=1).sum())
+            assert measured[before:] == ([len(pairs)] if loss == 0 else [at_moved]), kind
+            assert tracker.time is None
+            t += 1
+
+
+@pytest.mark.parametrize("row", [0, 63, 64, 319, 320, 998, None])
+def test_a_new_edge_set_is_searched_in_partitioning_chunks(monkeypatch, row):
+    # only path edge ``row`` is long: chunks of 64, 256 and the last 679 of
+    # the 999 rows are measured up to the one that holds it
+    measured = _count_measured(monkeypatch)
+    n = 1000
+    params = ModelParams(epsilon=0.5)
+    x = np.zeros((n, 1))
+    if row is not None:
+        x[row + 1:] = 0.1
+    schedule = ConstantGraph(n, path_edges(n))
+    chunks = [64, 256, 679]
+    expected = chunks if row is None else chunks[:1 + (row >= 64) + (row >= 320)]
+    tracker = StoppingTimeTracker(0.05, params)
+    tracker.at_start(x)
+    tracker.before_step(0, x, schedule.edges_at(0))
+    assert measured == expected
+    assert tracker._witness == (None if row is None else (row, row + 1))
+    assert tracker.time == (0 if row is None else None)
+    del measured[:]
+    assert settle_time([0], [x], schedule, 0.05, params) == (None if row is not None else 0)
+    assert measured == expected
 
 
 def test_tracker_records_nothing_once_time_is_set(monkeypatch):
-    measured = []
-    real = invariants.pair_lengths
-    monkeypatch.setattr(invariants, "pair_lengths",
-                        lambda x, pairs, norm: measured.append(len(pairs)) or real(x, pairs, norm))
+    measured = _count_measured(monkeypatch)
     n = 20
     params = ModelParams(epsilon=0.5, dimension=2)
     tracker = StoppingTimeTracker(0.3, params)   # holds once the first cluster forms
@@ -516,15 +595,15 @@ def test_tracker_records_nothing_once_time_is_set(monkeypatch):
 
     class Watch(TrajectoryObserver):
         def after_step(self, t, *args):
-            seen.append((tracker.time, len(tracker._moved)))
+            seen.append((tracker.time, len(tracker._moved), len(measured)))
 
     run_trajectory(OpinionState(0, np.random.default_rng(2).random((n, 2))),
                    ConstantGraph(n, complete_edges(n)), ConstantMu(0.5), params, 400,
                    np.random.default_rng(3), observers=[tracker, Watch()])
     assert 0 < tracker.time < 400
-    assert all(moved <= 2 for _, moved in seen)
-    assert all(moved == 0 for time, moved in seen if time is not None)
-    assert len(measured) <= 1 + tracker.time
+    after = [(moved, count) for time, moved, count in seen if time is not None]
+    assert all(moved == 0 for moved, _ in after)
+    assert {count for _, count in after} == {len(measured)}
 
 
 def _settle_time_full_scan(times, states, schedule, delta, params):

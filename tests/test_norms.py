@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from deffuant import ConfigurationError
-from deffuant.norms import NORMS, cross_distances, lengths
+from deffuant.norms import NORMS, cross_distances, lengths, scalar_length
 from oracles import loop_length
 
 ORD = {"euclidean": 2, "l1": 1, "linf": np.inf}
@@ -41,6 +43,31 @@ def test_cross_distances_matches_pairwise_loop():
 def test_unknown_norm_rejected():
     with pytest.raises(ConfigurationError):
         lengths(np.ones(2), "l2")
+    with pytest.raises(ConfigurationError):
+        scalar_length([1.0, 1.0], "l2")
+
+
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(
+    st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d), min_size=1, max_size=4)),
+       st.sampled_from(NORMS))
+def test_the_scalar_length_has_the_bits_of_lengths(rows, norm):
+    # each row alone and in a stack, and tested against epsilon on its length
+    # and one ulp either side of it
+    stacked = lengths(np.array(rows), norm).tolist()
+    for row, in_stack in zip(rows, stacked):
+        length = scalar_length(row, norm)
+        assert type(length) is float
+        assert length == in_stack == float(lengths(np.array(row), norm))
+        assert np.signbit(length) == np.signbit(in_stack)
+        for eps in (np.nextafter(length, 0.0), length, np.nextafter(length, np.inf)):
+            assert (length <= eps) == bool(lengths(np.array(row), norm) <= eps)
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_the_scalar_length_keeps_infinities_and_nans_as_lengths_does(norm):
+    for row in ([np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0], [1.0, np.nan], [0.0, -0.0]):
+        got, expected = scalar_length(row, norm), float(lengths(np.array(row), norm))
+        assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
 @pytest.mark.parametrize("norm", NORMS)
