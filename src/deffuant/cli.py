@@ -149,13 +149,13 @@ def _build_space(data: dict, dimension: int) -> OpinionSpace:
     kind = data.get("kind")
     if kind == "interval":
         _reject_unknown(data, {"kind", "a", "b"}, "space")
-        space = Interval(float(data.get("a", 0.0)), float(data.get("b", 1.0)))
+        space = Interval(_real(data.get("a", 0.0), "a"), _real(data.get("b", 1.0), "b"))
     elif kind == "box":
         _reject_unknown(data, {"kind", "lower", "upper"}, "space")
         space = Box(data["lower"], data["upper"])
     elif kind == "ball":
         _reject_unknown(data, {"kind", "center", "radius", "norm"}, "space")
-        space = BallSpace(data["center"], float(data["radius"]),
+        space = BallSpace(data["center"], _real(data["radius"], "radius"),
                           data.get("norm", "euclidean"))
     elif kind == "cloud":
         _reject_unknown(data, {"kind", "points"}, "space")
@@ -178,7 +178,9 @@ def _edges_from_json(pairs: Any) -> EdgeSet:
     return EdgeSet(tuple(pair) for pair in pairs)
 
 
-def _piecewise_from_mapping(mapping: dict, n: int) -> PiecewiseGraph:
+def _piecewise_from_mapping(mapping: Any, n: int) -> PiecewiseGraph:
+    if not isinstance(mapping, dict):
+        raise ConfigurationError("a piecewise graph must map steps to edge lists")
     entries = sorted((int(step), pairs) for step, pairs in mapping.items())
     return PiecewiseGraph(n, tuple((step, _edges_from_json(pairs))
                                    for step, pairs in entries))
@@ -197,7 +199,7 @@ def _build_graph(data: dict, n: int) -> GraphSchedule:
         return ConstantGraph(n, _edges_from_json(data["pairs"]))
     if kind == "erdos_renyi":
         _reject_unknown(data, {"kind", "p"}, "graph")
-        return ErdosRenyiGraph(n, float(data["p"]))
+        return ErdosRenyiGraph(n, _real(data["p"], "p"))
     if kind == "cyclic":
         _reject_unknown(data, {"kind", "members"}, "graph")
         members = tuple(_edges_from_json(pairs) for pairs in data["members"])
@@ -208,10 +210,7 @@ def _build_graph(data: dict, n: int) -> GraphSchedule:
     if kind == "from_file":
         _reject_unknown(data, {"kind", "path"}, "graph")
         with open(data["path"]) as fh:
-            mapping = json.load(fh)
-        if not isinstance(mapping, dict):
-            raise ConfigurationError("graph file must map steps to edge lists")
-        return _piecewise_from_mapping(mapping, n)
+            return _piecewise_from_mapping(json.load(fh), n)
     raise ConfigurationError(f"unknown graph kind {kind!r}")
 
 
@@ -219,13 +218,13 @@ def _build_mu(data: dict) -> MuSchedule:
     kind = data.get("kind")
     if kind == "constant":
         _reject_unknown(data, {"kind", "value"}, "mu")
-        return ConstantMu(float(data["value"]))
+        return ConstantMu(_real(data["value"], "mu value"))
     if kind == "uniform":
         _reject_unknown(data, {"kind", "low", "high"}, "mu")
-        return UniformMu(float(data["low"]), float(data["high"]))
+        return UniformMu(_real(data["low"], "low"), _real(data["high"], "high"))
     if kind == "sequence":
         _reject_unknown(data, {"kind", "values"}, "mu")
-        return SequenceMu(tuple(float(v) for v in data["values"]))
+        return SequenceMu(tuple(_real(v, "mu value") for v in data["values"]))
     raise ConfigurationError(f"unknown mu kind {kind!r}")
 
 
@@ -258,7 +257,7 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> Experimen
         raw["horizon"] = overrides.horizon
     try:
         return _build_config(raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(
             f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)) from None
 
@@ -276,10 +275,18 @@ def _count(raw: dict[str, Any], key: str) -> int:
     return value
 
 
+def _real(value: Any, what: str) -> float:
+    """A JSON number as a float; a bool or a string is rejected rather than
+    read as 1.0 or parsed."""
+    if type(value) not in (int, float):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
     n = _count(raw, "n")
     dimension = _count(raw, "dimension")
-    params = ModelParams(epsilon=float(raw["epsilon"]), dimension=dimension,
+    params = ModelParams(epsilon=_real(raw["epsilon"], "epsilon"), dimension=dimension,
                          norm=str(raw["norm"]))
     for key in ("space", "graph", "mu"):
         if not isinstance(raw[key], dict):
@@ -290,14 +297,18 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
             f"space is a ball in norm {space.norm!r}, the model measures in {params.norm!r}")
     graph = _build_graph(raw["graph"], n)
     mu = _build_mu(raw["mu"])
-    deltas = [float(d) for d in (raw["deltas"] or [])]
+    deltas = [_real(d, "delta") for d in (raw["deltas"] or [])]
     if any(d <= 0 for d in deltas):
         raise ConfigurationError(f"deltas must be > 0, got {deltas}")
     horizon = _count(raw, "horizon")
     stride = (max(1, horizon // 1000) if raw["record_stride"] is None
               else _count(raw, "record_stride"))
     check_every = _count(raw, "check_every")
-    consensus_tol = float(raw["consensus_tol"])
+    consensus_tol = _real(raw["consensus_tol"], "consensus_tol")
+    c_samples, most = _count(raw, "c_samples"), ContractionObserver.max_points(dimension)
+    if c_samples > most:
+        raise ConfigurationError(
+            f"c_samples must be at most {most} in dimension {dimension}, got {c_samples}")
     if not (consensus_tol > 0):
         raise ConfigurationError(f"consensus_tol must be > 0, got {consensus_tol}")
     initial = None
@@ -326,7 +337,7 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
     return ExperimentConfig(
         n=n, params=params, space=space, graph=graph, mu=mu,
         horizon=horizon, consensus_tol=consensus_tol,
-        deltas=deltas, record_stride=stride, c_samples=_count(raw, "c_samples"),
+        deltas=deltas, record_stride=stride, c_samples=c_samples,
         check_every=check_every, initial=initial, raw=raw,
     )
 

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import ModelParams
+from .model import WORDS_PER_STEP, ModelParams
 from .norms import lengths
 
 
@@ -87,6 +87,69 @@ def complete_edges(n: int) -> EdgeSet:
 def path_edges(n: int) -> EdgeSet:
     """Path 0-1-...-(n-1)."""
     return EdgeSet((i, i + 1) for i in range(n - 1))
+
+
+def lex_index(i: int, j: int, n: int) -> int:
+    """Row of the pair i < j in ``complete_edges(n)``."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
+
+
+# ---------------------------------------------------------------------------
+# Drawing an edge
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+# A step's words: one for its rate, then the candidates, then one for the
+# index that follows their misses.
+_CANDIDATES = WORDS_PER_STEP - 2
+
+
+def _lemire(m: int, r: int) -> Optional[int]:
+    """floor(r m / 2^64) for a 64-bit word r, or None where Lemire's method
+    redraws r: when the low 64 bits of r m fall below 2^64 mod m, which
+    happens with probability below m / 2^64.  What it returns is then exactly
+    uniform on [0, m) (Lemire, "Fast random integer generation in an
+    interval", ACM TOMACS 2019)."""
+    prod = r * m
+    low = prod & _MASK64
+    if low < m and low < (1 << 64) % m:
+        return None
+    return prod >> 64
+
+
+def uniform_index(m: int, words: Iterator[int]) -> int:
+    """An index exactly uniform on [0, m), m >= 1, from the first of
+    ``words`` that Lemire's method keeps."""
+    while (k := _lemire(m, next(words))) is None:
+        pass
+    return k
+
+
+def select_pair(edges: EdgeSet, words: Iterator[int]) -> Optional[tuple[int, int]]:
+    """One edge of ``edges``, uniform, read from ``words`` (a step's pick
+    words, ``model.Draws``); None when the edge set is empty.
+
+    The index into the rows is ``uniform_index``.  An Erdos-Renyi E(t) is
+    not built first: each of up to _CANDIDATES words names a candidate
+    among all m pairs (``_lemire``; a word it would redraw is a miss), and
+    the first candidate in E(t) is the edge.  Given
+    E(t) it is uniform on E(t), since membership is a hash that does not
+    depend on the words.  After as many misses the rows of E(t) are hashed
+    in one pass and indexed like any other, so an empty E(t) gives None.
+    """
+    if isinstance(edges, ErdosRenyiEdges):
+        graph, t = edges.graph, edges.t
+        m = graph.m
+        for _ in range(_CANDIDATES if m else 0):
+            e = _lemire(m, next(words))
+            if e is not None and graph.holds(t, e):
+                i, j = _all_pairs_array(graph.n)[e].tolist()
+                return i, j
+    rows = edges.array
+    if len(rows) == 0:
+        return None
+    i, j = rows[uniform_index(len(rows), words)].tolist()
+    return i, j
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +275,24 @@ class CyclicGraph(GraphSchedule):
         return any(is_connected(m.array, self.n) for m in self.members)
 
 
+# SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): the increment, 2^64 over the golden ratio, and the
+# two multipliers of the finaliser.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
 class ErdosRenyiGraph(GraphSchedule):
     """Fresh G(n, p) sample each step, addressable by (seed, t) for replay.
 
-    Step t belongs to block t // 256; each block's masks come from one
-    counter-mode generator keyed by (seed, block), so edges_at is a pure
-    function of (seed, t) with random access, while sequential sweeps pay
-    one generator construction per block.
+    Pair e, its row among the m = n(n-1)/2 pairs of ``complete_edges(n)``,
+    is in E(t) when the SplitMix64 finaliser of seed + (t m + e + 1) gamma
+    (mod 2^64), shifted right by 11 bits, is below p 2^53: each pair is in
+    with probability p, independently of every other (pair, step).  One
+    pair is tested on Python ints (``holds``), many in one numpy pass
+    (``members``); both give the same bits.  ``edges_at`` returns an
+    ``ErdosRenyiEdges``, which hashes its rows only when they are asked for.
     """
-
-    _BLOCK = 256
 
     def __init__(self, n: int, p: float, seed: int = 0):
         if n < 1:
@@ -231,19 +302,29 @@ class ErdosRenyiGraph(GraphSchedule):
         self.n = n
         self.p = float(p)
         self.seed = int(seed)
-        self._block_index: Optional[int] = None
-        self._block_masks: Optional[np.ndarray] = None
+        self.m = n * (n - 1) // 2
+        self._p53 = self.p * 2.0**53   # exact: a power-of-two scaling
+
+    def holds(self, t: int, e: int) -> bool:
+        """Whether pair e is in E(t)."""
+        z = (self.seed + (t * self.m + e + 1) * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) < self._p53
+
+    def members(self, t: int, rows: np.ndarray) -> np.ndarray:
+        """Flags of the pairs ``rows`` (an integer array of pair rows) in E(t)."""
+        z = rows.astype(np.uint64) * np.uint64(_GAMMA)
+        z += np.uint64((self.seed + (t * self.m + 1) * _GAMMA) & _MASK64)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)) < self._p53
 
     def edges_at(self, t):
-        block, offset = divmod(t, self._BLOCK)
-        pairs = _all_pairs_array(self.n)
-        if block != self._block_index:
-            rng = np.random.Generator(
-                np.random.Philox(key=self.seed, counter=[0, 0, 0, block]))
-            self._block_masks = rng.random((self._BLOCK, len(pairs))) < self.p
-            self._block_index = block
-        return EdgeSet._from_sorted_array(
-            pairs.take(np.flatnonzero(self._block_masks[offset]), axis=0))
+        return ErdosRenyiEdges(self, t)
 
     @property
     def connected_infinitely_often(self):
@@ -263,11 +344,24 @@ class ErdosRenyiGraph(GraphSchedule):
     def __repr__(self):
         return f"ErdosRenyiGraph(n={self.n}, p={self.p}, seed={self.seed})"
 
-    def __getstate__(self):
-        return {"n": self.n, "p": self.p, "seed": self.seed}
 
-    def __setstate__(self, state):
-        self.__init__(state["n"], state["p"], state["seed"])
+class ErdosRenyiEdges(EdgeSet):
+    """E(t) of an ``ErdosRenyiGraph``, whose rows are hashed in one pass,
+    once, when first asked for; ``select_pair`` and the stopping-time tracker
+    ask the graph about single pairs instead."""
+
+    __slots__ = ("graph", "t", "_rows")
+
+    def __init__(self, graph: ErdosRenyiGraph, t: int):
+        self.graph, self.t, self._rows = graph, t, None
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._rows is None:
+            pairs = _all_pairs_array(self.graph.n)
+            keep = self.graph.members(self.t, np.arange(len(pairs)))
+            self._rows = pairs.take(np.flatnonzero(keep), axis=0)
+        return self._rows
 
 
 @dataclass(frozen=True)
@@ -303,6 +397,8 @@ class PiecewiseGraph(GraphSchedule):
 
 
 def _check_edges_range(pairs: np.ndarray, n: int) -> None:
+    if len(pairs) == 0 or (pairs.min() >= 0 and pairs.max() < n):
+        return
     bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
     if bad.any():
         i, j = pairs[bad.argmax()].tolist()

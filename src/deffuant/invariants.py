@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import farthest_pair
-from .graphs import (ConstantGraph, CyclicGraph, EdgeSet, ErdosRenyiGraph, GraphSchedule,
-                     complete_edges, is_connected, pair_lengths, path_edges, profile)
+from .graphs import (ConstantGraph, CyclicGraph, EdgeSet, ErdosRenyiEdges, ErdosRenyiGraph,
+                     GraphSchedule, _all_pairs_array, complete_edges, is_connected, lex_index,
+                     pair_lengths, path_edges, profile)
 from .model import (BLOCK_BYTES, ConstantMu, FiredSteps, ModelParams, OpinionState,
                     SequenceMu, TrajectoryObserver, UniformMu, run_trajectory, seed_streams)
 from .norms import cross_distances, lengths
@@ -257,11 +258,16 @@ class ContractionObserver(TrajectoryObserver):
         self.min_basic_slack = np.inf
         self.min_refined_slack = np.inf
         self.max_potential_drift = -np.inf
-        # bytes a step: the (5, k, d) differences and about 14 k floats of
-        # distances and slacks
         k, d = cs.shape
-        self._chunk = max(1, BLOCK_BYTES // (8 * k * (5 * d + 14)))
+        self._chunk = max(1, self.max_points(d) // k)
         self._c_scale = max(1.0, float(np.abs(cs).max()))
+
+    @staticmethod
+    def max_points(d: int) -> int:
+        """The most reference points whose temporaries for one step, the
+        (5, k, d) differences and about 14 k floats of distances and slacks,
+        fit in BLOCK_BYTES."""
+        return BLOCK_BYTES // (8 * (5 * d + 14))
 
     def _worst(self, old: np.ndarray, new: np.ndarray):
         """Per step: the smallest slack of each kind and, for the reference
@@ -418,19 +424,26 @@ class StoppingTimeTracker(TrajectoryObserver):
     Until it holds, one edge of E(t) in range but longer than delta, the
     witness, proves that it fails.  The witness stands while neither of its
     agents has moved since it was measured and E(t) holds it (the same
-    EdgeSet, or a binary search of another); such a check measures nothing.
-    When the witness falls:
+    EdgeSet, or a binary search or a hash of another); such a check measures
+    nothing.  The tracker keeps one flag per row of a pair array (in range
+    but longer than delta), measured in full the first time and then only at
+    the edges of the agents moved since the last measurement.  When the
+    witness falls:
 
-    - on an unchanged E(t), the tracker keeps one flag per edge (in range
-      but longer than delta), measured in full at the first such loss and
-      then only at the edges of the agents moved since the last measurement;
-      any flagged edge is the next witness, and the condition holds when
-      none is set;
+    - on an unchanged E(t), the flags cover its rows; any flagged edge is
+      the next witness, and the condition holds when none is set;
+    - on an Erdos-Renyi E(t), which is never built, the flags cover all
+      pairs.  Up to _TRIES flagged pairs whose agents have not moved since
+      they were measured are asked for membership by hash; failing those,
+      the flags are brought up to date and every flagged pair is hashed in
+      one pass, and the condition holds when none is in E(t);
     - on any other E(t), its rows are searched in chunks up to the first
       long edge (``_first_long_edge``), which becomes the witness.
 
     Once ``time`` is set it does nothing.
     """
+
+    _TRIES = 16
 
     def __init__(self, delta: float, params: ModelParams):
         if not (delta > 0):
@@ -440,41 +453,80 @@ class StoppingTimeTracker(TrajectoryObserver):
         self.time: Optional[int] = None
         self._edges: Optional[EdgeSet] = None   # the E(t) of the last check
         self._witness: Optional[tuple[int, int]] = None
-        self._long: Optional[np.ndarray] = None  # flags of the rows of _edges
+        self._rows: Optional[np.ndarray] = None  # the pairs the flags cover
+        self._long: Optional[np.ndarray] = None  # flags of the rows of _rows
         self._incident: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._moved: set[int] = set()           # agents moved since the flags were measured
+        # flagged pairs of the last measurement not yet asked about, by hash
+        self._untried = np.empty(0, dtype=np.intp)
+        self._next = 0
 
     def at_start(self, x):
-        self._edges, self._witness, self._long = None, None, None
+        self._edges, self._witness, self._rows, self._long = None, None, None, None
         self._moved.clear()
 
+    def _measure(self, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        """The flags of the rows of ``pairs``: in full when they are not the
+        rows flagged last, else only at the edges of the agents moved since."""
+        if self._rows is not pairs:
+            self._rows, self._incident = pairs, None
+            self._long = _long_edges(x, pairs, self.delta, self.params)
+        elif self._moved:
+            if self._incident is None:
+                self._incident = _incidence(pairs, len(x))
+            rows, starts = self._incident
+            moved = np.concatenate([rows[starts[v]:starts[v + 1]] for v in self._moved])
+            # each row once; the stable argsort is the one _incidence runs
+            moved = moved.take(np.argsort(moved, kind="stable"))
+            moved = moved[np.concatenate(([True], moved[1:] != moved[:-1]))]
+            self._long[moved] = _long_edges(x, pairs.take(moved, axis=0), self.delta,
+                                            self.params)
+        self._moved.clear()
+        self._untried = self._untried[:0]   # they were flagged by an older measurement
+        return self._long
+
     def _holds(self, x: np.ndarray, social_edges: EdgeSet) -> bool:
-        pairs = social_edges.array
-        if social_edges is not self._edges:
-            self._edges, self._long, self._incident = social_edges, None, None
+        if social_edges is self._edges:
+            if self._witness is not None:
+                return False
+            pairs = social_edges.array
+            long = self._measure(x, pairs)
+            k = int(long.argmax()) if long.any() else None
+        elif isinstance(social_edges, ErdosRenyiEdges):
+            self._edges = social_edges
+            return self._holds_hashed(x, social_edges)
+        else:
+            self._edges, self._rows, self._long = social_edges, None, None
             self._moved.clear()
             if self._witness is not None and self._witness in social_edges:
                 return False
+            pairs = social_edges.array
             k = _first_long_edge(x, pairs, self.delta, self.params)
-        elif self._witness is not None:
-            return False
-        else:
-            if self._long is None:
-                self._long = _long_edges(x, pairs, self.delta, self.params)
-            elif self._moved:
-                if self._incident is None:
-                    self._incident = _incidence(pairs, len(x))
-                rows, starts = self._incident
-                moved = np.concatenate([rows[starts[v]:starts[v + 1]] for v in self._moved])
-                # each row once; the stable argsort is the one _incidence runs
-                moved = moved.take(np.argsort(moved, kind="stable"))
-                moved = moved[np.concatenate(([True], moved[1:] != moved[:-1]))]
-                self._long[moved] = _long_edges(x, pairs.take(moved, axis=0), self.delta,
-                                                self.params)
-            self._moved.clear()
-            k = int(self._long.argmax()) if self._long.any() else None
         self._witness = None if k is None else tuple(pairs[k].tolist())
         return k is None
+
+    def _holds_hashed(self, x: np.ndarray, edges: ErdosRenyiEdges) -> bool:
+        graph, t, n = edges.graph, edges.t, len(x)
+        if self._witness is not None and graph.holds(t, lex_index(*self._witness, n)):
+            return False
+        pairs = _all_pairs_array(n)
+        if self._rows is pairs:
+            start = self._next
+            tries = self._untried[start:start + self._TRIES]
+            for k, (e, (a, b)) in enumerate(zip(tries.tolist(),
+                                                pairs.take(tries, axis=0).tolist())):
+                if a not in self._moved and b not in self._moved and graph.holds(t, e):
+                    self._next, self._witness = start + k + 1, (a, b)
+                    return False
+            self._next = start + len(tries)
+        flagged = np.flatnonzero(self._measure(x, pairs))
+        hits = np.flatnonzero(graph.members(t, flagged))
+        if len(hits) == 0:
+            return True
+        k = int(hits[0])
+        self._untried, self._next = flagged, k + 1
+        self._witness = tuple(pairs[flagged[k]].tolist())
+        return False
 
     def before_step(self, t, x, social_edges):
         if self.time is None and self._holds(x, social_edges):

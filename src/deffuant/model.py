@@ -54,7 +54,8 @@ class ModelParams:
 class MuSchedule:
     """Per-step convergence parameter mu(t) in [0, 1/2]."""
 
-    def mu_at(self, t: int, rng: np.random.Generator) -> float:
+    def mu_at(self, t: int, u: float) -> float:
+        """mu at step t, given the step's uniform u in [0, 1) (``Draws.step``)."""
         raise NotImplementedError
 
     @property
@@ -76,7 +77,7 @@ class ConstantMu(MuSchedule):
     def __post_init__(self):
         _check_mu(self.value)
 
-    def mu_at(self, t, rng):
+    def mu_at(self, t, u):
         return self.value
 
     @property
@@ -96,7 +97,7 @@ class SequenceMu(MuSchedule):
         for v in self.values:
             _check_mu(v)
 
-    def mu_at(self, t, rng):
+    def mu_at(self, t, u):
         return self.values[t] if t < len(self.values) else self.values[-1]
 
     @property
@@ -106,7 +107,8 @@ class SequenceMu(MuSchedule):
 
 @dataclass(frozen=True)
 class UniformMu(MuSchedule):
-    """mu(t) drawn i.i.d. uniform from [low, high] each step."""
+    """mu(t) drawn i.i.d. uniform from [low, high] each step: low + (high - low) u,
+    the formula of ``numpy.random.Generator.uniform``."""
 
     low: float
     high: float
@@ -117,8 +119,8 @@ class UniformMu(MuSchedule):
         if self.low > self.high:
             raise ConfigurationError(f"need low <= high, got [{self.low}, {self.high}]")
 
-    def mu_at(self, t, rng):
-        return float(rng.uniform(self.low, self.high))
+    def mu_at(self, t, u):
+        return self.low + (self.high - self.low) * u
 
     @property
     def inf_positive(self):
@@ -159,16 +161,6 @@ class OpinionState:
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def select_pair(edges: "EdgeSet", rng: np.random.Generator) -> Optional[tuple[int, int]]:
-    """Pick one edge uniformly at random; None when the edge set is empty."""
-    arr = edges.array
-    m = arr.shape[0]
-    if m == 0:
-        return None
-    i, j = arr[rng.integers(0, m)].tolist()
-    return i, j
-
-
 def seed_streams(seed: int, *spawn_key: int):
     """Initial-opinion rng, dynamics rng and graph seed of one run.
 
@@ -184,6 +176,80 @@ def seed_streams(seed: int, *spawn_key: int):
 # Run k (a trial or an audit scenario) draws from the spawn keys (k, 0) to
 # (k, 2) and ``simulate`` from (0,) to (2,), so these keys belong to no run.
 _SIDE_STREAMS = {"bound": (0, 3), "geometry": (0, 4)}
+
+
+# Every random number of a run has an address.  Step t owns the raw 64-bit
+# words t W .. t W + W - 1, W = WORDS_PER_STEP, of the counter-based stream
+# Philox(key = the run's key) (Salmon et al., "Parallel random numbers: as
+# easy as 1, 2, 3", SC 2011): word 0 gives its rate and the others its pair
+# (``graphs.select_pair``).  The words are fetched DRAW_BLOCK steps at a time;
+# any block length reads the same words.
+WORDS_PER_STEP = 8
+DRAW_BLOCK = 128
+
+
+def run_key(rng: np.random.Generator) -> int:
+    """The 64-bit key of a run's draws: the one number it takes from its rng."""
+    return int(rng.integers(2**64, dtype=np.uint64))
+
+
+class Draws:
+    """The words of one run's steps, read by address (see WORDS_PER_STEP).
+
+    ``step(t)`` returns step t's uniform in [0, 1), word 0 shifted to 53
+    bits as ``Generator.random`` makes it.  The Draws is then an iterator
+    over step t's pick words, words 1 to W - 1.  A pick they do not settle
+    (a Lemire redraw, probability below m / 2^64 a word) goes on with step
+    t's spill stream, Philox keyed by (run key, t + 1), which no other step
+    and no run's main stream shares.
+    """
+
+    def __init__(self, key: int):
+        self.key = key
+        self._bits: Optional[np.random.Philox] = None
+        self._start = self._stop = 0     # the steps whose words are held
+        self._raw = np.empty((0, WORDS_PER_STEP), dtype=np.uint64)
+        # Python ints of the held words, made as they are needed (a short
+        # trial uses few of a block's words): the uniforms, the first pick
+        # words, then all words
+        self._u: list[float] = []
+        self._first: list[int] = []
+        self._all: Optional[list[list[int]]] = None
+        self._t = self._row = self._next = 0   # the step read and its next word
+        self._spill: Optional[np.random.Philox] = None
+
+    def _fetch(self, t: int) -> None:
+        start = t - t % DRAW_BLOCK
+        if self._bits is None or start != self._stop:
+            # 4 words a Philox counter; W is a multiple of 4
+            self._bits = np.random.Philox(key=self.key, counter=start * WORDS_PER_STEP // 4)
+        self._start, self._stop = start, start + DRAW_BLOCK
+        raw = self._bits.random_raw(DRAW_BLOCK * WORDS_PER_STEP).reshape(DRAW_BLOCK, -1)
+        self._raw, self._all = raw, None
+        self._u = ((raw[:, 0] >> np.uint64(11)) * 2.0**-53).tolist()
+        self._first = raw[:, 1].tolist()
+
+    def step(self, t: int) -> float:
+        if not self._start <= t < self._stop:
+            self._fetch(t)
+        self._t, self._row, self._next = t, t - self._start, 1
+        return self._u[self._row]
+
+    def __iter__(self) -> "Draws":
+        return self
+
+    def __next__(self) -> int:
+        k = self._next
+        self._next = k + 1
+        if k == 1:
+            return self._first[self._row]
+        if k < WORDS_PER_STEP:
+            if self._all is None:
+                self._all = self._raw.tolist()
+            return self._all[self._row][k]
+        if k == WORDS_PER_STEP:
+            self._spill = np.random.Philox(key=self.key | (self._t + 1) << 64)
+        return self._spill.random_raw()
 
 
 def side_stream(seed: int, purpose: str) -> np.random.Generator:
@@ -404,8 +470,12 @@ def run_trajectory(
 
     Per step: evaluate E(t), select one edge uniformly from it, draw mu(t),
     apply the update if the pair is within epsilon, then notify observers.
-    ``record_stride=None`` keeps only the initial and final states.
+    Both draws read step t's words by address, from the key the run takes
+    from ``rng`` (``run_key``, ``Draws``).  ``record_stride=None`` keeps
+    only the initial and final states.
     """
+    from .graphs import select_pair   # graphs imports this module
+
     if horizon < 0:
         raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
     if record_stride is not None and record_stride < 1:
@@ -420,6 +490,7 @@ def run_trajectory(
         )
 
     x = initial.opinions.astype(float, copy=True)
+    draws = Draws(run_key(rng))
     observers = tuple(observers)
     before_hooks = _hooks(observers, "before_step")
     after_hooks = _hooks(observers, "after_step")
@@ -443,8 +514,9 @@ def run_trajectory(
         edges = graph_schedule.edges_at(t)
         for hook in before_hooks:
             hook(t, x, edges)
-        pair = select_pair(edges, rng)
-        mu = mu_schedule.mu_at(t, rng)
+        u = draws.step(t)
+        pair = select_pair(edges, draws)
+        mu = mu_schedule.mu_at(t, u)
         fired = full = False
         i = j = -1
         if pair is not None:

@@ -20,7 +20,6 @@ horizon and a finite run can only under-approximate it.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -353,6 +352,9 @@ def run_ensemble(
         raise ConfigurationError(f"need workers >= 1, got {workers}")
     configs = [dataclasses.replace(template, trial_index=k) for k in range(n_trials)]
     if workers > 1:
+        # imported here: a one-worker command does without its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, n_trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_trial_row, configs, chunksize=chunk))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -176,12 +177,34 @@ def test_both_commands_reject_a_count_that_is_not_a_whole_number(tmp_path, capsy
     {"dimension": 2, "space": {"kind": "ball", "center": [0, 0], "radius": 1,
                                "norm": "l1"}},  # an l1 ball under a euclidean model
     {"n": 3, "initial": [0.1, float("nan"), 0.3]},   # estimate ignored it
+    {"graph": {"kind": "piecewise", "steps": []}},   # exited 1 with an AttributeError
+    {"epsilon": True},                        # loaded as 1.0
+    {"deltas": [True]},                       # loaded as 1.0
+    {"epsilon": "0.5"},                       # a string parsed as a number
+    {"epsilon": 10**400},                     # exited 1 with an OverflowError
+    # sized from BLOCK_BYTES at load time: 800 MB of reference points at d = 1
+    # were allocated before, and the process was killed
+    {"c_samples": 100_000_000},
 ])
 def test_both_commands_reject_the_same_configs(tmp_path, capsys, command, bad):
     path = write_config(tmp_path, **bad)
     assert cli_main(_command_argv(command, path, tmp_path / "out")) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+
+
+def test_the_most_reference_points_that_fit_a_block_are_accepted(tmp_path):
+    for d in (1, 3):
+        most = invariants.ContractionObserver.max_points(d)
+        assert 1000 < most and 8 * most * (5 * d + 14) <= model.BLOCK_BYTES
+        space = {"kind": "box", "lower": [0.0] * d, "upper": [1.0] * d}
+        for count, ok in ((most, True), (most + 1, False)):
+            path = write_config(tmp_path, dimension=d, space=space, c_samples=count)
+            if ok:
+                assert cli.load_config(path, argparse.Namespace()).c_samples == most
+            else:
+                with pytest.raises(cli.ConfigurationError, match="c_samples"):
+                    cli.load_config(path, argparse.Namespace())
 
 
 def test_a_whole_float_count_is_read_as_an_integer(tmp_path):
@@ -381,6 +404,40 @@ def test_estimate_deterministic_across_threads(tmp_path):
         blobs.append(((out / "ensemble.json").read_bytes(),
                       (out / "trials.csv").read_bytes()))
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("graph", [{"kind": "erdos_renyi", "p": 0.3}, {"kind": "complete"}])
+def test_outputs_do_not_depend_on_the_worker_count_or_the_draw_block(tmp_path, monkeypatch,
+                                                                     graph):
+    path = write_config(tmp_path, graph=graph, epsilon=0.4, horizon=700, record_stride=7,
+                        mu={"kind": "uniform", "low": 0.1, "high": 0.5})
+    outputs = []
+    for block, threads in ((None, "1"), (None, "2"), (1, "1"), (3, "2"), (1000, "1")):
+        if block is not None:
+            monkeypatch.setattr(model, "DRAW_BLOCK", block)
+        out = tmp_path / f"out-{block}-{threads}"
+        assert cli_main(["simulate", "--config", path, "--seed", "3",
+                         "--out-dir", str(out)]) == 0
+        assert cli_main(["estimate", "--config", path, "--trials", "6", "--threads", threads,
+                         "--per-trial", "--seed", "3", "--out-dir", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in (
+            "states.csv", "events.csv", "summary.json", "ensemble.json", "trials.csv")])
+    assert all(o == outputs[0] for o in outputs)
+
+
+def test_an_erdos_renyi_simulate_at_n_1000_peaks_under_200_mb(tmp_path):
+    # G(1000, 1/2) has 499 500 candidate edges: a block of 256 masks of them
+    # took 1 GB; now no step builds E(t) unless its candidates miss
+    path = write_config(tmp_path, n=1000, dimension=2, epsilon=0.5, horizon=30,
+                        record_stride=10, graph={"kind": "erdos_renyi", "p": 0.5},
+                        space={"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]})
+    tracemalloc.start()
+    try:
+        assert cli_main(["simulate", "--config", path, "--out-dir", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6
 
 
 def test_estimate_check_every_takes_effect(tmp_path):

@@ -1,4 +1,6 @@
+import math
 import pickle
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -24,9 +26,15 @@ from deffuant import (
     is_connected,
     path_edges,
     profile,
+    select_pair,
     step,
 )
+from deffuant.graphs import uniform_index
 from oracles import loop_length, union_find_components
+
+# 99.9% chi-square quantiles by degrees of freedom (scipy.stats.chi2.ppf,
+# computed once offline; scipy is not a dependency).
+CHI2_999 = {4: 18.46682695290317, 18: 42.31239633167996, 23: 49.7282324664315}
 
 
 def _opinion_graph(x, params):
@@ -305,17 +313,80 @@ def test_er_replay_and_random_access():
     assert g.edges_at(123) == sequential[123]
 
 
-def test_er_edges_are_the_pairs_its_masks_select():
-    # step t keeps the pairs whose uniform draw in row t % 256 of block
-    # t // 256 falls below p
+def _splitmix64(state: int) -> tuple[int, int]:
+    """SplitMix64 as published (Steele, Lea and Flood, OOPSLA 2014): add
+    gamma to the state, then mix it; returns the new state and the output."""
+    state = (state + 0x9E3779B97F4A7C15) % 2**64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return state, z ^ (z >> 31)
+
+
+def test_er_pair_e_at_step_t_is_splitmix64_output_t_m_plus_e_plus_1():
+    # pair e is in E(t) when output t m + e + 1 of SplitMix64 seeded with the
+    # graph's seed, shifted to 53 bits, falls below p 2^53
     n, p, seed = 12, 0.4, 5
     g = ErdosRenyiGraph(n, p, seed=seed)
-    pairs = complete_edges(n).array
-    for block in (0, 1):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, block]))
-        masks = rng.random((256, len(pairs))) < p
-        for offset in (0, 1, 255):
-            assert np.array_equal(g.edges_at(256 * block + offset).array, pairs[masks[offset]])
+    pairs, m = complete_edges(n).array, g.m
+    state, outputs = seed, []
+    for _ in range(3 * m):
+        state, z = _splitmix64(state)
+        outputs.append(z)
+    for t in range(3):
+        keep = [z >> 11 < p * 2**53 for z in outputs[t * m:(t + 1) * m]]
+        assert [g.holds(t, e) for e in range(m)] == keep
+        assert g.members(t, np.arange(m)).tolist() == keep
+        edges = g.edges_at(t)
+        assert np.array_equal(edges.array, pairs[keep])
+        assert [(j, i) in edges for i, j in pairs.tolist()] == keep
+        assert (0, n) not in edges and (3, 3) not in edges
+    # Python ints and numpy wrap around 2^64 alike
+    for t in (10**9, 2**70):
+        assert [g.holds(t, e) for e in range(m)] == g.members(t, np.arange(m)).tolist()
+
+
+def test_er_edge_count_is_binomial():
+    # |E(t)| over 20 000 steps of G(10, 1/2) against Binomial(45, 1/2), the
+    # tails pooled below 12 and above 33 edges
+    m, p, steps = 45, 0.5, 20_000
+    g = ErdosRenyiGraph(10, p, seed=3)
+    seen = np.bincount([int(g.members(t, np.arange(m)).sum()) for t in range(steps)],
+                       minlength=m + 1)
+    pmf = np.array([math.comb(m, k) * p**k * (1 - p)**(m - k) for k in range(m + 1)])
+    observed = [seen[:12].sum(), *seen[12:34], seen[34:].sum()]
+    expected = steps * np.array([pmf[:12].sum(), *pmf[12:34], pmf[34:].sum()])
+    assert float((((observed - expected) ** 2) / expected).sum()) < CHI2_999[23]
+
+
+@pytest.mark.parametrize("p, seed", [(0.3, 11), (0.1, 12)])
+def test_the_edge_drawn_from_an_er_step_is_uniform_over_it(p, seed):
+    # at p = 0.3 about one pick in nine, at p = 0.1 one in two, misses all
+    # its candidates and indexes the hashed rows instead
+    t = 5 if p == 0.3 else 3
+    edges = ErdosRenyiGraph(10, p, seed=seed).edges_at(t)
+    draws = 1000 * len(edges)
+    words = iter(np.random.Philox(key=seed).random_raw(8 * draws).tolist())
+    counts = Counter(select_pair(edges, words) for _ in range(draws))
+    assert set(counts) == set(edges)
+    expected = draws / len(edges)
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < CHI2_999[len(edges) - 1]
+
+
+def test_uniform_index_redraws_exactly_the_words_lemire_rejects():
+    # m = 3: 2^64 mod 3 = 1, so the word 0 alone is redrawn
+    assert uniform_index(3, iter([1])) == 0
+    words = iter([0, 2**63, 7])
+    assert uniform_index(3, words) == 1 and next(words) == 7
+    # m = 2^63 + 1: 2^64 mod m = 2^63 - 1; the word 2 leaves low bits 2 and
+    # is redrawn, the word 3 leaves 2^63 + 3 and is kept
+    words = iter([2, 3, 7])
+    assert uniform_index(2**63 + 1, words) == 1 and next(words) == 7
+    # an Erdos-Renyi candidate that Lemire would redraw is a miss: with every
+    # pair in E(t), the word 0 would otherwise name pair 0 (2^64 mod 45 = 16)
+    edges = ErdosRenyiGraph(10, 1.0, seed=1).edges_at(0)
+    assert select_pair(edges, iter([1])) == (0, 1)
+    assert select_pair(edges, iter([0, 2**63])) == tuple(complete_edges(10).array[22])
 
 
 def test_er_validation_and_degenerate_p():

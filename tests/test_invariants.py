@@ -292,7 +292,7 @@ def test_diameter_observer_matches_the_full_matrix_at_every_step(monkeypatch, no
 
 @pytest.mark.parametrize("rate, step", [
     (0.9, None),   # both agents stay on the segment between them: no rise
-    (1.5, 17),     # the first agent is thrown past the second
+    (1.5, 9),      # the first agent is thrown past the second
 ])
 def test_overshooting_update_fails_the_diameter_check_where_the_matrix_rises(
         monkeypatch, rate, step):

@@ -24,8 +24,9 @@ from deffuant import (
     select_pair,
     step,
 )
-from deffuant import cli
-from deffuant.model import seed_streams, side_stream
+from deffuant import cli, model
+from deffuant.graphs import ErdosRenyiGraph
+from deffuant.model import Draws, run_key, seed_streams, side_stream
 from oracles import loop_length
 
 # 99.9% chi-square quantile, 44 degrees of freedom (scipy.stats.chi2.ppf,
@@ -63,18 +64,20 @@ def test_mu_range_enforced():
 
 def test_sequence_mu_last_value_persists():
     sched = SequenceMu((0.5, 0.25, 0.1))
-    rng = np.random.default_rng(0)
-    assert sched.mu_at(0, rng) == 0.5
-    assert sched.mu_at(2, rng) == 0.1
-    assert sched.mu_at(5000, rng) == 0.1
+    assert sched.mu_at(0, 0.7) == 0.5
+    assert sched.mu_at(2, 0.7) == 0.1
+    assert sched.mu_at(5000, 0.7) == 0.1
 
 
 def test_uniform_mu_stays_in_range():
     sched = UniformMu(0.1, 0.3)
-    rng = np.random.default_rng(1)
-    draws = [sched.mu_at(t, rng) for t in range(500)]
+    uniforms = np.random.default_rng(1).random(500).tolist() + [0.0, 1.0 - 2.0**-53]
+    draws = [sched.mu_at(t, u) for t, u in enumerate(uniforms)]
     assert all(0.1 <= m <= 0.3 for m in draws)
     assert len(set(draws)) > 1
+    # the formula of Generator.uniform
+    rng = np.random.default_rng(2)
+    assert sched.mu_at(0, np.random.default_rng(2).random()) == rng.uniform(0.1, 0.3)
 
 
 def test_inf_positive_flags():
@@ -179,21 +182,21 @@ def test_step_validation():
 # ---------------------------------------------------------------------------
 
 def test_select_pair_empty_returns_none():
-    assert select_pair(EdgeSet(), np.random.default_rng(0)) is None
+    assert select_pair(EdgeSet(), iter([])) is None
 
 
 def test_select_pair_uniform_over_edges():
     """Chi-square goodness of fit over the 45 edges of K_10.
 
-    Fixed seed, so the test is deterministic; the quantile was chosen at the
+    Fixed words, so the test is deterministic; the quantile was chosen at the
     99.9% level for a draw that would flake 0.1% of the time under reseeding.
     """
     edges = complete_edges(10)
-    rng = np.random.default_rng(12345)
     draws = 45_000
+    words = iter(np.random.Philox(key=12345).random_raw(draws).tolist())
     counts = {e: 0 for e in edges}
     for _ in range(draws):
-        counts[select_pair(edges, rng)] += 1
+        counts[select_pair(edges, words)] += 1
     expected = draws / 45
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < CHI2_999_44
@@ -377,6 +380,62 @@ def test_events_csv_row_of_a_step_without_edges(tmp_path):
 # ---------------------------------------------------------------------------
 # Random streams
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("block", [None, 1, 3, 1000])
+def test_a_step_reads_its_words_by_address_then_its_spill_stream(monkeypatch, block):
+    # step t owns words 8t .. 8t + 7 of Philox(key): the first is its uniform,
+    # the other seven its pick words; then Philox keyed by (key, t + 1)
+    key, width = 2**64 - 3, model.WORDS_PER_STEP
+    stream = np.random.Philox(key=key).random_raw(width * 300).tolist()
+    if block is not None:
+        monkeypatch.setattr(model, "DRAW_BLOCK", block)
+    draws = Draws(key)
+    for t in (299, 0, 1, 2, 128, 127, 5, 6, 298):
+        row = stream[t * width:(t + 1) * width]
+        assert draws.step(t) == (row[0] >> 11) * 2.0**-53
+        spill = np.random.Philox(key=key + ((t + 1) << 64)).random_raw(5).tolist()
+        assert [next(draws) for _ in range(width - 1 + 5)] == row[1:] + spill
+
+
+def _redraw(key: int, schedule, t: int):
+    """Step t's pair (None when E(t) is empty) and rate, read from its address alone."""
+    draws = Draws(key)
+    mu = UniformMu(0.1, 0.5).mu_at(t, draws.step(t))
+    return select_pair(schedule.edges_at(t), draws), mu
+
+
+@pytest.mark.parametrize("graph", [{"kind": "erdos_renyi", "p": 0.3}, {"kind": "path"}])
+def test_the_pair_and_rate_of_any_step_are_redrawn_from_its_address(tmp_path, graph):
+    # (seed, run k, step t) names a step's draws: no earlier step is replayed
+    n, seed, horizon = 12, 5, 3000
+    config = {"n": n, "epsilon": 0.3, "graph": graph, "horizon": horizon,
+              "mu": {"kind": "uniform", "low": 0.1, "high": 0.5}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--seed", str(seed),
+                     "--out-dir", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "events.csv").read_text().splitlines()[1:]]
+    steps = np.random.default_rng(seed).choice(horizon, size=40, replace=False).tolist()
+    _, dyn_rng, graph_seed = seed_streams(seed)
+    schedule = cli._build_graph(graph, n).reseeded(graph_seed)
+    key = run_key(dyn_rng)
+    for t in steps:
+        pair, mu = _redraw(key, schedule, t)
+        assert rows[t][1:3] == (["", ""] if pair is None else [str(v) for v in pair])
+        assert rows[t][4] == repr(mu)
+    # run k of the same seed, as a trial draws it
+    k = 4
+    _, dyn_rng, graph_seed = seed_streams(seed, k)
+    schedule = schedule.reseeded(graph_seed)
+    traj = run_trajectory(OpinionState(0, np.zeros((n, 1))), schedule, UniformMu(0.1, 0.5),
+                          ModelParams(epsilon=0.3), horizon, seed_streams(seed, k)[1])
+    key = run_key(dyn_rng)
+    for t in steps:
+        pair, mu = _redraw(key, schedule, t)
+        i, j, _, recorded_mu = traj.events[t].tolist()
+        assert (i, j) == (pair or (-1, -1)) and recorded_mu == mu
+
 
 def _pcg_state(rng: np.random.Generator) -> int:
     return rng.bit_generator.state["state"]["state"]
