@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -226,7 +226,9 @@ class GraphSchedule:
 
     @property
     def connected_infinitely_often(self) -> bool:
-        """True when the schedule guarantees connectivity at infinitely many steps."""
+        """True when the schedule guarantees connectivity at infinitely many steps.
+
+        Constant and cyclic schedules compute it once and keep it."""
         raise NotImplementedError
 
     def reseeded(self, seed: int) -> "GraphSchedule":
@@ -245,7 +247,7 @@ class ConstantGraph(GraphSchedule):
     def edges_at(self, t):
         return self.edges
 
-    @property
+    @cached_property
     def connected_infinitely_often(self):
         return is_connected(self.edges.array, self.n)
 
@@ -270,7 +272,7 @@ class CyclicGraph(GraphSchedule):
     def edges_at(self, t):
         return self.members[t % self.period]
 
-    @property
+    @cached_property
     def connected_infinitely_often(self):
         return any(is_connected(m.array, self.n) for m in self.members)
 

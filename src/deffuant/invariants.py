@@ -426,19 +426,22 @@ class StoppingTimeTracker(TrajectoryObserver):
     agents has moved since it was measured and E(t) holds it (the same
     EdgeSet, or a binary search or a hash of another); such a check measures
     nothing.  The tracker keeps one flag per row of a pair array (in range
-    but longer than delta), measured in full the first time and then only at
-    the edges of the agents moved since the last measurement.  When the
-    witness falls:
+    but longer than delta): the rows of an unchanged E(t), or all pairs for
+    an Erdos-Renyi E(t), which is never built.  When the witness falls on
+    such an E(t):
 
-    - on an unchanged E(t), the flags cover its rows; any flagged edge is
-      the next witness, and the condition holds when none is set;
-    - on an Erdos-Renyi E(t), which is never built, the flags cover all
-      pairs.  Up to _TRIES flagged pairs whose agents have not moved since
-      they were measured are asked for membership by hash; failing those,
-      the flags are brought up to date and every flagged pair is hashed in
-      one pass, and the condition holds when none is in E(t);
-    - on any other E(t), its rows are searched in chunks up to the first
-      long edge (``_first_long_edge``), which becomes the witness.
+    - the next _TRIES flagged rows not yet tried are taken in order, and the
+      first whose agents have not moved since the flags were measured and
+      that E(t) holds (always, for an unchanged EdgeSet; by hash for
+      Erdos-Renyi) is the next witness, with nothing measured;
+    - failing those, the flags are brought up to date (in full the first
+      time, or when the moved agents touch half of the rows; else only at
+      their rows), and the first flagged row in E(t) is the witness (for
+      Erdos-Renyi, every flagged pair is hashed in one pass); the condition
+      holds when there is none.
+
+    On any other E(t), its rows are searched in chunks up to the first long
+    edge (``_first_long_edge``), which becomes the witness.
 
     Once ``time`` is set it does nothing.
     """
@@ -457,7 +460,7 @@ class StoppingTimeTracker(TrajectoryObserver):
         self._long: Optional[np.ndarray] = None  # flags of the rows of _rows
         self._incident: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._moved: set[int] = set()           # agents moved since the flags were measured
-        # flagged pairs of the last measurement not yet asked about, by hash
+        # rows flagged by the last measurement; those from _next on are untried
         self._untried = np.empty(0, dtype=np.intp)
         self._next = 0
 
@@ -467,7 +470,9 @@ class StoppingTimeTracker(TrajectoryObserver):
 
     def _measure(self, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         """The flags of the rows of ``pairs``: in full when they are not the
-        rows flagged last, else only at the edges of the agents moved since."""
+        rows flagged last, or when the rows at the agents moved since (counted
+        once per moved agent) are at least half of them; else only at those
+        rows, each once."""
         if self._rows is not pairs:
             self._rows, self._incident = pairs, None
             self._long = _long_edges(x, pairs, self.delta, self.params)
@@ -475,55 +480,55 @@ class StoppingTimeTracker(TrajectoryObserver):
             if self._incident is None:
                 self._incident = _incidence(pairs, len(x))
             rows, starts = self._incident
-            moved = np.concatenate([rows[starts[v]:starts[v + 1]] for v in self._moved])
-            # each row once; the stable argsort is the one _incidence runs
-            moved = moved.take(np.argsort(moved, kind="stable"))
-            moved = moved[np.concatenate(([True], moved[1:] != moved[:-1]))]
-            self._long[moved] = _long_edges(x, pairs.take(moved, axis=0), self.delta,
-                                            self.params)
+            at = [rows[starts[v]:starts[v + 1]] for v in self._moved]
+            if 2 * sum(map(len, at)) >= len(pairs):
+                self._long = _long_edges(x, pairs, self.delta, self.params)
+            else:
+                # each row once; the stable argsort is the one _incidence runs
+                moved = np.concatenate(at)
+                moved = moved.take(np.argsort(moved, kind="stable"))
+                moved = moved[np.concatenate(([True], moved[1:] != moved[:-1]))]
+                self._long[moved] = _long_edges(x, pairs.take(moved, axis=0), self.delta,
+                                                self.params)
         self._moved.clear()
-        self._untried = self._untried[:0]   # they were flagged by an older measurement
         return self._long
 
     def _holds(self, x: np.ndarray, social_edges: EdgeSet) -> bool:
-        if social_edges is self._edges:
-            if self._witness is not None:
+        graph = None
+        if isinstance(social_edges, ErdosRenyiEdges):
+            graph, t, pairs = social_edges.graph, social_edges.t, _all_pairs_array(len(x))
+            if self._witness is not None and graph.holds(t, lex_index(*self._witness, len(x))):
                 return False
-            pairs = social_edges.array
-            long = self._measure(x, pairs)
-            k = int(long.argmax()) if long.any() else None
-        elif isinstance(social_edges, ErdosRenyiEdges):
-            self._edges = social_edges
-            return self._holds_hashed(x, social_edges)
-        else:
+        elif social_edges is not self._edges:
             self._edges, self._rows, self._long = social_edges, None, None
             self._moved.clear()
             if self._witness is not None and self._witness in social_edges:
                 return False
             pairs = social_edges.array
             k = _first_long_edge(x, pairs, self.delta, self.params)
-        self._witness = None if k is None else tuple(pairs[k].tolist())
-        return k is None
-
-    def _holds_hashed(self, x: np.ndarray, edges: ErdosRenyiEdges) -> bool:
-        graph, t, n = edges.graph, edges.t, len(x)
-        if self._witness is not None and graph.holds(t, lex_index(*self._witness, n)):
+            self._witness = None if k is None else tuple(pairs[k].tolist())
+            return k is None
+        elif self._witness is not None:
             return False
-        pairs = _all_pairs_array(n)
+        else:
+            pairs = social_edges.array
+        self._edges = social_edges
         if self._rows is pairs:
+            # the next untried flagged rows whose agents have not moved since
             start = self._next
             tries = self._untried[start:start + self._TRIES]
             for k, (e, (a, b)) in enumerate(zip(tries.tolist(),
                                                 pairs.take(tries, axis=0).tolist())):
-                if a not in self._moved and b not in self._moved and graph.holds(t, e):
+                if (a not in self._moved and b not in self._moved
+                        and (graph is None or graph.holds(t, e))):
                     self._next, self._witness = start + k + 1, (a, b)
                     return False
             self._next = start + len(tries)
         flagged = np.flatnonzero(self._measure(x, pairs))
-        hits = np.flatnonzero(graph.members(t, flagged))
+        hits = np.flatnonzero(graph.members(t, flagged)) if graph is not None else flagged
         if len(hits) == 0:
             return True
-        k = int(hits[0])
+        k = 0 if graph is None else int(hits[0])
         self._untried, self._next = flagged, k + 1
         self._witness = tuple(pairs[flagged[k]].tolist())
         return False

@@ -524,42 +524,75 @@ def test_tracker_measures_nothing_while_the_witness_stands(monkeypatch):
     assert len(measured) > 1
 
 
-def test_tracker_measures_only_the_edges_at_moved_agents(monkeypatch):
-    # after the first loss of the witness on an unchanged E(t), which measures
-    # its flags in full, each loss measures the rows at the agents moved since
-    # the last measurement, each row once, and nothing in between
-    measured = _count_measured(monkeypatch)
-    n = 40
+def test_tracker_tries_flagged_rows_before_it_measures(monkeypatch):
+    # When the witness falls on an unchanged E(t), the next _TRIES untried
+    # flagged rows are tried: the first whose agents have not moved since the
+    # last measurement and that E(t) holds is the witness, and nothing is
+    # measured.  Failing those, the rows at the agents moved since are
+    # measured, each once, or all rows in one call when those agents touch at
+    # least half of them (counted once per agent) or on the first measurement.
+    measured = []
+    real = invariants.pair_lengths
+    monkeypatch.setattr(invariants, "pair_lengths",
+                        lambda x, pairs, norm: measured.append(pairs.copy()) or real(x, pairs, norm))
+    n, delta = 80, 1e-9
     params = ModelParams(epsilon=0.5, dimension=2)
     rng = np.random.default_rng(1)
     for kind in ("complete", "path", "erdos-renyi"):
         x = rng.random((n, 2))
-        edges = _schedule(kind, n, seed=2).edges_at(0)
-        pairs = edges.array
-        tracker = StoppingTimeTracker(1e-9, params)
+        schedule = _schedule(kind, n, seed=2)
+        graph = schedule if kind == "erdos-renyi" else None
+        pairs = complete_edges(n).array if graph else schedule.edges_at(0).array
+        degree = np.bincount(pairs.ravel(), minlength=n)
+        tracker = StoppingTimeTracker(delta, params)
         tracker.at_start(x)
-        tracker.before_step(0, x, edges)
-        t = 1
-        for loss in range(12):
+        del measured[:]
+        tracker.before_step(0, x, schedule.edges_at(0))
+        # Erdos-Renyi flags all pairs at once; an EdgeSet is searched in chunks of 64
+        assert [len(p) for p in measured] == [len(pairs) if graph else min(64, len(pairs))]
+        fresh = graph is None
+        moved: set[int] = set()
+        seen = {"tried": 0, "at moved": 0, "full": 0}
+        for t in range(1, 120):
             witness = tracker._witness
-            moved = {witness[0]}
-            for i, j in rng.choice([v for v in range(n) if v not in witness],
-                                   size=(rng.integers(0, 4), 2), replace=False).tolist():
-                _merge(x, tracker, t, i, j)
-                moved |= {i, j}
-                before = len(measured)
-                tracker.before_step(t, x, edges)
-                assert len(measured) == before and tracker._witness == witness
-                t += 1
-            partner = next(v for v in range(n) if v not in moved and v not in witness)
-            _merge(x, tracker, t, witness[0], partner)
-            moved.add(partner)
-            before = len(measured)
+            tries = [] if fresh else tracker._untried[tracker._next:][:tracker._TRIES]
+            # the witness falls, alone, with an agent of each next try, or with 13 others
+            movers = [witness[rng.integers(2)]]
+            mode = rng.integers(3)
+            if mode == 1:
+                movers += [int(rng.choice(r)) for r in pairs.take(tries, axis=0)]
+            elif mode == 2:
+                movers += rng.integers(n, size=13).tolist()
+            movers = list(dict.fromkeys(movers))
+            while len(movers) % 2 or len(movers) < 2:
+                movers = list(dict.fromkeys(movers + [int(rng.integers(n))]))
+            for i, j in zip(movers[0::2], movers[1::2]):
+                _merge(x, tracker, t - 1, i, j)
+            moved.update(movers)
+            holds = [not moved & set(pairs[e].tolist())
+                     and (graph is None or graph.holds(t, int(e))) for e in tries]
+            del measured[:]
+            edges = schedule.edges_at(t)
             tracker.before_step(t, x, edges)
-            at_moved = int(np.isin(pairs, list(moved)).any(axis=1).sum())
-            assert measured[before:] == ([len(pairs)] if loss == 0 else [at_moved]), kind
             assert tracker.time is None
-            t += 1
+            w = tracker._witness
+            assert w in edges and delta < pair_lengths(x, np.array([w]), params.norm)[0] <= 0.5
+            if any(holds):
+                seen["tried"] += 1
+                assert measured == [] and w == tuple(pairs[tries[holds.index(True)]].tolist())
+                continue
+            at_moved = np.flatnonzero(np.isin(pairs, list(moved)).any(axis=1))
+            if fresh or 2 * degree[list(moved)].sum() >= len(pairs):
+                seen["full"] += not fresh
+                assert len(measured) == 1 and np.array_equal(measured[0], pairs), kind
+            else:
+                seen["at moved"] += 1
+                assert len(measured) == 1, kind
+                assert sorted(map(tuple, measured[0].tolist())) == \
+                    [tuple(r) for r in pairs[at_moved].tolist()], kind
+            fresh = False
+            moved.clear()
+        assert min(seen.values()) > 0, (kind, seen)
 
 
 @pytest.mark.parametrize("row", [0, 63, 64, 319, 320, 998, None])

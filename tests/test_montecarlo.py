@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from deffuant import (
     theoretical_lower_bound,
     wilson_interval,
 )
+from deffuant import graphs
 from deffuant.norms import cross_distances
 from oracles import wilson_roots
 
@@ -230,6 +232,18 @@ def test_trials_do_not_depend_on_ensemble_size():
     small = run_ensemble(template, 10)
     large = run_ensemble(template, 25)
     assert small.rows == large.rows[:10]
+
+
+def test_ensemble_tests_a_constant_schedule_for_connectivity_once(monkeypatch):
+    calls = []
+    real = graphs.is_connected
+    monkeypatch.setattr(graphs, "is_connected", lambda *a: calls.append(a) or real(*a))
+    result = run_ensemble(_config(horizon=500, n=6, master_seed=4), 20)
+    assert len(calls) == 1 and len(result.rows) == 20
+    # the kept flag travels with a pickled schedule, as to a pool worker
+    schedule = _config().graph_schedule
+    assert schedule.connected_infinitely_often and len(calls) == 2
+    assert pickle.loads(pickle.dumps(schedule)).connected_infinitely_often and len(calls) == 2
 
 
 def test_frozen_dynamics_yield_no_consensus_claims():
