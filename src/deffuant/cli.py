@@ -551,8 +551,8 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
         _write_csv(
             out_dir / "trials.csv",
             ["trial_index", "verdict", "decided_at", "final_diameter", "tau_delta"],
-            ((r.trial_index, r.verdict.value, r.decided_at, r.final_diameter,
-              r.tau_delta) for r in ensemble.rows),
+            ((k, r.outcome.verdict.value, r.outcome.decided_at, r.outcome.final_diameter,
+              r.tau_delta) for k, r in enumerate(ensemble.rows)),
         )
 
     print(f"estimate: p_hat={estimate.p_hat:.4f} "
@@ -591,13 +591,10 @@ def _suite_potential_drop(seed: int, runs: AuditRuns) -> dict:
 
 def _suite_potential(seed: int, runs: AuditRuns) -> dict:
     for run in runs():
-        result = check_potential_monotone(run.times, run.states, run.c_points,
-                                          run.params.norm)
-        if not result.ok:
-            raise InvariantViolation(
-                "potential-monotone", step=result.step, slack=-result.drift,
-                detail=f"summed distance rose by {result.drift:.3e} "
-                       f"(reference {result.c_index})")
+        violation = check_potential_monotone(run.times, run.states, run.c_points,
+                                             run.params.norm)
+        if violation is not None:
+            raise violation
     return {"states_checked": sum(len(run.states) for run in runs())}
 
 

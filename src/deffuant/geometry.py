@@ -1,4 +1,4 @@
-"""Opinion-space geometry: enclosing balls, diameters, distance potentials.
+"""Opinion-space geometry: enclosing balls and diameters.
 
 The smallest enclosing ball of a bounded convex region gives the center and
 radius that drive the consensus-probability lower bound; for point clouds
@@ -169,7 +169,7 @@ class PointCloud(OpinionSpace):
 
 
 # ---------------------------------------------------------------------------
-# Diameter and potential
+# Diameter
 # ---------------------------------------------------------------------------
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -209,15 +209,6 @@ def farthest_pair(points: np.ndarray, norm: str = "euclidean") -> tuple[float, i
 def diameter(points: np.ndarray, norm: str = "euclidean") -> float:
     """Maximum pairwise distance of a point set (0 for a single point)."""
     return farthest_pair(points, norm)[0]
-
-
-def distance_potential(points: np.ndarray, c: np.ndarray, norm: str = "euclidean") -> float:
-    """Sum of distances from each point to c (nonincreasing along trajectories)."""
-    pts = _as_points(points)
-    c = np.asarray(c, dtype=float).ravel()
-    if pts.shape[1] != c.shape[0]:
-        raise ConfigurationError(f"dimension mismatch: points d={pts.shape[1]}, c d={c.shape[0]}")
-    return float(lengths(pts - c, norm).sum())
 
 
 # ---------------------------------------------------------------------------

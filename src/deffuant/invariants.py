@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvariantViolation
 from .geometry import farthest_pair
 from .graphs import (ConstantGraph, CyclicGraph, EdgeSet, ErdosRenyiEdges, ErdosRenyiGraph,
                      GraphSchedule, _all_pairs_array, complete_edges, is_connected, lex_index,
@@ -98,78 +98,31 @@ def _first(*failed: np.ndarray) -> int:
     return int(bad.argmax()) if bad.any() else len(bad)
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    """Slacks of the pair contraction inequalities at one step.
-
-    basic_slack:   (pair distance-sum to c before) - (after); >= 0.
-    refined_slack: same but against the tighter budget that charges the
-                   displacement and refunds twice the midpoint's distance
-                   to c; >= 0.  Only the pair moves in one step, so this is
-                   also the slack of the population's potential-drop bound.
-    """
-
-    step: int
-    basic_slack: float
-    refined_slack: float
-    c: np.ndarray
-
-
-def _pair_rows(state: OpinionState, pair: tuple[int, int]) -> np.ndarray:
-    i, j = pair
-    n = state.n
-    if not (0 <= i < n and 0 <= j < n and i != j):
-        raise ConfigurationError(f"invalid pair {pair} for n={n}")
-    return state.opinions[[i, j]]
-
-
-def pair_contraction_slacks(
-    pre: OpinionState,
-    post: OpinionState,
-    pair: tuple[int, int],
-    c: np.ndarray,
-    norm: str = "euclidean",
-) -> ContractionReport:
-    """Slacks of the two pair inequalities for one interaction step:
-    ``contraction_slacks`` of that one step."""
-    c = np.asarray(c, dtype=float).ravel()
-    basic, refined, _, _ = contraction_slacks(
-        _pair_rows(pre, pair)[None], _pair_rows(post, pair)[None], c[None], norm)
-    return ContractionReport(step=pre.time, basic_slack=float(basic[0, 0]),
-                             refined_slack=float(refined[0, 0]), c=c)
-
-
-@dataclass(frozen=True)
-class MonotoneResult:
-    ok: bool
-    step: Optional[int] = None
-    c_index: Optional[int] = None
-    drift: Optional[float] = None
-
-
 def check_potential_monotone(
     times: Sequence[int],
     states: Sequence[np.ndarray],
     c_samples: np.ndarray,
     norm: str = "euclidean",
-) -> MonotoneResult:
-    """Check the summed distance to each sampled c never rises between states.
+) -> Optional[InvariantViolation]:
+    """The first recorded state whose summed distance to a sampled c rose
+    above the state before, as a violation, or None.
 
     ``states`` holds (n, d) opinion arrays recorded at the steps ``times``.
     """
     cs = np.atleast_2d(np.asarray(c_samples, dtype=float))
     if len(states) < 2:
-        return MonotoneResult(ok=True)
+        return None
     prev = cross_distances(states[0], cs, norm).sum(axis=0)
     for t, x in zip(times[1:], states[1:]):
         cur = cross_distances(x, cs, norm).sum(axis=0)
-        drift = cur - prev
-        worst = int(np.argmax(drift))
-        if drift[worst] > SLACK_TOL:
-            return MonotoneResult(ok=False, step=int(t), c_index=worst,
-                                  drift=float(drift[worst]))
+        worst = int(np.argmax(cur - prev))
+        rise = float(cur[worst] - prev[worst])
+        if rise > SLACK_TOL:
+            return InvariantViolation(
+                "potential-monotone", step=int(t), slack=-rise,
+                detail=f"summed distance rose by {rise:.3e} (reference {worst})")
         prev = cur
-    return MonotoneResult(ok=True)
+    return None
 
 
 def lattice_points(lower: np.ndarray, upper: np.ndarray, count: int) -> np.ndarray:
@@ -465,6 +418,7 @@ class StoppingTimeTracker(TrajectoryObserver):
         self._next = 0
 
     def at_start(self, x):
+        self.time = None
         self._edges, self._witness, self._rows, self._long = None, None, None, None
         self._moved.clear()
 

@@ -1,4 +1,4 @@
-"""Core state and single-step update of the pairwise bounded-confidence model.
+"""State, update rule and trajectory engine of the pairwise bounded-confidence model.
 
 Agents hold opinions in R^d. At each time step one edge of the current social
 graph is selected uniformly at random; if the endpoints' opinions are within
@@ -55,7 +55,7 @@ class MuSchedule:
     """Per-step convergence parameter mu(t) in [0, 1/2]."""
 
     def mu_at(self, t: int, u: float) -> float:
-        """mu at step t, given the step's uniform u in [0, 1) (``Draws.step``)."""
+        """mu at step t, given the step's uniform u in [0, 1) (``Draws.at``)."""
         raise NotImplementedError
 
     @property
@@ -196,7 +196,7 @@ def run_key(rng: np.random.Generator) -> int:
 class Draws:
     """The words of one run's steps, read by address (see WORDS_PER_STEP).
 
-    ``step(t)`` returns step t's uniform in [0, 1), word 0 shifted to 53
+    ``at(t)`` returns step t's uniform in [0, 1), word 0 shifted to 53
     bits as ``Generator.random`` makes it.  The Draws is then an iterator
     over step t's pick words, words 1 to W - 1.  A pick they do not settle
     (a Lemire redraw, probability below m / 2^64 a word) goes on with step
@@ -229,7 +229,7 @@ class Draws:
         self._u = ((raw[:, 0] >> np.uint64(11)) * 2.0**-53).tolist()
         self._first = raw[:, 1].tolist()
 
-    def step(self, t: int) -> float:
+    def at(self, t: int) -> float:
         if not self._start <= t < self._stop:
             self._fetch(t)
         self._t, self._row, self._next = t, t - self._start, 1
@@ -275,34 +275,6 @@ def _update(x: np.ndarray, i: int, j: int, mu: float, params: ModelParams) -> bo
         x[i, k] = xi[k] + upd
         x[j, k] = xj[k] - upd
     return True
-
-
-def step(
-    state: OpinionState,
-    edge: tuple[int, int],
-    mu: float,
-    params: ModelParams,
-) -> tuple[OpinionState, bool]:
-    """One update on the given pair; returns the new state and whether it fired.
-
-    The update fires iff the pair's pre-step distance is <= epsilon (exact
-    comparison, no slack). Non-interacting agents are untouched.
-    """
-    i, j = edge
-    if i == j:
-        raise ConfigurationError(f"self-loop edge ({i}, {j})")
-    _check_mu(mu)
-    x = state.opinions
-    n = x.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise ConfigurationError(f"edge ({i}, {j}) out of range for n={n}")
-    if state.dimension != params.dimension:
-        raise ConfigurationError(
-            f"state dimension {state.dimension} != params dimension {params.dimension}"
-        )
-    new = x.copy()
-    fired = _update(new, i, j, mu, params)
-    return OpinionState(state.time + 1, new), fired
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +486,7 @@ def run_trajectory(
         edges = graph_schedule.edges_at(t)
         for hook in before_hooks:
             hook(t, x, edges)
-        u = draws.step(t)
+        u = draws.at(t)
         pair = select_pair(edges, draws)
         mu = mu_schedule.mu_at(t, u)
         fired = full = False

@@ -203,6 +203,7 @@ class OutcomeClassifier(TrajectoryObserver):
             self.decided_at = t
 
     def at_start(self, x):
+        self.verdict = self.decided_at = None   # _check sets the rest
         self._check(x, 0)
 
     def after_step(self, t, i, j, fired, x):
@@ -262,26 +263,11 @@ def run_trial(config: TrialConfig, *, early_stop: bool = True) -> TrialResult:
     )
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    trial_index: int
-    verdict: Verdict
-    decided_at: Optional[int]
-    final_diameter: float
-    tau_delta: Optional[int]
-    steps_run: int
-
-
-def _trial_row(config: TrialConfig) -> TrialRow:
-    result = run_trial(config)
-    return TrialRow(
-        trial_index=config.trial_index,
-        verdict=result.outcome.verdict,
-        decided_at=result.outcome.decided_at,
-        final_diameter=result.outcome.final_diameter,
-        tau_delta=result.tau_delta,
-        steps_run=result.steps_run,
-    )
+def _run_trial(config: TrialConfig) -> TrialResult:
+    """``run_trial(config)``, looked up by name when it runs: a module-level
+    function a process pool can pickle even where ``run_trial`` is rebound
+    to one it cannot (a closure that wraps it, say)."""
+    return run_trial(config)
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> tuple[float, float]:
@@ -332,7 +318,7 @@ class ConsensusEstimate:
 class EnsembleResult:
     estimate: ConsensusEstimate
     counts: dict[str, int]
-    rows: list[TrialRow]
+    rows: list[TrialResult]     # trial k at index k
 
 
 def run_ensemble(
@@ -343,8 +329,9 @@ def run_ensemble(
     """Run independent trials indexed 0..n_trials-1 under the template's
     master_seed and aggregate verdicts.
 
-    Results are keyed by trial index, so the worker count changes wall time
-    but never the output.
+    Each trial's streams are keyed by its index and ``rows`` keeps trial
+    order (``pool.map`` returns results in input order), so the worker count
+    changes wall time but never the output.
     """
     if n_trials < 1:
         raise ConfigurationError(f"need n_trials >= 1, got {n_trials}")
@@ -357,14 +344,13 @@ def run_ensemble(
 
         chunk = max(1, n_trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_trial_row, configs, chunksize=chunk))
+            rows = list(pool.map(_run_trial, configs, chunksize=chunk))
     else:
-        rows = [_trial_row(c) for c in configs]
-    rows.sort(key=lambda r: r.trial_index)
+        rows = [run_trial(c) for c in configs]
 
     counts = {v.value: 0 for v in Verdict}
     for row in rows:
-        counts[row.verdict.value] += 1
+        counts[row.outcome.verdict.value] += 1
     n_consensus = counts[Verdict.CONSENSUS.value]
     ci_low, ci_high = wilson_interval(n_consensus, n_trials)
     estimate = ConsensusEstimate(

@@ -8,12 +8,13 @@ is read from scratch:
 * an Erdos-Renyi E(t) is rebuilt by SplitMix64 over all pairs, and any other
   E(t) is read from its schedule;
 * the pair is Lemire's index, for Erdos-Renyi after up to six candidates
-  among all pairs, and the update is ``step``;
+  among all pairs, and the update rule is applied here, on Python floats
+  one coordinate at a time (``apply_update``);
 * tau(delta) rescans every row of E(t) before the update, T(delta) every
   recorded state, and the classifier's verdict is taken at its times.
 
-Only ``step``, ``pair_lengths``, the schedules' edge sets and the
-classifier's verdict on a state are the package's own.
+Only ``pair_lengths``, the schedules' edge sets and the classifier's
+verdict on a state are the package's own.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from deffuant import ErdosRenyiGraph, OpinionState, Verdict, step
+from deffuant import ErdosRenyiGraph, OpinionState, Verdict
 from deffuant.geometry import diameter
 from deffuant.graphs import pair_lengths, profile
 from deffuant.model import seed_streams
 from deffuant.montecarlo import OutcomeClassifier
 
+from .loop_length import loop_length
 from .union_find import union_find_components
 
 WORDS = 8
@@ -90,6 +92,21 @@ def _pick(schedule, t: int, edges: list, words) -> Optional[tuple[int, int]]:
     return edges[_index(len(edges), words)] if edges else None
 
 
+def apply_update(x: np.ndarray, pair: tuple[int, int], mu: float, params):
+    """The opinions after the update of ``pair`` at rate mu, and whether it
+    fired: it fires when the pair is within epsilon (``loop_length``), and
+    then moves each coordinate of i by mu times the gap and j back by as much."""
+    i, j = pair
+    xi, xj = x[i].tolist(), x[j].tolist()
+    gap = [b - a for a, b in zip(xi, xj)]
+    if not loop_length(gap, params.norm) <= params.epsilon:
+        return x, False
+    after = x.copy()
+    after[i] = [a + mu * g for a, g in zip(xi, gap)]
+    after[j] = [b - mu * g for b, g in zip(xj, gap)]
+    return after, True
+
+
 def _short(x: np.ndarray, edges: list, delta: float, params) -> bool:
     """No edge of E(t) in range (<= epsilon) and longer than delta."""
     if not edges:
@@ -118,8 +135,7 @@ def _run(x: np.ndarray, schedule, mu_schedule, params, key: int, horizon: int):
         mu = mu_schedule.mu_at(t, u)
         after, fired = x, False
         if pair is not None:
-            state, fired = step(OpinionState(t, x), pair, mu, params)
-            after = state.opinions
+            after, fired = apply_update(x, pair, mu, params)
         yield _Step(t, edges, x, pair, fired, mu, after)
         x = after
 

@@ -144,7 +144,7 @@ def test_criterion_02_potential_decrement(ensemble):
 def test_criterion_03_potential_monotone(ensemble):
     worst_drift = max(a.contraction.max_potential_drift for a in ensemble)
     recorded_ok = all(
-        check_potential_monotone(a.times, a.states, a.c_points, a.params.norm).ok
+        check_potential_monotone(a.times, a.states, a.c_points, a.params.norm) is None
         for a in ensemble)
     ok = worst_drift <= 1e-9 and recorded_ok
     _criterion(3, "summed distance to each reference never rises > 1e-9", ok,

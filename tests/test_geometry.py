@@ -13,7 +13,6 @@ from deffuant import (
     PointCloud,
     chebyshev_center,
     diameter,
-    distance_potential,
     expected_center_distance,
     minimum_enclosing_ball,
 )
@@ -107,7 +106,7 @@ def test_point_cloud_space():
 
 
 # ---------------------------------------------------------------------------
-# Diameter and potential
+# Diameter
 # ---------------------------------------------------------------------------
 
 def test_diameter():
@@ -118,15 +117,6 @@ def test_diameter():
     assert diameter(pts, "linf") == 4.0
     with pytest.raises(ConfigurationError):
         diameter(np.empty((0, 2)))
-
-
-def test_distance_potential():
-    pts = np.array([0.0, 1.0])
-    assert distance_potential(pts, np.array([0.25])) == pytest.approx(1.0)
-    assert distance_potential(pts, np.array([0.5])) == pytest.approx(1.0)
-    assert distance_potential(pts, np.array([0.0])) == pytest.approx(1.0)
-    with pytest.raises(ConfigurationError):
-        distance_potential(np.zeros((2, 2)), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

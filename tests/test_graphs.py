@@ -13,6 +13,7 @@ from deffuant import (
     NORMS,
     ConfigurationError,
     ConstantGraph,
+    ConstantMu,
     CyclicGraph,
     EdgeSet,
     ErdosRenyiGraph,
@@ -26,8 +27,8 @@ from deffuant import (
     is_connected,
     path_edges,
     profile,
+    run_trajectory,
     select_pair,
-    step,
 )
 from deffuant.graphs import uniform_index
 from oracles import loop_length, union_find_components
@@ -141,10 +142,12 @@ def test_opinion_graph_edges_can_appear():
     params = ModelParams(epsilon=0.8)
     state = OpinionState(0, np.array([0.0, 0.5, 1.0]))
     assert (0, 2) not in _opinion_graph(state.opinions, params)
-    new, fired = step(state, (1, 2), mu=0.5, params=params)
-    assert fired
-    assert np.allclose(new.opinions.ravel(), [0.0, 0.75, 0.75])
-    assert (0, 2) in _opinion_graph(new.opinions, params)
+    # one step on the graph whose only edge is (1, 2)
+    traj = run_trajectory(state, ConstantGraph(3, EdgeSet([(1, 2)])), ConstantMu(0.5),
+                          params, 1, np.random.default_rng(0))
+    assert traj.events["fired"][0]
+    assert np.allclose(traj.states[-1].ravel(), [0.0, 0.75, 0.75])
+    assert (0, 2) in _opinion_graph(traj.states[-1], params)
 
 
 def test_profile_is_intersection():

@@ -32,12 +32,10 @@ from deffuant import (
     is_connected,
     lattice_points,
     lengths,
-    pair_contraction_slacks,
     path_edges,
     profile,
     run_trajectory,
     settle_time,
-    step,
 )
 from deffuant import invariants, model
 from deffuant.graphs import pair_lengths
@@ -53,15 +51,21 @@ P1 = ModelParams(epsilon=1.0)
 # Pure slack functions
 # ---------------------------------------------------------------------------
 
+def _pair_slacks(old, new, c, norm="euclidean"):
+    """The basic and refined slack of one step of the pair, rows 0 and 1 of
+    ``old`` and ``new``, against the reference point c."""
+    basic, refined, _, _ = contraction_slacks(
+        np.reshape(old, (1, 2, -1)), np.reshape(new, (1, 2, -1)), np.reshape(c, (1, -1)), norm)
+    return basic[0, 0], refined[0, 0]
+
+
 def test_contraction_slacks_tight_at_midpoint_merge():
     """mu = 1/2 merges the pair at its midpoint; with c at that midpoint the
     refined inequality is tight (slack exactly 0) and the basic slack equals
     the pre-step pair distance."""
-    pre = OpinionState(0, np.array([0.0, 0.4]))
-    post = OpinionState(1, np.array([0.2, 0.2]))
-    rep = pair_contraction_slacks(pre, post, (0, 1), np.array([0.2]))
-    assert rep.basic_slack == pytest.approx(0.4, abs=1e-15)
-    assert rep.refined_slack == pytest.approx(0.0, abs=1e-14)
+    basic, refined = _pair_slacks([0.0, 0.4], [0.2, 0.2], [0.2])
+    assert basic == pytest.approx(0.4, abs=1e-15)
+    assert refined == pytest.approx(0.0, abs=1e-14)
 
 
 def test_contraction_slacks_nonnegative_for_real_updates():
@@ -77,38 +81,25 @@ def test_contraction_slacks_nonnegative_for_real_updates():
         upd = mu * (x[j] - x[i])
         new[i] += upd
         new[j] -= upd
-        pre, post = OpinionState(0, x), OpinionState(1, new)
         c = rng.normal(size=d)
-        rep = pair_contraction_slacks(pre, post, (int(i), int(j)), c, norm)
-        assert rep.basic_slack >= -1e-12
-        assert rep.refined_slack >= -1e-12
+        basic, refined = _pair_slacks(x[[i, j]], new[[i, j]], c, norm)
+        assert basic >= -1e-12
+        assert refined >= -1e-12
 
 
 def test_contraction_slacks_flag_agents_moving_apart():
-    pre = OpinionState(0, np.array([0.0, 0.4]))
-    bad = OpinionState(1, np.array([-0.2, 0.6]))
-    rep = pair_contraction_slacks(pre, bad, (0, 1), np.array([0.2]))
-    assert rep.basic_slack == pytest.approx(-0.4)
-    assert rep.refined_slack == pytest.approx(-0.8)
+    basic, refined = _pair_slacks([0.0, 0.4], [-0.2, 0.6], [0.2])
+    assert basic == pytest.approx(-0.4)
+    assert refined == pytest.approx(-0.8)
 
 
 def test_refined_slack_flags_overshoot_that_basic_misses():
     # effective rate 0.9: the pair crosses. Distances to c = 0 sum to 1
     # either way, so the basic inequality is blind to it; the refined one
     # charges the displacement and goes negative.
-    pre = OpinionState(0, np.array([0.0, 1.0]))
-    bad = OpinionState(1, np.array([0.9, 0.1]))
-    rep = pair_contraction_slacks(pre, bad, (0, 1), np.array([0.0]))
-    assert rep.basic_slack == pytest.approx(0.0, abs=1e-15)
-    assert rep.refined_slack == pytest.approx(-0.8)
-
-
-def test_pair_validation():
-    pre = OpinionState(0, np.zeros(3))
-    with pytest.raises(ConfigurationError):
-        pair_contraction_slacks(pre, pre, (0, 0), np.zeros(1))
-    with pytest.raises(ConfigurationError):
-        pair_contraction_slacks(pre, pre, (0, 5), np.zeros(1))
+    basic, refined = _pair_slacks([0.0, 1.0], [0.9, 0.1], [0.0])
+    assert basic == pytest.approx(0.0, abs=1e-15)
+    assert refined == pytest.approx(-0.8)
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +112,15 @@ def test_potential_monotone_on_real_run():
                           ConstantMu(0.4), ModelParams(epsilon=0.9), 1500,
                           np.random.default_rng(1), record_stride=10)
     cs = lattice_points(np.array([-0.5]), np.array([1.5]), 9)
-    assert check_potential_monotone(traj.times, traj.states, cs).ok
+    assert check_potential_monotone(traj.times, traj.states, cs) is None
 
 
 def test_potential_monotone_detects_increase():
     states = np.array([[[0.0], [1.0]], [[0.0], [1.5]]])
-    res = check_potential_monotone([0, 1], states, np.array([[0.0]]))
-    assert not res.ok
-    assert res.step == 1 and res.c_index == 0
-    assert res.drift == pytest.approx(0.5)
+    violation = check_potential_monotone([0, 1], states, np.array([[0.0]]))
+    assert (violation.invariant, violation.step) == ("potential-monotone", 1)
+    assert violation.slack == pytest.approx(-0.5)
+    assert violation.detail == "summed distance rose by 5.000e-01 (reference 0)"
 
 
 def test_lattice_points():
@@ -1000,19 +991,23 @@ def test_scaling_opinions_and_epsilon_by_a_power_of_two_scales_the_run_exactly(k
 
 
 def test_block_functions_match_the_one_step_forms():
+    # a step of a block gets the bits it gets alone; the first is a real update
     rng = np.random.default_rng(6)
     for norm in NORMS:
         x = rng.normal(size=(5, 3))
-        post, fired = step(OpinionState(0, x), (1, 3), 0.25, ModelParams(10.0, 3, norm))
-        assert fired
-        post = post.opinions
-        c = rng.normal(size=3)
-        basic, refined, _, _ = contraction_slacks(x[[1, 3]][None], post[[1, 3]][None],
-                                                  c[None], norm)
-        rep = pair_contraction_slacks(OpinionState(0, x), OpinionState(1, post), (1, 3), c, norm)
-        assert (rep.basic_slack, rep.refined_slack) == (basic[0, 0], refined[0, 0])
-        sum_err, moved, resid = update_identity_errors(x[[1, 3]][None], post[[1, 3]][None],
-                                                       np.array([0.25]), norm)
-        assert sum_err[0] <= 1e-15 and resid[0] <= 1e-15
-        assert moved[0].tolist() == [lengths(post[1] - x[1], norm),
-                                     lengths(post[3] - x[3], norm)]
+        traj = run_trajectory(OpinionState(0, x), ConstantGraph(5, EdgeSet([(1, 3)])),
+                              ConstantMu(0.25), ModelParams(10.0, 3, norm), 1, rng)
+        assert traj.events["fired"][0]
+        post = traj.states[-1]
+        old = np.concatenate((x[[1, 3]][None], rng.normal(size=(3, 2, 3))))
+        new = np.concatenate((post[[1, 3]][None], rng.normal(size=(3, 2, 3))))
+        mu = np.array([0.25, 0.1, 0.3, 0.5])
+        c = rng.normal(size=(4, 3))
+        block = contraction_slacks(old, new, c, norm) + update_identity_errors(old, new, mu, norm)
+        for k in range(len(old)):
+            alone = (contraction_slacks(old[k:k + 1], new[k:k + 1], c, norm)
+                     + update_identity_errors(old[k:k + 1], new[k:k + 1], mu[k:k + 1], norm))
+            assert all(np.array_equal(b[k], a[0]) for b, a in zip(block, alone))
+        sum_err, moved, resid = (e[0] for e in block[4:])
+        assert sum_err <= 1e-15 and resid <= 1e-15
+        assert moved.tolist() == [lengths(post[1] - x[1], norm), lengths(post[3] - x[3], norm)]

@@ -22,12 +22,11 @@ from deffuant import (
     profile,
     run_trajectory,
     select_pair,
-    step,
 )
 from deffuant import cli, model
-from deffuant.graphs import ErdosRenyiGraph
 from deffuant.model import Draws, run_key, seed_streams, side_stream
 from oracles import loop_length
+from oracles.reference_run import apply_update
 
 # 99.9% chi-square quantile, 44 degrees of freedom (scipy.stats.chi2.ppf,
 # computed once offline; scipy is not a dependency).
@@ -107,31 +106,37 @@ def test_state_rejects_nonfinite():
 
 
 # ---------------------------------------------------------------------------
-# Single step
+# Single step: a one-step run on the graph whose only edge is the pair
 # ---------------------------------------------------------------------------
+
+def _one_step(x, pair, mu, params):
+    """The opinions after one update of ``pair`` at rate mu, and whether it fired."""
+    x = np.asarray(x, dtype=float)
+    traj = run_trajectory(OpinionState(0, x), ConstantGraph(len(x), EdgeSet([pair])),
+                          ConstantMu(mu), params, 1, np.random.default_rng(0))
+    return traj.states[-1], bool(traj.events["fired"][0])
+
 
 def test_step_moves_both_agents_by_mu():
     params = ModelParams(epsilon=1.0)
-    state = OpinionState(0, np.array([0.0, 1.0]))
-    new, fired = step(state, (0, 1), mu=0.25, params=params)
+    x = np.array([0.0, 1.0])
+    new, fired = _one_step(x, (0, 1), mu=0.25, params=params)
     assert fired
-    assert np.allclose(new.opinions.ravel(), [0.25, 0.75])
-    assert new.time == 1
-    # input state untouched
-    assert np.allclose(state.opinions.ravel(), [0.0, 1.0])
+    assert np.allclose(new.ravel(), [0.25, 0.75])
+    # input opinions untouched
+    assert np.allclose(x, [0.0, 1.0])
 
 
 def test_step_fires_exactly_at_threshold():
     params = ModelParams(epsilon=0.5)
-    at = OpinionState(0, np.array([0.0, 0.5]))
-    new, fired = step(at, (0, 1), mu=0.5, params=params)
+    new, fired = _one_step([0.0, 0.5], (0, 1), mu=0.5, params=params)
     assert fired
-    assert np.allclose(new.opinions.ravel(), [0.25, 0.25])
+    assert np.allclose(new.ravel(), [0.25, 0.25])
 
-    above = OpinionState(0, np.array([0.0, 0.5 + 1e-12]))
-    new, fired = step(above, (0, 1), mu=0.5, params=params)
+    above = np.array([[0.0], [0.5 + 1e-12]])
+    new, fired = _one_step(above, (0, 1), mu=0.5, params=params)
     assert not fired
-    assert np.array_equal(new.opinions, above.opinions)
+    assert np.array_equal(new, above)
 
 
 @given(st.integers(1, 8).flatmap(lambda d: st.tuples(
@@ -149,32 +154,29 @@ def test_the_engine_fires_on_exactly_the_profiles_pairs(case):
             if not eps > 0:
                 continue
             params = ModelParams(epsilon=float(eps), dimension=d, norm=norm)
-            fired = step(OpinionState(0, x), (i, j), 0.5, params)[1]
+            fired = _one_step(x, (i, j), 0.5, params)[1]
             kept = [i, j] in profile(x, pairs, params)[0].tolist()
             assert fired == kept == (length <= eps), (i, j, eps)
 
 
 def test_step_multidimensional():
     params = ModelParams(epsilon=2.0, dimension=2)
-    state = OpinionState(0, np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 4.0]]))
-    new, fired = step(state, (0, 1), mu=0.5, params=params)
+    x = np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 4.0]])
+    new, fired = _one_step(x, (0, 1), mu=0.5, params=params)
     assert fired
-    assert np.allclose(new.opinions[0], [0.5, 0.5])
-    assert np.allclose(new.opinions[1], [0.5, 0.5])
-    assert np.allclose(new.opinions[2], [4.0, 4.0])
+    assert np.allclose(new[0], [0.5, 0.5])
+    assert np.allclose(new[1], [0.5, 0.5])
+    assert np.allclose(new[2], [4.0, 4.0])
 
 
 def test_step_validation():
+    # a self-loop (EdgeSet), a pair out of range (ConstantGraph), a rate
+    # above 1/2 (ConstantMu) and opinions of the wrong dimension (run_trajectory)
     params = ModelParams(epsilon=1.0)
-    state = OpinionState(0, np.zeros(3))
-    with pytest.raises(ConfigurationError):
-        step(state, (1, 1), mu=0.2, params=params)
-    with pytest.raises(ConfigurationError):
-        step(state, (0, 3), mu=0.2, params=params)
-    with pytest.raises(ConfigurationError):
-        step(state, (0, 1), mu=0.7, params=params)
-    with pytest.raises(ConfigurationError):
-        step(OpinionState(0, np.zeros((3, 2))), (0, 1), mu=0.2, params=params)
+    for x, pair, mu in ((np.zeros(3), (1, 1), 0.2), (np.zeros(3), (0, 3), 0.2),
+                        (np.zeros(3), (0, 1), 0.7), (np.zeros((3, 2)), (0, 1), 0.2)):
+        with pytest.raises(ConfigurationError):
+            _one_step(x, pair, mu, params)
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +329,15 @@ def test_global_order_is_not_invariant():
     """Order preservation only binds the interacting pair: averaging with a
     distant agent can carry an opinion past an uninvolved bystander."""
     params = ModelParams(epsilon=1.0)
-    state = OpinionState(0, np.array([0.0, 0.2, 1.0]))
-    new, fired = step(state, (0, 2), mu=0.5, params=params)
+    x, fired = _one_step([0.0, 0.2, 1.0], (0, 2), mu=0.5, params=params)
     assert fired
-    x = new.opinions
     assert x[0, 0] == pytest.approx(0.5)  # overtook the bystander at 0.2
     assert x[0, 0] > x[1, 0]
     assert x[2, 0] >= x[0, 0]  # yet the pair itself did not cross
 
 
 # ---------------------------------------------------------------------------
-# One update rule: the engine's recorded events replay through step()
+# One update rule: the engine's recorded events replay through the oracle's
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("norm", NORMS)
@@ -352,17 +352,15 @@ def test_step_replays_every_recorded_event(norm):
                           UniformMu(0.1, 0.5), params, 150, rng, record_stride=1)
     assert traj.times.tolist() == list(range(151))
     assert (traj.events["i"][40:70] == -1).all()
-    assert traj.events["fired"].any()
-    state = OpinionState(0, traj.states[0])
+    assert traj.events["fired"].any() and not traj.events["fired"].all()
+    x = traj.states[0]
     for t, (i, j, fired, mu) in enumerate(traj.events.tolist()):
         if i < 0:
             assert j < 0 and not fired
-            state = OpinionState(t + 1, state.opinions)
         else:
-            state, replay_fired = step(state, (i, j), mu, params)
+            x, replay_fired = apply_update(x, (i, j), mu, params)
             assert replay_fired == fired
-        assert np.array_equal(state.opinions, traj.states[t + 1])
-    assert np.array_equal(state.opinions, traj.states[-1])
+        assert np.array_equal(x, traj.states[t + 1])
 
 
 def test_events_csv_row_of_a_step_without_edges(tmp_path):
@@ -392,7 +390,7 @@ def test_a_step_reads_its_words_by_address_then_its_spill_stream(monkeypatch, bl
     draws = Draws(key)
     for t in (299, 0, 1, 2, 128, 127, 5, 6, 298):
         row = stream[t * width:(t + 1) * width]
-        assert draws.step(t) == (row[0] >> 11) * 2.0**-53
+        assert draws.at(t) == (row[0] >> 11) * 2.0**-53
         spill = np.random.Philox(key=key + ((t + 1) << 64)).random_raw(5).tolist()
         assert [next(draws) for _ in range(width - 1 + 5)] == row[1:] + spill
 
@@ -400,7 +398,7 @@ def test_a_step_reads_its_words_by_address_then_its_spill_stream(monkeypatch, bl
 def _redraw(key: int, schedule, t: int):
     """Step t's pair (None when E(t) is empty) and rate, read from its address alone."""
     draws = Draws(key)
-    mu = UniformMu(0.1, 0.5).mu_at(t, draws.step(t))
+    mu = UniformMu(0.1, 0.5).mu_at(t, draws.at(t))
     return select_pair(schedule.edges_at(t), draws), mu
 
 

@@ -17,7 +17,9 @@ from deffuant import (
     OutcomeClassifier,
     PiecewiseGraph,
     PointCloud,
+    StoppingTimeTracker,
     TrialConfig,
+    TrialOutcome,
     Verdict,
     bound_comparison_report,
     certified_hull_gap,
@@ -28,7 +30,7 @@ from deffuant import (
     theoretical_lower_bound,
     wilson_interval,
 )
-from deffuant import graphs
+from deffuant import graphs, montecarlo
 from deffuant.norms import cross_distances
 from oracles import wilson_roots
 
@@ -232,6 +234,50 @@ def test_trials_do_not_depend_on_ensemble_size():
     small = run_ensemble(template, 10)
     large = run_ensemble(template, 25)
     assert small.rows == large.rows[:10]
+
+
+def test_the_pool_maps_trials_in_order_even_when_run_trial_is_a_closure(monkeypatch):
+    # A closure wrapping run_trial (to time or count trials) cannot be pickled
+    # for a pool worker; the pool maps a module function that looks run_trial
+    # up by name when it runs.
+    real, seen = montecarlo.run_trial, []
+
+    def counting(config, **kwargs):
+        seen.append(config.trial_index)
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_trial", counting)
+    template = _config(horizon=1000, n=5, master_seed=9)
+    one = run_ensemble(template, 12)
+    assert seen == list(range(12))
+    assert one.rows == [real(dataclasses.replace(template, trial_index=k)) for k in range(12)]
+    assert run_ensemble(template, 12, workers=2).rows == one.rows
+
+
+@pytest.mark.parametrize("kind", ["tracker", "classifier"])
+def test_an_observer_reused_for_a_second_run_reports_that_run_alone(kind):
+    # the first run starts in consensus, so tau and the verdict come at step 0;
+    # the second, with mu = 0, never gets a short profile nor a sound verdict
+    config = _config(epsilon=0.2, n=4, horizon=20, mu=0.0)
+
+    def run(observer, x):
+        run_trajectory(OpinionState(0, x), config.graph_schedule, config.mu_schedule,
+                       config.params, config.horizon, np.random.default_rng(0),
+                       observers=[observer])
+        return observer.time if kind == "tracker" else observer.outcome()
+
+    def make():
+        if kind == "tracker":
+            return StoppingTimeTracker(0.01, config.params)
+        return OutcomeClassifier(config)
+
+    spread = np.array([0.0, 0.1, 0.2, 0.3])
+    reused = make()
+    first = run(reused, np.zeros(4))
+    assert first == (0 if kind == "tracker" else TrialOutcome(Verdict.CONSENSUS, 0, 0.0))
+    fresh = run(make(), spread)
+    assert fresh == (None if kind == "tracker" else TrialOutcome(Verdict.UNDECIDED, None, 0.3))
+    assert run(reused, spread) == fresh
 
 
 def test_ensemble_tests_a_constant_schedule_for_connectivity_once(monkeypatch):
