@@ -260,6 +260,11 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> Experimen
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(
             f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)) from None
+    except MemoryError as exc:
+        # numpy refuses at once an array far beyond the machine, e.g. the
+        # opinions or the complete graph's edges of a huge n
+        raise ConfigurationError(f"the config asks for more memory than there is: {exc}") \
+            from None
 
 
 def _count(raw: dict[str, Any], key: str) -> int:
@@ -286,6 +291,7 @@ def _real(value: Any, what: str) -> float:
 def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
     n = _count(raw, "n")
     dimension = _count(raw, "dimension")
+    np.empty((n, dimension))   # every command holds the n opinions; too many raise MemoryError
     params = ModelParams(epsilon=_real(raw["epsilon"], "epsilon"), dimension=dimension,
                          norm=str(raw["norm"]))
     for key in ("space", "graph", "mu"):
@@ -353,27 +359,17 @@ def _resolve_out_dir(arg: Optional[str]) -> Path:
     return path
 
 
-# CSV text of a value by its exact type: floats by repr, bools as 0 or 1,
-# None as an empty field; other types (numpy scalars) go through ``_fmt``.
-_CSV_TEXT = {float: float.__repr__, int: int.__repr__, str: str,
-             bool: lambda v: "1" if v else "0", type(None): lambda v: ""}
-
-
-def _fmt(value: Any) -> str:
-    text = _CSV_TEXT.get(type(value))
-    if text is not None:
-        return text(value)
-    if isinstance(value, np.bool_):
-        return str(int(value))
-    if isinstance(value, np.floating):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    """Write ``header`` and the already formatted ``lines``, one a row."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _ints(values) -> list[str]:
+    """CSV fields of integers, an empty field for each None (or -1, the
+    agent of a step without an edge)."""
+    return ["" if v is None or v == -1 else str(v) for v in values]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -433,18 +429,24 @@ def cmd_simulate(config: ExperimentConfig, seed: int, out_dir: Path) -> int:
     elapsed = time.perf_counter() - t0
 
     d = config.params.dimension
+    # column by column, each by its known type: floats by repr
+    times, states, events = trajectory.times, trajectory.states, trajectory.events
+    n = states.shape[1]
     _write_csv(
         out_dir / "states.csv",
         ["step", "agent_id"] + [f"x{k}" for k in range(d)],
-        ((t, agent, *row)
-         for t, x in zip(trajectory.times.tolist(), trajectory.states)
-         for agent, row in enumerate(x.tolist())),
+        map(",".join, zip([step for step in map(str, times.tolist()) for _ in range(n)],
+                          [str(agent) for agent in range(n)] * len(times),
+                          *(map(float.__repr__, states[:, :, k].ravel().tolist())
+                            for k in range(d)))),
     )
     _write_csv(
         out_dir / "events.csv",
         ["step", "i", "j", "fired", "mu"],
-        ((t, None if i < 0 else i, None if j < 0 else j, fired, mu)
-         for t, (i, j, fired, mu) in enumerate(trajectory.events.tolist())),
+        map(",".join, zip(map(str, range(len(events))), _ints(events["i"].tolist()),
+                          _ints(events["j"].tolist()),
+                          map(("0", "1").__getitem__, events["fired"].tolist()),
+                          map(float.__repr__, events["mu"].tolist()))),
     )
 
     stopping = []
@@ -551,8 +553,12 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
         _write_csv(
             out_dir / "trials.csv",
             ["trial_index", "verdict", "decided_at", "final_diameter", "tau_delta"],
-            ((k, r.outcome.verdict.value, r.outcome.decided_at, r.outcome.final_diameter,
-              r.tau_delta) for k, r in enumerate(ensemble.rows)),
+            map(",".join, zip(
+                map(str, range(len(ensemble.rows))),
+                (r.outcome.verdict.value for r in ensemble.rows),
+                _ints(r.outcome.decided_at for r in ensemble.rows),
+                (float.__repr__(r.outcome.final_diameter) for r in ensemble.rows),
+                _ints(r.tau_delta for r in ensemble.rows))),
         )
 
     print(f"estimate: p_hat={estimate.p_hat:.4f} "

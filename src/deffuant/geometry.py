@@ -178,32 +178,69 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     return pts[:, None] if pts.ndim == 1 else pts
 
 
-# Distance-matrix rows measured at once are capped so that the (rows, n, d)
-# difference array holds at most this many floats (1 MB); larger blocks were
-# no faster at n = 1000.
+# A block of the distance matrix holds at most this many floats in its
+# (states, rows, columns, d) difference array (1 MB; larger blocks were no
+# faster at n = 1000) and at most _DISTANCE_ROWS rows, which keeps the part
+# of each block below the diagonal small.
 _DISTANCE_CHUNK = 1 << 17
+_DISTANCE_ROWS = 64
+
+
+def _upper_blocks(n: int, floats: int):
+    """(start, rows) of each block of the distance matrix's upper triangle:
+    rows [start, start + rows) against columns [start, n), at ``floats``
+    floats an entry."""
+    start = 0
+    while start < n:
+        rows = max(1, min(_DISTANCE_CHUNK // (floats * (n - start)), _DISTANCE_ROWS))
+        yield start, rows
+        start += rows
 
 
 def farthest_pair(points: np.ndarray, norm: str = "euclidean") -> tuple[float, int, int]:
     """The diameter of a point set and one pair (a, b) of points that attains it.
 
-    The distance matrix is measured a block of rows at a time, so memory
-    stays bounded at any n; the maximum is the same as over the whole matrix.
+    (a, b) is the first maximum of the distance matrix in row-major order.
+    The matrix is symmetric bit for bit (a difference and its negation have
+    the same length), so that maximum lies on or above the diagonal: the
+    upper triangle is measured a block at a time (``_upper_blocks``), and
+    memory stays bounded at any n.
     """
     pts = _as_points(points)
+    if pts.ndim != 2:
+        raise ConfigurationError(f"points must be (n, d), got shape {pts.shape}")
     n, d = pts.shape
     if n == 0:
         raise ConfigurationError("diameter of an empty point set")
-    rows = max(1, _DISTANCE_CHUNK // (n * d))
     best, a, b = 0.0, 0, 0
-    for start in range(0, n, rows):
-        block = cross_distances(pts[start:start + rows], pts, norm)
-        k = int(block.argmax())
-        if block.flat[k] > best:
-            best = float(block.flat[k])
-            a, b = divmod(k, n)
-            a += start
+    for start, rows in _upper_blocks(n, d):
+        block = cross_distances(pts[start:start + rows], pts[start:], norm)
+        at = int(block.argmax())
+        if block.flat[at] > best:   # a tie keeps the earlier maximum
+            best = float(block.flat[at])
+            a, b = divmod(at, n - start)
+            a, b = a + start, b + start
     return best, a, b
+
+
+def farthest_pairs(states: np.ndarray, norm: str = "euclidean") -> list[tuple[float, int, int]]:
+    """``farthest_pair`` of each point set of a stack (k, n, d), the sets
+    measured together a block at a time."""
+    k, n, d = states.shape
+    if k == 1:
+        return [farthest_pair(states[0], norm)]
+    if n == 0:
+        raise ConfigurationError("diameter of an empty point set")
+    found = [(0.0, 0, 0)] * k
+    every = np.arange(k)
+    for start, rows in _upper_blocks(n, k * d):
+        block = cross_distances(states[:, start:start + rows], states[:, start:],
+                                norm).reshape(k, -1)
+        spots = block.argmax(axis=1)
+        for s, (top, at) in enumerate(zip(block[every, spots].tolist(), spots.tolist())):
+            if top > found[s][0]:   # a tie keeps the earlier maximum
+                found[s] = (top, start + at // (n - start), start + at % (n - start))
+    return found
 
 
 def diameter(points: np.ndarray, norm: str = "euclidean") -> float:

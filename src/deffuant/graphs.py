@@ -86,7 +86,8 @@ def complete_edges(n: int) -> EdgeSet:
 
 def path_edges(n: int) -> EdgeSet:
     """Path 0-1-...-(n-1)."""
-    return EdgeSet((i, i + 1) for i in range(n - 1))
+    first = np.arange(max(n - 1, 0), dtype=np.intp)
+    return EdgeSet._from_sorted_array(np.column_stack((first, first + 1)))
 
 
 def lex_index(i: int, j: int, n: int) -> int:
@@ -157,13 +158,14 @@ def select_pair(edges: EdgeSet, words: Iterator[int]) -> Optional[tuple[int, int
 # ---------------------------------------------------------------------------
 
 def pair_lengths(x: np.ndarray, pairs: np.ndarray, norm: str) -> np.ndarray:
-    """Opinion distance across each row of ``pairs`` (m, 2), x of shape (n, d).
+    """Opinion distance across each row of ``pairs`` (m, 2), x of shape (n, d),
+    or of each state of a stack (k, n, d), giving (k, m).
 
-    A row's length does not depend on which other rows are measured with it,
-    so measuring a subset of rows gives the same bits as measuring them all.
+    A row's length does not depend on which other rows or states are measured
+    with it, so measuring a subset gives the same bits as measuring them all.
     """
     # take() copies rows several times faster than fancy or boolean indexing
-    return lengths(x.take(pairs[:, 0], axis=0) - x.take(pairs[:, 1], axis=0), norm)
+    return lengths(x.take(pairs[:, 0], axis=-2) - x.take(pairs[:, 1], axis=-2), norm)
 
 
 def profile(x: np.ndarray, pairs: np.ndarray,

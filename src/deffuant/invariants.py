@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
-from .geometry import farthest_pair
+from .geometry import farthest_pair, farthest_pairs
 from .graphs import (ConstantGraph, CyclicGraph, EdgeSet, ErdosRenyiEdges, ErdosRenyiGraph,
                      GraphSchedule, _all_pairs_array, complete_edges, is_connected, lex_index,
                      pair_lengths, path_edges, profile)
@@ -286,8 +286,13 @@ class DiameterMonotoneObserver(TrajectoryObserver):
     measured again over all pairs (``farthest_pair``).  For a block, the
     opinions after each step are filled forward from the block's start,
     O(m n d); rows i and j are measured against them in one call, and the
-    steps are then walked in order.
+    steps are then walked in order.  A re-measurement at step k measures the
+    states after steps k .. k + w - 1 in one call (``farthest_pairs``), w as
+    many as fit in _WINDOW_FLOATS (w = 1 once n^2 d exceeds it), and a later
+    one inside that window reads its result.
     """
+
+    _WINDOW_FLOATS = 1 << 13
 
     def __init__(self, params: ModelParams):
         self.params = params
@@ -309,11 +314,16 @@ class DiameterMonotoneObserver(TrajectoryObserver):
         far = dist.argmax(axis=1)
         tol = scaled_tolerance(IDENTITY_TOL, x, steps.old).tolist()
         diam, (a, b) = self.diameter, self._pair
+        window = max(1, self._WINDOW_FLOATS // (n * x[0].size))
+        first, measured = 0, ()   # farthest pairs of the states after steps first, ...
         for k, (i, j, f, length) in enumerate(zip(
                 steps.i.tolist(), steps.j.tolist(), far.tolist(),
                 dist[np.arange(len(steps)), far].tolist())):
             if i == a or i == b or j == a or j == b:
-                new_diam, a, b = farthest_pair(x[k], norm)
+                if not k - first < len(measured):
+                    first = k
+                    measured = farthest_pairs(x[k:k + window], norm)
+                new_diam, a, b = measured[k - first]
             elif length > diam:
                 new_diam, a, b = length, (i, j)[f // n], f % n
             else:
@@ -332,9 +342,9 @@ class DiameterMonotoneObserver(TrajectoryObserver):
 def _long_edges(x: np.ndarray, pairs: np.ndarray, delta: float,
                 params: ModelParams) -> np.ndarray:
     """Flags of the rows of ``pairs`` within the confidence range (the
-    profile's exact <= epsilon) but longer than delta.  A state is delta-short
-    over E(t) when no row of E(t) is flagged: the one test behind both
-    tau_delta and T_delta."""
+    profile's exact <= epsilon) but longer than delta, in a state x (n, d) or
+    in each state of a stack (k, n, d).  A state is delta-short over E(t) when
+    no row of E(t) is flagged: the one test behind both tau_delta and T_delta."""
     dist = pair_lengths(x, pairs, params.norm)
     return (dist <= params.epsilon) & (dist > delta)
 
@@ -572,20 +582,37 @@ def settle_time(
     Each recorded (n, d) state is paired with the social edges active at its
     own step in ``times``.  Only the delta-short suffix of the states can
     hold T_delta, so it is found first, scanning back from the last state to
-    the first state that is not short (each searched up to its first long
-    edge, ``_first_long_edge``); connectivity is then tested forward through
-    that suffix alone.  Certification is only as strong as the
-    horizon and the recording stride.
+    the first state that is not short.  Consecutive states that share one
+    E(t) object are measured together (``_long_edges`` on a stack), as many
+    at once as keep the temporaries within BLOCK_BYTES; a state alone (at
+    large n, or on an Erdos-Renyi schedule, whose E(t) is new at every step)
+    is searched up to its first long edge (``_first_long_edge``).
+    Connectivity is then tested forward through that suffix alone.  Only the
+    E(t) of the states being measured is held.  Certification is only as
+    strong as the horizon and the recording stride.
     """
     if not (delta > 0):
         raise ConfigurationError(f"delta must be > 0, got {delta}")
     times = [int(t) for t in times]
     start = len(times)
     while start > 0:
-        t, x = times[start - 1], states[start - 1]
-        if _first_long_edge(x, schedule.edges_at(t).array, delta, params) is not None:
+        shared = schedule.edges_at(times[start - 1])
+        pairs = shared.array
+        # a state's bytes: per row, the two gathered rows and their difference
+        # (3 d floats) and about three floats of lengths and flags
+        per_call = max(1, BLOCK_BYTES // (8 * max(1, len(pairs)) * (3 * params.dimension + 3)))
+        lo = start - 1
+        while lo > 0 and start - lo < per_call and schedule.edges_at(times[lo - 1]) is shared:
+            lo -= 1
+        if lo == start - 1:
+            long = [_first_long_edge(states[lo], pairs, delta, params) is not None]
+        else:
+            long = _long_edges(np.asarray(states[lo:start]), pairs, delta,
+                               params).any(axis=1).tolist()
+        if any(long):
+            start = lo + 1 + max(k for k, flag in enumerate(long) if flag)
             break
-        start -= 1
+        start = lo
     for t, x in zip(times[start:], states[start:]):
         if is_connected(profile(x, schedule.edges_at(t).array, params)[0], len(x)):
             return t

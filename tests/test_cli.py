@@ -1,13 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deffuant import (
     ConsensusEstimate,
@@ -226,6 +231,97 @@ def test_missing_graph_file_exits_config(tmp_path):
 def test_unknown_suite_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit):
         cli_main(["verify", "--suite", "bogus", "--out-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize("n, graph", [
+    (10**12, {"kind": "complete"}),                # exited 1: MemoryError in complete_edges
+    (10**12, {"kind": "path"}),                    # built 10^12 Python tuples, one at a time
+    (10**12, {"kind": "erdos_renyi", "p": 0.5}),   # exited 1: MemoryError drawing the opinions
+    (10**7, {"kind": "complete"}),   # the opinions fit, the 5 * 10^13 edges do not
+])
+def test_a_huge_n_exits_config_without_traceback(tmp_path, capsys, command, n, graph):
+    # Each of these asks numpy for one array of terabytes while the config is
+    # built, which is refused at once; no smaller array is asked for, since a
+    # kernel may grant that lazily.
+    path = write_config(tmp_path, n=n, graph=graph)
+    assert cli_main(_command_argv(command, path, tmp_path / "out")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+
+
+def test_a_memory_error_during_a_run_is_not_a_config_error(tmp_path, monkeypatch):
+    # only a config that numpy refuses while it is built exits 2; running
+    # out of memory later is a fault of the run, not of the config
+    def exhausted(*args, **kwargs):
+        raise MemoryError("exhausted")
+    monkeypatch.setattr(cli, "run_trajectory", exhausted)
+    path = write_config(tmp_path)
+    with pytest.raises(MemoryError):
+        cli_main(_command_argv("simulate", path, tmp_path / "out"))
+
+
+# A fuzzed config starts from _FUZZ_BASE, and each key is kept or drawn from
+# its menu, or (one time in eight) from _WRONG: wrong types, bools, nested
+# lists, 1e400 (Infinity once parsed) and negatives.  Sizes stay at n <= 30,
+# but for the huge n above.
+_HUGE = "__1e400__"   # written into the JSON text as the literal 1e400
+_WRONG = [None, True, False, "x", [], [[0.5]], {}, -1, -0.5, 0, _HUGE]
+_BOX2 = {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+_FUZZ_BASE = {"n": 5, "dimension": 2, "space": _BOX2}
+_MENU = {
+    "n": [1, 2, 7, 30, 3.0, 10**12],
+    "dimension": [2, 3],
+    "epsilon": [0.3, 0.9, 2.0],
+    "norm": ["euclidean", "l1", "linf"],
+    "consensus_tol": [1e-6, 0.5],
+    "space": [_BOX2, {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+              {"kind": "cloud", "points": [[0.0, 0.0], [1.0, 0.5]]},
+              {"kind": "interval", "a": 0.0, "b": 1.0},
+              {"kind": "box", "lower": [[0.0], [0.0]], "upper": [[1.0], [_HUGE]]},
+              {"kind": "ball", "center": [[0.0, 0.0]], "radius": -1.0}],
+    "graph": [{"kind": "complete"}, {"kind": "path"}, {"kind": "erdos_renyi", "p": 0.5},
+              {"kind": "edges", "pairs": [[0, 1], [1, 2]]},
+              {"kind": "cyclic", "members": [[[0, 1]], []]},
+              {"kind": "piecewise", "steps": {"0": [[0, 1]], "5": []}},
+              {"kind": "edges", "pairs": [[0, [1]]]},
+              {"kind": "cyclic", "members": []},
+              {"kind": "piecewise", "steps": {"-5": []}},
+              {"kind": "erdos_renyi", "p": _HUGE}],
+    "mu": [{"kind": "constant", "value": 0.5}, {"kind": "uniform", "low": 0.1, "high": 0.5},
+           {"kind": "sequence", "values": [0.5, 0.1]}, {"kind": "sequence", "values": []},
+           {"kind": "constant", "value": _HUGE}, {"kind": "uniform", "low": 0.5, "high": 0.1}],
+    "deltas": [[0.01], [0.05, 0.5], [], [_HUGE], [[0.1]]],
+    "record_stride": [None, 1, 7],
+    "c_samples": [1, 10, 10**9],
+    "check_every": [1, 5, 100],
+    "initial": [None, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8], [0.9, 1.0]],
+                [[[0.1]]]],
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_configs_exit_with_a_contract_code_and_both_commands_agree(data):
+    config = dict(_FUZZ_BASE)
+    for key, menu in _MENU.items():
+        if data.draw(st.booleans(), label=f"{key}?"):
+            wrong = data.draw(st.integers(0, 7), label=f"{key} wrong?") == 0
+            config[key] = data.draw(st.sampled_from(_WRONG if wrong else menu), label=key)
+    text = json.dumps(config).replace(f'"{_HUGE}"', "1e400")
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        path = Path(tmp) / "config.json"
+        path.write_text(text)
+        for command in ("simulate", "estimate"):
+            # any exception escaping main fails the test with its traceback
+            codes[command] = cli_main([*_command_argv(command, str(path), Path(tmp) / command),
+                                       "--horizon", "20"])
+    assert set(codes.values()) <= {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INVARIANT,
+                                   cli.EXIT_BOUND}, (text, codes)
+    assert (codes["simulate"] == cli.EXIT_CONFIG) == (codes["estimate"] == cli.EXIT_CONFIG), \
+        (text, codes)
 
 
 # ---------------------------------------------------------------------------

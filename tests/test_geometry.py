@@ -16,7 +16,9 @@ from deffuant import (
     expected_center_distance,
     minimum_enclosing_ball,
 )
-from deffuant.norms import NORMS, lengths
+from deffuant import geometry
+from deffuant.geometry import farthest_pair, farthest_pairs
+from deffuant.norms import NORMS, cross_distances, lengths
 from oracles import bruteforce_enclosing_ball
 
 EQUILATERAL_CIRCUMRADIUS = 0.5773502691896258  # side 1: 1/sqrt(3)
@@ -117,6 +119,42 @@ def test_diameter():
     assert diameter(pts, "linf") == 4.0
     with pytest.raises(ConfigurationError):
         diameter(np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("chunk, rows", [(1 << 17, 64), (12, 2), (1, 1)])
+def test_farthest_pair_is_the_first_maximum_of_the_full_matrix(monkeypatch, norm, chunk,
+                                                               rows):
+    # the upper-triangle blocks, one state and a stack of them, give the
+    # value and the row-major first position of the full matrix's maximum;
+    # small blocks put ties in different blocks
+    monkeypatch.setattr(geometry, "_DISTANCE_CHUNK", chunk)
+    monkeypatch.setattr(geometry, "_DISTANCE_ROWS", rows)
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 7, 12, 70):
+        for d in (1, 2, 3):
+            # points on a grid of three values a side tie at the diameter;
+            # uniform points do not; equal points have diameter 0 at (0, 0)
+            xs = np.concatenate((rng.integers(0, 3, size=(4, n, d)) / 2.0,
+                                 rng.random((2, n, d)), np.full((1, n, d), 0.25)))
+            expected = []
+            for x in xs:
+                full = cross_distances(x, x, norm)
+                k = int(full.argmax())
+                expected.append((float(full.flat[k]), *divmod(k, n)))
+                assert farthest_pair(x, norm) == expected[-1]
+            assert farthest_pairs(xs, norm) == expected
+            assert farthest_pairs(xs[:1], norm) == expected[:1]
+
+
+def test_farthest_pair_and_diameter_take_one_point_set():
+    stack = np.zeros((3, 4, 2))
+    with pytest.raises(ConfigurationError):
+        farthest_pair(stack)
+    with pytest.raises(ConfigurationError):
+        diameter(stack)
+    with pytest.raises(ConfigurationError):
+        farthest_pairs(np.empty((2, 0, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -254,9 +254,10 @@ def test_diameter_observer_matches_the_full_matrix_at_every_step(monkeypatch, no
     full = [float(cross_distances(x, x, norm).max()) for x in traj.states]
     largest_rise = max(np.diff(full)[traj.events["fired"]])
     remeasured = []
-    farthest = invariants.farthest_pair
-    monkeypatch.setattr(invariants, "farthest_pair",
-                        lambda x, norm: remeasured.append(len(x)) or farthest(x, norm))
+    farthest = invariants.farthest_pairs
+    monkeypatch.setattr(invariants, "farthest_pairs",
+                        lambda x, norm: remeasured.append(x.shape) or farthest(x, norm))
+    window = max(1, DiameterMonotoneObserver._WINDOW_FLOATS // (n * n * d))
     # blocks of one step, of 7 and of the engine's size: the forward-filled
     # opinions match the recorded state after every step of a block, and the
     # diameter after each block matches the full matrix
@@ -271,7 +272,10 @@ def test_diameter_observer_matches_the_full_matrix_at_every_step(monkeypatch, no
             assert obs.after_block(steps) is None
             end = steps.t[-1] + 1
             assert obs.diameter == full[end] == diameter(traj.states[end], norm)
-        assert remeasured   # steps touched the kept pair: the full re-measurement ran
+        # steps touched the kept pair: the batched re-measurement ran, on a
+        # window of the states after them, at most ``window`` states a call
+        assert remeasured
+        assert all(len(shape) == 3 and 1 <= shape[0] <= window for shape in remeasured)
         assert obs.max_increase == largest_rise
     # the engine's blocks reach the same diameter and the same largest increase
     audited = DiameterMonotoneObserver(params)
@@ -664,6 +668,86 @@ def test_settle_time_tests_connectivity_only_inside_the_short_suffix(
                         lambda pairs, n: calls.append(n) or real(pairs, n))
     assert settle_time(traj.times, traj.states, schedule, delta, params) == expected
     assert len(calls) == tests
+
+
+# A state that is short and connected over either E(t) (n = 4, d = 1), one
+# with long path edges, one whose only long edge (0, 3) is not a path edge,
+# and one that is short over either E(t) but split into two components.
+_SHORT, _LONG = [0.0, 0.01, 0.02, 0.03], [0.0, 0.2, 0.4, 0.6]
+_LONG_OFF_PATH, _SPLIT = [0.0, 0.05, 0.1, 0.15], [0.0, 0.01, 5.0, 5.01]
+
+
+@pytest.mark.parametrize("per_call, blocks", [
+    (1, [1] * 6 + [2] * 3),   # a path state takes half the bytes of a complete one
+    (3, [3, 3, 6]),           # the states of steps 9-11 and 6-8 (complete), 0-5 (path)
+    (100, [6, 6]),
+])
+@pytest.mark.parametrize("rows, expected", [
+    ([_LONG] * 9 + [_SHORT] * 3, 9),                 # on a boundary of per_call states
+    ([_LONG] * 6 + [_SHORT] * 6, 6),                 # where E(t) changes
+    ([_LONG] * 7 + [_SHORT] * 5, 7),                 # inside a block
+    ([_SHORT] * 12, 0),
+    ([_SHORT] * 11 + [_LONG], None),
+    ([_LONG] * 3 + [_LONG_OFF_PATH] * 3 + [_SHORT] * 6, 3),   # short over the path
+    ([_LONG_OFF_PATH] * 7 + [_SHORT] * 5, 7),        # long over the complete graph
+    ([_LONG] * 9 + [_SPLIT] * 2 + [_SHORT], 11),     # short from 9, connected from 11
+])
+def test_settle_time_searches_blocks_of_states_that_share_their_edges(
+        monkeypatch, per_call, blocks, rows, expected):
+    # E(t) is the path before step 6 and the complete graph from then on; the
+    # states of steps 0-11 are searched back from the end in blocks of at
+    # most ``per_call`` states that share one E(t) object
+    n, d, delta = 4, 1, 0.1
+    params = ModelParams(epsilon=1.0, dimension=d)
+    schedule = PiecewiseGraph(n, ((0, path_edges(n)), (6, complete_edges(n))))
+    times, states = np.arange(12), np.array(rows)[:, :, None]
+    assert _settle_time_full_scan(times, states, schedule, delta, params)[0] == expected
+    # the bytes per state settle_time sizes its blocks by, for the 6 complete edges
+    monkeypatch.setattr(invariants, "BLOCK_BYTES", per_call * 8 * 6 * (3 * d + 3))
+    # each search here is one call of _long_edges: a state's at most 6 rows
+    # are one chunk of _first_long_edge
+    searched = []
+    search = invariants._long_edges
+    monkeypatch.setattr(invariants, "_long_edges", lambda x, *args: searched.append(
+        len(x) if x.ndim == 3 else 1) or search(x, *args))
+    assert settle_time(times, states, schedule, delta, params) == expected
+    first = 12 if expected is None else int(expected)
+    assert sum(searched) <= 12 and searched == blocks[:len(searched)]
+    assert sum(searched) >= 12 - first
+
+
+def test_a_block_of_states_is_measured_over_every_edge():
+    # 12 agents, 66 complete edges, delta 1/8, epsilon 1/4, the three states
+    # measured in one block: the first 64 rows show the long edge (0, 1) of
+    # the first state, but the second state's only long edges, (9, 11) and
+    # (10, 11), are rows 64 and 65
+    n, params = 12, ModelParams(epsilon=0.25)
+    first, second, short = np.zeros(n), np.zeros(n), np.zeros(n)
+    first[1] = 0.1875
+    second[9:] = 0.0625, 0.0625, 0.3125   # connected: 11 is in range of 9 and 10 only
+    states = np.stack((first, second, short))[:, :, None]
+    schedule = ConstantGraph(n, complete_edges(n))
+    assert settle_time([0, 1, 2], states, schedule, 0.125, params) == 2
+
+
+def test_settle_time_holds_one_erdos_renyi_edge_set_at_a_time():
+    # 300 recorded states, all short: the backward scan measures every one,
+    # each over its own E(t), whose rows (about 10 000 at n = 200, 160 kB)
+    # are hashed when first asked for; holding them all would take 48 MB
+    n, d, delta = 200, 1, 0.1
+    params = ModelParams(epsilon=1.0, dimension=d)
+    schedule = ErdosRenyiGraph(n, 0.5, seed=5)
+    times = np.arange(300)
+    states = np.broadcast_to(np.linspace(0.0, 0.05, n)[:, None], (len(times), n, d))
+    one = schedule.edges_at(0).array.nbytes
+    tracemalloc.start()
+    try:
+        settled = settle_time(times, states, schedule, delta, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert settled == 0
+    assert peak < 20 * one
 
 
 def test_stopping_record_validation():

@@ -13,7 +13,7 @@ then run, with their own ``src`` on the path:
 * ``estimate --trials 12 --per-trial --threads 1`` at seeds 0 and 7 on seven of
   the reference configs, which between them reach every branch of the bound's
   geometry: an interval, a one-dimensional box, boxes of d = 2 and 3, a ball
-  and a point cloud;
+  and a point cloud, and on the two benchmark ``estimate`` configs;
 * ``verify --suite all`` at seeds 0 and 7, whose stdout is its artifact;
 * the demos ``demos/01_*.py`` to ``demos/05_*.py``, whose stdout is theirs.
 
@@ -88,16 +88,19 @@ ESTIMATED = ("complete-box2-two-deltas", "erdos-renyi-p0.3",
 def runs(configs: Path) -> list[tuple[str, list[str]]]:
     """(label, deffuant arguments) of every run, the configs written into ``configs``."""
     simulated = dict(CONFIGS)
+    estimated = {name: CONFIGS[name] for name in ESTIMATED}
     for workload in WORKLOADS.values():
         simulated[f"benchmark-{workload.simulate_label}"] = workload.simulate
+        estimated[f"benchmark-{workload.estimate_label}"] = workload.estimate
     out = []
-    for name, config in simulated.items():
+    for name, config in {**simulated, **estimated}.items():
         path = configs / f"{name}.json"
         path.write_text(json.dumps(config))
         for seed in SEEDS:
-            out.append((f"simulate {name} seed {seed}",
-                        ["simulate", "--config", str(path), "--seed", str(seed)]))
-            if name in ESTIMATED:
+            if name in simulated:
+                out.append((f"simulate {name} seed {seed}",
+                            ["simulate", "--config", str(path), "--seed", str(seed)]))
+            if name in estimated:
                 out.append((f"estimate {name} seed {seed}",
                             ["estimate", "--config", str(path), "--seed", str(seed),
                              "--trials", "12", "--per-trial", "--threads", "1"]))
