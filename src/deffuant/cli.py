@@ -152,14 +152,14 @@ def _build_space(data: dict, dimension: int) -> OpinionSpace:
         space = Interval(_real(data.get("a", 0.0), "a"), _real(data.get("b", 1.0), "b"))
     elif kind == "box":
         _reject_unknown(data, {"kind", "lower", "upper"}, "space")
-        space = Box(data["lower"], data["upper"])
+        space = Box(_reals(data["lower"], "lower"), _reals(data["upper"], "upper"))
     elif kind == "ball":
         _reject_unknown(data, {"kind", "center", "radius", "norm"}, "space")
-        space = BallSpace(data["center"], _real(data["radius"], "radius"),
+        space = BallSpace(_reals(data["center"], "center"), _real(data["radius"], "radius"),
                           data.get("norm", "euclidean"))
     elif kind == "cloud":
         _reject_unknown(data, {"kind", "points"}, "space")
-        space = PointCloud(np.asarray(data["points"], dtype=float))
+        space = PointCloud(_reals(data["points"], "points", rows=True))
     else:
         raise ConfigurationError(f"unknown space kind {kind!r}")
     if space.dimension != dimension:
@@ -288,6 +288,21 @@ def _real(value: Any, what: str) -> float:
     return float(value)
 
 
+def _reals(value: Any, what: str, rows: bool = False) -> np.ndarray:
+    """A JSON array of numbers as a float array, each element checked as
+    ``_real`` checks a scalar; with ``rows``, an array of such arrays of one
+    length (one a point) is read as an (n, d) array too.  Nothing is
+    flattened."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{what} must be a JSON array of numbers, got {value!r}")
+    if rows and value and all(isinstance(row, list) for row in value):
+        points = [_reals(row, what) for row in value]
+        if len({len(p) for p in points}) != 1:
+            raise ConfigurationError(f"the rows of {what} must have one length")
+        return np.array(points)
+    return np.array([_real(v, what) for v in value], dtype=float)
+
+
 def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
     n = _count(raw, "n")
     dimension = _count(raw, "dimension")
@@ -319,7 +334,7 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
         raise ConfigurationError(f"consensus_tol must be > 0, got {consensus_tol}")
     initial = None
     if raw["initial"] is not None:
-        initial = np.asarray(raw["initial"], dtype=float)
+        initial = _reals(raw["initial"], "initial", rows=True)
         if initial.ndim == 1:
             initial = initial[:, None]
         if initial.shape != (n, dimension):

@@ -22,7 +22,7 @@ from .graphs import (ConstantGraph, CyclicGraph, EdgeSet, ErdosRenyiEdges, Erdos
                      pair_lengths, path_edges, profile)
 from .model import (BLOCK_BYTES, ConstantMu, FiredSteps, ModelParams, OpinionState,
                     SequenceMu, TrajectoryObserver, UniformMu, run_trajectory, seed_streams)
-from .norms import cross_distances, lengths
+from .norms import cross_distances, lengths, scalar_length
 
 # Tolerances at unit scale; ``scaled_tolerance`` grows them with the numbers checked.
 SLACK_TOL = 1e-9
@@ -385,13 +385,15 @@ class StoppingTimeTracker(TrajectoryObserver):
     the run ends before the condition holds.
 
     Until it holds, one edge of E(t) in range but longer than delta, the
-    witness, proves that it fails.  The witness stands while neither of its
-    agents has moved since it was measured and E(t) holds it (the same
-    EdgeSet, or a binary search or a hash of another); such a check measures
-    nothing.  The tracker keeps one flag per row of a pair array (in range
-    but longer than delta): the rows of an unchanged E(t), or all pairs for
-    an Erdos-Renyi E(t), which is never built.  When the witness falls on
-    such an E(t):
+    witness, proves that it fails.  A fired step that moves one of its
+    agents measures it again, on Python floats (``scalar_length``, with the
+    bits of ``_long_edges``), and it stands while it is still in range and
+    longer than delta and E(t) holds it (the same EdgeSet, or a binary
+    search or a hash of another); such a check measures nothing with numpy.
+    The tracker keeps one flag per row of a pair array (in range but longer
+    than delta): the rows of an unchanged E(t), or all pairs for an
+    Erdos-Renyi E(t), which is never built.  When the witness falls on such
+    an E(t):
 
     - the next _TRIES flagged rows not yet tried are taken in order, and the
       first whose agents have not moved since the flags were measured and
@@ -505,8 +507,14 @@ class StoppingTimeTracker(TrajectoryObserver):
         if fired and self.time is None:
             if self._long is not None:
                 self._moved.update((i, j))
-            if self._witness is not None and (i in self._witness or j in self._witness):
-                self._witness = None
+            witness = self._witness
+            if witness is not None and (i in witness or j in witness):
+                # measured again, with the bits of _long_edges
+                a, b = witness
+                length = scalar_length([p - q for p, q in zip(x[a].tolist(), x[b].tolist())],
+                                       self.params.norm)
+                if not (length <= self.params.epsilon and length > self.delta):
+                    self._witness = None
 
     def at_end(self, t, x, social_edges):
         if self.time is None and self._holds(x, social_edges):

@@ -258,22 +258,35 @@ def side_stream(seed: int, purpose: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_SIDE_STREAMS[purpose]))
 
 
-def _update(x: np.ndarray, i: int, j: int, mu: float, params: ModelParams) -> bool:
+def _update(x, i: int, j: int, mu: float, params: ModelParams) -> bool:
     """Apply the update rule to rows i and j of x in place; True iff it fired.
 
-    mu is used as given: the audit observers, not this rule, catch a rate
-    outside [0, 1/2].
+    x is an (n, d) float64 array or the engine's view of one's buffer
+    (``memoryview``); both are read and written an item ``x[i, k]`` at a
+    time.  mu is used as given: the audit observers, not this rule, catch a
+    rate outside [0, 1/2].
     """
     # on Python floats, with the bits of the numpy forms: each operation
     # rounds once either way
-    xi, xj = x[i].tolist(), x[j].tolist()
-    diff = [b - a for a, b in zip(xi, xj)]
+    if params.dimension == 1:   # the same steps without building lists
+        a, b = x[i, 0], x[j, 0]
+        gap = b - a
+        if not scalar_length((gap,), params.norm) <= params.epsilon:
+            return False
+        upd = mu * gap
+        x[i, 0] = a + upd
+        x[j, 0] = b - upd
+        return True
+    dims = range(params.dimension)
+    diff = []
+    for k in dims:
+        diff.append(x[j, k] - x[i, k])
     if not scalar_length(diff, params.norm) <= params.epsilon:
         return False
-    for k, gap in enumerate(diff):
-        upd = mu * gap
-        x[i, k] = xi[k] + upd
-        x[j, k] = xj[k] - upd
+    for k in dims:
+        upd = mu * diff[k]
+        x[i, k] += upd
+        x[j, k] -= upd
     return True
 
 
@@ -364,33 +377,44 @@ def _hooks(observers: Sequence[TrajectoryObserver], name: str) -> list:
 
 
 class _BlockRecorder:
-    """Records fired steps and hands them to the block hooks a block at a time."""
+    """Records fired steps and hands them to the block hooks a block at a time.
+
+    Rows i and j of each step, just before and just after it, are kept as
+    the Python floats read from a flat ``memoryview`` of the opinions; they
+    become the (m, 2, d) arrays of ``FiredSteps`` when the block is handed
+    over.
+    """
 
     def __init__(self, hooks: list, size: int, d: int):
         self.hooks = hooks
-        self.old = np.empty((size, 2, d))
-        self.new = np.empty((size, 2, d))
+        self.size = size
+        self.d = d
+        self.old: list[float] = []
+        self.new: list[float] = []
         self.t: list[int] = []
         self.i: list[int] = []
         self.j: list[int] = []
         self.mu: list[float] = []
+        self._held: list[float] = []
 
-    def hold(self, x: np.ndarray, i: int, j: int) -> None:
-        """Copy rows i and j into the next slot, before the update."""
-        old = self.old[len(self.t)]
-        old[0] = x[i]
-        old[1] = x[j]
+    def _rows(self, flat: memoryview, i: int, j: int) -> list[float]:
+        d = self.d
+        return flat[i * d:i * d + d].tolist() + flat[j * d:j * d + d].tolist()
 
-    def record(self, t: int, i: int, j: int, mu: float, x: np.ndarray) -> bool:
-        """Keep the held step, which fired; True when the block is full."""
-        new = self.new[len(self.t)]
-        new[0] = x[i]
-        new[1] = x[j]
+    def hold(self, flat: memoryview, i: int, j: int) -> None:
+        """Read rows i and j, before the update."""
+        self._held = self._rows(flat, i, j)
+
+    def record(self, t: int, i: int, j: int, mu: float, flat: memoryview) -> bool:
+        """Keep the held step, which fired, with rows i and j after it; True
+        when the block is full."""
+        self.old += self._held
+        self.new += self._rows(flat, i, j)
         self.t.append(t)
         self.i.append(i)
         self.j.append(j)
         self.mu.append(mu)
-        return len(self.t) == len(self.old)
+        return len(self.t) == self.size
 
     def flush(self) -> None:
         """Check the recorded steps and empty the block; raises the earliest
@@ -398,9 +422,11 @@ class _BlockRecorder:
         m = len(self.t)
         if m == 0:
             return
+        shape = (m, 2, self.d)
         steps = FiredSteps(np.array(self.t), np.array(self.i), np.array(self.j),
-                           np.array(self.mu, dtype=float), self.old[:m], self.new[:m])
-        self.t, self.i, self.j, self.mu = [], [], [], []
+                           np.array(self.mu, dtype=float), np.array(self.old).reshape(shape),
+                           np.array(self.new).reshape(shape))
+        self.t, self.i, self.j, self.mu, self.old, self.new = [], [], [], [], [], []
         found = [v for v in [hook(steps) for hook in self.hooks] if v is not None]
         if found:
             raise min(found, key=lambda v: v.step)
@@ -445,8 +471,16 @@ def run_trajectory(
     Both draws read step t's words by address, from the key the run takes
     from ``rng`` (``run_key``, ``Draws``).  ``record_stride=None`` keeps
     only the initial and final states.
+
+    The loop works on Python scalars.  The opinions x are one C-contiguous
+    (n, d) float64 array, the array every hook sees, and the update reads
+    and writes its rows i and j through a ``memoryview`` of its buffer.  On
+    an ``EdgeSet`` the pair is the row that the step's first pick word names
+    by Lemire's method, read through a ``memoryview`` of the edge array;
+    ``graphs.select_pair`` picks on an Erdos-Renyi E(t), on an empty one,
+    and when that word is redrawn, from the words after it.
     """
-    from .graphs import select_pair   # graphs imports this module
+    from .graphs import _MASK64, ErdosRenyiEdges, select_pair   # graphs imports this module
 
     if horizon < 0:
         raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
@@ -461,7 +495,9 @@ def run_trajectory(
             f"schedule is over {graph_schedule.n} vertices but state has {initial.n} agents"
         )
 
-    x = initial.opinions.astype(float, copy=True)
+    # a copy in C order whatever the order of the initial array
+    x = np.array(initial.opinions, dtype=float, order="C")
+    view, flat = x.data, memoryview(x.reshape(-1))   # items x[i, k], and x flat
     draws = Draws(run_key(rng))
     observers = tuple(observers)
     before_hooks = _hooks(observers, "before_step")
@@ -477,6 +513,9 @@ def run_trajectory(
     for obs in observers:
         obs.at_start(x)
 
+    # the edge set whose rows ``ends`` reads, flat: m rows (0 when
+    # select_pair picks) and Lemire's redraw bound 2^64 mod m
+    held, ends, m, redraw = None, None, 0, 0
     t = 0
     stopped = False
     while t < horizon:
@@ -487,17 +526,32 @@ def run_trajectory(
         for hook in before_hooks:
             hook(t, x, edges)
         u = draws.at(t)
-        pair = select_pair(edges, draws)
+        if edges is not held:
+            held = edges
+            m = 0 if isinstance(edges, ErdosRenyiEdges) else len(edges)
+            if m:
+                ends = memoryview(edges.array.reshape(-1))
+                redraw = (1 << 64) % m
+        i = j = -1
+        if m:
+            prod = next(draws) * m
+            if (prod & _MASK64) < redraw:
+                i, j = select_pair(edges, draws)
+            else:
+                row = 2 * (prod >> 64)
+                i, j = ends[row], ends[row + 1]
+        else:
+            pair = select_pair(edges, draws)
+            if pair is not None:
+                i, j = pair
         mu = mu_schedule.mu_at(t, u)
         fired = full = False
-        i = j = -1
-        if pair is not None:
-            i, j = pair
+        if i >= 0:
             if recorder is not None:
-                recorder.hold(x, i, j)
-            fired = _update(x, i, j, mu, params)
+                recorder.hold(flat, i, j)
+            fired = _update(view, i, j, mu, params)
             if fired and recorder is not None:
-                full = recorder.record(t, i, j, mu, x)
+                full = recorder.record(t, i, j, mu, flat)
         if record_events:
             events.append((i, j, fired, mu))
         for hook in after_hooks:

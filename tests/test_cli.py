@@ -261,6 +261,38 @@ def test_a_memory_error_during_a_run_is_not_a_config_error(tmp_path, monkeypatch
         cli_main(_command_argv("simulate", path, tmp_path / "out"))
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize("bad", [
+    # each loaded: bools as 0.0 and 1.0, a string parsed, nested lists flattened
+    {"space": {"kind": "box", "lower": [False], "upper": [True]}},
+    {"space": {"kind": "box", "lower": [[0.0]], "upper": [[1.0]]}},
+    {"space": {"kind": "box", "lower": ["0"], "upper": [1.0]}},
+    {"space": {"kind": "ball", "center": [True], "radius": 1.0}},
+    {"space": {"kind": "ball", "center": [[0.5]], "radius": 1.0}},
+    {"space": {"kind": "cloud", "points": [False, True]}},
+    {"dimension": 2, "space": {"kind": "cloud", "points": [[True, 0.0], [1.0, 0.5]]}},
+    {"n": 2, "initial": [True, False]},
+    {"n": 2, "initial": ["0.1", 0.2]},
+    {"n": 2, "dimension": 2, "space": {"kind": "box", "lower": [0, 0], "upper": [1, 1]},
+     "initial": [[0.1, False], [0.2, 0.3]]},
+])
+def test_array_entries_are_checked_element_by_element(tmp_path, capsys, command, bad):
+    path = write_config(tmp_path, **bad)
+    assert cli_main(_command_argv(command, path, tmp_path / "out")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+
+
+def test_array_entries_load_as_arrays_of_their_numbers():
+    assert np.array_equal(cli._reals([0, 1.5], "x"), [0.0, 1.5])
+    assert cli._reals([[0, 1], [2.5, 3]], "x", rows=True).tolist() == [[0.0, 1.0], [2.5, 3.0]]
+    assert cli._reals([0.5, 1], "x", rows=True).tolist() == [0.5, 1.0]
+    for bad, rows in (([[0.0]], False), ([[0.0], [1.0, 2.0]], True), ([[0.0], 1.0], True),
+                      (0.5, False), ([None], False)):
+        with pytest.raises(cli.ConfigurationError):
+            cli._reals(bad, "x", rows=rows)
+
+
 # A fuzzed config starts from _FUZZ_BASE, and each key is kept or drawn from
 # its menu, or (one time in eight) from _WRONG: wrong types, bools, nested
 # lists, 1e400 (Infinity once parsed) and negatives.  Sizes stay at n <= 30,
@@ -279,7 +311,11 @@ _MENU = {
               {"kind": "cloud", "points": [[0.0, 0.0], [1.0, 0.5]]},
               {"kind": "interval", "a": 0.0, "b": 1.0},
               {"kind": "box", "lower": [[0.0], [0.0]], "upper": [[1.0], [_HUGE]]},
-              {"kind": "ball", "center": [[0.0, 0.0]], "radius": -1.0}],
+              {"kind": "ball", "center": [[0.0, 0.0]], "radius": -1.0},
+              {"kind": "box", "lower": [False, False], "upper": [True, True]},
+              {"kind": "box", "lower": [[0.0, 0.0]], "upper": [[1.0, 1.0]]},
+              {"kind": "ball", "center": [True, False], "radius": 1.0},
+              {"kind": "cloud", "points": [[True, 0.0], [1.0, 0.5]]}],
     "graph": [{"kind": "complete"}, {"kind": "path"}, {"kind": "erdos_renyi", "p": 0.5},
               {"kind": "edges", "pairs": [[0, 1], [1, 2]]},
               {"kind": "cyclic", "members": [[[0, 1]], []]},
@@ -296,7 +332,7 @@ _MENU = {
     "c_samples": [1, 10, 10**9],
     "check_every": [1, 5, 100],
     "initial": [None, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8], [0.9, 1.0]],
-                [[[0.1]]]],
+                [[[0.1]]], [[True, False]] * 5, [0.1, 0.2, 0.3, 0.4, True]],
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -10,6 +11,9 @@ from deffuant import (
     ConfigurationError,
     ConstantGraph,
     ConstantMu,
+    ContractionObserver,
+    CyclicGraph,
+    DiameterMonotoneObserver,
     EdgeSet,
     ModelParams,
     OpinionState,
@@ -17,7 +21,9 @@ from deffuant import (
     SequenceMu,
     TrajectoryObserver,
     UniformMu,
+    UpdateIdentityObserver,
     complete_edges,
+    lattice_points,
     path_edges,
     profile,
     run_trajectory,
@@ -26,6 +32,7 @@ from deffuant import (
 from deffuant import cli, model
 from deffuant.model import Draws, run_key, seed_streams, side_stream
 from oracles import loop_length
+from oracles import reference_run
 from oracles.reference_run import apply_update
 
 # 99.9% chi-square quantile, 44 degrees of freedom (scipy.stats.chi2.ppf,
@@ -433,6 +440,96 @@ def test_the_pair_and_rate_of_any_step_are_redrawn_from_its_address(tmp_path, gr
         pair, mu = _redraw(key, schedule, t)
         i, j, _, recorded_mu = traj.events[t].tolist()
         assert (i, j) == (pair or (-1, -1)) and recorded_mu == mu
+
+
+# ---------------------------------------------------------------------------
+# The scalar step loop against the whole-run oracle
+# ---------------------------------------------------------------------------
+
+def _matches_the_oracle(x0, schedule, mu, params, seed, horizon, observers=()):
+    """Run the engine and the oracle's step interpreter from x0 and compare
+    every step's pair, firing and rate, and every state, bit for bit."""
+    traj = run_trajectory(OpinionState(0, x0), schedule, mu, params, horizon,
+                          np.random.default_rng(seed), observers=observers, record_stride=1)
+    key = run_key(np.random.default_rng(seed))
+    steps = list(reference_run._run(np.array(x0, dtype=float), schedule, mu, params, key,
+                                    horizon))
+    assert traj.events.tolist() == [(*(s.pair or (-1, -1)), s.fired, s.mu) for s in steps]
+    expected = np.stack([steps[0].before] + [s.after for s in steps])
+    assert traj.states.tobytes() == np.ascontiguousarray(expected).tobytes()
+    return traj
+
+
+def _audit(params, x0):
+    return [UpdateIdentityObserver(params),
+            ContractionObserver(lattice_points(x0.min(axis=0), x0.max(axis=0), 5), params),
+            DiameterMonotoneObserver(params)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_fortran_ordered_initial_array_runs_as_its_c_ordered_copy(d):
+    n = 7
+    params = ModelParams(epsilon=0.8, dimension=d, norm="l1")
+    x0 = np.random.default_rng(d).random((n, d))
+    schedule = ConstantGraph(n, complete_edges(n))
+    fortran = np.asfortranarray(x0)
+    assert not fortran.flags.c_contiguous
+    c_run = _matches_the_oracle(x0, schedule, UniformMu(0.1, 0.5), params, 3, 400,
+                                _audit(params, x0))
+    # the audit reads the fired rows from the run's own buffer: it would see
+    # nothing move if that buffer were a copy
+    f_run = _matches_the_oracle(fortran, schedule, UniformMu(0.1, 0.5), params, 3, 400,
+                                _audit(params, x0))
+    assert f_run.events.tobytes() == c_run.events.tobytes()
+    assert f_run.states.tobytes() == c_run.states.tobytes()
+    assert np.array_equal(fortran, x0)   # the run worked on its own copy
+
+
+@pytest.mark.parametrize("zeros", [1, 7])
+@pytest.mark.parametrize("edges", [complete_edges(3), path_edges(4)])
+def test_a_redrawn_first_pick_word_goes_on_with_the_next_words(monkeypatch, zeros, edges):
+    # Lemire's method redraws the word 0 on m = 3 rows, as 2^64 mod 3 = 1:
+    # with the first pick word of every step 0, the pair comes from the
+    # second; with all seven 0, from the step's spill stream
+    assert len(edges) == 3 and (1 << 64) % 3 == 1
+
+    class Zeroed(Draws):
+        def _fetch(self, t):
+            super()._fetch(t)
+            self._raw[:, 1:1 + zeros] = 0
+            self._first = self._raw[:, 1].tolist()
+
+    real_words = reference_run._words
+
+    def zeroed_words(key, t):
+        u, words = real_words(key, t)
+        for _ in range(zeros):
+            next(words)
+        return u, itertools.chain([0] * zeros, words)
+
+    monkeypatch.setattr(model, "Draws", Zeroed)
+    monkeypatch.setattr(reference_run, "_words", zeroed_words)
+    n = int(edges.array.max()) + 1
+    params = ModelParams(epsilon=0.6)
+    x0 = np.random.default_rng(zeros).random((n, 1))
+    traj = _matches_the_oracle(x0, ConstantGraph(n, edges), UniformMu(0.1, 0.5), params, 4,
+                               300, _audit(params, x0))
+    assert set(map(tuple, traj.events[["i", "j"]].tolist())) == set(edges)
+
+
+def test_empty_edge_sets_and_a_schedule_that_changes_inside_a_draw_block():
+    # E(t) cycles through the complete graph, no edge and the path at every
+    # step, so one block of DRAW_BLOCK steps reads three edge sets in turn
+    n = 6
+    params = ModelParams(epsilon=0.5, dimension=2, norm="linf")
+    x0 = np.random.default_rng(9).random((n, 2))
+    schedule = CyclicGraph(n, (complete_edges(n), EdgeSet(), path_edges(n)))
+    horizon = 2 * model.DRAW_BLOCK + 17
+    traj = _matches_the_oracle(x0, schedule, SequenceMu((0.5, 0.3, 0.1)), params, 6, horizon,
+                               _audit(params, x0))
+    empty = traj.events[1::3]
+    assert (empty["i"] == -1).all() and (empty["j"] == -1).all() and not empty["fired"].any()
+    assert traj.events["fired"][0::3].any() and traj.events["fired"][2::3].any()
 
 
 def _pcg_state(rng: np.random.Generator) -> int:
