@@ -90,11 +90,6 @@ def path_edges(n: int) -> EdgeSet:
     return EdgeSet._from_sorted_array(np.column_stack((first, first + 1)))
 
 
-def lex_index(i: int, j: int, n: int) -> int:
-    """Row of the pair i < j in ``complete_edges(n)``."""
-    return i * (2 * n - i - 1) // 2 + j - i - 1
-
-
 # ---------------------------------------------------------------------------
 # Drawing an edge
 # ---------------------------------------------------------------------------
@@ -316,10 +311,15 @@ class ErdosRenyiGraph(GraphSchedule):
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return ((z ^ (z >> 31)) >> 11) < self._p53
 
-    def members(self, t: int, rows: np.ndarray) -> np.ndarray:
-        """Flags of the pairs ``rows`` (an integer array of pair rows) in E(t)."""
-        z = rows.astype(np.uint64) * np.uint64(_GAMMA)
-        z += np.uint64((self.seed + (t * self.m + 1) * _GAMMA) & _MASK64)
+    def members(self, t, rows: np.ndarray) -> np.ndarray:
+        """Flags of the pairs ``rows`` (an integer array of pair rows) in E(t),
+        for a step t or an integer array of steps that broadcasts with rows."""
+        if np.ndim(t) == 0:
+            base = np.uint64((self.seed + (int(t) * self.m + 1) * _GAMMA) & _MASK64)
+        else:   # uint64 arrays wrap modulo 2^64, as the mask does
+            base = ((t.astype(np.uint64) * np.uint64(self.m) + np.uint64(1)) * np.uint64(_GAMMA)
+                    + np.uint64(self.seed))
+        z = rows.astype(np.uint64) * np.uint64(_GAMMA) + base
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
         z ^= z >> np.uint64(27)
@@ -352,7 +352,7 @@ class ErdosRenyiGraph(GraphSchedule):
 class ErdosRenyiEdges(EdgeSet):
     """E(t) of an ``ErdosRenyiGraph``, whose rows are hashed in one pass,
     once, when first asked for; ``select_pair`` and the stopping-time tracker
-    ask the graph about single pairs instead."""
+    ask the graph about the pairs they need instead."""
 
     __slots__ = ("graph", "t", "_rows")
 

@@ -11,18 +11,19 @@ slack dips below tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
 from .geometry import farthest_pair, farthest_pairs
 from .graphs import (ConstantGraph, CyclicGraph, EdgeSet, ErdosRenyiEdges, ErdosRenyiGraph,
-                     GraphSchedule, _all_pairs_array, complete_edges, is_connected, lex_index,
-                     pair_lengths, path_edges, profile)
+                     GraphSchedule, _all_pairs_array, complete_edges, is_connected, pair_lengths,
+                     path_edges, profile)
 from .model import (BLOCK_BYTES, ConstantMu, FiredSteps, ModelParams, OpinionState,
                     SequenceMu, TrajectoryObserver, UniformMu, run_trajectory, seed_streams)
-from .norms import cross_distances, lengths, scalar_length
+from .norms import cross_distances, lengths
 
 # Tolerances at unit scale; ``scaled_tolerance`` grows them with the numbers checked.
 SLACK_TOL = 1e-9
@@ -161,6 +162,8 @@ class UpdateIdentityObserver(TrajectoryObserver):
         self.max_rate_residual = 0.0
 
     def after_block(self, steps: FiredSteps):
+        if not len(steps):
+            return None
         mu = steps.mu
         sum_err, moved, resid = update_identity_errors(steps.old, steps.new, mu,
                                                        self.params.norm)
@@ -232,6 +235,8 @@ class ContractionObserver(TrajectoryObserver):
         return at_b, basic[steps, at_b], at_r, refined[steps, at_r], basic_mid, refined_mid
 
     def after_block(self, steps: FiredSteps):
+        if not len(steps):
+            return None
         old, new = steps.old, steps.new
         parts = [self._worst(old[s:s + self._chunk], new[s:s + self._chunk])
                  for s in range(0, len(steps), self._chunk)]
@@ -263,19 +268,6 @@ class ContractionObserver(TrajectoryObserver):
                                f"refined slack at pair midpoint, {pair}")
 
 
-def _positions(x0: np.ndarray, steps: FiredSteps) -> np.ndarray:
-    """(m, n, d) opinions of every agent after each of the m steps, from the
-    opinions ``x0`` before the first: each agent keeps the row written by the
-    last step that moved it."""
-    m, (n, d) = len(steps), x0.shape
-    rows = np.tile(np.arange(n), (m, 1))       # row v of x0 until agent v moves
-    k = np.arange(m)
-    rows[k, steps.i] = n + 2 * k               # then row 2k or 2k + 1 of ``new``
-    rows[k, steps.j] = n + 2 * k + 1
-    np.maximum.accumulate(rows, axis=0, out=rows)
-    return np.concatenate((x0, steps.new.reshape(2 * m, d))).take(rows, axis=0)
-
-
 class DiameterMonotoneObserver(TrajectoryObserver):
     """Checks the opinion diameter never grows.
 
@@ -283,10 +275,10 @@ class DiameterMonotoneObserver(TrajectoryObserver):
     step moves only agents i and j, so every other distance is unchanged: the
     new diameter is the larger of the old one and the farthest distance from
     i or j.  Only when i or j belongs to the kept pair is the diameter
-    measured again over all pairs (``farthest_pair``).  For a block, the
-    opinions after each step are filled forward from the block's start,
-    O(m n d); rows i and j are measured against them in one call, and the
-    steps are then walked in order.  A re-measurement at step k measures the
+    measured again over all pairs (``farthest_pair``).  For a block, rows i
+    and j are measured against the opinions after each step
+    (``FiredSteps.states``, O(m n d)) in one call, and the steps are then
+    walked in order.  A re-measurement at step k measures the
     states after steps k .. k + w - 1 in one call (``farthest_pairs``), w as
     many as fit in _WINDOW_FLOATS (w = 1 once n^2 d exceeds it), and a later
     one inside that window reads its result.
@@ -299,17 +291,16 @@ class DiameterMonotoneObserver(TrajectoryObserver):
         self.max_increase = -np.inf
         self.diameter: float = 0.0
         self._pair: tuple[int, int] = (0, 0)
-        self._x: Optional[np.ndarray] = None   # opinions before the next block
 
     def at_start(self, x):
-        self._x = x.copy()
-        diam, a, b = farthest_pair(self._x, self.params.norm)
+        diam, a, b = farthest_pair(x, self.params.norm)
         self.diameter, self._pair = diam, (a, b)
 
     def after_block(self, steps: FiredSteps):
-        assert self._x is not None
-        norm, n = self.params.norm, len(self._x)
-        x = _positions(self._x, steps)
+        if not len(steps):
+            return None
+        norm, n = self.params.norm, len(steps.x0)
+        x = steps.states[1:]
         dist = cross_distances(steps.new, x, norm).reshape(len(steps), 2 * n)
         far = dist.argmax(axis=1)
         tol = scaled_tolerance(IDENTITY_TOL, x, steps.old).tolist()
@@ -335,7 +326,6 @@ class DiameterMonotoneObserver(TrajectoryObserver):
                                        f"diameter rose {diam!r} -> {new_diam!r}")
             diam = new_diam
         self.diameter, self._pair = diam, (a, b)
-        self._x = x[-1].copy()
         return None
 
 
@@ -349,69 +339,46 @@ def _long_edges(x: np.ndarray, pairs: np.ndarray, delta: float,
     return (dist <= params.epsilon) & (dist > delta)
 
 
-def _first_long_edge(x: np.ndarray, pairs: np.ndarray, delta: float,
-                     params: ModelParams) -> Optional[int]:
-    """Index of the first row of ``pairs`` that ``_long_edges`` flags, or None
-    when the state is delta-short over them.
+def _long_rows(x: np.ndarray, pairs: np.ndarray, delta: float, params: ModelParams,
+               holds: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
+    """The rows of ``pairs`` that ``_long_edges`` flags in a state x, from the
+    first chunk holding one that ``holds`` keeps (flags of rows; any, when
+    None); empty when the state is delta-short over the rows it keeps.
 
-    The rows are measured in chunks that partition them, 64 rows and then
-    four times the chunk before, and the search stops at the chunk holding
-    the first flagged row: a state that is not short usually shows it in the
-    first chunk, and a short one costs one pass over all the rows.
+    The chunks partition the rows, 64 rows and then four times the chunk
+    before: a state that is not short usually shows it in the first chunk,
+    and a short one costs one pass over all the rows.
     """
     start, size = 0, 64
     while start < len(pairs):
-        long = _long_edges(x, pairs[start:start + size], delta, params)
-        if long.any():
-            return start + int(long.argmax())
+        rows = start + np.flatnonzero(_long_edges(x, pairs[start:start + size], delta, params))
+        if len(rows) and (holds is None or holds(rows).any()):
+            return rows
         start, size = start + size, 4 * size
-    return None
-
-
-def _incidence(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex -> edge index of an (m, 2) edge array: the rows at vertex v are
-    ``rows[starts[v]:starts[v + 1]]``."""
-    ends = pairs.ravel()
-    rows = np.argsort(ends, kind="stable") // 2
-    starts = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
-    return rows, starts
+    return np.empty(0, dtype=np.intp)
 
 
 class StoppingTimeTracker(TrajectoryObserver):
-    """First time every social edge within the confidence range is short.
+    """tau(delta): the first step whose opinions have every social edge within
+    the confidence range short.
 
-    The condition is evaluated on the pre-step state against that step's
-    social edges, and once more on the final state; ``time`` stays None if
-    the run ends before the condition holds.
+    Step t is tested on the opinions at its top against E(t), and the final
+    opinions once more at ``at_end``; ``time`` stays None if the run ends
+    before the condition holds.  Once it is set nothing more is tested.
 
-    Until it holds, one edge of E(t) in range but longer than delta, the
-    witness, proves that it fails.  A fired step that moves one of its
-    agents measures it again, on Python floats (``scalar_length``, with the
-    bits of ``_long_edges``), and it stands while it is still in range and
-    longer than delta and E(t) holds it (the same EdgeSet, or a binary
-    search or a hash of another); such a check measures nothing with numpy.
-    The tracker keeps one flag per row of a pair array (in range but longer
-    than delta): the rows of an unchanged E(t), or all pairs for an
-    Erdos-Renyi E(t), which is never built.  When the witness falls on such
-    an E(t):
-
-    - the next _TRIES flagged rows not yet tried are taken in order, and the
-      first whose agents have not moved since the flags were measured and
-      that E(t) holds (always, for an unchanged EdgeSet; by hash for
-      Erdos-Renyi) is the next witness, with nothing measured;
-    - failing those, the flags are brought up to date (in full the first
-      time, or when the moved agents touch half of the rows; else only at
-      their rows), and the first flagged row in E(t) is the witness (for
-      Erdos-Renyi, every flagged pair is hashed in one pass); the condition
-      holds when there is none.
-
-    On any other E(t), its rows are searched in chunks up to the first long
-    edge (``_first_long_edge``), which becomes the witness.
-
-    Once ``time`` is set it does nothing.
+    A block's steps are grouped by E(t) object; an Erdos-Renyi E(t) is never
+    built, a pair is in it by hash (``ErdosRenyiGraph.members``).  An EdgeSet
+    is tested once per state of the block, an Erdos-Renyi E(t) at every step.
+    It keeps up to _CANDIDATES candidate rows, all of an E(t) that has no
+    more, else the long rows the last search found (``_long_rows``), and
+    measures them once per state (few among many agents from their
+    endpoints' rows alone, ``FiredSteps.rows``) over 128 steps, then four
+    times as many, up to BLOCK_BYTES // (32 r) steps of r candidates.  A
+    step where no candidate is long and in E(t) is tau if they are all of
+    E(t), else it is searched: it is tau, or its long rows replace them.
     """
 
-    _TRIES = 16
+    _CANDIDATES = 64
 
     def __init__(self, delta: float, params: ModelParams):
         if not (delta > 0):
@@ -419,134 +386,106 @@ class StoppingTimeTracker(TrajectoryObserver):
         self.delta = float(delta)
         self.params = params
         self.time: Optional[int] = None
-        self._edges: Optional[EdgeSet] = None   # the E(t) of the last check
-        self._witness: Optional[tuple[int, int]] = None
-        self._rows: Optional[np.ndarray] = None  # the pairs the flags cover
-        self._long: Optional[np.ndarray] = None  # flags of the rows of _rows
-        self._incident: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._moved: set[int] = set()           # agents moved since the flags were measured
-        # rows flagged by the last measurement; those from _next on are untried
-        self._untried = np.empty(0, dtype=np.intp)
-        self._next = 0
+        self._pairs: Optional[np.ndarray] = None   # the pair array the candidates index
+        self._rows = np.empty(0, dtype=np.intp)    # the candidates, rows of _pairs
+        self._held = np.empty((0, 2), dtype=np.intp)   # their (i, j) pairs
 
     def at_start(self, x):
-        self.time = None
-        self._edges, self._witness, self._rows, self._long = None, None, None, None
-        self._moved.clear()
+        self.time, self._pairs = None, None
 
-    def _measure(self, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        """The flags of the rows of ``pairs``: in full when they are not the
-        rows flagged last, or when the rows at the agents moved since (counted
-        once per moved agent) are at least half of them; else only at those
-        rows, each once."""
-        if self._rows is not pairs:
-            self._rows, self._incident = pairs, None
-            self._long = _long_edges(x, pairs, self.delta, self.params)
-        elif self._moved:
-            if self._incident is None:
-                self._incident = _incidence(pairs, len(x))
-            rows, starts = self._incident
-            at = [rows[starts[v]:starts[v + 1]] for v in self._moved]
-            if 2 * sum(map(len, at)) >= len(pairs):
-                self._long = _long_edges(x, pairs, self.delta, self.params)
-            else:
-                # each row once; the stable argsort is the one _incidence runs
-                moved = np.concatenate(at)
-                moved = moved.take(np.argsort(moved, kind="stable"))
-                moved = moved[np.concatenate(([True], moved[1:] != moved[:-1]))]
-                self._long[moved] = _long_edges(x, pairs.take(moved, axis=0), self.delta,
-                                                self.params)
-        self._moved.clear()
-        return self._long
+    def _first_short(self, edges: EdgeSet, ts: np.ndarray, steps: FiredSteps) -> Optional[int]:
+        """The first of the steps ``ts`` (ascending, in the block ``steps``)
+        whose E(t) is ``edges`` (any E(t) of the schedule, for Erdos-Renyi)
+        and whose opinions have no long row in E(t); None if each has one."""
+        graph = edges.graph if isinstance(edges, ErdosRenyiEdges) else None
+        pairs = edges.array if graph is None else _all_pairs_array(graph.n)
+        states = np.searchsorted(steps.t, ts)   # the state at the top of each step
+        k, size = 0, 128
+        while k < len(ts):
+            if self._pairs is not pairs:   # new candidates
+                if len(pairs) <= self._CANDIDATES:
+                    rows = np.arange(len(pairs))
+                else:   # step k is tau or shows long rows
+                    holds = None if graph is None else partial(graph.members, int(ts[k]))
+                    rows = _long_rows(steps.state_at(int(ts[k])), pairs, self.delta,
+                                      self.params, holds)
+                    if not len(rows):
+                        return int(ts[k])
+                    k += 1
+                self._pairs, self._rows = pairs, rows[:self._CANDIDATES]
+                self._held = pairs.take(self._rows, axis=0)
+                continue
+            end = k + min(size, max(1, BLOCK_BYTES // (32 * max(1, len(self._rows)))))
+            size *= 4
+            seen, at = states[k:end], slice(None)   # an EdgeSet's states are distinct
+            if graph is not None:
+                seen, at = np.unique(seen, return_inverse=True)
+            held = self._held
+            if 8 * len(held) >= len(steps.x0):
+                x = steps.states.take(seen, axis=0)
+            else:   # few candidates of many agents: only their endpoints' rows
+                x = steps.rows(held.reshape(-1), seen[:, None])   # (k, 2r, d): i, j, ...
+                held = np.arange(2 * len(held)).reshape(-1, 2)
+            found = _long_edges(x, held, self.delta, self.params)[at]
+            if graph is not None:
+                found &= graph.members(ts[k:end, None], self._rows)
+            found = found.any(axis=1)
+            first = int(found.argmin())
+            if found[first]:
+                k += len(found)
+                continue
+            k += first
+            if len(self._rows) == len(pairs):   # every row was measured
+                return int(ts[k])
+            self._pairs = None
+        return None
 
-    def _holds(self, x: np.ndarray, social_edges: EdgeSet) -> bool:
-        graph = None
-        if isinstance(social_edges, ErdosRenyiEdges):
-            graph, t, pairs = social_edges.graph, social_edges.t, _all_pairs_array(len(x))
-            if self._witness is not None and graph.holds(t, lex_index(*self._witness, len(x))):
-                return False
-        elif social_edges is not self._edges:
-            self._edges, self._rows, self._long = social_edges, None, None
-            self._moved.clear()
-            if self._witness is not None and self._witness in social_edges:
-                return False
-            pairs = social_edges.array
-            k = _first_long_edge(x, pairs, self.delta, self.params)
-            self._witness = None if k is None else tuple(pairs[k].tolist())
-            return k is None
-        elif self._witness is not None:
-            return False
-        else:
-            pairs = social_edges.array
-        self._edges = social_edges
-        if self._rows is pairs:
-            # the next untried flagged rows whose agents have not moved since
-            start = self._next
-            tries = self._untried[start:start + self._TRIES]
-            for k, (e, (a, b)) in enumerate(zip(tries.tolist(),
-                                                pairs.take(tries, axis=0).tolist())):
-                if (a not in self._moved and b not in self._moved
-                        and (graph is None or graph.holds(t, e))):
-                    self._next, self._witness = start + k + 1, (a, b)
-                    return False
-            self._next = start + len(tries)
-        flagged = np.flatnonzero(self._measure(x, pairs))
-        hits = np.flatnonzero(graph.members(t, flagged)) if graph is not None else flagged
-        if len(hits) == 0:
-            return True
-        k = 0 if graph is None else int(hits[0])
-        self._untried, self._next = flagged, k + 1
-        self._witness = tuple(pairs[flagged[k]].tolist())
-        return False
-
-    def before_step(self, t, x, social_edges):
-        if self.time is None and self._holds(x, social_edges):
-            self.time = t
-
-    def after_step(self, t, i, j, fired, x):
-        if fired and self.time is None:
-            if self._long is not None:
-                self._moved.update((i, j))
-            witness = self._witness
-            if witness is not None and (i in witness or j in witness):
-                # measured again, with the bits of _long_edges
-                a, b = witness
-                length = scalar_length([p - q for p, q in zip(x[a].tolist(), x[b].tolist())],
-                                       self.params.norm)
-                if not (length <= self.params.epsilon and length > self.delta):
-                    self._witness = None
+    def after_block(self, steps: FiredSteps):
+        if self.time is not None:
+            return None
+        fired = steps.t
+        # the steps to test for each E(t): an EdgeSet's once per state, at
+        # the block's start and after each fired step; Erdos-Renyi's each
+        groups: dict[int, tuple[EdgeSet, list[np.ndarray]]] = {}
+        for (a, edges), b in zip(steps.edges, [s for s, _ in steps.edges[1:]] + [steps.stop]):
+            ts = (np.arange(a, b) if isinstance(edges, ErdosRenyiEdges) else
+                  np.append(a, fired[np.searchsorted(fired, a):np.searchsorted(fired, b - 1)] + 1))
+            groups.setdefault(id(edges), (edges, []))[1].append(ts)
+        found = [self._first_short(edges, np.concatenate(ts), steps)
+                 for edges, ts in groups.values()]
+        self.time = min((t for t in found if t is not None), default=None)
+        return None
 
     def at_end(self, t, x, social_edges):
-        if self.time is None and self._holds(x, social_edges):
-            self.time = t
+        if self.time is None:
+            none = np.empty(0, dtype=np.intp)
+            self.after_block(FiredSteps(t, t + 1, x, none, none, none, np.empty(0),
+                                        np.empty((0, 2, x.shape[1])), ((t, social_edges),)))
 
 
 class OpinionGraphChangeCounter(TrajectoryObserver):
-    """Counts steps where confidence-range edges appear or disappear.
+    """Counts fired steps where confidence-range edges appear or disappear.
 
     Purely observational: edge appearance is possible (an update can pull a
-    third agent into range), so no monotonicity is asserted here.
+    third agent into range), so no monotonicity is asserted here.  A fired
+    step changes only the edges at i and j, so it is read from their
+    distances to every agent just before and just after it.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.gained_steps = 0
         self.lost_steps = 0
-        self._adj: Optional[np.ndarray] = None
 
-    def at_start(self, x):
-        self._adj = cross_distances(x, x, self.params.norm) <= self.params.epsilon
-
-    def after_step(self, t, i, j, fired, x):
-        if not fired:
-            return
-        assert self._adj is not None
-        rows = cross_distances(x[[i, j]], x, self.params.norm) <= self.params.epsilon
-        old = self._adj[[i, j]]
-        self.gained_steps += int((rows & ~old).any())
-        self.lost_steps += int((old & ~rows).any())
-        self._adj[[i, j]] = rows
-        self._adj[:, [i, j]] = rows.T
+    def after_block(self, steps: FiredSteps):
+        if not len(steps):
+            return None
+        norm, eps = self.params.norm, self.params.epsilon
+        before = cross_distances(steps.old, steps.states[:-1], norm) <= eps
+        after = cross_distances(steps.new, steps.states[1:], norm) <= eps
+        self.gained_steps += int((after & ~before).any(axis=(1, 2)).sum())
+        self.lost_steps += int((before & ~after).any(axis=(1, 2)).sum())
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +533,7 @@ def settle_time(
     E(t) object are measured together (``_long_edges`` on a stack), as many
     at once as keep the temporaries within BLOCK_BYTES; a state alone (at
     large n, or on an Erdos-Renyi schedule, whose E(t) is new at every step)
-    is searched up to its first long edge (``_first_long_edge``).
+    is searched up to its first long edge (``_long_rows``).
     Connectivity is then tested forward through that suffix alone.  Only the
     E(t) of the states being measured is held.  Certification is only as
     strong as the horizon and the recording stride.
@@ -613,7 +552,7 @@ def settle_time(
         while lo > 0 and start - lo < per_call and schedule.edges_at(times[lo - 1]) is shared:
             lo -= 1
         if lo == start - 1:
-            long = [_first_long_edge(states[lo], pairs, delta, params) is not None]
+            long = [len(_long_rows(states[lo], pairs, delta, params)) > 0]
         else:
             long = _long_edges(np.asarray(states[lo:start]), pairs, delta,
                                params).any(axis=1).tolist()

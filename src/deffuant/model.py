@@ -14,7 +14,9 @@ seed.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -294,39 +296,93 @@ def _update(x, i: int, j: int, mu: float, params: ModelParams) -> bool:
 # Trajectory engine
 # ---------------------------------------------------------------------------
 
-# The block hooks get as many fired steps at once as keep a block's positions
-# and the temporaries of its checks, about 48 n d bytes a step for n agents in
-# d dimensions, within BLOCK_BYTES; numpy's fixed cost per call is then spread
-# over many steps.
+# A block holds as many fired steps as keep its states and the temporaries of
+# its checks, about 48 n d bytes a step for n agents in d dimensions, within
+# BLOCK_BYTES; numpy's fixed cost per call is then spread over many steps.
 BLOCK_BYTES = 1 << 20
 
 
 def block_size(n: int, d: int) -> int:
-    """How many fired steps ``run_trajectory`` gathers before each block hook call."""
+    """The most fired steps ``run_trajectory`` gathers in one block."""
     return max(1, BLOCK_BYTES // (48 * n * d))
 
 
 @dataclass(frozen=True)
 class FiredSteps:
-    """A block of fired update steps, in the order they ran.
+    """Steps ``start`` .. ``stop - 1`` of a run, a block as the hooks see it.
 
-    ``t``, ``i``, ``j`` and ``mu`` (m,) name each step; ``old`` and ``new``
-    (m, 2, d) hold rows i and j just before and just after it.
+    ``x0`` (n, d) holds the opinions at step ``start``.  ``t``, ``i``, ``j``
+    and ``mu`` (m,) name each step of the block that fired, in order, and
+    ``new`` (m, 2, d) holds its rows i and j just after it.  ``edges`` lists
+    (s, E(s)) at ``start`` and where E(t) changes, but an Erdos-Renyi E(t),
+    new at every step, only at ``start``, for its graph.  Every other state of
+    the block is derived from these (``states``, ``rows``, ``state_at``).
     """
 
+    start: int
+    stop: int
+    x0: np.ndarray
     t: np.ndarray
     i: np.ndarray
     j: np.ndarray
     mu: np.ndarray
-    old: np.ndarray
     new: np.ndarray
+    edges: tuple = ()
 
     def __len__(self) -> int:
         return len(self.t)
 
+    @cached_property
+    def states(self) -> np.ndarray:
+        """(m + 1, n, d): the opinions at step ``start`` and after each fired step."""
+        m, (n, d) = len(self), self.x0.shape
+        # the row of ``_stacked`` that holds agent v: row v of x0 until a step
+        # moves it, then the row that step wrote
+        rows = np.zeros((m + 1, n), dtype=np.intp)
+        rows[0] = np.arange(n)
+        after, written = np.arange(1, m + 1), np.arange(n, n + 2 * m)
+        rows[after, self.i] = written[0::2]
+        rows[after, self.j] = written[1::2]
+        np.maximum.accumulate(rows, axis=0, out=rows)
+        return self._stacked.take(rows, axis=0)
+
+    @cached_property
+    def _stacked(self) -> np.ndarray:
+        """x0, then the rows i and j written by each fired step: (n + 2m, d)."""
+        return np.concatenate((self.x0, self.new.reshape(-1, self.x0.shape[1])))
+
+    @cached_property
+    def _writes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The p-th row written (``new``, flat) as the key agent (2m + 1) + p,
+        sorted after a key -1 that no agent has, and the row of ``_stacked``
+        that each key names."""
+        agents = np.stack((self.i, self.j), axis=1).reshape(-1)
+        keys = np.append(-1, agents * (len(agents) + 1) + np.arange(len(agents)))
+        order = keys.argsort()
+        return keys.take(order), order + (len(self.x0) - 1)
+
+    def rows(self, agents: np.ndarray, k) -> np.ndarray:
+        """The opinions of ``agents`` after the first k fired steps, for integer
+        arrays agents and k that broadcast: (..., d), each looked up among the
+        rows written before it in O(log m), where ``states`` costs O(m n d)."""
+        keys, rows = self._writes
+        first = agents * (2 * len(self) + 1)   # the agent's least key
+        at = keys.searchsorted(first + 2 * k) - 1   # its last write before step k
+        return self._stacked.take(np.where(keys.take(at) >= first, rows.take(at), agents),
+                                  axis=0)
+
+    @cached_property
+    def old(self) -> np.ndarray:
+        """(m, 2, d): rows i and j just before each fired step."""
+        return self.rows(np.stack((self.i, self.j), axis=1), np.arange(len(self))[:, None])
+
+    def state_at(self, t: int) -> np.ndarray:
+        """The opinions at the top of step t, for start <= t <= stop."""
+        return self.states[np.searchsorted(self.t, t)]
+
     def violation(self, k: int, invariant: str, slack: float,
                   detail: str) -> InvariantViolation:
-        """The failure of check ``invariant`` at the k-th step, with its inputs."""
+        """The failure of check ``invariant`` at the k-th fired step, with its inputs."""
         event = {"i": int(self.i[k]), "j": int(self.j[k]), "mu": float(self.mu[k]),
                  "before": self.old[k].tolist(), "after": self.new[k].tolist()}
         return InvariantViolation(invariant, step=int(self.t[k]), slack=float(slack),
@@ -336,30 +392,20 @@ class FiredSteps:
 class TrajectoryObserver:
     """Hook interface called by ``run_trajectory``.
 
-    ``at_start`` sees the initial opinions x (n, d); ``before_step`` the
-    opinions and social edges *at* time t, before the update; ``after_step``
-    the pair drawn at step t (i = j = -1 when E(t) is empty), whether it
-    fired, and the opinions after it; ``at_end`` the final time, opinions and
-    social edges.  Arrays passed in are live views: copy before retaining.
-    The per-step hooks observe: an exception raised in one propagates as it is.
-
-    ``after_block`` is the audit's hook, and the one that reports a violation.
-    The engine records every fired step (``FiredSteps``) and hands them over
-    ``block_size(n, d)`` at a time, and the rest before any ``at_end``.  The
-    hook checks every step of the block and returns, without raising, the
-    violation of its first failing step, or None.  The engine then raises the
-    earliest failure over all observers, a tie going to the observer listed
-    first; by then the live state may have moved up to a block past that
-    step.  The engine calls each hook only on observers that define it.
+    ``at_start`` sees the initial opinions x (n, d), ``at_end`` the final
+    time, opinions and social edges; arrays passed in are live views: copy
+    before retaining.  In between, ``after_block`` sees every step of the
+    run, in order, a block (``FiredSteps``) at a time (``run_trajectory``
+    says where blocks end).  It checks every step of the block and returns,
+    without raising, the violation of its first failing step, or None.  The
+    engine then raises the earliest failure over all observers, a tie going
+    to the observer listed first; by then the live state may have moved up
+    to a block past that step.  The engine calls ``after_block`` only on
+    observers that define it, and refuses one that defines a per-step hook,
+    which it would never call.
     """
 
     def at_start(self, x: np.ndarray) -> None:
-        pass
-
-    def before_step(self, t: int, x: np.ndarray, social_edges: "EdgeSet") -> None:
-        pass
-
-    def after_step(self, t: int, i: int, j: int, fired: bool, x: np.ndarray) -> None:
         pass
 
     def after_block(self, steps: FiredSteps) -> Optional[InvariantViolation]:
@@ -367,69 +413,6 @@ class TrajectoryObserver:
 
     def at_end(self, t: int, x: np.ndarray, social_edges: "EdgeSet") -> None:
         pass
-
-
-def _hooks(observers: Sequence[TrajectoryObserver], name: str) -> list:
-    """The bound hook ``name`` of each observer that defines it, in order."""
-    base = getattr(TrajectoryObserver, name)
-    return [getattr(obs, name) for obs in observers
-            if getattr(type(obs), name, base) is not base]
-
-
-class _BlockRecorder:
-    """Records fired steps and hands them to the block hooks a block at a time.
-
-    Rows i and j of each step, just before and just after it, are kept as
-    the Python floats read from a flat ``memoryview`` of the opinions; they
-    become the (m, 2, d) arrays of ``FiredSteps`` when the block is handed
-    over.
-    """
-
-    def __init__(self, hooks: list, size: int, d: int):
-        self.hooks = hooks
-        self.size = size
-        self.d = d
-        self.old: list[float] = []
-        self.new: list[float] = []
-        self.t: list[int] = []
-        self.i: list[int] = []
-        self.j: list[int] = []
-        self.mu: list[float] = []
-        self._held: list[float] = []
-
-    def _rows(self, flat: memoryview, i: int, j: int) -> list[float]:
-        d = self.d
-        return flat[i * d:i * d + d].tolist() + flat[j * d:j * d + d].tolist()
-
-    def hold(self, flat: memoryview, i: int, j: int) -> None:
-        """Read rows i and j, before the update."""
-        self._held = self._rows(flat, i, j)
-
-    def record(self, t: int, i: int, j: int, mu: float, flat: memoryview) -> bool:
-        """Keep the held step, which fired, with rows i and j after it; True
-        when the block is full."""
-        self.old += self._held
-        self.new += self._rows(flat, i, j)
-        self.t.append(t)
-        self.i.append(i)
-        self.j.append(j)
-        self.mu.append(mu)
-        return len(self.t) == self.size
-
-    def flush(self) -> None:
-        """Check the recorded steps and empty the block; raises the earliest
-        failure, a tie going to the hook listed first."""
-        m = len(self.t)
-        if m == 0:
-            return
-        shape = (m, 2, self.d)
-        steps = FiredSteps(np.array(self.t), np.array(self.i), np.array(self.j),
-                           np.array(self.mu, dtype=float), np.array(self.old).reshape(shape),
-                           np.array(self.new).reshape(shape))
-        self.t, self.i, self.j, self.mu, self.old, self.new = [], [], [], [], [], []
-        found = [v for v in [hook(steps) for hook in self.hooks] if v is not None]
-        if found:
-            raise min(found, key=lambda v: v.step)
 
 
 EVENT_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("fired", bool), ("mu", float)])
@@ -462,23 +445,36 @@ def run_trajectory(
     observers: Sequence[TrajectoryObserver] = (),
     record_stride: Optional[int] = 1,
     record_events: bool = True,
-    stop_condition: Optional[Callable[[], bool]] = None,
+    stop_condition: Optional[Callable[[int], int]] = None,
 ) -> Trajectory:
     """Run the process for ``horizon`` steps (or until ``stop_condition``).
 
     Per step: evaluate E(t), select one edge uniformly from it, draw mu(t),
-    apply the update if the pair is within epsilon, then notify observers.
-    Both draws read step t's words by address, from the key the run takes
-    from ``rng`` (``run_key``, ``Draws``).  ``record_stride=None`` keeps
-    only the initial and final states.
+    and apply the update if the pair is within epsilon.  Both draws read
+    step t's words by address, from the key the run takes from ``rng``
+    (``run_key``, ``Draws``).  ``record_stride=None`` keeps only the initial
+    and final states.  The observers see the steps a block at a time
+    (``TrajectoryObserver``); a block ends at ``block_size(n, d)`` fired
+    steps, at the step the stop rule names, and at the end of the run.
+
+    ``stop_condition(t)``, when given, is asked at step 0, after
+    ``at_start``, and after the block that ends at each later step t it
+    asks for.  It returns a step s.  While s > t the run goes on, and the
+    next block ends at step s at the latest, where the rule is asked again.
+    Once s <= t (s in the last block) the opinions are put back to their
+    state at step s (``FiredSteps.state_at``), the events and states
+    recorded after it are dropped, and the run ends there: ``steps_run`` is
+    s and ``at_end`` sees step s.  The block hooks have by then seen the
+    steps of that block past s; a violation at step s or later is not
+    raised.
 
     The loop works on Python scalars.  The opinions x are one C-contiguous
-    (n, d) float64 array, the array every hook sees, and the update reads
-    and writes its rows i and j through a ``memoryview`` of its buffer.  On
-    an ``EdgeSet`` the pair is the row that the step's first pick word names
-    by Lemire's method, read through a ``memoryview`` of the edge array;
-    ``graphs.select_pair`` picks on an Erdos-Renyi E(t), on an empty one,
-    and when that word is redrawn, from the words after it.
+    (n, d) float64 array, the array ``at_start`` and ``at_end`` see, and the
+    update reads and writes its rows i and j through a ``memoryview`` of its
+    buffer.  On an ``EdgeSet`` the pair is the row that the step's first pick
+    word names by Lemire's method, read through a ``memoryview`` of the edge
+    array; ``graphs.select_pair`` picks on an Erdos-Renyi E(t), on an empty
+    one, and when that word is redrawn, from the words after it.
     """
     from .graphs import _MASK64, ErdosRenyiEdges, select_pair   # graphs imports this module
 
@@ -486,6 +482,8 @@ def run_trajectory(
         raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
     if record_stride is not None and record_stride < 1:
         raise ConfigurationError(f"record_stride must be >= 1, got {record_stride}")
+    if initial.time != 0:
+        raise ConfigurationError(f"a run starts at step 0, got an initial state at {initial.time}")
     if initial.dimension != params.dimension:
         raise ConfigurationError(
             f"initial dimension {initial.dimension} != params dimension {params.dimension}"
@@ -494,39 +492,69 @@ def run_trajectory(
         raise ConfigurationError(
             f"schedule is over {graph_schedule.n} vertices but state has {initial.n} agents"
         )
+    observers = tuple(observers)
+    for obs in observers:
+        for hook in ("before_step", "after_step"):
+            if hasattr(obs, hook):
+                raise ConfigurationError(f"{type(obs).__name__} defines {hook}, a per-step hook "
+                                         "that is never called: observe the steps in after_block")
 
     # a copy in C order whatever the order of the initial array
     x = np.array(initial.opinions, dtype=float, order="C")
-    view, flat = x.data, memoryview(x.reshape(-1))   # items x[i, k], and x flat
+    view, raw = x.data, x.data.cast("B")   # items x[i, k], and x's bytes
     draws = Draws(run_key(rng))
-    observers = tuple(observers)
-    before_hooks = _hooks(observers, "before_step")
-    after_hooks = _hooks(observers, "after_step")
-    block_hooks = _hooks(observers, "after_block")
-    recorder = (_BlockRecorder(block_hooks, block_size(*x.shape), x.shape[1])
-                if block_hooks else None)
+    base = TrajectoryObserver.after_block
+    hooks = [obs.after_block for obs in observers
+             if getattr(type(obs), "after_block", base) is not base]
+    record = bool(hooks) or stop_condition is not None
+    size, d = block_size(*x.shape), x.shape[1]
 
-    times = [0]
-    states = [x.copy()]
+    times, states = [0], [x.copy()]
     events: list[tuple[int, int, bool, float]] = []
 
     for obs in observers:
         obs.at_start(x)
 
+    # The open block: its first step and a copy of the opinions there, each
+    # fired step with the bytes of rows i and j just after it, and (s, E(s))
+    # where E(t) changes, in arrays that become numpy arrays with one copy.
+    start, x0 = 0, x.copy()
+    fired_tij, fired_mu, fired_new = array("q"), array("d"), array("d")
+    changes: list[tuple[int, "EdgeSet"]] = []
+    width = 8 * d   # the bytes of a row
+
+    def end_block(t: int) -> Optional[int]:
+        """Hand over the block that ends at step t and open the next; the stop
+        step, or None.  Raises the earliest violation before that step."""
+        nonlocal start, x0, until
+        tij = np.array(fired_tij, dtype=np.intp).reshape(-1, 3).T
+        steps = FiredSteps(start, t, x0, *tij, np.array(fired_mu),
+                           np.array(fired_new).reshape(len(fired_mu), 2, d), tuple(changes))
+        for kept in (fired_tij, fired_mu, fired_new, changes):
+            del kept[:]
+        start, x0 = t, x.copy()
+        found = [v for v in [hook(steps) for hook in hooks] if v is not None]
+        stop = until = stop_condition(t) if stop_condition is not None else None
+        found = [v for v in found if stop is None or v.step < stop]
+        if found:
+            raise min(found, key=lambda v: v.step)
+        if stop is None or stop > t:
+            return None
+        if stop < t:
+            x[...] = steps.state_at(stop)
+        return stop
+
     # the edge set whose rows ``ends`` reads, flat: m rows (0 when
     # select_pair picks) and Lemire's redraw bound 2^64 mod m
     held, ends, m, redraw = None, None, 0, 0
-    t = 0
-    stopped = False
-    while t < horizon:
-        if stop_condition is not None and stop_condition():
-            stopped = True
-            break
+    t, until = 0, stop_condition(0) if stop_condition is not None else None
+    stop = 0 if until is not None and until <= 0 else None
+    while t < horizon and stop is None:
         edges = graph_schedule.edges_at(t)
-        for hook in before_hooks:
-            hook(t, x, edges)
         u = draws.at(t)
         if edges is not held:
+            if record and not isinstance(held, ErdosRenyiEdges):
+                changes.append((t, edges))
             held = edges
             m = 0 if isinstance(edges, ErdosRenyiEdges) else len(edges)
             if m:
@@ -547,23 +575,30 @@ def run_trajectory(
         mu = mu_schedule.mu_at(t, u)
         fired = full = False
         if i >= 0:
-            if recorder is not None:
-                recorder.hold(flat, i, j)
             fired = _update(view, i, j, mu, params)
-            if fired and recorder is not None:
-                full = recorder.record(t, i, j, mu, flat)
+            if fired and record:
+                fired_new.frombytes(raw[i * width:i * width + width])
+                fired_new.frombytes(raw[j * width:j * width + width])
+                fired_tij.extend((t, i, j))
+                fired_mu.append(mu)
+                full = len(fired_mu) == size
         if record_events:
             events.append((i, j, fired, mu))
-        for hook in after_hooks:
-            hook(t, i, j, fired, x)
-        if full:
-            recorder.flush()
         t += 1
         if record_stride is not None and t % record_stride == 0:
             times.append(t)
             states.append(x.copy())
-    if recorder is not None:
-        recorder.flush()
+        if full or t == until:
+            held = None   # the next block lists E(t) from its first step
+            stop = end_block(t)
+    if record and stop is None and start < t:
+        stop = end_block(t)
+    if stop is not None and stop < t:
+        t = stop
+        del events[t:]
+        while times[-1] > t:
+            times.pop()
+            states.pop()
 
     if times[-1] != t:
         times.append(t)
@@ -577,5 +612,5 @@ def run_trajectory(
         states=np.stack(states),
         events=np.array(events, dtype=EVENT_DTYPE),
         steps_run=t,
-        stopped_early=stopped,
+        stopped_early=stop is not None and stop < horizon,
     )

@@ -41,6 +41,10 @@ from .model import (
 
 WILSON_Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
+# A trial that stops early has the engine's blocks end at least STOP_EVERY steps
+# apart: a block costs about 20 steps, a stop inside one the steps past it.
+STOP_EVERY = 100
+
 
 class Verdict(str, Enum):
     CONSENSUS = "consensus"
@@ -159,11 +163,12 @@ def certified_hull_gap(a: np.ndarray, b: np.ndarray, norm: str = "euclidean") ->
 class OutcomeClassifier(TrajectoryObserver):
     """Watches a run and records the first sound verdict.
 
-    Classification runs at the start, every config.check_every steps, and at
-    the end, skipping stretches where no update fired (the state is unchanged).
-    Both consensus criteria are monotone in the nonincreasing diameter and
-    the dissensus criterion is absorbing, so periodic checking never flips
-    a verdict, it only delays decided_at.
+    Classification runs at the start, at each multiple of config.check_every
+    (on a block's state at that step), and at the end, skipping a check when
+    no update fired since the last one (the state is unchanged).  Both
+    consensus criteria are monotone in the nonincreasing diameter and the
+    dissensus criterion is absorbing, so periodic checking never flips a
+    verdict, it only delays decided_at.
     """
 
     def __init__(self, config: TrialConfig):
@@ -173,7 +178,8 @@ class OutcomeClassifier(TrajectoryObserver):
         self.verdict: Optional[Verdict] = None
         self.decided_at: Optional[int] = None
         self.final_diameter: float = float("nan")
-        self._dirty = False
+        self._checked_at = 0   # the step of the last check
+        self._fired_at = -1    # the last fired step seen
 
     def _verdict(self, x: np.ndarray) -> Optional[Verdict]:
         """The sound verdict for opinions x, or None; records their diameter."""
@@ -197,22 +203,33 @@ class OutcomeClassifier(TrajectoryObserver):
 
     def _check(self, x: np.ndarray, t: int):
         verdict = self._verdict(x)
-        self._dirty = False
+        self._checked_at = t
         if verdict is not None and self.verdict is None:
             self.verdict = verdict
             self.decided_at = t
 
     def at_start(self, x):
-        self.verdict = self.decided_at = None   # _check sets the rest
+        self.verdict, self.decided_at, self._fired_at = None, None, -1   # _check sets the rest
         self._check(x, 0)
 
-    def after_step(self, t, i, j, fired, x):
-        self._dirty = self._dirty or fired
-        if self.verdict is None and self._dirty and (t + 1) % self.config.check_every == 0:
-            self._check(x, t + 1)
+    def after_block(self, steps):
+        every, fired = self.config.check_every, steps.t
+        c = (steps.start // every + 1) * every   # the first multiple in the block
+        while self.verdict is None and c <= steps.stop:
+            k = int(np.searchsorted(fired, c))   # the fired steps before c
+            if (fired[k - 1] if k else self._fired_at) >= self._checked_at:
+                self._check(steps.state_at(c), c)
+                c += every
+            elif k < len(fired):   # on to the first multiple after the next fired step
+                c = (int(fired[k]) // every + 1) * every
+            else:
+                break
+        if len(fired):
+            self._fired_at = int(fired[-1])
+        return None
 
     def at_end(self, t, x, social_edges):
-        if self._dirty or self.verdict is None:
+        if self._fired_at >= self._checked_at or self.verdict is None:
             self._check(x, t)
 
     def outcome(self) -> TrialOutcome:
@@ -231,7 +248,11 @@ def run_trial(config: TrialConfig, *, early_stop: bool = True) -> TrialResult:
     """Run one trial: fresh initial opinions, classification, and optionally tau.
 
     With early_stop a trial halts once the verdict is in (and, when a delta
-    is tracked, the stopping time is found); otherwise the full horizon runs.
+    is tracked, the stopping time is found): at decided_at, or at tau + 1
+    when that is later, as if the rule were asked at the top of every step.
+    Until then the rule is asked at least STOP_EVERY steps apart, and before
+    the verdict at multiples of check_every, where it can come.  Otherwise
+    the full horizon runs.
     """
     # keyed by trial index, so the trial count never shifts a trial's streams
     init_rng, dyn_rng, graph_seed = seed_streams(config.master_seed, config.trial_index)
@@ -244,17 +265,21 @@ def run_trial(config: TrialConfig, *, early_stop: bool = True) -> TrialResult:
         tracker = StoppingTimeTracker(config.track_delta, config.params)
         observers.append(tracker)
 
-    stop_cb = None
+    stop_at = None
     if early_stop:
-        def stop_cb() -> bool:
+        def stop_at(t: int) -> int:
+            every = config.check_every
             if classifier.verdict is None:
-                return False
-            return tracker is None or tracker.time is not None
+                return -(-(t + STOP_EVERY) // every) * every
+            if tracker is None:
+                return classifier.decided_at
+            return t + STOP_EVERY if tracker.time is None else max(classifier.decided_at,
+                                                                   tracker.time + 1)
 
     trajectory = run_trajectory(
         initial, schedule, config.mu_schedule, config.params, config.horizon,
         dyn_rng, observers=observers, record_stride=None, record_events=False,
-        stop_condition=stop_cb,
+        stop_condition=stop_at,
     )
     return TrialResult(
         outcome=classifier.outcome(),

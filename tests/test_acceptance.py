@@ -85,7 +85,8 @@ def test_criterion_01_pair_contraction(ensemble):
 class _FullPotentialAudit(TrajectoryObserver):
     """Recomputes the whole-population potential around every fired step and
     measures the decrement-inequality slack directly (no pair shortcut).
-    The pre-step rows come from its own copy of the opinions."""
+    The pre-step rows come from its own copy of the opinions, which replays
+    each fired step's rows."""
 
     def __init__(self, c_points: np.ndarray, params: ModelParams):
         self.c_points = c_points
@@ -93,26 +94,25 @@ class _FullPotentialAudit(TrajectoryObserver):
         self.min_slack = np.inf
         self.checked = 0
         self._z = None
-        self._pre = None
+        self._x = None
 
     def at_start(self, x):
+        self._x = x.copy()
         self._z = cross_distances(x, self.c_points, self.params.norm).sum(axis=0)
 
-    def before_step(self, t, x, social_edges):
-        self._pre = x.copy()
-
-    def after_step(self, t, i, j, fired, x):
-        if not fired:
-            return
-        xi_old, xj_old = self._pre[i], self._pre[j]
-        z_now = cross_distances(x, self.c_points, self.params.norm).sum(axis=0)
-        disp = lengths(x[i] - xi_old, self.params.norm)
-        mid = (xi_old + xj_old) / 2.0
-        d_mid = cross_distances(mid[None, :], self.c_points, self.params.norm)[0]
-        slack = (self._z - z_now) - 2.0 * disp + 2.0 * d_mid
-        self.min_slack = min(self.min_slack, float(slack.min()))
-        self._z = z_now
-        self.checked += 1
+    def after_block(self, steps):
+        x, norm = self._x, self.params.norm
+        for i, j, new in zip(steps.i.tolist(), steps.j.tolist(), steps.new):
+            xi_old, xj_old = x[i].copy(), x[j].copy()
+            x[[i, j]] = new
+            z_now = cross_distances(x, self.c_points, norm).sum(axis=0)
+            disp = lengths(x[i] - xi_old, norm)
+            mid = (xi_old + xj_old) / 2.0
+            d_mid = cross_distances(mid[None, :], self.c_points, norm)[0]
+            slack = (self._z - z_now) - 2.0 * disp + 2.0 * d_mid
+            self.min_slack = min(self.min_slack, float(slack.min()))
+            self._z = z_now
+            self.checked += 1
 
 
 def test_criterion_02_potential_decrement(ensemble):

@@ -150,8 +150,8 @@ def _fake_fired_step(obs, x_new, pre=(0.0, 1.0), mu=0.5):
     old = np.asarray(pre, dtype=float)[:, None]
     new = np.asarray(x_new, dtype=float)[:, None]
     obs.at_start(old.copy())
-    found = obs.after_block(FiredSteps(np.array([0]), np.array([0]), np.array([1]),
-                                       np.array([mu]), old[None], new[None]))
+    found = obs.after_block(FiredSteps(0, 1, old, np.array([0]), np.array([0]), np.array([1]),
+                                       np.array([mu]), new[None]))
     if found is not None:
         raise found
 
@@ -160,11 +160,12 @@ def _fired_blocks(traj, size):
     """The fired steps of a run recorded at stride 1, in blocks of ``size``."""
     t = np.flatnonzero(traj.events["fired"])
     i, j, mu = traj.events["i"][t], traj.events["j"][t], traj.events["mu"][t]
-    old = np.stack((traj.states[t, i], traj.states[t, j]), axis=1)
     new = np.stack((traj.states[t + 1, i], traj.states[t + 1, j]), axis=1)
     for s in range(0, len(t), size):
         part = slice(s, s + size)
-        yield FiredSteps(t[part], i[part], j[part], mu[part], old[part], new[part])
+        start, stop = int(t[part][0]), int(t[part][-1]) + 1
+        yield FiredSteps(start, stop, traj.states[start], t[part], i[part], j[part], mu[part],
+                         new[part])
 
 
 def test_identity_observer_passes_clean_run():
@@ -261,17 +262,17 @@ def test_diameter_observer_matches_the_full_matrix_at_every_step(monkeypatch, no
     monkeypatch.setattr(invariants, "farthest_pairs",
                         lambda x, norm: remeasured.append(x.shape) or farthest(x, norm))
     window = max(1, DiameterMonotoneObserver._WINDOW_FLOATS // (n * n * d))
-    # blocks of one step, of 7 and of the engine's size: the forward-filled
-    # opinions match the recorded state after every step of a block, and the
-    # diameter after each block matches the full matrix
+    # blocks of one step, of 7 and of the engine's size: a block's states and
+    # its rows before each step match the recorded states, and the diameter
+    # after each block matches the full matrix
     for size in (1, 7, block_size(n, d)):
         obs = DiameterMonotoneObserver(params)
         obs.at_start(traj.states[0])
         remeasured.clear()
         for steps in _fired_blocks(traj, size):
-            positions = invariants._positions(traj.states[steps.t[0]], steps)
             for k, t in enumerate(steps.t):
-                assert np.array_equal(positions[k], traj.states[t + 1])
+                assert np.array_equal(steps.states[k + 1], traj.states[t + 1])
+                assert np.array_equal(steps.old[k], traj.states[t][[steps.i[k], steps.j[k]]])
             assert obs.after_block(steps) is None
             end = steps.t[-1] + 1
             assert obs.diameter == full[end] == diameter(traj.states[end], norm)
@@ -335,10 +336,10 @@ def test_diameter_observer_memory_stays_far_below_the_distance_matrix():
             # every fourth step moves an agent of the farthest pair
             i = obs._pair[0] if t % 4 == 0 else int(rng.integers(n))
             j = (i + 1 + int(rng.integers(n - 1))) % n
-            old = x[[i, j]]
+            before = x.copy()
             assert model._update(x, i, j, 0.5, params)
-            assert obs.after_block(FiredSteps(np.array([t]), np.array([i]), np.array([j]),
-                                              np.array([0.5]), old[None],
+            assert obs.after_block(FiredSteps(t, t + 1, before, np.array([t]), np.array([i]),
+                                              np.array([j]), np.array([0.5]),
                                               x[[i, j]][None])) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -430,17 +431,19 @@ def test_settle_time_requires_connected_profile():
 
 
 class _RescanTracker(TrajectoryObserver):
-    """StoppingTimeTracker that measures the whole profile at every check."""
+    """StoppingTimeTracker that measures the whole profile of every step, on
+    the block's state at that step, against the schedule's own E(t)."""
 
-    def __init__(self, delta, params):
-        self.delta, self.params, self.time = delta, params, None
+    def __init__(self, delta, params, schedule):
+        self.delta, self.params, self.schedule, self.time = delta, params, schedule, None
 
     def _short(self, x, social_edges):
         return bool(np.all(profile(x, social_edges.array, self.params)[1] <= self.delta))
 
-    def before_step(self, t, x, social_edges):
-        if self.time is None and self._short(x, social_edges):
-            self.time = t
+    def after_block(self, steps):
+        for t in range(steps.start, steps.stop):
+            if self.time is None and self._short(steps.state_at(t), self.schedule.edges_at(t)):
+                self.time = t
 
     def at_end(self, t, x, social_edges):
         if self.time is None and self._short(x, social_edges):
@@ -465,7 +468,8 @@ def _schedule(kind, n, seed):
 
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(_SCHEDULES), norm=st.sampled_from(NORMS),
-       d=st.integers(1, 3), n=st.integers(2, 9), seed=st.integers(0, 2**16),
+       d=st.integers(1, 3), n=st.sampled_from([*range(2, 10), 12, 20, 40]),
+       seed=st.integers(0, 2**16),
        data=st.data())
 def test_tracker_matches_a_full_rescan(kind, norm, d, n, seed, data):
     # Opinions on multiples of 1/8 and rates 1/2 and 1/4 keep every update
@@ -478,11 +482,72 @@ def test_tracker_matches_a_full_rescan(kind, norm, d, n, seed, data):
     delta = data.draw(st.sampled_from([v for v in lengths if v <= epsilon] + [1 / 64]))
     mu = data.draw(st.sampled_from([ConstantMu(0.5), SequenceMu((0.25, 0.5, 0.25))]))
     params = ModelParams(epsilon=epsilon, dimension=d, norm=norm)
-    tracker, reference = StoppingTimeTracker(delta, params), _RescanTracker(delta, params)
-    run_trajectory(OpinionState(0, x0), _schedule(kind, n, seed), mu, params, 60,
-                   np.random.default_rng(seed), observers=[tracker, reference],
-                   record_stride=None, record_events=False)
+    schedule = _schedule(kind, n, seed)
+    tracker, reference = StoppingTimeTracker(delta, params), _RescanTracker(delta, params,
+                                                                            schedule)
+    # blocks of 7 fired steps: tau falls inside a block, at its first step or
+    # at the end of the run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "BLOCK_BYTES", 7 * 48 * n * d)
+        run_trajectory(OpinionState(0, x0), schedule, mu, params, 60,
+                       np.random.default_rng(seed), observers=[tracker, reference],
+                       record_stride=None, record_events=False)
     assert tracker.time == reference.time
+
+
+@pytest.mark.parametrize("kind", ["complete", "path", "cyclic", "piecewise", "erdos-renyi"])
+def test_tracker_matches_a_full_rescan_on_edge_sets_beyond_its_candidates(kind, monkeypatch):
+    # n = 80 in two clusters 2 apart, each 0.2 wide: E(t) has more rows than
+    # the tracker's 64 candidates (78 on the path), so it searches for long
+    # rows, keeps up to 64 of them, and searches again each time they all
+    # drop out; on the cyclic schedule the candidates change with E(t).  A
+    # block is measured a few steps at a time.
+    n, d = 80, 2
+    full, path = complete_edges(n), path_edges(n)
+    schedule = {"complete": ConstantGraph(n, full), "path": ConstantGraph(n, path),
+                "cyclic": CyclicGraph(n, (full, path)),
+                "piecewise": PiecewiseGraph(n, ((0, path), (200, full))),
+                "erdos-renyi": ErdosRenyiGraph(n, 0.5, seed=5)}[kind]
+    x0 = np.random.default_rng(3).random((n, d)) * 0.2 + 2 * (np.arange(n) >= n // 2)[:, None]
+    searches = []
+    real = invariants._long_rows
+    monkeypatch.setattr(invariants, "_long_rows", lambda *args: searches.append(1) or real(*args))
+    monkeypatch.setattr(model, "BLOCK_BYTES", 7 * 48 * n * d)   # 7 fired steps a block
+    # the steps measured in one call: 3 for 64 candidates
+    monkeypatch.setattr(invariants, "BLOCK_BYTES", 32 * 64 * 3)
+    for norm in NORMS:
+        params = ModelParams(epsilon=0.5, dimension=d, norm=norm)
+        tracker, reference = (StoppingTimeTracker(0.05, params),
+                              _RescanTracker(0.05, params, schedule))
+        searches.clear()
+        run_trajectory(OpinionState(0, x0), schedule, ConstantMu(0.5), params, 1500,
+                       np.random.default_rng(4), observers=[tracker, reference],
+                       record_stride=None, record_events=False)
+        assert tracker.time == reference.time is not None and tracker.time > 0
+        assert len(searches) >= 2   # a set of candidates dropped out
+
+
+def test_tracker_on_a_sparse_erdos_renyi_run_holds_no_state_per_step():
+    # Fires are rare here (about one step in 800), so the first block of 10
+    # fired steps covers all 6000 steps, each tested on its own E(t): the
+    # tracker measures its candidates once per state and holds flags, not an
+    # (n, d) state, for each step (that would be 96 MB).
+    n, d = 1000, 2
+    params = ModelParams(epsilon=0.02, dimension=d)
+    tracker = StoppingTimeTracker(1e-9, params)
+    blocks = []
+    spy = type("Spy", (TrajectoryObserver,), {"after_block": lambda self, s: blocks.append(s.stop)})
+    x0 = np.random.default_rng(0).random((n, d))
+    tracemalloc.start()
+    try:
+        run_trajectory(OpinionState(0, x0), ErdosRenyiGraph(n, 0.5, seed=3), ConstantMu(0.5),
+                       params, 6000, np.random.default_rng(1), observers=[tracker, spy()],
+                       record_stride=None, record_events=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == [6000] and tracker.time is None
+    assert peak < 40e6
 
 
 def _count_measured(monkeypatch) -> list[int]:
@@ -494,163 +559,13 @@ def _count_measured(monkeypatch) -> list[int]:
     return measured
 
 
-def _merge(x, tracker, t, i, j):
-    """Fire a rate-1/2 update on agents i and j and tell the tracker."""
-    x[[i, j]] = (x[i] + x[j]) / 2.0
-    tracker.after_step(t, i, j, True, x)
-
-
-def _qualifies(x, pair, delta, params) -> bool:
-    """Whether ``pair`` is within epsilon (exact <=) and longer than delta in x."""
-    length = pair_lengths(x, np.array([pair]), params.norm)[0]
-    return bool(delta < length <= params.epsilon)
-
-
-def test_tracker_keeps_a_moved_witness_that_still_qualifies(monkeypatch):
-    measured = _count_measured(monkeypatch)
-    n = 30
-    params = ModelParams(epsilon=0.5, dimension=2)
-    x = np.random.default_rng(0).random((n, 2))
-    edges = complete_edges(n)
-    tracker = StoppingTimeTracker(1e-9, params)
-    tracker.at_start(x)
-    tracker.before_step(0, x, edges)
-    assert measured == [64]   # the first chunk of E(0) holds a long edge
-    a, b = witness = tracker._witness
-    others = [v for v in range(n) if v not in witness]
-    for t, (i, j) in enumerate(zip(others[0::2], others[1::2]), start=1):
-        _merge(x, tracker, t - 1, i, j)
-        # the same E(t), and another EdgeSet that holds the witness
-        tracker.before_step(t, x, edges if t % 2 else complete_edges(n))
-    assert measured == [64] and tracker._witness == witness and tracker.time is None
-    # the witness moves and stays in (delta, epsilon]: it is measured again
-    # on Python floats and kept, and nothing is measured with numpy
-    kept = 0
-    for t, c in enumerate(others, start=n):
-        after = x.copy()
-        after[[a, c]] = (x[a] + x[c]) / 2.0
-        if not _qualifies(after, witness, 1e-9, params):
-            continue
-        _merge(x, tracker, t, a, c)
-        assert tracker._witness == witness
-        tracker.before_step(t + 1, x, edges)
-        assert measured == [64] and tracker._witness == witness and tracker.time is None
-        kept += 1
-    assert kept > 0
-    _merge(x, tracker, 2 * n, a, b)   # the witness shrinks to length 0 and falls
-    assert tracker._witness is None
-    tracker.before_step(2 * n + 1, x, edges)
-    assert len(measured) > 1
-
-
-def test_tracker_re_measures_a_moved_witness_then_tries_flagged_rows_before_it_measures(
-        monkeypatch):
-    # A fired step that moves the witness measures it again: while it stays
-    # within epsilon and longer than delta it stands, with nothing measured
-    # (on Erdos-Renyi, when E(t) holds it by hash).  Otherwise, on an
-    # unchanged E(t), the next _TRIES untried flagged rows are tried: the
-    # first whose agents have not moved since the last measurement and that
-    # E(t) holds is the witness, and nothing is measured.  Failing those, the
-    # rows at the agents moved since are measured, each once, or all rows in
-    # one call when those agents touch at least half of them (counted once
-    # per agent) or on the first measurement.
-    measured = []
-    real = invariants.pair_lengths
-    monkeypatch.setattr(invariants, "pair_lengths",
-                        lambda x, pairs, norm: measured.append(pairs.copy()) or real(x, pairs, norm))
-    n, delta = 80, 1e-9
-    params = ModelParams(epsilon=0.5, dimension=2)
-    rng = np.random.default_rng(1)
-    for kind in ("complete", "path", "erdos-renyi"):
-        x = rng.random((n, 2))
-        schedule = _schedule(kind, n, seed=2)
-        graph = schedule if kind == "erdos-renyi" else None
-        pairs = complete_edges(n).array if graph else schedule.edges_at(0).array
-        row = {tuple(p): e for e, p in enumerate(pairs.tolist())}
-        degree = np.bincount(pairs.ravel(), minlength=n)
-        tracker = StoppingTimeTracker(delta, params)
-        tracker.at_start(x)
-        del measured[:]
-        tracker.before_step(0, x, schedule.edges_at(0))
-        # Erdos-Renyi flags all pairs at once; an EdgeSet is searched in chunks of 64
-        assert [len(p) for p in measured] == [len(pairs) if graph else min(64, len(pairs))]
-        fresh = graph is None
-        moved: set[int] = set()
-        seen = {"kept": 0, "tried": 0, "at moved": 0, "full": 0}
-        if graph is not None:
-            seen["kept, not in E(t)"] = 0
-        for t in range(1, 160):
-            witness = tracker._witness
-            tries = [] if fresh else tracker._untried[tracker._next:][:tracker._TRIES]
-            # witness agent a moves with an agent c outside the witness: a
-            # merges with c, which the witness may outlive, or jumps onto its
-            # partner b, which ends it; then nothing else moves, an agent of
-            # each next try does, or 13 others do
-            a, b = witness if rng.integers(2) else witness[::-1]
-            c = int(rng.choice([v for v in range(n) if v not in witness]))
-            movers = [a, c]
-            mode = rng.integers(3)
-            if mode == 1:
-                movers += [int(rng.choice(r)) for r in pairs.take(tries, axis=0)]
-            elif mode == 2:
-                movers += rng.integers(n, size=13).tolist()
-            movers = list(dict.fromkeys(movers))
-            while len(movers) % 2 or len(movers) < 2:
-                movers = list(dict.fromkeys(movers + [int(rng.integers(n))]))
-            if rng.integers(2):
-                x[a] = x[b]
-                tracker.after_step(t - 1, a, c, True, x)
-            else:
-                _merge(x, tracker, t - 1, a, c)
-            # each move of a witness agent measures it again, and a witness
-            # that fails once is gone
-            stands = _qualifies(x, witness, delta, params)
-            for i, j in zip(movers[2::2], movers[3::2]):
-                _merge(x, tracker, t - 1, i, j)
-                if stands and {i, j} & set(witness):
-                    stands = _qualifies(x, witness, delta, params)
-            moved.update(movers)
-            assert tracker._witness == (witness if stands else None)
-            holds = [not moved & set(pairs[e].tolist())
-                     and (graph is None or graph.holds(t, int(e))) for e in tries]
-            del measured[:]
-            edges = schedule.edges_at(t)
-            tracker.before_step(t, x, edges)
-            assert tracker.time is None
-            w = tracker._witness
-            assert w in edges and _qualifies(x, w, delta, params)
-            if stands and (graph is None or graph.holds(t, row[witness])):
-                seen["kept"] += 1
-                assert measured == [] and w == witness
-                continue
-            if stands:
-                seen["kept, not in E(t)"] += 1
-            if any(holds):
-                seen["tried"] += 1
-                assert measured == [] and w == tuple(pairs[tries[holds.index(True)]].tolist())
-                continue
-            at_moved = np.flatnonzero(np.isin(pairs, list(moved)).any(axis=1))
-            if fresh or 2 * degree[list(moved)].sum() >= len(pairs):
-                seen["full"] += not fresh
-                assert len(measured) == 1 and np.array_equal(measured[0], pairs), kind
-            else:
-                seen["at moved"] += 1
-                assert len(measured) == 1, kind
-                assert sorted(map(tuple, measured[0].tolist())) == \
-                    [tuple(r) for r in pairs[at_moved].tolist()], kind
-            fresh = False
-            moved.clear()
-        assert min(seen.values()) > 0, (kind, seen)
-
-
 def test_the_reference_ensemble_measures_at_most_half_as_often_as_before(monkeypatch):
     # The ensemble of the benchmark's estimate-n10 (n = 10 on [0, 1], epsilon
     # 0.9, rate 1/2, delta 0.01), 250 trials at master seed 7: the tracker
-    # measured 2471 times when it dropped every witness a fired step moved.
-    calls = []
-    real = StoppingTimeTracker._measure
-    monkeypatch.setattr(StoppingTimeTracker, "_measure",
-                        lambda self, x, pairs: calls.append(len(pairs)) or real(self, x, pairs))
+    # measured 2471 times when it dropped every witness a fired step moved,
+    # one state at a time.  On blocks it measures every edge over all the
+    # states of a block in one call: 254 calls for 254 blocks.
+    calls = _count_measured(monkeypatch)
     n = 10
     template = TrialConfig(n=n, params=ModelParams(epsilon=0.9), space=Interval(0.0, 1.0),
                            graph_schedule=ConstantGraph(n, complete_edges(n)),
@@ -675,10 +590,9 @@ def test_a_new_edge_set_is_searched_in_partitioning_chunks(monkeypatch, row):
     chunks = [64, 256, 679]
     expected = chunks if row is None else chunks[:1 + (row >= 64) + (row >= 320)]
     tracker = StoppingTimeTracker(0.05, params)
-    tracker.at_start(x)
-    tracker.before_step(0, x, schedule.edges_at(0))
+    run_trajectory(OpinionState(0, x), schedule, ConstantMu(0.5), params, 0,
+                   np.random.default_rng(0), observers=[tracker])   # only at_end tests
     assert measured == expected
-    assert tracker._witness == (None if row is None else (row, row + 1))
     assert tracker.time == (0 if row is None else None)
     del measured[:]
     assert settle_time([0], [x], schedule, 0.05, params) == (None if row is not None else 0)
@@ -693,16 +607,17 @@ def test_tracker_records_nothing_once_time_is_set(monkeypatch):
     seen = []
 
     class Watch(TrajectoryObserver):
-        def after_step(self, t, *args):
-            seen.append((tracker.time, len(tracker._moved), len(measured)))
+        def after_block(self, steps):
+            seen.append((tracker.time, len(measured)))
 
+    # blocks of 10 fired steps
+    monkeypatch.setattr(model, "BLOCK_BYTES", 10 * 48 * n * 2)
     run_trajectory(OpinionState(0, np.random.default_rng(2).random((n, 2))),
                    ConstantGraph(n, complete_edges(n)), ConstantMu(0.5), params, 400,
                    np.random.default_rng(3), observers=[tracker, Watch()])
     assert 0 < tracker.time < 400
-    after = [(moved, count) for time, moved, count in seen if time is not None]
-    assert all(moved == 0 for moved, _ in after)
-    assert {count for _, count in after} == {len(measured)}
+    after = [count for time, count in seen if time is not None]
+    assert len(after) > 1 and set(after) == {len(measured)}
 
 
 def _settle_time_full_scan(times, states, schedule, delta, params):
@@ -776,7 +691,7 @@ def test_settle_time_searches_blocks_of_states_that_share_their_edges(
     # the bytes per state settle_time sizes its blocks by, for the 6 complete edges
     monkeypatch.setattr(invariants, "BLOCK_BYTES", per_call * 8 * 6 * (3 * d + 3))
     # each search here is one call of _long_edges: a state's at most 6 rows
-    # are one chunk of _first_long_edge
+    # are one chunk of _long_rows
     searched = []
     search = invariants._long_edges
     monkeypatch.setattr(invariants, "_long_edges", lambda x, *args: searched.append(
@@ -834,28 +749,41 @@ def test_stopping_record_validation():
 # Opinion graph churn
 # ---------------------------------------------------------------------------
 
-def test_change_counter_sees_edge_appear():
+def _counted(x0, pair):
+    """The change counter after a run of one rate-1/2 step on ``pair``."""
     params = ModelParams(epsilon=0.8)
     obs = OpinionGraphChangeCounter(params)
-    x = np.array([[0.0], [0.5], [1.0]])
-    obs.at_start(x)
-    new = x.copy()
-    new[1], new[2] = 0.75, 0.75  # (1, 2) fire with mu = 1/2
-    obs.after_step(0, 1, 2, True, new)
+    traj = run_trajectory(OpinionState(0, np.array(x0)), ConstantGraph(len(x0), EdgeSet([pair])),
+                          ConstantMu(0.5), params, 1, np.random.default_rng(0), observers=[obs])
+    assert traj.events["fired"].all()
+    return obs
+
+
+def test_change_counter_sees_edge_appear():
+    obs = _counted([0.0, 0.5, 1.0], (1, 2))   # (1, 2) meet at 0.75
     assert obs.gained_steps == 1  # agent 2 came within range of agent 0
     assert obs.lost_steps == 0
 
 
 def test_change_counter_sees_edge_disappear():
-    params = ModelParams(epsilon=0.8)
-    obs = OpinionGraphChangeCounter(params)
-    x = np.array([[0.0], [0.5], [1.3]])
-    obs.at_start(x)
-    new = x.copy()
-    new[0], new[1] = 0.25, 0.25  # (0, 1) merge; agent 1 leaves agent 2's range
-    obs.after_step(0, 0, 1, True, new)
+    obs = _counted([0.0, 0.5, 1.3], (0, 1))   # (0, 1) merge; agent 1 leaves agent 2's range
     assert obs.lost_steps == 1
     assert obs.gained_steps == 0
+
+
+def test_change_counter_counts_a_block_as_its_steps_one_by_one():
+    params = ModelParams(epsilon=0.5, dimension=2)   # edges appear 10 times, vanish 15
+    x0 = np.random.default_rng(7).random((12, 2))
+    traj = run_trajectory(OpinionState(0, x0), ConstantGraph(12, complete_edges(12)),
+                          UniformMu(0.1, 0.5), params, 800, np.random.default_rng(8))
+    adjacency = [cross_distances(x, x) <= params.epsilon for x in traj.states]
+    changed = [(after & ~before, before & ~after)
+               for before, after in zip(adjacency, adjacency[1:])]
+    obs = OpinionGraphChangeCounter(params)
+    run_trajectory(OpinionState(0, x0), ConstantGraph(12, complete_edges(12)),
+                   UniformMu(0.1, 0.5), params, 800, np.random.default_rng(8), observers=[obs])
+    assert obs.gained_steps == sum(bool(gained.any()) for gained, _ in changed) > 0
+    assert obs.lost_steps == sum(bool(lost.any()) for _, lost in changed) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1010,43 +938,47 @@ def test_in_one_block_the_earlier_step_wins(monkeypatch):
 def test_the_hooks_get_arrays_and_a_per_step_exception_propagates_as_raised(monkeypatch):
     class Record(TrajectoryObserver):
         def __init__(self):
-            self.start, self.steps, self.end = None, [], None
+            self.start, self.blocks, self.end = None, [], None
 
         def at_start(self, x):
             self.start = x.copy()
 
-        def after_step(self, t, i, j, fired, x):
-            self.steps.append((t, i, j, fired, x.copy()))
+        def after_block(self, steps):
+            self.blocks.append(steps)
 
         def at_end(self, t, x, social_edges):
             self.end = (t, x.copy(), social_edges)
 
-    n, last = 6, path_edges(6)
+    n, first, empty, last = 6, complete_edges(6), EdgeSet(), path_edges(6)
     x0 = np.random.default_rng(0).random((n, 2))
     # steps 3..5 have no social edge
-    schedule = PiecewiseGraph(n, ((0, complete_edges(n)), (3, EdgeSet()), (6, last)))
+    schedule = PiecewiseGraph(n, ((0, first), (3, empty), (6, last)))
     record = Record()
     traj = run_trajectory(OpinionState(0, x0), schedule, UniformMu(0.1, 0.5),
                           ModelParams(epsilon=0.6, dimension=2), 10,
                           np.random.default_rng(1), observers=[record], record_stride=1)
     assert np.array_equal(record.start, x0)
-    assert [step[:4] for step in record.steps] == [
-        (t, i, j, fired) for t, (i, j, fired, _) in enumerate(traj.events.tolist())]
-    assert [step[1:4] for step in record.steps[3:6]] == [(-1, -1, False)] * 3
-    assert any(fired for _, _, _, fired, _ in record.steps)
-    assert all(np.array_equal(x, traj.states[t + 1]) for t, *_, x in record.steps)
+    [steps] = record.blocks
+    assert (steps.start, steps.stop) == (0, 10)
+    assert [(s, e) for s, e in steps.edges] == [(0, first), (3, empty), (6, last)]
+    assert all(e is edges for (_, e), edges in zip(steps.edges, (first, empty, last)))
+    events = traj.events[steps.t]
+    assert np.flatnonzero(traj.events["fired"]).tolist() == steps.t.tolist() != []
+    assert (events["i"].tolist(), events["j"].tolist(), events["mu"].tolist()) == (
+        steps.i.tolist(), steps.j.tolist(), steps.mu.tolist())
+    assert all(np.array_equal(steps.state_at(t), traj.states[t]) for t in range(11))
     t, x, edges = record.end
     assert t == 10 and np.array_equal(x, traj.states[-1]) and edges is last
 
-    # A per-step hook reports nothing: what it raises leaves the run as it
+    # What a block hook raises, rather than returns, leaves the run as it
     # is, even with an earlier failure waiting in the block.
     class FailsAt(TrajectoryObserver):
         def __init__(self, step):
             self.step, self.raised = step, None
 
-        def after_step(self, t, *args):
-            if t == self.step:
-                self.raised = InvariantViolation("per-step", step=t, slack=-1.0)
+        def after_block(self, steps):
+            if steps.start <= self.step < steps.stop:
+                self.raised = InvariantViolation("raised", step=self.step, slack=-1.0)
                 raise self.raised
 
     params = ModelParams(epsilon=1e3, dimension=D_BLOCK)

@@ -15,6 +15,7 @@ from deffuant import (
     CyclicGraph,
     DiameterMonotoneObserver,
     EdgeSet,
+    InvariantViolation,
     ModelParams,
     OpinionState,
     PiecewiseGraph,
@@ -272,18 +273,65 @@ def test_mu_drawn_even_without_edges():
     assert np.array_equal(traj.states[-1], initial.opinions)
 
 
+class _Blocks(TrajectoryObserver):
+    """Notes the range of each block; fails step ``fail_at`` when it is given."""
+
+    def __init__(self, fail_at=None):
+        self.ranges, self.fail_at = [], fail_at
+
+    def after_block(self, steps):
+        self.ranges.append((steps.start, steps.stop))
+        at = np.flatnonzero(steps.t == self.fail_at)
+        return steps.violation(int(at[0]), "injected", -1.0, "") if at.size else None
+
+
 def test_stop_condition_halts_early():
-    seen = []
+    # The rule is asked at step 0 and at the end of each block, and a block
+    # ends at the step the rule last named (here each multiple of 50) until
+    # it names a step up to that end: the run ends there with the opinions,
+    # events and recorded states of that step.
+    full = _run(0, horizon=300)
+    for stop in (0, 5, 49, 50, 51, 137):
+        blocks, asked = _Blocks(), []
+        rule = lambda t: asked.append(t) or (stop if t >= stop else (t // 50 + 1) * 50)
+        traj = _run(0, horizon=300, observers=[blocks], stop_condition=rule)
+        assert traj.steps_run == stop and traj.stopped_early
+        ends = list(range(50, -(-stop // 50) * 50 + 1, 50))
+        assert asked == [0] + ends and [b for _, b in blocks.ranges] == ends
+        assert traj.times.tolist() == list(range(stop + 1))
+        assert np.array_equal(traj.states, full.states[:stop + 1])
+        assert np.array_equal(traj.events, full.events[:stop])
+    # a stop at the horizon is no early stop
+    traj = _run(0, horizon=120, observers=[_Blocks()],
+                stop_condition=lambda t: 120 if t == 120 else t + 50)
+    assert (traj.steps_run, traj.stopped_early) == (120, False)
 
-    class Counter(TrajectoryObserver):
-        def after_step(self, t, i, j, fired, x):
-            seen.append(t)
 
-    traj = _run(0, horizon=100, observers=[Counter()],
-                stop_condition=lambda: len(seen) >= 5)
-    assert traj.steps_run == 5
-    assert traj.stopped_early
-    assert traj.times[-1] == 5
+def test_a_violation_at_or_after_the_stop_step_is_not_raised():
+    # every step fires (rate 0.3, all six agents within epsilon)
+    for stop, raised in ((7, False), (8, True)):
+        blocks = _Blocks(fail_at=7)
+        rule = lambda t: stop if t >= 10 else 10
+        run = lambda: _run(0, horizon=100, observers=[blocks], stop_condition=rule)
+        if raised:
+            with pytest.raises(InvariantViolation, match="injected"):
+                run()
+        else:
+            assert run().steps_run == stop
+
+
+def test_an_observer_with_a_per_step_hook_is_refused():
+    # an audit written for per-step hooks would check nothing
+    for hook in ("before_step", "after_step"):
+        stale = type("Stale", (TrajectoryObserver,), {hook: lambda self, *args: None})
+        with pytest.raises(ConfigurationError, match=f"Stale defines {hook}"):
+            _run(0, observers=[stale()])
+
+
+def test_a_run_starts_at_step_zero():
+    with pytest.raises(ConfigurationError, match="starts at step 0"):
+        run_trajectory(OpinionState(5, np.zeros(3)), ConstantGraph(3, complete_edges(3)),
+                       ConstantMu(0.3), ModelParams(epsilon=0.9), 3, np.random.default_rng(0))
 
 
 def test_trajectory_validation():
@@ -307,23 +355,23 @@ class _PairNeverCrosses(TrajectoryObserver):
     """Checks that with mu <= 1/2 a fired update never swaps the pair's
     one-dimensional order: both agents move toward each other by the same
     amount, ending at most at their midpoint.  The pre-step rows come from its
-    own copy of the opinions."""
+    own copy of the opinions, which replays each fired step's rows."""
 
     def __init__(self):
         self.fired = 0
-        self._pre = None
+        self._x = None
 
-    def before_step(self, t, x, edges):
-        self._pre = x.copy()
+    def at_start(self, x):
+        self._x = x.copy()
 
-    def after_step(self, t, i, j, fired, x):
-        if not fired:
-            return
-        self.fired += 1
-        gap_old = float(self._pre[j, 0] - self._pre[i, 0])
-        gap_new = float(x[j, 0] - x[i, 0])
-        assert gap_old * gap_new >= 0.0
-        assert abs(gap_new) <= abs(gap_old) + 1e-15
+    def after_block(self, steps):
+        for i, j, new in zip(steps.i.tolist(), steps.j.tolist(), steps.new):
+            self.fired += 1
+            gap_old = float(self._x[j, 0] - self._x[i, 0])
+            gap_new = float(new[1, 0] - new[0, 0])
+            assert gap_old * gap_new >= 0.0
+            assert abs(gap_new) <= abs(gap_old) + 1e-15
+            self._x[[i, j]] = new
 
 
 def test_interacting_pair_never_crosses_in_one_dimension():

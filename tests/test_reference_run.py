@@ -45,7 +45,9 @@ def _configs(draw):
         mu = {"kind": "uniform", "low": low, "high": high}
     else:
         mu = {"kind": "sequence", "values": draw(st.lists(rate, min_size=1, max_size=4))}
-    horizon = draw(st.integers(1, 100))
+    # past several multiples of check_every, where a run with a stop rule
+    # ends its blocks
+    horizon = draw(st.integers(1, 400))
     return {
         "n": n, "dimension": d, "norm": draw(st.sampled_from(NORMS)),
         "epsilon": draw(st.sampled_from([0.1, 0.3, 0.6, 1.0, 2.0])),
@@ -53,7 +55,7 @@ def _configs(draw):
         "graph": graph, "mu": mu, "horizon": horizon,
         "record_stride": draw(st.one_of(st.none(), st.integers(1, 40))),
         "deltas": draw(st.lists(st.sampled_from([0.01, 0.1, 0.3]), max_size=2)),
-        "check_every": draw(st.integers(1, 150)),
+        "check_every": draw(st.one_of(st.integers(1, 150), st.sampled_from([25, 50, 100]))),
         "c_samples": 3,
     }
 

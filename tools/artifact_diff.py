@@ -13,13 +13,16 @@ then run, with their own ``src`` on the path:
 * ``estimate --trials 12 --per-trial --threads 1`` at seeds 0 and 7 on seven of
   the reference configs, which between them reach every branch of the bound's
   geometry: an interval, a one-dimensional box, boxes of d = 2 and 3, a ball
-  and a point cloud, and on the two benchmark ``estimate`` configs;
+  and a point cloud, and on the two benchmark ``estimate`` configs; for each,
+  ``TRIAL_STOPS`` also prints every trial's ``steps_run`` and ``tau_delta``,
+  the step an early stop ends at, which ``trials.csv`` does not hold;
 * ``verify --suite all`` at seeds 0 and 7, whose stdout is its artifact;
 * the demos ``demos/01_*.py`` to ``demos/05_*.py``, whose stdout is theirs.
 
 One line per artifact reads ``same`` or ``DIFF``; under a JSON artifact that
 differs, each differing key is printed with the parent's and the change's
-value, and under a ``verify`` or demo stdout each differing line.  The exit
+value, and under a printed artifact (a stdout, the trial stops) each differing
+line.  The exit
 status is 1 if any artifact differs, else 0.
 """
 
@@ -79,6 +82,21 @@ CONFIGS = {
         "space": {"kind": "cloud",
                   "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.7], [0.2, 0.3]]}},
 }
+# Run in each root with a config path, a seed and a trial count: each trial of
+# ``estimate``, built as ``cli.cmd_estimate`` builds it, as "k steps_run tau_delta".
+TRIAL_STOPS = """
+import argparse, sys
+from deffuant import TrialConfig, cli, run_trial
+config = cli.load_config(sys.argv[1], argparse.Namespace())
+for k in range(int(sys.argv[3])):
+    result = run_trial(TrialConfig(
+        n=config.n, params=config.params, space=config.space, graph_schedule=config.graph,
+        mu_schedule=config.mu, horizon=config.horizon, consensus_tol=config.consensus_tol,
+        master_seed=int(sys.argv[2]), trial_index=k,
+        track_delta=config.deltas[0] if config.deltas else None,
+        check_every=config.check_every))
+    print(k, result.steps_run, result.tau_delta)
+"""
 DEMOS = sorted(path.name for path in (ROOT / "demos").glob("0[1-5]_*.py"))
 ESTIMATED = ("complete-box2-two-deltas", "erdos-renyi-p0.3",
              "cyclic-empty-member-sequence-mu", "linf-d3-stride13", "box1", "ball2",
@@ -124,6 +142,10 @@ def run(root: Path, args: list[str], out_dir: Path) -> dict[str, bytes]:
     artifacts["exit status"] = str(proc.returncode).encode()
     if args[0] == "verify":
         artifacts["stdout"] = proc.stdout
+    if args[0] == "estimate":
+        stops = python(root, ["-c", TRIAL_STOPS, *(args[args.index(option) + 1] for option in
+                                                    ("--config", "--seed", "--trials"))])
+        artifacts["trial stops"] = stops.stdout + stops.stderr
     return artifacts
 
 
@@ -148,7 +170,7 @@ def compare(name: str, parent: bytes | None, change: bytes | None) -> bool:
         for key in sorted(set(old) | set(new)):
             if old.get(key) != new.get(key):
                 print(f"    {key}: {old.get(key)!r} -> {new.get(key)!r}")
-    elif name == "stdout":
+    elif name in ("stdout", "trial stops"):
         for old, new in zip(parent.decode().splitlines(), change.decode().splitlines()):
             if old != new:
                 print(f"    {old}\n    -> {new}")
