@@ -72,13 +72,14 @@ def main() -> None:
             bound = theoretical_lower_bound(epsilon, ball, expected_dist)
         except BoundInapplicableError:
             bound = None
-        report = bound_comparison_report(ensemble.estimate, bound)
-        p_hats.append(report.p_hat)
+        estimate = ensemble.estimate
+        report = bound_comparison_report(estimate, bound)
+        p_hats.append(estimate.p_hat)
 
         bound_txt = f"{report.bound:8.4f}" if report.bound is not None else "     n/a"
         margin_txt = f"{report.margin:+8.4f}" if report.margin is not None else "        "
-        print(f"{epsilon:>8.2f} {bound_txt} {report.p_hat:8.4f} "
-              f"[{report.ci_low:7.4f}, {report.ci_high:7.4f}] {margin_txt}  "
+        print(f"{epsilon:>8.2f} {bound_txt} {estimate.p_hat:8.4f} "
+              f"[{estimate.ci_low:7.4f}, {estimate.ci_high:7.4f}] {margin_txt}  "
               f"{ensemble.counts}")
         if report.passed is False:
             print("          ^^ estimate contradicts the bound -- "

@@ -550,9 +550,9 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
         "config_digest": digest,
         "master_seed": seed,
         "n_trials": trials,
-        "p_hat": report.p_hat,
-        "ci_low": report.ci_low,
-        "ci_high": report.ci_high,
+        "p_hat": estimate.p_hat,
+        "ci_low": estimate.ci_low,
+        "ci_high": estimate.ci_high,
         "counts": ensemble.counts,
         "center": [float(v) for v in ball.center],
         "radius": ball.radius,

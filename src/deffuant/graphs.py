@@ -52,14 +52,6 @@ class EdgeSet:
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return map(tuple, self.array.tolist())
 
-    def __contains__(self, edge: tuple[int, int]) -> bool:
-        """Binary search of the lex-sorted rows, O(log m)."""
-        i, j = sorted(edge)
-        arr = self.array
-        lo, hi = arr[:, 0].searchsorted((i, i + 1))
-        k = lo + arr[lo:hi, 1].searchsorted(j)
-        return bool(k < hi and arr[k, 1] == j)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, EdgeSet) and np.array_equal(self.array, other.array)
 

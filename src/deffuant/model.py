@@ -299,6 +299,8 @@ def _update(x, i: int, j: int, mu: float, params: ModelParams) -> bool:
 # A block holds as many fired steps as keep its states and the temporaries of
 # its checks, about 48 n d bytes a step for n agents in d dimensions, within
 # BLOCK_BYTES; numpy's fixed cost per call is then spread over many steps.
+# Its record of every step, 25 bytes (i, j, mu and fired), stays within
+# BLOCK_BYTES too, however few of its steps fire.
 BLOCK_BYTES = 1 << 20
 
 
@@ -312,8 +314,9 @@ class FiredSteps:
     """Steps ``start`` .. ``stop - 1`` of a run, a block as the hooks see it.
 
     ``x0`` (n, d) holds the opinions at step ``start``.  ``t``, ``i``, ``j``
-    and ``mu`` (m,) name each step of the block that fired, in order, and
-    ``new`` (m, 2, d) holds its rows i and j just after it.  ``edges`` lists
+    and ``mu`` (m,) name each step of the block that fired, in order (the
+    engine picks them out of its record of every step), and ``new``
+    (m, 2, d) holds its rows i and j just after it.  ``edges`` lists
     (s, E(s)) at ``start`` and where E(t) changes, but an Erdos-Renyi E(t),
     new at every step, only at ``start``, for its graph.  Every other state of
     the block is derived from these (``states``, ``rows``, ``state_at``).
@@ -376,8 +379,9 @@ class FiredSteps:
         """(m, 2, d): rows i and j just before each fired step."""
         return self.rows(np.stack((self.i, self.j), axis=1), np.arange(len(self))[:, None])
 
-    def state_at(self, t: int) -> np.ndarray:
-        """The opinions at the top of step t, for start <= t <= stop."""
+    def state_at(self, t) -> np.ndarray:
+        """The opinions at the top of step t, for start <= t <= stop; for an
+        array of such steps, a copy of each state, stacked."""
         return self.states[np.searchsorted(self.t, t)]
 
     def violation(self, k: int, invariant: str, slack: float,
@@ -425,14 +429,14 @@ class Trajectory:
     ``times`` (k,) and ``states`` (k, n, d) hold the recorded states, from
     the initial ``states[0]`` to the final ``states[-1]``.  ``events`` has one
     row per step with columns i, j, fired, mu (empty unless events were
-    recorded); i = j = -1 where the step had no edge.
+    recorded); i = j = -1 where the step had no edge.  The run ended early
+    exactly when ``steps_run`` is below its horizon.
     """
 
     times: np.ndarray
     states: np.ndarray
     events: np.ndarray
     steps_run: int = 0
-    stopped_early: bool = False
 
 
 def run_trajectory(
@@ -453,20 +457,25 @@ def run_trajectory(
     and apply the update if the pair is within epsilon.  Both draws read
     step t's words by address, from the key the run takes from ``rng``
     (``run_key``, ``Draws``).  ``record_stride=None`` keeps only the initial
-    and final states.  The observers see the steps a block at a time
-    (``TrajectoryObserver``); a block ends at ``block_size(n, d)`` fired
-    steps, at the step the stop rule names, and at the end of the run.
+    and final states.
+
+    While anything reads the run (a block hook, a stop rule, the events or a
+    stride), each step is recorded once, into the open block: its pair, rate
+    and whether it fired, and for a fired step its rows i and j just after
+    it.  A block ends at ``block_size(n, d)`` fired steps, after BLOCK_BYTES
+    // 25 steps, at the step the stop rule names, and at the end of the run.
+    The observers see it as ``FiredSteps`` (``TrajectoryObserver``), and the
+    event rows and the states at the multiples of the stride are taken from it.
 
     ``stop_condition(t)``, when given, is asked at step 0, after
-    ``at_start``, and after the block that ends at each later step t it
-    asks for.  It returns a step s.  While s > t the run goes on, and the
-    next block ends at step s at the latest, where the rule is asked again.
-    Once s <= t (s in the last block) the opinions are put back to their
-    state at step s (``FiredSteps.state_at``), the events and states
-    recorded after it are dropped, and the run ends there: ``steps_run`` is
-    s and ``at_end`` sees step s.  The block hooks have by then seen the
-    steps of that block past s; a violation at step s or later is not
-    raised.
+    ``at_start``, and after the block that ends at each later step t.  It
+    returns a step s.  While s > t the run goes on, and the next block ends
+    at step s at the latest, where the rule is asked again.  Once s <= t (s
+    in the last block) the block's events and states are cut at step s, the
+    opinions are put back to their state there (``FiredSteps.state_at``),
+    and the run ends: ``steps_run`` is s and ``at_end`` sees step s.  The
+    block hooks have by then seen the steps of that block past s; a
+    violation at step s or later is not raised.
 
     The loop works on Python scalars.  The opinions x are one C-contiguous
     (n, d) float64 array, the array ``at_start`` and ``at_end`` see, and the
@@ -506,39 +515,58 @@ def run_trajectory(
     base = TrajectoryObserver.after_block
     hooks = [obs.after_block for obs in observers
              if getattr(type(obs), "after_block", base) is not base]
-    record = bool(hooks) or stop_condition is not None
-    size, d = block_size(*x.shape), x.shape[1]
+    record = (bool(hooks) or stop_condition is not None or record_events
+              or record_stride is not None)
+    d = x.shape[1]
+    width = 8 * d   # the bytes of a row
+    # a block's end: its fired rows fill ``fired_new`` or its steps number ``most``
+    full, most = block_size(*x.shape) * 2 * d, max(1, BLOCK_BYTES // 25)
 
-    times, states = [0], [x.copy()]
-    events: list[tuple[int, int, bool, float]] = []
+    # the recorded times, states and event rows, a block at a time
+    times, states, events = [np.zeros(1, dtype=int)], [x[None].copy()], []
 
     for obs in observers:
         obs.at_start(x)
 
-    # The open block: its first step and a copy of the opinions there, each
-    # fired step with the bytes of rows i and j just after it, and (s, E(s))
-    # where E(t) changes, in arrays that become numpy arrays with one copy.
+    # The open block: its first step and a copy of the opinions there, the
+    # pair, rate and fired flag of each step, the bytes of rows i and j just
+    # after each fired step, and (s, E(s)) where E(t) changes, in arrays that
+    # become numpy arrays with one copy.
     start, x0 = 0, x.copy()
-    fired_tij, fired_mu, fired_new = array("q"), array("d"), array("d")
+    step_ij, step_mu, step_fired, fired_new = array("q"), array("d"), array("b"), array("d")
     changes: list[tuple[int, "EdgeSet"]] = []
-    width = 8 * d   # the bytes of a row
 
     def end_block(t: int) -> Optional[int]:
         """Hand over the block that ends at step t and open the next; the stop
         step, or None.  Raises the earliest violation before that step."""
-        nonlocal start, x0, until
-        tij = np.array(fired_tij, dtype=np.intp).reshape(-1, 3).T
-        steps = FiredSteps(start, t, x0, *tij, np.array(fired_mu),
-                           np.array(fired_new).reshape(len(fired_mu), 2, d), tuple(changes))
-        for kept in (fired_tij, fired_mu, fired_new, changes):
+        nonlocal start, x0, last
+        ij = np.array(step_ij, dtype=np.intp).reshape(-1, 2)
+        mu, fired = np.array(step_mu), np.array(step_fired, dtype=bool)
+        k = np.flatnonzero(fired)
+        steps = FiredSteps(start, t, x0, start + k, ij[k, 0], ij[k, 1], mu.take(k),
+                           np.array(fired_new).reshape(len(k), 2, d), tuple(changes))
+        for kept in (step_ij, step_mu, step_fired, fired_new, changes):
             del kept[:]
         start, x0 = t, x.copy()
         found = [v for v in [hook(steps) for hook in hooks] if v is not None]
-        stop = until = stop_condition(t) if stop_condition is not None else None
+        stop = stop_condition(t) if stop_condition is not None else None
         found = [v for v in found if stop is None or v.step < stop]
         if found:
             raise min(found, key=lambda v: v.step)
+        end = t if stop is None or stop > t else stop   # where this block's record is cut
+        if record_events:
+            rows = np.empty(end - steps.start, dtype=EVENT_DTYPE)
+            rows["i"], rows["j"] = ij[:len(rows)].T
+            rows["fired"], rows["mu"] = fired[:len(rows)], mu[:len(rows)]
+            events.append(rows)
+        if record_stride is not None:
+            at = np.arange(steps.start + record_stride - steps.start % record_stride, end + 1,
+                           record_stride)
+            if len(at):
+                times.append(at)
+                states.append(steps.state_at(at))
         if stop is None or stop > t:
+            last = t + most if stop is None else min(t + most, stop)
             return None
         if stop < t:
             x[...] = steps.state_at(stop)
@@ -549,6 +577,8 @@ def run_trajectory(
     held, ends, m, redraw = None, None, 0, 0
     t, until = 0, stop_condition(0) if stop_condition is not None else None
     stop = 0 if until is not None and until <= 0 else None
+    # the step at which the open block ends at the latest
+    last = (most if until is None else min(most, until)) if record else -1
     while t < horizon and stop is None:
         edges = graph_schedule.edges_at(t)
         u = draws.at(t)
@@ -573,44 +603,30 @@ def run_trajectory(
             if pair is not None:
                 i, j = pair
         mu = mu_schedule.mu_at(t, u)
-        fired = full = False
-        if i >= 0:
-            fired = _update(view, i, j, mu, params)
-            if fired and record:
+        fired = i >= 0 and _update(view, i, j, mu, params)
+        t += 1
+        if record:
+            step_ij.extend((i, j))
+            step_mu.append(mu)
+            step_fired.append(fired)
+            if fired:
                 fired_new.frombytes(raw[i * width:i * width + width])
                 fired_new.frombytes(raw[j * width:j * width + width])
-                fired_tij.extend((t, i, j))
-                fired_mu.append(mu)
-                full = len(fired_mu) == size
-        if record_events:
-            events.append((i, j, fired, mu))
-        t += 1
-        if record_stride is not None and t % record_stride == 0:
-            times.append(t)
-            states.append(x.copy())
-        if full or t == until:
-            held = None   # the next block lists E(t) from its first step
-            stop = end_block(t)
+            if t == last or len(fired_new) == full:
+                held = None   # the next block lists E(t) from its first step
+                stop = end_block(t)
     if record and stop is None and start < t:
         stop = end_block(t)
-    if stop is not None and stop < t:
+    if stop is not None:
         t = stop
-        del events[t:]
-        while times[-1] > t:
-            times.pop()
-            states.pop()
-
-    if times[-1] != t:
-        times.append(t)
-        states.append(x.copy())
+    if times[-1][-1] != t:
+        times.append([t])
+        states.append(x[None])
+    times, states = np.concatenate(times), np.concatenate(states)
     final_edges = graph_schedule.edges_at(t)
     for obs in observers:
         obs.at_end(t, x, final_edges)
 
-    return Trajectory(
-        times=np.array(times),
-        states=np.stack(states),
-        events=np.array(events, dtype=EVENT_DTYPE),
-        steps_run=t,
-        stopped_early=stop is not None and stop < horizon,
-    )
+    return Trajectory(times=times, states=states,
+                      events=np.concatenate(events) if events else np.empty(0, EVENT_DTYPE),
+                      steps_run=t)

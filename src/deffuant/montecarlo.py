@@ -410,13 +410,9 @@ def theoretical_lower_bound(epsilon: float, ball: Ball, expected_dist: float) ->
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Estimate vs theoretical lower bound; passed means no contradiction."""
+    """A ``ConsensusEstimate`` vs a theoretical lower bound; passed means no
+    contradiction."""
 
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    n_trials: int
-    n_undecided: int
     bound: Optional[float]
     margin: Optional[float]
     passed: Optional[bool]
@@ -430,11 +426,6 @@ def bound_comparison_report(estimate: ConsensusEstimate,
     sits below it; margin is how far ci_low clears the bound.
     """
     if bound is None:
-        return BoundReport(estimate.p_hat, estimate.ci_low, estimate.ci_high,
-                           estimate.n_trials, estimate.n_undecided,
-                           bound=None, margin=None, passed=None)
+        return BoundReport(bound=None, margin=None, passed=None)
     b = float(bound)
-    return BoundReport(estimate.p_hat, estimate.ci_low, estimate.ci_high,
-                       estimate.n_trials, estimate.n_undecided,
-                       bound=b, margin=estimate.ci_low - b,
-                       passed=bool(estimate.ci_high >= b))
+    return BoundReport(bound=b, margin=estimate.ci_low - b, passed=bool(estimate.ci_high >= b))

@@ -51,8 +51,6 @@ def test_edgeset_canonicalizes_order_and_duplicates():
     e = EdgeSet([(2, 1), (1, 2), (0, 3)])
     assert list(e) == [(0, 3), (1, 2)]
     assert len(e) == 2
-    assert (1, 2) in e and (2, 1) in e
-    assert (0, 1) not in e
 
 
 def test_edgeset_rejects_bad_edges():
@@ -92,8 +90,6 @@ def test_edgeset_agrees_with_python_set_model(a, b):
     assert list(ea) == sorted(model_a)
     assert ea.array.dtype == np.intp and ea.array.shape == (len(model_a), 2)
     assert len(ea) == len(model_a)
-    for i, j in a + b:
-        assert ((i, j) in ea) == ((j, i) in ea) == ((min(i, j), max(i, j)) in model_a)
     assert (ea == eb) == (model_a == model_b)
     same = EdgeSet((j, i) for i, j in reversed(a))
     assert same == ea and hash(same) == hash(ea)
@@ -341,8 +337,6 @@ def test_er_pair_e_at_step_t_is_splitmix64_output_t_m_plus_e_plus_1():
         assert g.members(t, np.arange(m)).tolist() == keep
         edges = g.edges_at(t)
         assert np.array_equal(edges.array, pairs[keep])
-        assert [(j, i) in edges for i, j in pairs.tolist()] == keep
-        assert (0, n) not in edges and (3, 3) not in edges
     # Python ints and numpy wrap around 2^64 alike
     for t in (10**9, 2**70):
         assert [g.holds(t, e) for e in range(m)] == g.members(t, np.arange(m)).tolist()

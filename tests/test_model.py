@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,11 +217,11 @@ def test_select_pair_uniform_over_edges():
 # Trajectory engine
 # ---------------------------------------------------------------------------
 
-def _run(seed, horizon=200, record_stride=1, record_events=True, **kw):
+def _run(seed, horizon=200, record_stride=1, record_events=True, mu=ConstantMu(0.3), **kw):
     params = ModelParams(epsilon=0.9)
     initial = OpinionState(0, np.linspace(0.0, 1.0, 6))
     schedule = ConstantGraph(6, complete_edges(6))
-    return run_trajectory(initial, schedule, ConstantMu(0.3), params, horizon,
+    return run_trajectory(initial, schedule, mu, params, horizon,
                           np.random.default_rng(seed), record_stride=record_stride,
                           record_events=record_events, **kw)
 
@@ -230,7 +231,6 @@ def test_trajectory_recording_stride():
     assert traj.times.tolist() == [0, 3, 6, 9, 10]
     assert traj.states.shape == (5, 6, 1)
     assert traj.steps_run == 10
-    assert not traj.stopped_early
     assert len(traj.events) == 10
 
 
@@ -290,21 +290,22 @@ def test_stop_condition_halts_early():
     # ends at the step the rule last named (here each multiple of 50) until
     # it names a step up to that end: the run ends there with the opinions,
     # events and recorded states of that step.
-    full = _run(0, horizon=300)
+    rates = UniformMu(0.1, 0.5)   # a rate of its own at each step
+    full = _run(0, horizon=300, mu=rates)
     for stop in (0, 5, 49, 50, 51, 137):
         blocks, asked = _Blocks(), []
         rule = lambda t: asked.append(t) or (stop if t >= stop else (t // 50 + 1) * 50)
-        traj = _run(0, horizon=300, observers=[blocks], stop_condition=rule)
-        assert traj.steps_run == stop and traj.stopped_early
+        traj = _run(0, horizon=300, mu=rates, observers=[blocks], stop_condition=rule)
+        assert traj.steps_run == stop
         ends = list(range(50, -(-stop // 50) * 50 + 1, 50))
         assert asked == [0] + ends and [b for _, b in blocks.ranges] == ends
         assert traj.times.tolist() == list(range(stop + 1))
         assert np.array_equal(traj.states, full.states[:stop + 1])
         assert np.array_equal(traj.events, full.events[:stop])
-    # a stop at the horizon is no early stop
+    # a stop at the horizon ends the run there
     traj = _run(0, horizon=120, observers=[_Blocks()],
                 stop_condition=lambda t: 120 if t == 120 else t + 50)
-    assert (traj.steps_run, traj.stopped_early) == (120, False)
+    assert traj.steps_run == 120
 
 
 def test_a_violation_at_or_after_the_stop_step_is_not_raised():
@@ -318,6 +319,26 @@ def test_a_violation_at_or_after_the_stop_step_is_not_raised():
                 run()
         else:
             assert run().steps_run == stop
+
+
+def test_the_step_record_of_a_block_stays_bounded_when_few_steps_fire():
+    # E(t) is empty from step 50, so 50 steps at most fire and a block ends
+    # on its step bound, BLOCK_BYTES // 25 steps: without it the one block's
+    # record would be 25 bytes a step, 10 MB, before its numpy copies.
+    n, horizon = 10, 400_000
+    params = ModelParams(epsilon=1.0)
+    schedule = PiecewiseGraph(n, ((0, path_edges(n)), (50, EdgeSet())))
+    identity = UpdateIdentityObserver(params)
+    tracemalloc.start()
+    try:
+        traj = run_trajectory(OpinionState(0, np.linspace(0.0, 1.0, n)), schedule,
+                              ConstantMu(0.5), params, horizon, np.random.default_rng(0),
+                              observers=[identity], record_stride=None, record_events=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.steps_run == horizon and 0 < identity.checked <= 50
+    assert peak < 25 * horizon / 2
 
 
 def test_an_observer_with_a_per_step_hook_is_refused():

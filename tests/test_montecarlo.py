@@ -391,4 +391,3 @@ def test_bound_report_pass_fail_and_inapplicable():
 
     rep = bound_comparison_report(ok, None)
     assert rep.passed is None and rep.bound is None and rep.margin is None
-    assert rep.p_hat == 0.8

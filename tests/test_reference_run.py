@@ -4,10 +4,11 @@ import argparse
 import json
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from deffuant import TrialConfig, cli, run_trial
+from deffuant import TrialConfig, cli, model, run_trial
 from deffuant.norms import NORMS
 from oracles.reference_run import reference_simulate, reference_trial
 
@@ -62,13 +63,22 @@ def _configs(draw):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw=_configs(), seed=st.integers(0, 2**32), trial=st.integers(0, 5),
-       early_stop=st.booleans())
+       early_stop=st.booleans(), fired_per_block=st.integers(1, 7))
 def test_whole_runs_match_the_reference_bit_for_bit(tmp_path_factory, raw, seed, trial,
-                                                    early_stop):
+                                                    early_stop, fired_per_block):
     path = tmp_path_factory.mktemp("run") / "config.json"
     path.write_text(json.dumps(raw))
     config = cli.load_config(str(path), argparse.Namespace())
+    # blocks of 1 to 7 fired steps, and of at most 1 to 483 steps: runs
+    # cross many block ends, some on the step bound
+    block_bytes = fired_per_block * 48 * config.n * config.params.dimension
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "BLOCK_BYTES", block_bytes)
+        _check_runs(config, path.parent / "out", seed, trial, early_stop)
 
+
+def _check_runs(config, out, seed, trial, early_stop):
+    """``run_trial`` and ``cmd_simulate`` on ``config`` against the reference."""
     trial_config = TrialConfig(
         n=config.n, params=config.params, space=config.space, graph_schedule=config.graph,
         mu_schedule=config.mu, horizon=config.horizon, consensus_tol=config.consensus_tol,
@@ -81,7 +91,6 @@ def test_whole_runs_match_the_reference_bit_for_bit(tmp_path_factory, raw, seed,
         want.verdict, want.decided_at, want.tau_delta, want.steps_run)
     assert np.array_equal(got.outcome.final_diameter, want.final_diameter, equal_nan=True)
 
-    out = path.parent / "out"
     out.mkdir()
     assert cli.cmd_simulate(config, seed, out) == cli.EXIT_OK
     want = reference_simulate(config, seed)

@@ -8,7 +8,7 @@ The committed files of REV are exported with ``bench_pair.export`` into a
 temporary directory; the change is this checkout as it stands.  Both roots
 then run, with their own ``src`` on the path:
 
-* ``simulate`` at seeds 0 and 7 on the nine reference configs below and on the
+* ``simulate`` at seeds 0 and 7 on the ten reference configs below and on the
   two benchmark ``simulate`` configs of ``perfbench/workloads.py``;
 * ``estimate --trials 12 --per-trial --threads 1`` at seeds 0 and 7 on seven of
   the reference configs, which between them reach every branch of the bound's
@@ -46,7 +46,8 @@ _BOX2 = {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
 _PATH6 = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]
 
 # The reference configs: each graph schedule, an empty E(t), a rate sequence,
-# three recording strides, d = 1 to 3, two norms and each kind of space.
+# four recording strides, d = 1 to 3, two norms, each kind of space and blocks
+# that end on their step bound.
 CONFIGS = {
     "complete-box2-two-deltas": {
         "n": 12, "dimension": 2, "epsilon": 0.5, "space": _BOX2,
@@ -64,6 +65,10 @@ CONFIGS = {
         "graph": {"kind": "piecewise", "steps": {"0": _PATH6, "150": [],
                                                  "300": [[0, 2], [2, 4], [1, 3], [3, 5]]}},
         "horizon": 600, "record_stride": 1},
+    # E(t) empty from step 100: the blocks end on their step bound
+    "path-then-empty-long": {
+        "n": 6, "epsilon": 0.7, "graph": {"kind": "piecewise", "steps": {"0": _PATH6, "100": []}},
+        "horizon": 120000, "record_stride": 1000},
     "path-stride7": {
         "n": 10, "epsilon": 0.5, "graph": {"kind": "path"}, "horizon": 2000,
         "record_stride": 7},
