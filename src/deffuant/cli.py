@@ -61,6 +61,7 @@ from .invariants import (
     settle_time,
 )
 from .model import (
+    BLOCK_BYTES,
     ConstantMu,
     ModelParams,
     MuSchedule,
@@ -381,6 +382,15 @@ def _write_csv(path: Path, header: list[str], lines) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
+def _sliced(count: int, fields: int, lines: Callable[[int, int], Any]):
+    """``lines(lo, hi)`` of units lo .. hi - 1 (rows, or states of rows) of
+    ``count`` units of ``fields`` fields, a slice at a time: a formatted field
+    takes about 64 bytes of Python objects, so a slice holds about BLOCK_BYTES."""
+    size = max(1, BLOCK_BYTES // (64 * fields))
+    for lo in range(0, count, size):
+        yield from lines(lo, min(lo + size, count))
+
+
 def _ints(values) -> list[str]:
     """CSV fields of integers, an empty field for each None (or -1, the
     agent of a step without an edge)."""
@@ -447,22 +457,24 @@ def cmd_simulate(config: ExperimentConfig, seed: int, out_dir: Path) -> int:
     # column by column, each by its known type: floats by repr
     times, states, events = trajectory.times, trajectory.states, trajectory.events
     n = states.shape[1]
-    _write_csv(
-        out_dir / "states.csv",
-        ["step", "agent_id"] + [f"x{k}" for k in range(d)],
-        map(",".join, zip([step for step in map(str, times.tolist()) for _ in range(n)],
-                          [str(agent) for agent in range(n)] * len(times),
-                          *(map(float.__repr__, states[:, :, k].ravel().tolist())
-                            for k in range(d)))),
-    )
-    _write_csv(
-        out_dir / "events.csv",
-        ["step", "i", "j", "fired", "mu"],
-        map(",".join, zip(map(str, range(len(events))), _ints(events["i"].tolist()),
-                          _ints(events["j"].tolist()),
-                          map(("0", "1").__getitem__, events["fired"].tolist()),
-                          map(float.__repr__, events["mu"].tolist()))),
-    )
+
+    def state_lines(lo: int, hi: int):
+        return map(",".join, zip(
+            [step for step in map(str, times[lo:hi].tolist()) for _ in range(n)],
+            [str(agent) for agent in range(n)] * (hi - lo),
+            *(map(float.__repr__, states[lo:hi, :, k].ravel().tolist()) for k in range(d))))
+
+    def event_lines(lo: int, hi: int):
+        rows = events[lo:hi]
+        return map(",".join, zip(map(str, range(lo, hi)), _ints(rows["i"].tolist()),
+                                 _ints(rows["j"].tolist()),
+                                 map(("0", "1").__getitem__, rows["fired"].tolist()),
+                                 map(float.__repr__, rows["mu"].tolist())))
+
+    _write_csv(out_dir / "states.csv", ["step", "agent_id"] + [f"x{k}" for k in range(d)],
+               _sliced(len(times), n * (2 + d), state_lines))
+    _write_csv(out_dir / "events.csv", ["step", "i", "j", "fired", "mu"],
+               _sliced(len(events), 5, event_lines))
 
     stopping = []
     for delta, tracker in zip(config.deltas, trackers):

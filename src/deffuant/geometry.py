@@ -201,48 +201,34 @@ def _upper_blocks(n: int, floats: int):
 
 
 def farthest_pair(points: np.ndarray, norm: str = "euclidean") -> tuple[float, int, int]:
-    """The diameter of a point set and one pair (a, b) of points that attains it.
-
-    (a, b) is the first maximum of the distance matrix in row-major order.
-    The matrix is symmetric bit for bit (a difference and its negation have
-    the same length), so that maximum lies on or above the diagonal: the
-    upper triangle is measured a block at a time (``_upper_blocks``), and
-    memory stays bounded at any n.
-    """
+    """The diameter of a point set and one pair (a, b) of points that attains
+    it: ``farthest_pairs`` of the one set."""
     pts = _as_points(points)
     if pts.ndim != 2:
         raise ConfigurationError(f"points must be (n, d), got shape {pts.shape}")
-    n, d = pts.shape
-    if n == 0:
-        raise ConfigurationError("diameter of an empty point set")
-    best, a, b = 0.0, 0, 0
-    for start, rows in _upper_blocks(n, d):
-        block = cross_distances(pts[start:start + rows], pts[start:], norm)
-        at = int(block.argmax())
-        if block.flat[at] > best:   # a tie keeps the earlier maximum
-            best = float(block.flat[at])
-            a, b = divmod(at, n - start)
-            a, b = a + start, b + start
-    return best, a, b
+    return farthest_pairs(pts[None], norm)[0]
 
 
 def farthest_pairs(states: np.ndarray, norm: str = "euclidean") -> list[tuple[float, int, int]]:
-    """``farthest_pair`` of each point set of a stack (k, n, d), the sets
-    measured together a block at a time."""
+    """The diameter of each point set of a stack (k, n, d) and one pair (a, b)
+    of points that attains it, the first maximum of the set's distance matrix
+    in row-major order.  The matrix is symmetric bit for bit (a difference and
+    its negation have the same length), so that maximum lies on or above the
+    diagonal: the upper triangles of all the sets are measured together a
+    block at a time (``_upper_blocks``), and memory stays bounded at any n.
+    """
     k, n, d = states.shape
-    if k == 1:
-        return [farthest_pair(states[0], norm)]
     if n == 0:
         raise ConfigurationError("diameter of an empty point set")
     found = [(0.0, 0, 0)] * k
-    every = np.arange(k)
     for start, rows in _upper_blocks(n, k * d):
         block = cross_distances(states[:, start:start + rows], states[:, start:],
                                 norm).reshape(k, -1)
-        spots = block.argmax(axis=1)
-        for s, (top, at) in enumerate(zip(block[every, spots].tolist(), spots.tolist())):
+        width = n - start
+        for s, at in enumerate(block.argmax(axis=1).tolist()):
+            top = block.item(s, at)
             if top > found[s][0]:   # a tie keeps the earlier maximum
-                found[s] = (top, start + at // (n - start), start + at % (n - start))
+                found[s] = (top, start + at // width, start + at % width)
     return found
 
 

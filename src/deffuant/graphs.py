@@ -10,13 +10,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import WORDS_PER_STEP, ModelParams
 from .norms import lengths
+
+if TYPE_CHECKING:
+    from .model import ModelParams
 
 
 class EdgeSet:
@@ -80,64 +82,6 @@ def path_edges(n: int) -> EdgeSet:
     """Path 0-1-...-(n-1)."""
     first = np.arange(max(n - 1, 0), dtype=np.intp)
     return EdgeSet._from_sorted_array(np.column_stack((first, first + 1)))
-
-
-# ---------------------------------------------------------------------------
-# Drawing an edge
-# ---------------------------------------------------------------------------
-
-_MASK64 = (1 << 64) - 1
-# A step's words: one for its rate, then the candidates, then one for the
-# index that follows their misses.
-_CANDIDATES = WORDS_PER_STEP - 2
-
-
-def _lemire(m: int, r: int) -> Optional[int]:
-    """floor(r m / 2^64) for a 64-bit word r, or None where Lemire's method
-    redraws r: when the low 64 bits of r m fall below 2^64 mod m, which
-    happens with probability below m / 2^64.  What it returns is then exactly
-    uniform on [0, m) (Lemire, "Fast random integer generation in an
-    interval", ACM TOMACS 2019)."""
-    prod = r * m
-    low = prod & _MASK64
-    if low < m and low < (1 << 64) % m:
-        return None
-    return prod >> 64
-
-
-def uniform_index(m: int, words: Iterator[int]) -> int:
-    """An index exactly uniform on [0, m), m >= 1, from the first of
-    ``words`` that Lemire's method keeps."""
-    while (k := _lemire(m, next(words))) is None:
-        pass
-    return k
-
-
-def select_pair(edges: EdgeSet, words: Iterator[int]) -> Optional[tuple[int, int]]:
-    """One edge of ``edges``, uniform, read from ``words`` (a step's pick
-    words, ``model.Draws``); None when the edge set is empty.
-
-    The index into the rows is ``uniform_index``.  An Erdos-Renyi E(t) is
-    not built first: each of up to _CANDIDATES words names a candidate
-    among all m pairs (``_lemire``; a word it would redraw is a miss), and
-    the first candidate in E(t) is the edge.  Given
-    E(t) it is uniform on E(t), since membership is a hash that does not
-    depend on the words.  After as many misses the rows of E(t) are hashed
-    in one pass and indexed like any other, so an empty E(t) gives None.
-    """
-    if isinstance(edges, ErdosRenyiEdges):
-        graph, t = edges.graph, edges.t
-        m = graph.m
-        for _ in range(_CANDIDATES if m else 0):
-            e = _lemire(m, next(words))
-            if e is not None and graph.holds(t, e):
-                i, j = _all_pairs_array(graph.n)[e].tolist()
-                return i, j
-    rows = edges.array
-    if len(rows) == 0:
-        return None
-    i, j = rows[uniform_index(len(rows), words)].tolist()
-    return i, j
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +213,7 @@ class CyclicGraph(GraphSchedule):
 # SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
 # generators", OOPSLA 2014): the increment, 2^64 over the golden ratio, and the
 # two multipliers of the finaliser.
+_MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
@@ -343,8 +288,8 @@ class ErdosRenyiGraph(GraphSchedule):
 
 class ErdosRenyiEdges(EdgeSet):
     """E(t) of an ``ErdosRenyiGraph``, whose rows are hashed in one pass,
-    once, when first asked for; ``select_pair`` and the stopping-time tracker
-    ask the graph about the pairs they need instead."""
+    once, when first asked for; ``model.select_pair`` and the stopping-time
+    tracker ask the graph about the pairs they need instead."""
 
     __slots__ = ("graph", "t", "_rows")
 

@@ -275,10 +275,10 @@ class DiameterMonotoneObserver(TrajectoryObserver):
     step moves only agents i and j, so every other distance is unchanged: the
     new diameter is the larger of the old one and the farthest distance from
     i or j.  Only when i or j belongs to the kept pair is the diameter
-    measured again over all pairs (``farthest_pair``).  For a block, rows i
-    and j are measured against the opinions after each step
-    (``FiredSteps.states``, O(m n d)) in one call, and the steps are then
-    walked in order.  A re-measurement at step k measures the
+    measured again over all pairs.  For a block, rows i and j are measured
+    against the opinions after each step (``FiredSteps.states``, O(m n d),
+    gathered through the index that also gives ``old``) in one call, and the
+    steps are then walked in order.  A re-measurement at step k measures the
     states after steps k .. k + w - 1 in one call (``farthest_pairs``), w as
     many as fit in _WINDOW_FLOATS (w = 1 once n^2 d exceeds it), and a later
     one inside that window reads its result.

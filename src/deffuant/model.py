@@ -17,15 +17,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
+from .graphs import _MASK64, EdgeSet, ErdosRenyiEdges, GraphSchedule, _all_pairs_array
 from .norms import scalar_length, validate_norm
-
-if TYPE_CHECKING:
-    from .graphs import EdgeSet, GraphSchedule
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +182,7 @@ _SIDE_STREAMS = {"bound": (0, 3), "geometry": (0, 4)}
 # words t W .. t W + W - 1, W = WORDS_PER_STEP, of the counter-based stream
 # Philox(key = the run's key) (Salmon et al., "Parallel random numbers: as
 # easy as 1, 2, 3", SC 2011): word 0 gives its rate and the others its pair
-# (``graphs.select_pair``).  The words are fetched DRAW_BLOCK steps at a time;
+# (``select_pair``).  The words are fetched DRAW_BLOCK steps at a time;
 # any block length reads the same words.
 WORDS_PER_STEP = 8
 DRAW_BLOCK = 128
@@ -254,6 +252,59 @@ class Draws:
         return self._spill.random_raw()
 
 
+# A step's words: one for its rate, then the candidates, then one for the
+# index that follows their misses.
+_CANDIDATES = WORDS_PER_STEP - 2
+
+
+def _lemire(m: int, r: int) -> Optional[int]:
+    """floor(r m / 2^64) for a 64-bit word r, or None where Lemire's method
+    redraws r: when the low 64 bits of r m fall below 2^64 mod m, which
+    happens with probability below m / 2^64.  What it returns is then exactly
+    uniform on [0, m) (Lemire, "Fast random integer generation in an
+    interval", ACM TOMACS 2019)."""
+    prod = r * m
+    low = prod & _MASK64
+    if low < m and low < (1 << 64) % m:
+        return None
+    return prod >> 64
+
+
+def uniform_index(m: int, words: Iterator[int]) -> int:
+    """An index exactly uniform on [0, m), m >= 1, from the first of
+    ``words`` that Lemire's method keeps."""
+    while (k := _lemire(m, next(words))) is None:
+        pass
+    return k
+
+
+def select_pair(edges: EdgeSet, words: Iterator[int]) -> Optional[tuple[int, int]]:
+    """One edge of ``edges``, uniform, read from ``words`` (a step's pick
+    words, ``Draws``); None when the edge set is empty.
+
+    The index into the rows is ``uniform_index``.  An Erdos-Renyi E(t) is
+    not built first: each of up to _CANDIDATES words names a candidate
+    among all m pairs (``_lemire``; a word it would redraw is a miss), and
+    the first candidate in E(t) is the edge.  Given
+    E(t) it is uniform on E(t), since membership is a hash that does not
+    depend on the words.  After as many misses the rows of E(t) are hashed
+    in one pass and indexed like any other, so an empty E(t) gives None.
+    """
+    if isinstance(edges, ErdosRenyiEdges):
+        graph, t = edges.graph, edges.t
+        m = graph.m
+        for _ in range(_CANDIDATES if m else 0):
+            e = _lemire(m, next(words))
+            if e is not None and graph.holds(t, e):
+                i, j = _all_pairs_array(graph.n)[e].tolist()
+                return i, j
+    rows = edges.array
+    if len(rows) == 0:
+        return None
+    i, j = rows[uniform_index(len(rows), words)].tolist()
+    return i, j
+
+
 def side_stream(seed: int, purpose: str) -> np.random.Generator:
     """The rng of a draw outside every run: ``"bound"`` feeds the Monte Carlo
     E d of the consensus bound, ``"geometry"`` the ``verify`` geometry suite."""
@@ -319,7 +370,8 @@ class FiredSteps:
     (m, 2, d) holds its rows i and j just after it.  ``edges`` lists
     (s, E(s)) at ``start`` and where E(t) changes, but an Erdos-Renyi E(t),
     new at every step, only at ``start``, for its graph.  Every other state of
-    the block is derived from these (``states``, ``rows``, ``state_at``).
+    the block is gathered from these through one index (``states``, ``rows``,
+    ``old``, ``state_at``).
     """
 
     start: int
@@ -336,18 +388,16 @@ class FiredSteps:
         return len(self.t)
 
     @cached_property
-    def states(self) -> np.ndarray:
-        """(m + 1, n, d): the opinions at step ``start`` and after each fired step."""
-        m, (n, d) = len(self), self.x0.shape
-        # the row of ``_stacked`` that holds agent v: row v of x0 until a step
-        # moves it, then the row that step wrote
-        rows = np.zeros((m + 1, n), dtype=np.intp)
-        rows[0] = np.arange(n)
+    def _index(self) -> np.ndarray:
+        """(m + 1, n): the row of ``_stacked`` holding each agent after k fired
+        steps, row v of x0 until a step moves agent v, then the row it wrote."""
+        m, n = len(self), len(self.x0)
+        index = np.zeros((m + 1, n), dtype=np.intp)
+        index[0] = np.arange(n)
         after, written = np.arange(1, m + 1), np.arange(n, n + 2 * m)
-        rows[after, self.i] = written[0::2]
-        rows[after, self.j] = written[1::2]
-        np.maximum.accumulate(rows, axis=0, out=rows)
-        return self._stacked.take(rows, axis=0)
+        index[after, self.i], index[after, self.j] = written[0::2], written[1::2]
+        np.maximum.accumulate(index, axis=0, out=index)
+        return index
 
     @cached_property
     def _stacked(self) -> np.ndarray:
@@ -355,24 +405,15 @@ class FiredSteps:
         return np.concatenate((self.x0, self.new.reshape(-1, self.x0.shape[1])))
 
     @cached_property
-    def _writes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The p-th row written (``new``, flat) as the key agent (2m + 1) + p,
-        sorted after a key -1 that no agent has, and the row of ``_stacked``
-        that each key names."""
-        agents = np.stack((self.i, self.j), axis=1).reshape(-1)
-        keys = np.append(-1, agents * (len(agents) + 1) + np.arange(len(agents)))
-        order = keys.argsort()
-        return keys.take(order), order + (len(self.x0) - 1)
+    def states(self) -> np.ndarray:
+        """(m + 1, n, d): the opinions at step ``start`` and after each fired step."""
+        return self._stacked.take(self._index, axis=0)
 
     def rows(self, agents: np.ndarray, k) -> np.ndarray:
         """The opinions of ``agents`` after the first k fired steps, for integer
-        arrays agents and k that broadcast: (..., d), each looked up among the
-        rows written before it in O(log m), where ``states`` costs O(m n d)."""
-        keys, rows = self._writes
-        first = agents * (2 * len(self) + 1)   # the agent's least key
-        at = keys.searchsorted(first + 2 * k) - 1   # its last write before step k
-        return self._stacked.take(np.where(keys.take(at) >= first, rows.take(at), agents),
-                                  axis=0)
+        arrays agents and k that broadcast: (..., d), gathered through the
+        block's index without building ``states``."""
+        return self._stacked.take(self._index[k, agents], axis=0)
 
     @cached_property
     def old(self) -> np.ndarray:
@@ -482,11 +523,9 @@ def run_trajectory(
     update reads and writes its rows i and j through a ``memoryview`` of its
     buffer.  On an ``EdgeSet`` the pair is the row that the step's first pick
     word names by Lemire's method, read through a ``memoryview`` of the edge
-    array; ``graphs.select_pair`` picks on an Erdos-Renyi E(t), on an empty
-    one, and when that word is redrawn, from the words after it.
+    array; ``select_pair`` picks on an Erdos-Renyi E(t), on an empty one,
+    and when that word is redrawn, from the words after it.
     """
-    from .graphs import _MASK64, ErdosRenyiEdges, select_pair   # graphs imports this module
-
     if horizon < 0:
         raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
     if record_stride is not None and record_stride < 1:

@@ -30,7 +30,7 @@ from deffuant import (
     run_trajectory,
     select_pair,
 )
-from deffuant.graphs import uniform_index
+from deffuant.model import uniform_index
 from oracles import loop_length, union_find_components
 
 # 99.9% chi-square quantiles by degrees of freedom (scipy.stats.chi2.ppf,

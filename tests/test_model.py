@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from deffuant import (
@@ -16,6 +16,7 @@ from deffuant import (
     CyclicGraph,
     DiameterMonotoneObserver,
     EdgeSet,
+    FiredSteps,
     InvariantViolation,
     ModelParams,
     OpinionState,
@@ -339,6 +340,52 @@ def test_the_step_record_of_a_block_stays_bounded_when_few_steps_fire():
         tracemalloc.stop()
     assert traj.steps_run == horizon and 0 < identity.checked <= 50
     assert peak < 25 * horizon / 2
+
+
+@st.composite
+def _blocks(draw):
+    """(n, d, pairs, gaps, start, seed) of a block: its fired steps' distinct
+    agents i and j, and the steps from ``start`` to each fired step and on to
+    the block's end (one more gap than pairs)."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    m = draw(st.integers(0, 40 if n > 1 else 0))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, max(0, n - 2))),
+                          min_size=m, max_size=m))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=m + 1, max_size=m + 1))
+    return n, d, pairs, gaps, draw(st.integers(0, 50)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_blocks())
+@example((5, 2, [], [3], 7, 0))   # a block with no fired step
+def test_a_blocks_states_and_rows_replay_its_writes(block):
+    n, d, pairs, gaps, start, seed = block
+    rng = np.random.default_rng(seed)
+    i = np.array([a for a, _ in pairs], dtype=np.intp)
+    j = np.array([b + (b >= a) for a, b in pairs], dtype=np.intp)   # j != i
+    m, ends = len(pairs), start + np.cumsum(gaps)
+    t = ends[:-1] - 1   # fired steps, ascending; the block ends at ends[-1]
+    x0, new = rng.random((n, d)), rng.random((m, 2, d))
+    steps = FiredSteps(start, int(ends[-1]), x0, t, i, j, np.zeros(m), new)
+    # the naive replay: state k is x0 with the rows of the first k steps written
+    replay = [x0]
+    for k in range(m):
+        x = replay[-1].copy()
+        x[i[k]], x[j[k]] = new[k]
+        replay.append(x)
+    replay = np.array(replay)
+    assert np.array_equal(steps.states, replay)
+    assert np.array_equal(steps.old, replay[np.arange(m)[:, None], np.stack((i, j), axis=1)])
+    agents = rng.integers(0, n, size=7)
+    ks = np.arange(m + 1)
+    assert np.array_equal(steps.rows(agents, ks[:, None]), replay[:, agents])
+    both = np.stack((i, j), axis=1)
+    assert np.array_equal(steps.rows(both, ks[1:, None]), replay[ks[1:, None], both])
+    # the state at the top of step s is after the fired steps before s
+    at = np.arange(start, steps.stop + 1)
+    expected = replay[[int((t < s).sum()) for s in at]]
+    assert np.array_equal(steps.state_at(at), expected)
+    mid = int(rng.integers(start, steps.stop + 1))
+    assert np.array_equal(steps.state_at(mid), expected[mid - start])
 
 
 def test_an_observer_with_a_per_step_hook_is_refused():

@@ -13,7 +13,8 @@ then run, with their own ``src`` on the path:
 * ``estimate --trials 12 --per-trial --threads 1`` at seeds 0 and 7 on seven of
   the reference configs, which between them reach every branch of the bound's
   geometry: an interval, a one-dimensional box, boxes of d = 2 and 3, a ball
-  and a point cloud, and on the two benchmark ``estimate`` configs; for each,
+  and a point cloud, on ``ESTIMATE_ONLY`` and on the two benchmark
+  ``estimate`` configs; for each,
   ``TRIAL_STOPS`` also prints every trial's ``steps_run`` and ``tau_delta``,
   the step an early stop ends at, which ``trials.csv`` does not hold;
 * ``verify --suite all`` at seeds 0 and 7, whose stdout is its artifact;
@@ -87,6 +88,12 @@ CONFIGS = {
         "space": {"kind": "cloud",
                   "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.7], [0.2, 0.3]]}},
 }
+# Run by ``estimate`` alone: at n > 8 * 64 the stopping-time tracker measures
+# its few candidates from their endpoints' rows (``FiredSteps.rows``), and in
+# ``estimate`` no diameter check has built the block's states first.
+ESTIMATE_ONLY = {
+    "path-n600": {"n": 600, "epsilon": 0.9, "graph": {"kind": "path"}, "horizon": 300},
+}
 # Run in each root with a config path, a seed and a trial count: each trial of
 # ``estimate``, built as ``cli.cmd_estimate`` builds it, as "k steps_run tau_delta".
 TRIAL_STOPS = """
@@ -111,7 +118,7 @@ ESTIMATED = ("complete-box2-two-deltas", "erdos-renyi-p0.3",
 def runs(configs: Path) -> list[tuple[str, list[str]]]:
     """(label, deffuant arguments) of every run, the configs written into ``configs``."""
     simulated = dict(CONFIGS)
-    estimated = {name: CONFIGS[name] for name in ESTIMATED}
+    estimated = {**{name: CONFIGS[name] for name in ESTIMATED}, **ESTIMATE_ONLY}
     for workload in WORKLOADS.values():
         simulated[f"benchmark-{workload.simulate_label}"] = workload.simulate
         estimated[f"benchmark-{workload.estimate_label}"] = workload.estimate
