@@ -36,6 +36,7 @@ from .geometry import (
     chebyshev_center,
     diameter,
     expected_center_distance,
+    farthest_pairs,
     minimum_enclosing_ball,
 )
 from .graphs import (
@@ -636,7 +637,7 @@ def _suite_triviality(seed: int, runs: AuditRuns) -> dict:
         # Once the diameter is within delta, every later state stays trivial.
         delta = max(run.diam.diameter * 2.0, 1e-9)
         times = run.times.tolist()
-        trivial = [diameter(x, run.params.norm) <= delta for x in run.states]
+        trivial = [diam <= delta for diam, _, _ in farthest_pairs(run.states, run.params.norm)]
         if True in trivial:
             first = trivial.index(True)
             if False in trivial[first:]:

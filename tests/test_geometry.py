@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deffuant import (
     Ball,
@@ -155,6 +157,113 @@ def test_farthest_pair_and_diameter_take_one_point_set():
         diameter(stack)
     with pytest.raises(ConfigurationError):
         farthest_pairs(np.empty((2, 0, 2)))
+
+
+def _first_maximum(x, norm):
+    """(diam, a, b) of the first row-major maximum of the full distance matrix."""
+    full = cross_distances(x, x, norm)
+    k = int(full.argmax())
+    return float(full.flat[k]), *divmod(k, len(x))
+
+
+def _point_set(rng, kind, n, d):
+    if kind == "grid":       # three values a side: many pairs tie at the diameter
+        return rng.integers(0, 3, size=(n, d)) / 2.0
+    if kind == "equal":      # diameter 0, at (0, 0)
+        return np.full((n, d), 0.25)
+    if kind == "sphere":     # every point can end a farthest pair: the whole scan
+        v = rng.normal(size=(n, d))
+        return v / lengths(v)[:, None]
+    if kind == "clusters":
+        return rng.normal(size=(3, d))[rng.integers(0, 3, n)] + 0.05 * rng.normal(size=(n, d))
+    if kind == "ends":       # two far ends symmetric about a small cloud's centre
+        x = 0.1 * rng.random((n, d)) - 0.05
+        h = rng.random(d) + 0.5
+        x[rng.integers(n)], x[rng.integers(n)] = h, -h
+        return x
+    return rng.random((n, d))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(["uniform", "grid", "equal", "sphere", "clusters",
+                                       "ends"]), min_size=1, max_size=4),
+       n=st.one_of(st.integers(1, geometry._FILTER_MIN_POINTS - 1),
+                   st.integers(geometry._FILTER_MIN_POINTS, 160)),
+       d=st.integers(1, 3), norm=st.sampled_from(NORMS),
+       scale=st.sampled_from([1e-3, 1.0, 1e3, 1e8]),
+       offset=st.sampled_from([0.0, 1.0, 1e3, 1e8]))
+def test_farthest_pairs_is_the_first_maximum_of_the_full_matrix(seed, kinds, n, d, norm,
+                                                                  scale, offset):
+    # the candidate filter keeps every maximiser, and the first one, on both
+    # sides of the size threshold and through the whole-scan fallback
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=d)
+    xs = np.stack([_point_set(rng, kind, n, d) * scale + offset * signs for kind in kinds])
+    expected = [_first_maximum(x, norm) for x in xs]
+    assert [farthest_pair(x, norm) for x in xs] == expected
+    assert farthest_pairs(xs, norm) == expected
+
+
+def test_the_rounding_margin_keeps_an_end_an_ulp_inside_the_farthest_radius():
+    # two far ends symmetric about c, the centre of the bounding box, at a
+    # large offset: r of the second end is one ulp below R and L - R is above
+    # it, so only the margin keeps that end among the candidates
+    x = np.repeat(np.array([[34747243.0, 69168971.0]]), 64, axis=0)
+    half = np.array([56664300.615, 15856164.067])
+    x[0] += half
+    x[-1] -= half
+    r = lengths(x - (x.min(axis=0) + x.max(axis=0)) / 2.0)
+    far = float(cross_distances(x[:1], x[-1:])[0, 0])
+    assert r[-1] + np.spacing(r[-1]) == r[0] == r.max()
+    assert far - r[0] > r[-1]
+    assert farthest_pair(x) == _first_maximum(x, "euclidean") == (far, 0, 63)
+    assert farthest_pairs(np.stack((x, x[::-1]))) == [(far, 0, 63)] * 2
+
+
+def _overflowing_sets():
+    x = np.random.default_rng(23).random((200, 2))
+    for at, value, name in ((17, np.nan, "nan"), (101, np.inf, "inf"), (3, -np.inf, "-inf")):
+        y = x.copy()
+        y[at, 1] = value
+        yield pytest.param(y, id=name)
+    yield pytest.param((2.0 * x - 1.0) * 1e308, id="differences-overflow")
+    yield pytest.param(1e308 - 1e300 * x, id="centre-overflows")
+    yield pytest.param(-1e308 + 1e300 * x, id="centre-overflows-below")
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("x", _overflowing_sets())
+def test_non_finite_and_overflowing_sets_take_the_whole_scan(norm, x):
+    # the filter warns of nothing and keeps no candidates; the whole scan
+    # (which skips a block whose maximum is NaN) gives the answer
+    assert geometry._candidates(x[None], norm)[0] is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert farthest_pair(x, norm) == geometry._scan(x[None], norm)[0]
+
+
+def test_a_uniform_set_measures_few_distances_and_a_circle_all(monkeypatch):
+    n, measured = 2000, []
+
+    def counted(a, b, norm="euclidean"):
+        out = cross_distances(a, b, norm)
+        measured.append(out.size)
+        return out
+
+    monkeypatch.setattr(geometry, "cross_distances", counted)
+    farthest_pair(np.random.default_rng(29).random((n, 2)))
+    assert sum(measured) < 0.01 * n * (n + 1) / 2
+    measured.clear()
+    angle = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    circle = np.stack((np.cos(angle), np.sin(angle)), axis=1)
+    expected = (0.0, 0, 0)
+    for start in range(0, n, 250):
+        block = cross_distances(circle[start:start + 250], circle)
+        at = int(block.argmax())
+        if block.flat[at] > expected[0]:
+            expected = (float(block.flat[at]), start + at // n, at % n)
+    assert farthest_pair(circle) == expected
+    assert sum(measured) >= n * (n + 1) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ The committed files of REV are exported with ``bench_pair.export`` into a
 temporary directory; the change is this checkout as it stands.  Both roots
 then run, with their own ``src`` on the path:
 
-* ``simulate`` at seeds 0 and 7 on the ten reference configs below and on the
+* ``simulate`` at seeds 0 and 7 on the eleven reference configs below and on the
   two benchmark ``simulate`` configs of ``perfbench/workloads.py``;
 * ``estimate --trials 12 --per-trial --threads 1`` at seeds 0 and 7 on seven of
   the reference configs, which between them reach every branch of the bound's
@@ -87,6 +87,12 @@ CONFIGS = {
         "n": 8, "dimension": 2, "epsilon": 1.2, "horizon": 2000,
         "space": {"kind": "cloud",
                   "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.7], [0.2, 0.3]]}},
+    # n >= 64 under linf: the farthest pairs of the first states, all agents on
+    # the cube's corners, need the whole scan; later ones a few candidates
+    "corners-linf-d3-n300": {
+        "n": 300, "dimension": 3, "norm": "linf", "epsilon": 2.5, "horizon": 1000,
+        "space": {"kind": "cloud", "points": [[a, b, c] for a in (-1.0, 1.0)
+                                              for b in (-1.0, 1.0) for c in (-1.0, 1.0)]}},
 }
 # Run by ``estimate`` alone: at n > 8 * 64 the stopping-time tracker measures
 # its few candidates from their endpoints' rows (``FiredSteps.rows``), and in
