@@ -83,8 +83,12 @@ class Box(OpinionSpace):
         return self.lower.shape[0]
 
     def sample(self, rng, size):
-        # The bits of rng.uniform(lower, upper), without its per-call broadcasting.
-        return self.lower + (self.upper - self.lower) * rng.random((size, self.dimension))
+        # The bits of rng.uniform(lower, upper), without its per-call
+        # broadcasting: lower + (upper - lower) u, scaled and shifted in place.
+        u = rng.random((size, self.dimension))
+        u *= self.upper - self.lower
+        u += self.lower
+        return u
 
     def diameter(self, norm="euclidean"):
         return float(lengths(self.upper - self.lower, norm))
@@ -422,6 +426,7 @@ def chebyshev_center(space: OpinionSpace, norm: str = "euclidean") -> Ball:
 # ---------------------------------------------------------------------------
 
 MONTE_CARLO_SAMPLES = 200_000
+_MEASURE_ROWS = 4096
 
 
 def expected_center_distance(
@@ -466,7 +471,11 @@ def expected_center_distance(
     if rng is None:
         raise ConfigurationError("Monte Carlo estimate needs an rng")
     draws = space.sample(rng, MONTE_CARLO_SAMPLES)
-    dists = lengths(draws - c, norm)
+    # measured _MEASURE_ROWS draws at a time, so the differences never fill
+    # a whole draws-sized array
+    dists = np.empty(MONTE_CARLO_SAMPLES)
+    for s in range(0, MONTE_CARLO_SAMPLES, _MEASURE_ROWS):
+        dists[s:s + _MEASURE_ROWS] = lengths(draws[s:s + _MEASURE_ROWS] - c, norm)
     est = float(dists.mean())
     se = float(dists.std(ddof=1) / np.sqrt(MONTE_CARLO_SAMPLES))
     return est, se

@@ -67,8 +67,9 @@ class EdgeSet:
 @lru_cache(maxsize=None)
 def _all_pairs_array(n: int) -> np.ndarray:
     """(m, 2) array of all i < j pairs in lexicographic order; shared, read-only."""
-    iu = np.triu_indices(n, k=1)
-    arr = np.column_stack(iu).astype(np.intp)
+    first, second = np.triu_indices(n, k=1)   # intp
+    arr = np.empty((len(first), 2), dtype=np.intp)
+    arr[:, 0], arr[:, 1] = first, second
     arr.flags.writeable = False
     return arr
 
@@ -288,8 +289,9 @@ class ErdosRenyiGraph(GraphSchedule):
 
 class ErdosRenyiEdges(EdgeSet):
     """E(t) of an ``ErdosRenyiGraph``, whose rows are hashed in one pass,
-    once, when first asked for; ``model.select_pair`` and the stopping-time
-    tracker ask the graph about the pairs they need instead."""
+    once, when first asked for; the engine's picks (``model.Draws.pairs``,
+    ``model.select_pair``) and the stopping-time tracker ask the graph about
+    the pairs they need instead."""
 
     __slots__ = ("graph", "t", "_rows")
 

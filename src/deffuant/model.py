@@ -22,7 +22,8 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
-from .graphs import _MASK64, EdgeSet, ErdosRenyiEdges, GraphSchedule, _all_pairs_array
+from .graphs import (_MASK64, EdgeSet, ErdosRenyiEdges, ErdosRenyiGraph, GraphSchedule,
+                     _all_pairs_array)
 from .norms import scalar_length, validate_norm
 
 
@@ -187,6 +188,15 @@ _SIDE_STREAMS = {"bound": (0, 3), "geometry": (0, 4)}
 WORDS_PER_STEP = 8
 DRAW_BLOCK = 128
 
+# A step's words: one for its rate, then the candidates, then one for the
+# index that follows their misses.
+_CANDIDATES = WORDS_PER_STEP - 2
+
+# What ``Draws.pairs`` holds for a step in place of a pair: no edge, a first
+# pick word that Lemire's method redraws, and six Erdos-Renyi candidates that
+# all miss.
+_NO_EDGE, _REDRAWN, _MISSED = -1, -2, -3
+
 
 def run_key(rng: np.random.Generator) -> int:
     """The 64-bit key of a run's draws: the one number it takes from its rng."""
@@ -202,6 +212,9 @@ class Draws:
     (a Lemire redraw, probability below m / 2^64 a word) goes on with step
     t's spill stream, Philox keyed by (run key, t + 1), which no other step
     and no run's main stream shares.
+
+    ``pairs(source)`` gives the pair of every held step on one E(t),
+    derived for the block in one numpy pass (``_block_pairs``).
     """
 
     def __init__(self, key: int):
@@ -209,12 +222,11 @@ class Draws:
         self._bits: Optional[np.random.Philox] = None
         self._start = self._stop = 0     # the steps whose words are held
         self._raw = np.empty((0, WORDS_PER_STEP), dtype=np.uint64)
-        # Python ints of the held words, made as they are needed (a short
-        # trial uses few of a block's words): the uniforms, the first pick
-        # words, then all words
-        self._u: list[float] = []
-        self._first: list[int] = []
+        self._u: list[float] = []        # the held steps' uniforms
+        # the held words as Python ints, made when a pick reads past what
+        # its block settled
         self._all: Optional[list[list[int]]] = None
+        self._pairs: dict[int, tuple] = {}   # id of an edge set or graph -> (it, pairs)
         self._t = self._row = self._next = 0   # the step read and its next word
         self._spill: Optional[np.random.Philox] = None
 
@@ -225,9 +237,8 @@ class Draws:
             self._bits = np.random.Philox(key=self.key, counter=start * WORDS_PER_STEP // 4)
         self._start, self._stop = start, start + DRAW_BLOCK
         raw = self._bits.random_raw(DRAW_BLOCK * WORDS_PER_STEP).reshape(DRAW_BLOCK, -1)
-        self._raw, self._all = raw, None
+        self._raw, self._all, self._pairs = raw, None, {}
         self._u = ((raw[:, 0] >> np.uint64(11)) * 2.0**-53).tolist()
-        self._first = raw[:, 1].tolist()
 
     def at(self, t: int) -> float:
         if not self._start <= t < self._stop:
@@ -241,8 +252,6 @@ class Draws:
     def __next__(self) -> int:
         k = self._next
         self._next = k + 1
-        if k == 1:
-            return self._first[self._row]
         if k < WORDS_PER_STEP:
             if self._all is None:
                 self._all = self._raw.tolist()
@@ -251,10 +260,46 @@ class Draws:
             self._spill = np.random.Philox(key=self.key | (self._t + 1) << 64)
         return self._spill.random_raw()
 
+    def pairs(self, source) -> list[list[int]]:
+        """[i, j] of each held step's pair on E(t), made once a block for each
+        ``source``: the edge set E(t), or the ``ErdosRenyiGraph`` of an
+        Erdos-Renyi E(t).  Where the step's words do not settle it here, the
+        row holds what is open instead: [_REDRAWN] * 2 or [_MISSED] * 2
+        (``_block_pairs``)."""
+        made = self._pairs.get(id(source))
+        if made is None:
+            pairs = _block_pairs(self._raw, self._start, source).tolist()
+            made = self._pairs[id(source)] = (source, pairs)
+        return made[1]
 
-# A step's words: one for its rate, then the candidates, then one for the
-# index that follows their misses.
-_CANDIDATES = WORDS_PER_STEP - 2
+
+def _block_pairs(raw: np.ndarray, start: int, source) -> np.ndarray:
+    """The pairs of steps start, start + 1, ... on ``source`` (``Draws.pairs``)
+    from their words ``raw``, in one numpy pass: (steps, 2) intp.
+
+    On m rows a step's pair is row floor(w m / 2^64) of its first pick word w
+    where Lemire's method keeps w (``_lemire_block``), else _REDRAWN.  On an
+    Erdos-Renyi graph it is the first of the step's six candidates, words 1
+    to 6, that is kept and in E(t) (one ``members`` call for all steps), else
+    _MISSED.  No edge gives _NO_EDGE.  Each pair is the one ``select_pair``
+    picks from the step's words.
+    """
+    er = isinstance(source, ErdosRenyiGraph)
+    m = source.m if er else len(source)
+    if m == 0:
+        return np.full((len(raw), 2), _NO_EDGE, dtype=np.intp)
+    if not er:
+        rows, kept = _lemire_block(raw[:, 1], m)
+        pairs = source.array.take(rows.view(np.intp), axis=0)
+        pairs[~kept] = _REDRAWN
+        return pairs
+    rows, kept = _lemire_block(raw[:, 1:1 + _CANDIDATES], m)
+    steps = np.arange(len(raw))
+    kept &= source.members(start + steps[:, None], rows)
+    first = kept.argmax(axis=1)
+    pairs = _all_pairs_array(source.n).take(rows[steps, first].view(np.intp), axis=0)
+    pairs[~kept[steps, first]] = _MISSED
+    return pairs
 
 
 def _lemire(m: int, r: int) -> Optional[int]:
@@ -268,6 +313,31 @@ def _lemire(m: int, r: int) -> Optional[int]:
     if low < m and low < (1 << 64) % m:
         return None
     return prod >> 64
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+
+
+def _lemire_block(words: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_lemire`` on each of a uint64 array of words, 1 <= m < 2^64: the
+    rows floor(r m / 2^64) and whether each is kept, the low 64 bits of r m
+    (uint64 products wrap) at or above 2^64 mod m.
+
+    The high half is built from 32-bit halves, r = a 2^32 + b and m = c 2^32
+    + e: q = a e + floor(b e / 2^32) = floor(r e / 2^32) < 2^64, and
+    floor(r m / 2^64) = floor(q / 2^32) when c = 0, else a c + floor((q + b c)
+    / 2^32), that sum taken in halves so that it does not wrap."""
+    a, b = words >> _HALF, words & _LOW32
+    c, e = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    q = a * e + ((b * e) >> _HALF)
+    if not c:
+        rows = q >> _HALF
+    else:
+        bc = b * c
+        rows = (a * c + (q >> _HALF) + (bc >> _HALF)
+                + (((q & _LOW32) + (bc & _LOW32)) >> _HALF))
+    return rows, words * np.uint64(m) >= np.uint64((1 << 64) % m)
 
 
 def uniform_index(m: int, words: Iterator[int]) -> int:
@@ -289,6 +359,11 @@ def select_pair(edges: EdgeSet, words: Iterator[int]) -> Optional[tuple[int, int
     E(t) it is uniform on E(t), since membership is a hash that does not
     depend on the words.  After as many misses the rows of E(t) are hashed
     in one pass and indexed like any other, so an empty E(t) gives None.
+
+    ``run_trajectory`` takes most steps' pairs from their draw block
+    (``Draws.pairs``) and calls this only for a step whose pick a redrawn
+    word leaves open: a redrawn first word on m rows, or a redrawn last word
+    after six Erdos-Renyi misses.
     """
     if isinstance(edges, ErdosRenyiEdges):
         graph, t = edges.graph, edges.t
@@ -303,6 +378,25 @@ def select_pair(edges: EdgeSet, words: Iterator[int]) -> Optional[tuple[int, int
         return None
     i, j = rows[uniform_index(len(rows), words)].tolist()
     return i, j
+
+
+def _open_pair(draws: Draws, t: int, edges: EdgeSet, why: int) -> list[int]:
+    """[i, j] of step t's pair on ``edges`` where ``Draws.pairs`` gave ``why``
+    (_REDRAWN or _MISSED) instead, [_NO_EDGE] * 2 for none.
+
+    After six misses the step's m pairs are hashed in one pass
+    (``ErdosRenyiEdges.array``) and its last word indexes their members;
+    ``select_pair`` picks where that word, or a first pick word, is redrawn."""
+    draws.at(t)
+    if why == _MISSED:
+        rows = edges.array
+        if len(rows) == 0:
+            return [_NO_EDGE] * 2
+        k = _lemire(len(rows), int(draws._raw[draws._row, WORDS_PER_STEP - 1]))
+        if k is not None:
+            return rows[k].tolist()
+    pair = select_pair(edges, draws)
+    return [_NO_EDGE] * 2 if pair is None else list(pair)
 
 
 def side_stream(seed: int, purpose: str) -> np.random.Generator:
@@ -521,10 +615,14 @@ def run_trajectory(
     The loop works on Python scalars.  The opinions x are one C-contiguous
     (n, d) float64 array, the array ``at_start`` and ``at_end`` see, and the
     update reads and writes its rows i and j through a ``memoryview`` of its
-    buffer.  On an ``EdgeSet`` the pair is the row that the step's first pick
-    word names by Lemire's method, read through a ``memoryview`` of the edge
-    array; ``select_pair`` picks on an Erdos-Renyi E(t), on an empty one,
-    and when that word is redrawn, from the words after it.
+    buffer.  The pairs come by the draw block: once per block of DRAW_BLOCK
+    steps and per E(t) seen in it (an Erdos-Renyi E(t) once per graph),
+    ``Draws.pairs`` derives every step's pair in one numpy pass, and the
+    step reads its own from a list.  That settles every step but two rare
+    kinds.  An Erdos-Renyi step whose six candidates all miss (one in 64 at
+    p = 1/2) hashes its own m pairs and indexes them with its last word
+    (``_open_pair``).  A step whose deciding word Lemire's method redraws
+    (probability below m / 2^64) goes to ``select_pair``.
     """
     if horizon < 0:
         raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
@@ -611,37 +709,33 @@ def run_trajectory(
             x[...] = steps.state_at(stop)
         return stop
 
-    # the edge set whose rows ``ends`` reads, flat: m rows (0 when
-    # select_pair picks) and Lemire's redraw bound 2^64 mod m
-    held, ends, m, redraw = None, None, 0, 0
+    # the edge set last listed in the block's changes; the held draw block's
+    # steps and their uniforms; the edge set, or Erdos-Renyi graph, of E(t)
+    # and the steps' pairs on it (None until asked for, ``Draws.pairs``)
+    held, first, end, us, source, pairs = None, 0, 0, [], None, None
     t, until = 0, stop_condition(0) if stop_condition is not None else None
     stop = 0 if until is not None and until <= 0 else None
     # the step at which the open block ends at the latest
     last = (most if until is None else min(most, until)) if record else -1
     while t < horizon and stop is None:
         edges = graph_schedule.edges_at(t)
-        u = draws.at(t)
         if edges is not held:
             if record and not isinstance(held, ErdosRenyiEdges):
                 changes.append((t, edges))
             held = edges
-            m = 0 if isinstance(edges, ErdosRenyiEdges) else len(edges)
-            if m:
-                ends = memoryview(edges.array.reshape(-1))
-                redraw = (1 << 64) % m
-        i = j = -1
-        if m:
-            prod = next(draws) * m
-            if (prod & _MASK64) < redraw:
-                i, j = select_pair(edges, draws)
-            else:
-                row = 2 * (prod >> 64)
-                i, j = ends[row], ends[row + 1]
-        else:
-            pair = select_pair(edges, draws)
-            if pair is not None:
-                i, j = pair
-        mu = mu_schedule.mu_at(t, u)
+            key = edges.graph if isinstance(edges, ErdosRenyiEdges) else edges
+            if key is not source:
+                source, pairs = key, None
+        if t == end:
+            draws.at(t)
+            first, end, us, pairs = draws._start, draws._stop, draws._u, None
+        if pairs is None:
+            pairs = draws.pairs(source)
+        r = t - first
+        i, j = pairs[r]
+        if i < _NO_EDGE:
+            i, j = _open_pair(draws, t, edges, i)
+        mu = mu_schedule.mu_at(t, us[r])
         fired = i >= 0 and _update(view, i, j, mu, params)
         t += 1
         if record:

@@ -16,6 +16,7 @@ from deffuant import (
     CyclicGraph,
     DiameterMonotoneObserver,
     EdgeSet,
+    ErdosRenyiGraph,
     FiredSteps,
     InvariantViolation,
     ModelParams,
@@ -562,14 +563,17 @@ def test_the_pair_and_rate_of_any_step_are_redrawn_from_its_address(tmp_path, gr
 # The scalar step loop against the whole-run oracle
 # ---------------------------------------------------------------------------
 
-def _matches_the_oracle(x0, schedule, mu, params, seed, horizon, observers=()):
+def _matches_the_oracle(x0, schedule, mu, params, seed, horizon, observers=(),
+                        stop_condition=None):
     """Run the engine and the oracle's step interpreter from x0 and compare
-    every step's pair, firing and rate, and every state, bit for bit."""
+    every step's pair, firing and rate, and every state, bit for bit, up to
+    the step the run ended at."""
     traj = run_trajectory(OpinionState(0, x0), schedule, mu, params, horizon,
-                          np.random.default_rng(seed), observers=observers, record_stride=1)
+                          np.random.default_rng(seed), observers=observers, record_stride=1,
+                          stop_condition=stop_condition)
     key = run_key(np.random.default_rng(seed))
     steps = list(reference_run._run(np.array(x0, dtype=float), schedule, mu, params, key,
-                                    horizon))
+                                    traj.steps_run))
     assert traj.events.tolist() == [(*(s.pair or (-1, -1)), s.fired, s.mu) for s in steps]
     expected = np.stack([steps[0].before] + [s.after for s in steps])
     assert traj.states.tobytes() == np.ascontiguousarray(expected).tobytes()
@@ -613,7 +617,6 @@ def test_a_redrawn_first_pick_word_goes_on_with_the_next_words(monkeypatch, zero
         def _fetch(self, t):
             super()._fetch(t)
             self._raw[:, 1:1 + zeros] = 0
-            self._first = self._raw[:, 1].tolist()
 
     real_words = reference_run._words
 
@@ -646,6 +649,93 @@ def test_empty_edge_sets_and_a_schedule_that_changes_inside_a_draw_block():
     empty = traj.events[1::3]
     assert (empty["i"] == -1).all() and (empty["j"] == -1).all() and not empty["fired"].any()
     assert traj.events["fired"][0::3].any() and traj.events["fired"][2::3].any()
+
+
+@pytest.mark.parametrize("stop", [None, 173])
+@pytest.mark.parametrize("kind", ["cyclic", "piecewise"])
+def test_an_edge_set_that_changes_inside_a_draw_block_gets_its_own_picks(kind, stop):
+    # a period-3 cycle with an empty member reads three edge sets in every
+    # draw block, and the piecewise schedule switches at step 130, inside the
+    # second; the stop rule ends the run at step 173, in the same block
+    n = 7
+    params = ModelParams(epsilon=0.6, dimension=2)
+    x0 = np.random.default_rng(13).random((n, 2))
+    if kind == "cyclic":
+        schedule = CyclicGraph(n, (path_edges(n), EdgeSet(), complete_edges(n)))
+    else:
+        schedule = PiecewiseGraph(n, ((0, path_edges(n)), (130, complete_edges(n))))
+    traj = _matches_the_oracle(x0, schedule, UniformMu(0.1, 0.5), params, 21, 400,
+                               _audit(params, x0),
+                               stop_condition=None if stop is None else lambda t: stop)
+    assert traj.steps_run == (400 if stop is None else stop)
+    pairs = set(map(tuple, traj.events[["i", "j"]].tolist()))
+    assert pairs - set(path_edges(n)) and pairs & set(path_edges(n))
+
+
+def _lemire_words():
+    return st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]),
+                     st.integers(0, 2**64 - 1))
+
+
+@given(st.lists(_lemire_words(), min_size=1, max_size=40),
+       st.one_of(st.integers(1, 2**32 - 1), st.integers(2**32, 2**63),
+                 st.sampled_from([1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1, 2**63])))
+@example([0, 2**64 - 1], 1)
+@example([0, 1, 2**64 - 1], 3)
+@example([0, 2**64 - 1, 2**63], 2**63)
+@example([0, 2**64 - 1, 2**33 + 5], 2**32 + 1)
+def test_the_block_lemire_step_matches_lemire_on_python_ints(words, m):
+    rows, kept = model._lemire_block(np.array(words, dtype=np.uint64), m)
+    assert rows.tolist() == [w * m >> 64 for w in words]
+    assert kept.tolist() == [model._lemire(m, w) is not None for w in words]
+    # a (steps, candidates) array gives the same, element by element
+    rows2, kept2 = model._lemire_block(np.array(words, dtype=np.uint64).reshape(1, -1), m)
+    assert rows2.tolist() == [rows.tolist()] and kept2.tolist() == [kept.tolist()]
+
+
+@given(st.integers(2, 40), st.floats(0.0, 1.0), st.integers(0, 2**64 - 1),
+       st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+       st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
+def test_members_on_a_broadcast_of_steps_and_rows_is_holds(n, p, seed, steps, rows):
+    graph = ErdosRenyiGraph(n, p, seed)
+    rows = [e % graph.m for e in rows]
+    flags = graph.members(np.array(steps)[:, None], np.array(rows)[None, :])
+    assert flags.tolist() == [[graph.holds(t, e) for e in rows] for t in steps]
+
+
+def _count_select_pair(monkeypatch) -> list:
+    """The edge sets of the steps whose pick reaches ``select_pair``."""
+    calls = []
+    real = model.select_pair
+    monkeypatch.setattr(model, "select_pair",
+                        lambda edges, words: calls.append(edges) or real(edges, words))
+    return calls
+
+
+def test_the_draw_block_settles_every_pick_its_words_settle(monkeypatch):
+    calls = _count_select_pair(monkeypatch)
+    n, horizon = 10, 5000
+    params = ModelParams(epsilon=0.5, dimension=2)
+    x0 = np.random.default_rng(4).random((n, 2))
+    run_trajectory(OpinionState(0, x0), ConstantGraph(n, complete_edges(n)), ConstantMu(0.3),
+                   params, horizon, np.random.default_rng(5))
+    assert calls == []
+
+    # on G(100, 1/2), only a step whose six candidates all miss may reach it
+    n, horizon, seed = 100, 4000, 6
+    graph = ErdosRenyiGraph(n, 0.5)
+    x0 = np.random.default_rng(7).random((n, 2))
+    traj = run_trajectory(OpinionState(0, x0), graph, ConstantMu(0.3), params, horizon,
+                          np.random.default_rng(seed), record_stride=None)
+    words = np.random.Philox(key=run_key(np.random.default_rng(seed))).random_raw(
+        model.WORDS_PER_STEP * horizon).reshape(horizon, -1)[:, 1:1 + model._CANDIDATES]
+    m, missed = graph.m, 0
+    for t, row in enumerate(words.tolist()):
+        kept = [w * m & (2**64 - 1) >= 2**64 % m for w in row]
+        hits = graph.members(t, np.array([w * m >> 64 for w in row])) & kept
+        missed += not hits.any()
+    assert 0 < missed < horizon / 20 and len(calls) <= missed
+    assert (traj.events["i"] >= 0).all()
 
 
 def _pcg_state(rng: np.random.Generator) -> int:
