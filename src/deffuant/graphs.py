@@ -225,9 +225,8 @@ class ErdosRenyiGraph(GraphSchedule):
     Pair e, its row among the m = n(n-1)/2 pairs of ``complete_edges(n)``,
     is in E(t) when the SplitMix64 finaliser of seed + (t m + e + 1) gamma
     (mod 2^64), shifted right by 11 bits, is below p 2^53: each pair is in
-    with probability p, independently of every other (pair, step).  One
-    pair is tested on Python ints (``holds``), many in one numpy pass
-    (``members``); both give the same bits.  ``edges_at`` returns an
+    with probability p, independently of every other (pair, step).
+    ``members`` tests many pairs in one numpy pass.  ``edges_at`` returns an
     ``ErdosRenyiEdges``, which hashes its rows only when they are asked for.
     """
 
@@ -242,13 +241,6 @@ class ErdosRenyiGraph(GraphSchedule):
         self.m = n * (n - 1) // 2
         self._p53 = self.p * 2.0**53   # exact: a power-of-two scaling
 
-    def holds(self, t: int, e: int) -> bool:
-        """Whether pair e is in E(t)."""
-        z = (self.seed + (t * self.m + e + 1) * _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return ((z ^ (z >> 31)) >> 11) < self._p53
-
     def members(self, t, rows: np.ndarray) -> np.ndarray:
         """Flags of the pairs ``rows`` (an integer array of pair rows) in E(t),
         for a step t or an integer array of steps that broadcasts with rows."""
@@ -257,7 +249,7 @@ class ErdosRenyiGraph(GraphSchedule):
         else:   # uint64 arrays wrap modulo 2^64, as the mask does
             base = ((t.astype(np.uint64) * np.uint64(self.m) + np.uint64(1)) * np.uint64(_GAMMA)
                     + np.uint64(self.seed))
-        z = rows.astype(np.uint64) * np.uint64(_GAMMA) + base
+        z = rows.astype(np.uint64, copy=False) * np.uint64(_GAMMA) + base
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
         z ^= z >> np.uint64(27)
@@ -289,9 +281,10 @@ class ErdosRenyiGraph(GraphSchedule):
 
 class ErdosRenyiEdges(EdgeSet):
     """E(t) of an ``ErdosRenyiGraph``, whose rows are hashed in one pass,
-    once, when first asked for; the engine's picks (``model.Draws.pairs``,
-    ``model.select_pair``) and the stopping-time tracker ask the graph about
-    the pairs they need instead."""
+    once, when first asked for (by a pick whose six candidates all miss,
+    ``model._open_pair``, or by ``settle_time``).  The block's picks
+    (``model.Draws.pairs``) and the stopping-time tracker ask the graph
+    about the pairs they need instead."""
 
     __slots__ = ("graph", "t", "_rows")
 
@@ -302,7 +295,7 @@ class ErdosRenyiEdges(EdgeSet):
     def array(self) -> np.ndarray:
         if self._rows is None:
             pairs = _all_pairs_array(self.graph.n)
-            keep = self.graph.members(self.t, np.arange(len(pairs)))
+            keep = self.graph.members(self.t, np.arange(len(pairs), dtype=np.uint64))
             self._rows = pairs.take(np.flatnonzero(keep), axis=0)
         return self._rows
 

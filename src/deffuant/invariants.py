@@ -340,9 +340,9 @@ def _long_edges(x: np.ndarray, pairs: np.ndarray, delta: float,
 
 
 def _long_rows(x: np.ndarray, pairs: np.ndarray, delta: float, params: ModelParams,
-               holds: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
+               member: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
     """The rows of ``pairs`` that ``_long_edges`` flags in a state x, from the
-    first chunk holding one that ``holds`` keeps (flags of rows; any, when
+    first chunk holding one that ``member`` keeps (flags of rows; any, when
     None); empty when the state is delta-short over the rows it keeps.
 
     The chunks partition the rows, 64 rows and then four times the chunk
@@ -352,7 +352,7 @@ def _long_rows(x: np.ndarray, pairs: np.ndarray, delta: float, params: ModelPara
     start, size = 0, 64
     while start < len(pairs):
         rows = start + np.flatnonzero(_long_edges(x, pairs[start:start + size], delta, params))
-        if len(rows) and (holds is None or holds(rows).any()):
+        if len(rows) and (member is None or member(rows).any()):
             return rows
         start, size = start + size, 4 * size
     return np.empty(0, dtype=np.intp)
@@ -406,9 +406,9 @@ class StoppingTimeTracker(TrajectoryObserver):
                 if len(pairs) <= self._CANDIDATES:
                     rows = np.arange(len(pairs))
                 else:   # step k is tau or shows long rows
-                    holds = None if graph is None else partial(graph.members, int(ts[k]))
+                    member = None if graph is None else partial(graph.members, int(ts[k]))
                     rows = _long_rows(steps.state_at(int(ts[k])), pairs, self.delta,
-                                      self.params, holds)
+                                      self.params, member)
                     if not len(rows):
                         return int(ts[k])
                     k += 1

@@ -183,8 +183,8 @@ _SIDE_STREAMS = {"bound": (0, 3), "geometry": (0, 4)}
 # words t W .. t W + W - 1, W = WORDS_PER_STEP, of the counter-based stream
 # Philox(key = the run's key) (Salmon et al., "Parallel random numbers: as
 # easy as 1, 2, 3", SC 2011): word 0 gives its rate and the others its pair
-# (``select_pair``).  The words are fetched DRAW_BLOCK steps at a time;
-# any block length reads the same words.
+# (``_block_pairs``, then ``_open_pair``).  The words are fetched DRAW_BLOCK
+# steps at a time; any block length reads the same words.
 WORDS_PER_STEP = 8
 DRAW_BLOCK = 128
 
@@ -206,59 +206,47 @@ def run_key(rng: np.random.Generator) -> int:
 class Draws:
     """The words of one run's steps, read by address (see WORDS_PER_STEP).
 
-    ``at(t)`` returns step t's uniform in [0, 1), word 0 shifted to 53
-    bits as ``Generator.random`` makes it.  The Draws is then an iterator
-    over step t's pick words, words 1 to W - 1.  A pick they do not settle
-    (a Lemire redraw, probability below m / 2^64 a word) goes on with step
-    t's spill stream, Philox keyed by (run key, t + 1), which no other step
-    and no run's main stream shares.
+    They are held a draw block at a time: ``at(t)`` fetches the block of
+    step t, steps ``start`` to ``stop`` - 1, and returns step t's uniform in
+    [0, 1), word 0 shifted to 53 bits as ``Generator.random`` makes it.
+    ``uniforms`` lists the held steps' uniforms.
 
     ``pairs(source)`` gives the pair of every held step on one E(t),
     derived for the block in one numpy pass (``_block_pairs``).
+    ``words(t, k)`` yields step t's words k to W - 1 and then its spill
+    stream, Philox keyed by (run key, t + 1), which no other step and no
+    run's main stream shares.
     """
 
     def __init__(self, key: int):
         self.key = key
         self._bits: Optional[np.random.Philox] = None
-        self._start = self._stop = 0     # the steps whose words are held
+        self.start = self.stop = 0     # the steps whose words are held
         self._raw = np.empty((0, WORDS_PER_STEP), dtype=np.uint64)
-        self._u: list[float] = []        # the held steps' uniforms
-        # the held words as Python ints, made when a pick reads past what
-        # its block settled
-        self._all: Optional[list[list[int]]] = None
+        self.uniforms: list[float] = []
         self._pairs: dict[int, tuple] = {}   # id of an edge set or graph -> (it, pairs)
-        self._t = self._row = self._next = 0   # the step read and its next word
-        self._spill: Optional[np.random.Philox] = None
 
     def _fetch(self, t: int) -> None:
         start = t - t % DRAW_BLOCK
-        if self._bits is None or start != self._stop:
+        if self._bits is None or start != self.stop:
             # 4 words a Philox counter; W is a multiple of 4
             self._bits = np.random.Philox(key=self.key, counter=start * WORDS_PER_STEP // 4)
-        self._start, self._stop = start, start + DRAW_BLOCK
+        self.start, self.stop = start, start + DRAW_BLOCK
         raw = self._bits.random_raw(DRAW_BLOCK * WORDS_PER_STEP).reshape(DRAW_BLOCK, -1)
-        self._raw, self._all, self._pairs = raw, None, {}
-        self._u = ((raw[:, 0] >> np.uint64(11)) * 2.0**-53).tolist()
+        self._raw, self._pairs = raw, {}
+        self.uniforms = ((raw[:, 0] >> np.uint64(11)) * 2.0**-53).tolist()
 
     def at(self, t: int) -> float:
-        if not self._start <= t < self._stop:
+        if not self.start <= t < self.stop:
             self._fetch(t)
-        self._t, self._row, self._next = t, t - self._start, 1
-        return self._u[self._row]
+        return self.uniforms[t - self.start]
 
-    def __iter__(self) -> "Draws":
-        return self
-
-    def __next__(self) -> int:
-        k = self._next
-        self._next = k + 1
-        if k < WORDS_PER_STEP:
-            if self._all is None:
-                self._all = self._raw.tolist()
-            return self._all[self._row][k]
-        if k == WORDS_PER_STEP:
-            self._spill = np.random.Philox(key=self.key | (self._t + 1) << 64)
-        return self._spill.random_raw()
+    def words(self, t: int, k: int) -> Iterator[int]:
+        self.at(t)
+        yield from self._raw[t - self.start, k:].tolist()
+        spill = np.random.Philox(key=self.key | (t + 1) << 64)
+        while True:
+            yield spill.random_raw()
 
     def pairs(self, source) -> list[list[int]]:
         """[i, j] of each held step's pair on E(t), made once a block for each
@@ -268,7 +256,7 @@ class Draws:
         (``_block_pairs``)."""
         made = self._pairs.get(id(source))
         if made is None:
-            pairs = _block_pairs(self._raw, self._start, source).tolist()
+            pairs = _block_pairs(self._raw, self.start, source).tolist()
             made = self._pairs[id(source)] = (source, pairs)
         return made[1]
 
@@ -279,10 +267,12 @@ def _block_pairs(raw: np.ndarray, start: int, source) -> np.ndarray:
 
     On m rows a step's pair is row floor(w m / 2^64) of its first pick word w
     where Lemire's method keeps w (``_lemire_block``), else _REDRAWN.  On an
-    Erdos-Renyi graph it is the first of the step's six candidates, words 1
-    to 6, that is kept and in E(t) (one ``members`` call for all steps), else
-    _MISSED.  No edge gives _NO_EDGE.  Each pair is the one ``select_pair``
-    picks from the step's words.
+    Erdos-Renyi graph each of the step's six candidates, words 1 to 6, names
+    one of all m pairs, a word Lemire's method would redraw being a miss, and
+    the first candidate in E(t) is the pair (one ``members`` call for all
+    steps), else _MISSED.  Given E(t) it is uniform on E(t), since membership
+    is a hash that does not depend on the words.  No edge gives _NO_EDGE.
+    ``_open_pair`` settles the steps left _REDRAWN or _MISSED.
     """
     er = isinstance(source, ErdosRenyiGraph)
     m = source.m if er else len(source)
@@ -300,6 +290,23 @@ def _block_pairs(raw: np.ndarray, start: int, source) -> np.ndarray:
     pairs = _all_pairs_array(source.n).take(rows[steps, first].view(np.intp), axis=0)
     pairs[~kept[steps, first]] = _MISSED
     return pairs
+
+
+def _open_pair(draws: Draws, t: int, edges: EdgeSet, why: int) -> list[int]:
+    """[i, j] of step t's pair on ``edges`` where ``Draws.pairs`` gave ``why``
+    (_REDRAWN or _MISSED) instead, [_NO_EDGE] * 2 for none.
+
+    The pair is the row of E(t), ``edges.array`` (after six Erdos-Renyi
+    misses, its m pairs hashed in one pass), that the first word Lemire's
+    method keeps indexes, read from word 1 on m rows and from word W - 1
+    after the misses, then from the step's spill stream (``Draws.words``)."""
+    rows = edges.array
+    if len(rows) == 0:
+        return [_NO_EDGE] * 2
+    words = draws.words(t, 1 if why == _REDRAWN else WORDS_PER_STEP - 1)
+    while (k := _lemire(len(rows), next(words))) is None:
+        pass
+    return rows[k].tolist()
 
 
 def _lemire(m: int, r: int) -> Optional[int]:
@@ -338,65 +345,6 @@ def _lemire_block(words: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         rows = (a * c + (q >> _HALF) + (bc >> _HALF)
                 + (((q & _LOW32) + (bc & _LOW32)) >> _HALF))
     return rows, words * np.uint64(m) >= np.uint64((1 << 64) % m)
-
-
-def uniform_index(m: int, words: Iterator[int]) -> int:
-    """An index exactly uniform on [0, m), m >= 1, from the first of
-    ``words`` that Lemire's method keeps."""
-    while (k := _lemire(m, next(words))) is None:
-        pass
-    return k
-
-
-def select_pair(edges: EdgeSet, words: Iterator[int]) -> Optional[tuple[int, int]]:
-    """One edge of ``edges``, uniform, read from ``words`` (a step's pick
-    words, ``Draws``); None when the edge set is empty.
-
-    The index into the rows is ``uniform_index``.  An Erdos-Renyi E(t) is
-    not built first: each of up to _CANDIDATES words names a candidate
-    among all m pairs (``_lemire``; a word it would redraw is a miss), and
-    the first candidate in E(t) is the edge.  Given
-    E(t) it is uniform on E(t), since membership is a hash that does not
-    depend on the words.  After as many misses the rows of E(t) are hashed
-    in one pass and indexed like any other, so an empty E(t) gives None.
-
-    ``run_trajectory`` takes most steps' pairs from their draw block
-    (``Draws.pairs``) and calls this only for a step whose pick a redrawn
-    word leaves open: a redrawn first word on m rows, or a redrawn last word
-    after six Erdos-Renyi misses.
-    """
-    if isinstance(edges, ErdosRenyiEdges):
-        graph, t = edges.graph, edges.t
-        m = graph.m
-        for _ in range(_CANDIDATES if m else 0):
-            e = _lemire(m, next(words))
-            if e is not None and graph.holds(t, e):
-                i, j = _all_pairs_array(graph.n)[e].tolist()
-                return i, j
-    rows = edges.array
-    if len(rows) == 0:
-        return None
-    i, j = rows[uniform_index(len(rows), words)].tolist()
-    return i, j
-
-
-def _open_pair(draws: Draws, t: int, edges: EdgeSet, why: int) -> list[int]:
-    """[i, j] of step t's pair on ``edges`` where ``Draws.pairs`` gave ``why``
-    (_REDRAWN or _MISSED) instead, [_NO_EDGE] * 2 for none.
-
-    After six misses the step's m pairs are hashed in one pass
-    (``ErdosRenyiEdges.array``) and its last word indexes their members;
-    ``select_pair`` picks where that word, or a first pick word, is redrawn."""
-    draws.at(t)
-    if why == _MISSED:
-        rows = edges.array
-        if len(rows) == 0:
-            return [_NO_EDGE] * 2
-        k = _lemire(len(rows), int(draws._raw[draws._row, WORDS_PER_STEP - 1]))
-        if k is not None:
-            return rows[k].tolist()
-    pair = select_pair(edges, draws)
-    return [_NO_EDGE] * 2 if pair is None else list(pair)
 
 
 def side_stream(seed: int, purpose: str) -> np.random.Generator:
@@ -618,11 +566,11 @@ def run_trajectory(
     buffer.  The pairs come by the draw block: once per block of DRAW_BLOCK
     steps and per E(t) seen in it (an Erdos-Renyi E(t) once per graph),
     ``Draws.pairs`` derives every step's pair in one numpy pass, and the
-    step reads its own from a list.  That settles every step but two rare
-    kinds.  An Erdos-Renyi step whose six candidates all miss (one in 64 at
-    p = 1/2) hashes its own m pairs and indexes them with its last word
-    (``_open_pair``).  A step whose deciding word Lemire's method redraws
-    (probability below m / 2^64) goes to ``select_pair``.
+    step reads its own from a list.  A step the block leaves open, an
+    Erdos-Renyi step whose six candidates all miss (one in 64 at p = 1/2)
+    or one whose first pick word Lemire's method redraws (probability below
+    m / 2^64), indexes the rows of its E(t) with its next words
+    (``_open_pair``).
     """
     if horizon < 0:
         raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
@@ -728,7 +676,7 @@ def run_trajectory(
                 source, pairs = key, None
         if t == end:
             draws.at(t)
-            first, end, us, pairs = draws._start, draws._stop, draws._u, None
+            first, end, us, pairs = draws.start, draws.stop, draws.uniforms, None
         if pairs is None:
             pairs = draws.pairs(source)
         r = t - first

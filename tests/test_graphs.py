@@ -28,10 +28,11 @@ from deffuant import (
     path_edges,
     profile,
     run_trajectory,
-    select_pair,
 )
-from deffuant.model import uniform_index
+from deffuant import model
+from deffuant.model import Draws, _open_pair
 from oracles import loop_length, union_find_components
+from oracles.reference_run import _er_member
 
 # 99.9% chi-square quantiles by degrees of freedom (scipy.stats.chi2.ppf,
 # computed once offline; scipy is not a dependency).
@@ -333,13 +334,13 @@ def test_er_pair_e_at_step_t_is_splitmix64_output_t_m_plus_e_plus_1():
         outputs.append(z)
     for t in range(3):
         keep = [z >> 11 < p * 2**53 for z in outputs[t * m:(t + 1) * m]]
-        assert [g.holds(t, e) for e in range(m)] == keep
+        assert [_er_member(g, t, e) for e in range(m)] == keep
         assert g.members(t, np.arange(m)).tolist() == keep
         edges = g.edges_at(t)
         assert np.array_equal(edges.array, pairs[keep])
     # Python ints and numpy wrap around 2^64 alike
     for t in (10**9, 2**70):
-        assert [g.holds(t, e) for e in range(m)] == g.members(t, np.arange(m)).tolist()
+        assert [_er_member(g, t, e) for e in range(m)] == g.members(t, np.arange(m)).tolist()
 
 
 def test_er_edge_count_is_binomial():
@@ -357,33 +358,60 @@ def test_er_edge_count_is_binomial():
 
 @pytest.mark.parametrize("p, seed", [(0.3, 11), (0.1, 12)])
 def test_the_edge_drawn_from_an_er_step_is_uniform_over_it(p, seed):
-    # at p = 0.3 about one pick in nine, at p = 0.1 one in two, misses all
-    # its candidates and indexes the hashed rows instead
+    # step t's pair under 1000 |E(t)| run keys, as the engine takes it: at
+    # p = 0.3 about one pick in nine, at p = 0.1 one in two, misses all its
+    # candidates and indexes the hashed rows instead (``_open_pair``)
     t = 5 if p == 0.3 else 3
-    edges = ErdosRenyiGraph(10, p, seed=seed).edges_at(t)
+    graph = ErdosRenyiGraph(10, p, seed=seed)
+    edges = graph.edges_at(t)
     draws = 1000 * len(edges)
-    words = iter(np.random.Philox(key=seed).random_raw(8 * draws).tolist())
-    counts = Counter(select_pair(edges, words) for _ in range(draws))
+    counts = Counter()
+    for key in np.random.Philox(key=seed).random_raw(draws).tolist():
+        run = Draws(key)
+        run.at(t)
+        i, j = run.pairs(graph)[t]
+        if i < model._NO_EDGE:
+            i, j = _open_pair(run, t, edges, i)
+        counts[i, j] += 1
     assert set(counts) == set(edges)
     expected = draws / len(edges)
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < CHI2_999[len(edges) - 1]
 
 
-def test_uniform_index_redraws_exactly_the_words_lemire_rejects():
-    # m = 3: 2^64 mod 3 = 1, so the word 0 alone is redrawn
-    assert uniform_index(3, iter([1])) == 0
-    words = iter([0, 2**63, 7])
-    assert uniform_index(3, words) == 1 and next(words) == 7
+class _Words:
+    """A stand-in for ``Draws`` whose step words 1, 2, ... are ``words``."""
+
+    def __init__(self, *words):
+        self._words = words
+
+    def words(self, t, k):
+        return iter(self._words[k - 1:])
+
+
+def test_a_pick_redraws_exactly_the_words_lemire_rejects():
+    # m = 3: 2^64 mod 3 = 1, so the word 0 alone is redrawn; a step left
+    # open by its first pick word goes on from its next word
+    raw = np.zeros((3, model.WORDS_PER_STEP), dtype=np.uint64)
+    raw[0, 1], raw[1, 1] = 1, 2**63
+    triangle = complete_edges(3)
+    assert model._block_pairs(raw, 0, triangle).tolist() == [[0, 1], [0, 2], [-2, -2]]
+    assert _open_pair(_Words(0, 2**63, 7), 2, triangle, model._REDRAWN) == [0, 2]
+    assert _open_pair(_Words(0, 0, 1), 2, triangle, model._REDRAWN) == [0, 1]
     # m = 2^63 + 1: 2^64 mod m = 2^63 - 1; the word 2 leaves low bits 2 and
     # is redrawn, the word 3 leaves 2^63 + 3 and is kept
-    words = iter([2, 3, 7])
-    assert uniform_index(2**63 + 1, words) == 1 and next(words) == 7
+    assert model._lemire(2**63 + 1, 2) is None and model._lemire(2**63 + 1, 3) == 1
     # an Erdos-Renyi candidate that Lemire would redraw is a miss: with every
     # pair in E(t), the word 0 would otherwise name pair 0 (2^64 mod 45 = 16)
-    edges = ErdosRenyiGraph(10, 1.0, seed=1).edges_at(0)
-    assert select_pair(edges, iter([1])) == (0, 1)
-    assert select_pair(edges, iter([0, 2**63])) == tuple(complete_edges(10).array[22])
+    graph = ErdosRenyiGraph(10, 1.0, seed=1)
+    raw = np.zeros((3, model.WORDS_PER_STEP), dtype=np.uint64)
+    raw[0, 1], raw[1, 2] = 1, 2**63
+    assert model._block_pairs(raw, 0, graph).tolist() == [
+        [0, 1], complete_edges(10).array[22].tolist(), [-3, -3]]
+    # after six misses the pick indexes E(t) from the step's last word on
+    words = [0] * model._CANDIDATES + [0, 2**63]
+    assert _open_pair(_Words(*words), 2, graph.edges_at(2), model._MISSED) == \
+        complete_edges(10).array[22].tolist()
 
 
 def test_er_validation_and_degenerate_p():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from deffuant import (
     path_edges,
     profile,
     run_trajectory,
-    select_pair,
 )
 from deffuant import cli, model
 from deffuant.model import Draws, run_key, seed_streams, side_stream
@@ -194,23 +194,36 @@ def test_step_validation():
 # Pair selection
 # ---------------------------------------------------------------------------
 
-def test_select_pair_empty_returns_none():
-    assert select_pair(EdgeSet(), iter([])) is None
+def test_an_empty_edge_set_gives_no_pair():
+    # neither the draw block nor a step it leaves open finds a pair in an
+    # empty E(t), and a run on it records none
+    draws = Draws(12345)
+    draws.at(0)
+    assert draws.pairs(EdgeSet()) == [[model._NO_EDGE] * 2] * model.DRAW_BLOCK
+    for why in (model._REDRAWN, model._MISSED):
+        assert model._open_pair(draws, 3, EdgeSet(), why) == [model._NO_EDGE] * 2
+    traj = run_trajectory(OpinionState(0, np.zeros(4)), ConstantGraph(4, EdgeSet()),
+                          ConstantMu(0.3), ModelParams(epsilon=1.0), 300,
+                          np.random.default_rng(0))
+    assert len(traj.events) == 300 and not traj.events["fired"].any()
+    assert (traj.events["i"] == -1).all() and (traj.events["j"] == -1).all()
 
 
-def test_select_pair_uniform_over_edges():
-    """Chi-square goodness of fit over the 45 edges of K_10.
+def test_the_engine_pair_is_uniform_over_edges():
+    """Chi-square goodness of fit over the 45 edges of K_10 of the pairs a run
+    draws in 45 000 steps.
 
-    Fixed words, so the test is deterministic; the quantile was chosen at the
+    A fixed seed, so the test is deterministic; the quantile was chosen at the
     99.9% level for a draw that would flake 0.1% of the time under reseeding.
     """
-    edges = complete_edges(10)
-    draws = 45_000
-    words = iter(np.random.Philox(key=12345).random_raw(draws).tolist())
-    counts = {e: 0 for e in edges}
-    for _ in range(draws):
-        counts[select_pair(edges, words)] += 1
-    expected = draws / 45
+    edges, steps = complete_edges(10), 45_000
+    # no two agents within epsilon: every step records its pair, none fires
+    traj = run_trajectory(OpinionState(0, np.arange(10.0)), ConstantGraph(10, edges),
+                          ConstantMu(0.3), ModelParams(epsilon=0.5), steps,
+                          np.random.default_rng(12345), record_stride=None)
+    counts = Counter(zip(traj.events["i"].tolist(), traj.events["j"].tolist()))
+    assert set(counts) == set(edges)
+    expected = steps / 45
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < CHI2_999_44
 
@@ -516,14 +529,16 @@ def test_a_step_reads_its_words_by_address_then_its_spill_stream(monkeypatch, bl
         row = stream[t * width:(t + 1) * width]
         assert draws.at(t) == (row[0] >> 11) * 2.0**-53
         spill = np.random.Philox(key=key + ((t + 1) << 64)).random_raw(5).tolist()
-        assert [next(draws) for _ in range(width - 1 + 5)] == row[1:] + spill
+        assert list(itertools.islice(draws.words(t, 1), width - 1 + 5)) == row[1:] + spill
+        assert list(itertools.islice(draws.words(t, width - 1), 3)) == row[-1:] + spill[:2]
 
 
 def _redraw(key: int, schedule, t: int):
-    """Step t's pair (None when E(t) is empty) and rate, read from its address alone."""
-    draws = Draws(key)
-    mu = UniformMu(0.1, 0.5).mu_at(t, draws.at(t))
-    return select_pair(schedule.edges_at(t), draws), mu
+    """Step t's pair (None when E(t) is empty) and rate, read from its address
+    alone by the whole-run oracle."""
+    u, words = reference_run._words(key, t)
+    mu = UniformMu(0.1, 0.5).mu_at(t, u)
+    return reference_run._pick(schedule, t, reference_run._edges(schedule, t), words), mu
 
 
 @pytest.mark.parametrize("graph", [{"kind": "erdos_renyi", "p": 0.3}, {"kind": "path"}])
@@ -696,24 +711,26 @@ def test_the_block_lemire_step_matches_lemire_on_python_ints(words, m):
 @given(st.integers(2, 40), st.floats(0.0, 1.0), st.integers(0, 2**64 - 1),
        st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
        st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
-def test_members_on_a_broadcast_of_steps_and_rows_is_holds(n, p, seed, steps, rows):
+def test_members_on_a_broadcast_of_steps_and_rows_is_the_hash_on_python_ints(
+        n, p, seed, steps, rows):
     graph = ErdosRenyiGraph(n, p, seed)
     rows = [e % graph.m for e in rows]
     flags = graph.members(np.array(steps)[:, None], np.array(rows)[None, :])
-    assert flags.tolist() == [[graph.holds(t, e) for e in rows] for t in steps]
+    assert flags.tolist() == [[reference_run._er_member(graph, t, e) for e in rows]
+                              for t in steps]
 
 
-def _count_select_pair(monkeypatch) -> list:
-    """The edge sets of the steps whose pick reaches ``select_pair``."""
+def _count_open_pairs(monkeypatch) -> list:
+    """The steps whose pick the draw block leaves to ``_open_pair``."""
     calls = []
-    real = model.select_pair
-    monkeypatch.setattr(model, "select_pair",
-                        lambda edges, words: calls.append(edges) or real(edges, words))
+    real = model._open_pair
+    monkeypatch.setattr(model, "_open_pair",
+                        lambda draws, t, edges, why: calls.append(t) or real(draws, t, edges, why))
     return calls
 
 
 def test_the_draw_block_settles_every_pick_its_words_settle(monkeypatch):
-    calls = _count_select_pair(monkeypatch)
+    calls = _count_open_pairs(monkeypatch)
     n, horizon = 10, 5000
     params = ModelParams(epsilon=0.5, dimension=2)
     x0 = np.random.default_rng(4).random((n, 2))
@@ -721,21 +738,24 @@ def test_the_draw_block_settles_every_pick_its_words_settle(monkeypatch):
                    params, horizon, np.random.default_rng(5))
     assert calls == []
 
-    # on G(100, 1/2), only a step whose six candidates all miss may reach it
+    # on G(100, p) the steps left open are exactly those whose six candidates
+    # all miss: one in 64 at p = 1/2, about three in four at p = 0.05
     n, horizon, seed = 100, 4000, 6
-    graph = ErdosRenyiGraph(n, 0.5)
     x0 = np.random.default_rng(7).random((n, 2))
-    traj = run_trajectory(OpinionState(0, x0), graph, ConstantMu(0.3), params, horizon,
-                          np.random.default_rng(seed), record_stride=None)
     words = np.random.Philox(key=run_key(np.random.default_rng(seed))).random_raw(
         model.WORDS_PER_STEP * horizon).reshape(horizon, -1)[:, 1:1 + model._CANDIDATES]
-    m, missed = graph.m, 0
-    for t, row in enumerate(words.tolist()):
-        kept = [w * m & (2**64 - 1) >= 2**64 % m for w in row]
-        hits = graph.members(t, np.array([w * m >> 64 for w in row])) & kept
-        missed += not hits.any()
-    assert 0 < missed < horizon / 20 and len(calls) <= missed
-    assert (traj.events["i"] >= 0).all()
+    m = n * (n - 1) // 2
+    candidates = [([w * m >> 64 for w in row], [w * m & (2**64 - 1) >= 2**64 % m for w in row])
+                  for row in words.tolist()]
+    for p, low, high in ((0.5, 0, 1 / 20), (0.05, 0.6, 0.85)):
+        del calls[:]
+        graph = ErdosRenyiGraph(n, p)
+        traj = run_trajectory(OpinionState(0, x0), graph, ConstantMu(0.3), params, horizon,
+                              np.random.default_rng(seed), record_stride=None)
+        missed = [t for t, (rows, kept) in enumerate(candidates)
+                  if not (graph.members(t, np.array(rows)) & kept).any()]
+        assert low * horizon < len(missed) < high * horizon and calls == missed
+        assert (traj.events["i"] >= 0).all()
 
 
 def _pcg_state(rng: np.random.Generator) -> int:

@@ -8,12 +8,13 @@ The committed files of REV are exported with ``bench_pair.export`` into a
 temporary directory; the change is this checkout as it stands.  Both roots
 then run, with their own ``src`` on the path:
 
-* ``simulate`` at seeds 0 and 7 on the eleven reference configs below and on the
-  two benchmark ``simulate`` configs of ``perfbench/workloads.py``;
-* ``estimate --trials 12 --per-trial --threads 1`` at seeds 0 and 7 on seven of
+* ``simulate`` at seeds 0 and 7 on the thirteen reference configs below and
+  on the two benchmark ``simulate`` configs of ``perfbench/workloads.py``;
+* ``estimate --trials 12 --per-trial --threads 1`` at seeds 0 and 7 on nine of
   the reference configs, which between them reach every branch of the bound's
   geometry: an interval, a one-dimensional box, boxes of d = 2 and 3, a ball
-  and a point cloud, on ``ESTIMATE_ONLY`` and on the two benchmark
+  and a point cloud; two of them leave most Erdos-Renyi picks open
+  (``model._open_pair``).  Also on ``ESTIMATE_ONLY`` and on the two benchmark
   ``estimate`` configs; for each,
   ``TRIAL_STOPS`` also prints every trial's ``steps_run`` and ``tau_delta``,
   the step an early stop ends at, which ``trials.csv`` does not hold;
@@ -57,6 +58,15 @@ CONFIGS = {
     "erdos-renyi-p0.3": {
         "n": 15, "epsilon": 0.4, "graph": {"kind": "erdos_renyi", "p": 0.3},
         "horizon": 3000},
+    # about three steps in four miss their six candidates and index E(t)
+    # (``model._open_pair``); the delta has the tracker test Erdos-Renyi steps
+    "erdos-renyi-sparse-p0.05": {
+        "n": 30, "epsilon": 0.4, "graph": {"kind": "erdos_renyi", "p": 0.05},
+        "horizon": 3000, "deltas": [0.05]},
+    # E(t) is empty at every step: every pick misses and finds no pair
+    "erdos-renyi-empty-p0": {
+        "n": 8, "epsilon": 0.5, "graph": {"kind": "erdos_renyi", "p": 0.0},
+        "horizon": 1000},
     "cyclic-empty-member-sequence-mu": {
         "n": 6, "dimension": 2, "epsilon": 0.6, "space": _BOX2,
         "graph": {"kind": "cyclic", "members": [_PATH6, [], [[0, 5], [1, 4], [2, 3]]]},
@@ -116,9 +126,9 @@ for k in range(int(sys.argv[3])):
     print(k, result.steps_run, result.tau_delta)
 """
 DEMOS = sorted(path.name for path in (ROOT / "demos").glob("0[1-5]_*.py"))
-ESTIMATED = ("complete-box2-two-deltas", "erdos-renyi-p0.3",
-             "cyclic-empty-member-sequence-mu", "linf-d3-stride13", "box1", "ball2",
-             "cloud2")
+ESTIMATED = ("complete-box2-two-deltas", "erdos-renyi-p0.3", "erdos-renyi-sparse-p0.05",
+             "erdos-renyi-empty-p0", "cyclic-empty-member-sequence-mu", "linf-d3-stride13",
+             "box1", "ball2", "cloud2")
 
 
 def runs(configs: Path) -> list[tuple[str, list[str]]]:
