@@ -239,7 +239,11 @@ class ErdosRenyiGraph(GraphSchedule):
         self.p = float(p)
         self.seed = int(seed)
         self.m = n * (n - 1) // 2
-        self._p53 = self.p * 2.0**53   # exact: a power-of-two scaling
+        self._p53 = np.uint64(np.ceil(self.p * 2.0**53))   # an integer z < p 2^53 iff z < this
+
+    @cached_property
+    def _all_rows(self) -> np.ndarray:   # every pair's row, as ``ErdosRenyiEdges.array`` hashes
+        return np.arange(self.m, dtype=np.uint64)
 
     def members(self, t, rows: np.ndarray) -> np.ndarray:
         """Flags of the pairs ``rows`` (an integer array of pair rows) in E(t),
@@ -295,7 +299,7 @@ class ErdosRenyiEdges(EdgeSet):
     def array(self) -> np.ndarray:
         if self._rows is None:
             pairs = _all_pairs_array(self.graph.n)
-            keep = self.graph.members(self.t, np.arange(len(pairs), dtype=np.uint64))
+            keep = self.graph.members(self.t, self.graph._all_rows)
             self._rows = pairs.take(np.flatnonzero(keep), axis=0)
         return self._rows
 

@@ -343,6 +343,35 @@ def test_er_pair_e_at_step_t_is_splitmix64_output_t_m_plus_e_plus_1():
         assert [_er_member(g, t, e) for e in range(m)] == g.members(t, np.arange(m)).tolist()
 
 
+def _hash53(graph: ErdosRenyiGraph, t: int, e: int) -> int:
+    """The SplitMix64 output of pair e at step t, shifted to 53 bits."""
+    return _splitmix64(graph.seed + (t * graph.m + e) * 0x9E3779B97F4A7C15)[1] >> 11
+
+
+@pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.05, 0.5, 1 - 2.0**-53, 1.0,
+                               "at a hash", "half above it", "one above it"])
+def test_er_membership_compares_hashes_as_the_reference_does(p):
+    # members compares integer hashes with the integer ceil(p 2^53); the
+    # reference compares them with the float p 2^53, exactly, in Python ints
+    n, seed, ts = 40, 17, (0, 1, 3, 2**40)
+    k = _hash53(ErdosRenyiGraph(n, 0.5, seed=seed), 3, 5)   # pair 5 at step 3
+    while k >= 2**52:   # below 2^52, k + 1/2 is a float
+        seed += 1
+        k = _hash53(ErdosRenyiGraph(n, 0.5, seed=seed), 3, 5)
+    above = {"at a hash": 0.0, "half above it": 0.5, "one above it": 1.0}.get(p)
+    graph = ErdosRenyiGraph(n, p if above is None else (k + above) / 2.0**53, seed=seed)
+    pairs, m = complete_edges(n).array, graph.m
+    expected = np.array([[_er_member(graph, t, e) for e in range(m)] for t in ts])
+    if above is not None:   # pair 5 is in E(3) exactly when its hash is below p 2^53
+        assert expected[2, 5] == (above > 0)
+    for row, t in zip(expected, ts):
+        assert graph.members(t, np.arange(m)).tolist() == row.tolist()
+        edges = graph.edges_at(t)
+        assert np.array_equal(edges.array, pairs[row])
+        assert np.array_equal(edges.array, pairs[row])   # the cached rows
+    assert np.array_equal(graph.members(np.array(ts)[:, None], np.arange(m)), expected)
+
+
 def test_er_edge_count_is_binomial():
     # |E(t)| over 20 000 steps of G(10, 1/2) against Binomial(45, 1/2), the
     # tails pooled below 12 and above 33 edges

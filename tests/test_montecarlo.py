@@ -1,8 +1,11 @@
 import dataclasses
+import json
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deffuant import (
     Ball,
@@ -30,8 +33,8 @@ from deffuant import (
     theoretical_lower_bound,
     wilson_interval,
 )
-from deffuant import graphs, montecarlo
-from deffuant.norms import cross_distances
+from deffuant import cli, graphs, montecarlo
+from deffuant.norms import NORMS, cross_distances
 from oracles import wilson_roots
 
 # Wilson 95% reference intervals computed once with
@@ -102,6 +105,67 @@ def test_hull_gap_never_exceeds_true_distance():
         cert = certified_hull_gap(a, b)
         assert cert <= dense_min + 1e-12
         assert cert >= 0.8 * dense_min
+
+
+def _assert_at_most_is_exact(a, b, norm, e):
+    """certified_hull_gap(at_most=e) exceeds e exactly when the full
+    certificate does, and then with the same bits."""
+    full = certified_hull_gap(a, b, norm)
+    early = certified_hull_gap(a, b, norm, at_most=e)
+    assert (early > e) == (full > e), (norm, e, full, early)
+    if full > e:
+        assert early.hex() == full.hex()
+
+
+def _computed_length(a, b):
+    """|w| for w the difference of the means, rounded as the certificate's
+    loop rounds it: for singletons the computed |a - b|."""
+    w = a.mean(axis=0) - b.mean(axis=0)
+    return float(np.sqrt(w @ w))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]), sizes=st.tuples(
+    st.integers(1, 90), st.integers(1, 90)), scale=st.sampled_from([0.0, 1.0, 1e4, 1e8]),
+       norm=st.sampled_from(NORMS))
+def test_a_hull_gap_with_at_most_exceeds_it_exactly_when_the_full_gap_does(
+        seed, d, sizes, scale, norm):
+    rng = np.random.default_rng(seed)
+    spread = rng.uniform(0.01, 1.0)
+    base = scale * rng.uniform(-1.0, 1.0, d)
+    a = base + spread * rng.uniform(-1.0, 1.0, (sizes[0], d))
+    b = (base + rng.uniform(0.0, 3.0) * spread * rng.normal(size=d)
+         + spread * rng.uniform(-1.0, 1.0, (sizes[1], d)))
+    full = certified_hull_gap(a, b, norm)
+    length = _computed_length(a, b)
+    for e in (full, length, spread * rng.uniform(0.0, 3.0)):
+        for near in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf)):
+            _assert_at_most_is_exact(a, b, norm, float(near))
+
+
+def test_singleton_hull_gaps_with_at_most_at_their_computed_length_are_exact():
+    # a singleton's certificate is the rounded |a - b|, which exceeds the
+    # computed |a - b| in about three pairs of ten: a loop that stopped at
+    # |w| <= epsilon, with no margin, would return 0.0 for them
+    rng = np.random.default_rng(22)
+    for _ in range(700):
+        d = int(rng.integers(2, 4))
+        base = 10.0 ** rng.uniform(0.0, 8.0) * rng.uniform(-1.0, 1.0, d)
+        a = base + rng.uniform(-1.0, 1.0, (1, d))
+        b = base + rng.uniform(-1.0, 1.0, (1, d))
+        length = _computed_length(a, b)
+        for norm in NORMS:
+            for e in (np.nextafter(length, -np.inf), length, np.nextafter(length, np.inf)):
+                _assert_at_most_is_exact(a, b, norm, float(e))
+
+
+def test_a_hull_gap_within_at_most_stops_early():
+    # two rows of points 0.2 apart: the early exit reports 0.0 under 0.3, not 0.2
+    a = np.column_stack((np.linspace(0.0, 1.0, 40), np.zeros(40)))
+    b = a + np.array([0.05, 0.2])
+    assert certified_hull_gap(a, b, at_most=0.3) == 0.0
+    assert certified_hull_gap(a, b) == pytest.approx(0.2, abs=1e-3)
+    assert certified_hull_gap(a, b, at_most=0.15) == certified_hull_gap(a, b)
 
 
 def test_hull_gap_dimension_mismatch():
@@ -290,6 +354,47 @@ def test_ensemble_tests_a_constant_schedule_for_connectivity_once(monkeypatch):
     schedule = _config().graph_schedule
     assert schedule.connected_infinitely_often and len(calls) == 2
     assert pickle.loads(pickle.dumps(schedule)).connected_infinitely_often and len(calls) == 2
+
+
+def _at_end_every_undecided(self, t, x, social_edges):
+    """``OutcomeClassifier.at_end`` as it was: any undecided state is checked again."""
+    if self._fired_at >= self._checked_at or self.verdict is None:
+        self._check(x, t)
+
+
+@pytest.mark.parametrize("horizon, quiet_from, checks", [
+    (200, 150, 3),   # checked at 0, 100 and 200, on which the run ends unchanged
+    (250, 240, 4),   # and at the end: steps 200 to 239 fire after the last check
+])
+def test_an_unchanged_undecided_state_is_not_classified_twice(tmp_path, monkeypatch, horizon,
+                                                              quiet_from, checks):
+    # only agents 0 and 1 meet, until quiet_from: the diameter stays within
+    # epsilon but a piecewise schedule certifies no connectivity, so every
+    # trial ends undecided
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "n": 6, "epsilon": 0.9, "space": {"kind": "interval", "a": 0.0, "b": 0.8},
+        "graph": {"kind": "piecewise", "steps": {"0": [[0, 1]], str(quiet_from): []}},
+        "horizon": horizon, "check_every": 100}))
+    calls = []
+    real = OutcomeClassifier._verdict
+    monkeypatch.setattr(OutcomeClassifier, "_verdict", lambda self, x: calls.append(1) or
+                        real(self, x))
+    counted = {}
+    for rule in ("skip", "every undecided"):
+        if rule != "skip":
+            monkeypatch.setattr(OutcomeClassifier, "at_end", _at_end_every_undecided)
+        calls.clear()
+        out = tmp_path / rule
+        # no trial decides consensus, so the data contradict the bound (exit 4)
+        assert cli.main(["estimate", "--config", str(config), "--trials", "5", "--seed", "3",
+                         "--threads", "1", "--per-trial", "--out-dir", str(out)]) == cli.EXIT_BOUND
+        counted[rule] = (len(calls), (out / "trials.csv").read_bytes())
+    rows = counted["skip"][1].decode().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["undecided"] * 5
+    assert counted["skip"][0] == 5 * checks
+    assert counted["every undecided"][0] == 5 * 4
+    assert counted["skip"][1] == counted["every undecided"][1]
 
 
 def test_frozen_dynamics_yield_no_consensus_claims():

@@ -14,7 +14,8 @@ then run, with their own ``src`` on the path:
   the reference configs, which between them reach every branch of the bound's
   geometry: an interval, a one-dimensional box, boxes of d = 2 and 3, a ball
   and a point cloud; two of them leave most Erdos-Renyi picks open
-  (``model._open_pair``).  Also on ``ESTIMATE_ONLY`` and on the two benchmark
+  (``model._open_pair``).  Also on ``ESTIMATE_ONLY`` (among them an l1 and
+  a linf config that end in several components) and on the two benchmark
   ``estimate`` configs; for each,
   ``TRIAL_STOPS`` also prints every trial's ``steps_run`` and ``tau_delta``,
   the step an early stop ends at, which ``trials.csv`` does not hold;
@@ -107,8 +108,18 @@ CONFIGS = {
 # Run by ``estimate`` alone: at n > 8 * 64 the stopping-time tracker measures
 # its few candidates from their endpoints' rows (``FiredSteps.rows``), and in
 # ``estimate`` no diameter check has built the block's states first.
+# The two "several-components" configs end most trials in several components of
+# the opinion graph, under l1 at d = 2 and linf at d = 3: the classifier's hull
+# certificates end both above epsilon and early, within it (``at_most``).
 ESTIMATE_ONLY = {
     "path-n600": {"n": 600, "epsilon": 0.9, "graph": {"kind": "path"}, "horizon": 300},
+    "several-components-l1-d2": {
+        "n": 20, "dimension": 2, "norm": "l1", "epsilon": 0.3, "space": _BOX2,
+        "mu": {"kind": "uniform", "low": 0.1, "high": 0.5}, "horizon": 3000},
+    "several-components-linf-d3": {
+        "n": 20, "dimension": 3, "norm": "linf", "epsilon": 0.35,
+        "space": {"kind": "box", "lower": [0.0] * 3, "upper": [1.0] * 3},
+        "mu": {"kind": "uniform", "low": 0.1, "high": 0.5}, "horizon": 3000},
 }
 # Run in each root with a config path, a seed and a trial count: each trial of
 # ``estimate``, built as ``cli.cmd_estimate`` builds it, as "k steps_run tau_delta".
