@@ -722,6 +722,14 @@ def cmd_verify(suite: str, seed: int, out_dir: Path) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _available_cores() -> int:
+    """The cores this process may run on: its affinity mask where the platform
+    has one (``os.cpu_count`` counts cores the mask may exclude)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deffuant",
@@ -746,8 +754,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_est)
     p_est.add_argument("--trials", type=int, default=200,
                        help="number of trials (default 200)")
-    p_est.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker processes (default: available cores)")
+    p_est.add_argument("--threads", type=int, default=_available_cores(),
+                       help="workers; this process runs one share of the trials and "
+                            "forks one child per other worker (default: the cores this "
+                            "process may run on)")
     p_est.add_argument("--per-trial", action="store_true",
                        help="also write per-trial rows to trials.csv")
 

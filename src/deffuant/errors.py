@@ -35,6 +35,11 @@ class InvariantViolation(RuntimeError):
             message += f" ({detail})"
         super().__init__(message)
 
+    def __reduce__(self):
+        # rebuilt from its fields, not from the message alone, as a trial
+        # worker sends it back
+        return type(self), (self.invariant, self.step, self.slack, self.detail, self.event)
+
     def as_record(self) -> dict[str, Any]:
         """JSON-serializable diagnostic record."""
         record = {

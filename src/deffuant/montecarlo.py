@@ -20,9 +20,11 @@ horizon and a finite run can only under-approximate it.
 from __future__ import annotations
 
 import dataclasses
+import os
+import pickle
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -308,11 +310,39 @@ def run_trial(config: TrialConfig, *, early_stop: bool = True) -> TrialResult:
     )
 
 
-def _run_trial(config: TrialConfig) -> TrialResult:
-    """``run_trial(config)``, looked up by name when it runs: a module-level
-    function a process pool can pickle even where ``run_trial`` is rebound
-    to one it cannot (a closure that wraps it, say)."""
-    return run_trial(config)
+def _run_share(configs: list[TrialConfig]) -> tuple[list[TrialResult], Optional[tuple]]:
+    """Run ``configs`` in order until one fails: their rows, and the failing
+    trial's (index, exception) or None.  ``run_trial`` is looked up when it
+    runs, so a wrapper put in its place runs in every worker."""
+    rows = []
+    for config in configs:
+        try:
+            rows.append(run_trial(config))
+        except Exception as exc:
+            return rows, (config.trial_index, exc)
+    return rows, None
+
+
+def _worker(configs: list[TrialConfig], write: int) -> NoReturn:
+    """A forked worker: run its share, write it to ``write`` as one pickle,
+    and end with ``os._exit``, so that no atexit handler runs and no
+    inherited stdio buffer is flushed.  A failure that does not survive
+    pickling is sent as a RuntimeError with its repr."""
+    status = 1
+    try:
+        rows, failure = _run_share(configs)
+        try:
+            payload = pickle.dumps((rows, failure))
+            if failure is not None:
+                pickle.loads(payload)   # an exception need not rebuild from its args
+        except Exception:
+            k, exc = failure
+            payload = pickle.dumps((rows, (k, RuntimeError(f"trial {k} raised {exc!r}"))))
+        with open(write, "wb") as out:
+            out.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> tuple[float, float]:
@@ -374,24 +404,64 @@ def run_ensemble(
     """Run independent trials indexed 0..n_trials-1 under the template's
     master_seed and aggregate verdicts.
 
-    Each trial's streams are keyed by its index and ``rows`` keeps trial
-    order (``pool.map`` returns results in input order), so the worker count
-    changes wall time but never the output.
+    With w = min(workers, n_trials) workers, trial k runs in worker k % w.
+    Worker 0 is this process; workers 1 to w - 1 are ``os.fork`` children,
+    each of which runs its share in trial order and sends back its rows and
+    its first failure as one pickle on a pipe.  Where ``os.fork`` does not
+    exist every trial runs in this process.  Each trial's streams are keyed
+    by its index and ``rows`` keeps trial order, so the worker count changes
+    wall time but never the output.  A failure raises what the serial run
+    raises, the exception of the lowest failing trial; a worker that ends
+    without sending its share raises RuntimeError.  No child outlives the
+    call.
     """
     if n_trials < 1:
         raise ConfigurationError(f"need n_trials >= 1, got {n_trials}")
     if workers < 1:
         raise ConfigurationError(f"need workers >= 1, got {workers}")
     configs = [dataclasses.replace(template, trial_index=k) for k in range(n_trials)]
-    if workers > 1:
-        # imported here: a one-worker command does without its import time
-        from concurrent.futures import ProcessPoolExecutor
+    w = min(workers, n_trials) if hasattr(os, "fork") else 1
+    reads: dict[int, int] = {}   # worker -> the read end of its pipe
+    pids: dict[int, int] = {}    # worker -> its pid, until reaped
+    try:
+        for worker in range(1, w):
+            reads[worker], write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(configs[worker::w], write)   # never returns
+                pids[worker] = pid
+            finally:
+                os.close(write)
+        shares = {0: _run_share(configs[0::w])}
+        for worker, pid in list(pids.items()):
+            with open(reads[worker], "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pids[worker]
+            if code != 0 or not payload:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
+                raise RuntimeError(f"trial worker {worker} (pid {pid}) {how} "
+                                   "without sending its trials")
+            shares[worker] = pickle.loads(payload)
+    finally:
+        for read in reads.values():
+            os.close(read)
+        if pids:
+            import signal   # only a call that ends early has children left to stop
 
-        chunk = max(1, n_trials // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_trial, configs, chunksize=chunk))
-    else:
-        rows = [run_trial(c) for c in configs]
+            for pid in pids.values():
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares.values() if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    rows: list = [None] * n_trials
+    for worker, (share, _) in shares.items():
+        rows[worker::w] = share
 
     counts = {v.value: 0 for v in Verdict}
     for row in rows:

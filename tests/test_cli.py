@@ -538,6 +538,17 @@ def test_estimate_deterministic_across_threads(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_threads_default_to_the_cores_this_process_may_run_on(monkeypatch):
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    assert cli.build_parser().parse_args(["estimate"]).threads == cores
+    if hasattr(os, "sched_getaffinity"):
+        # an affinity mask narrower than the machine sets the default
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli.build_parser().parse_args(["estimate"]).threads == 1
+
+
 @pytest.mark.parametrize("graph", [{"kind": "erdos_renyi", "p": 0.3}, {"kind": "complete"}])
 def test_outputs_do_not_depend_on_the_worker_count_or_the_draw_block(tmp_path, monkeypatch,
                                                                      graph):

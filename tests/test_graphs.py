@@ -94,7 +94,7 @@ def test_edgeset_agrees_with_python_set_model(a, b):
     assert (ea == eb) == (model_a == model_b)
     same = EdgeSet((j, i) for i, j in reversed(a))
     assert same == ea and hash(same) == hash(ea)
-    # pool workers receive edge sets pickled inside TrialConfig
+    # an edge set survives pickling, with its hash
     copy = pickle.loads(pickle.dumps(ea))
     assert copy == ea and hash(copy) == hash(ea)
 

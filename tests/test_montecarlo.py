@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from deffuant import (
     ConstantGraph,
     ConstantMu,
     Interval,
+    InvariantViolation,
     ModelParams,
     OpinionState,
     OutcomeClassifier,
@@ -291,6 +295,13 @@ def test_ensemble_is_deterministic_and_worker_independent():
     assert a.estimate == b.estimate == c.estimate
     assert sum(a.counts.values()) == 40
     assert a.counts["consensus"] >= 1
+    # more workers than trials, and shares of unequal length
+    for n_trials in (1, 2, 7):
+        serial = run_ensemble(template, n_trials)
+        assert serial.rows == a.rows[:n_trials]
+        for workers in (2, 3, 5):
+            forked = run_ensemble(template, n_trials, workers=workers)
+            assert forked.rows == serial.rows and forked.estimate == serial.estimate
 
 
 def test_trials_do_not_depend_on_ensemble_size():
@@ -300,10 +311,9 @@ def test_trials_do_not_depend_on_ensemble_size():
     assert small.rows == large.rows[:10]
 
 
-def test_the_pool_maps_trials_in_order_even_when_run_trial_is_a_closure(monkeypatch):
-    # A closure wrapping run_trial (to time or count trials) cannot be pickled
-    # for a pool worker; the pool maps a module function that looks run_trial
-    # up by name when it runs.
+def test_forked_workers_run_trials_in_order_even_when_run_trial_is_a_closure(monkeypatch):
+    # A closure wrapping run_trial (to time or count trials) runs in every
+    # worker: each looks run_trial up when it runs a trial.
     real, seen = montecarlo.run_trial, []
 
     def counting(config, **kwargs):
@@ -316,6 +326,104 @@ def test_the_pool_maps_trials_in_order_even_when_run_trial_is_a_closure(monkeypa
     assert seen == list(range(12))
     assert one.rows == [real(dataclasses.replace(template, trial_index=k)) for k in range(12)]
     assert run_ensemble(template, 12, workers=2).rows == one.rows
+    # this process ran worker 0's share, the even trials, in order
+    assert seen[12:] == list(range(0, 12, 2))
+
+
+def _failing_at(monkeypatch, failures):
+    """Make run_trial raise ``failures[k]`` at trial k."""
+    real = montecarlo.run_trial
+
+    def failing(config, **kwargs):
+        if config.trial_index in failures:
+            raise failures[config.trial_index]
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_trial", failing)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_an_ensemble_raises_the_failure_of_its_lowest_failing_trial(monkeypatch, workers):
+    # trial k runs in worker k % workers: at 4 workers the child with trial 5
+    # comes before the one with trial 3
+    _failing_at(monkeypatch, {3: ConfigurationError("trial 3"),
+                              5: ConfigurationError("trial 5")})
+    with pytest.raises(ConfigurationError, match="trial 3"):
+        run_ensemble(_config(horizon=500, n=5, master_seed=3), 8, workers=workers)
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+def test_a_forked_worker_sends_back_its_failure_as_raised_or_as_its_repr(monkeypatch):
+    violation = InvariantViolation("pair-contraction", 17, -0.5, "overshoot",
+                                   {"i": 1, "j": 2, "mu": 0.9})
+    _failing_at(monkeypatch, {1: violation})
+    with pytest.raises(InvariantViolation) as raised:
+        run_ensemble(_config(horizon=500, n=5), 4, workers=2)
+    assert raised.value is not violation   # it came from the child
+    assert (raised.value.invariant, raised.value.step, raised.value.slack,
+            raised.value.detail, raised.value.event) == ("pair-contraction", 17, -0.5,
+                                                         "overshoot", violation.event)
+    assert str(raised.value) == str(violation)
+    _failing_at(monkeypatch, {1: _Unpicklable("odd")})
+    with pytest.raises(RuntimeError, match=r"trial 1 raised _Unpicklable\('odd'\)"):
+        run_ensemble(_config(horizon=500, n=5), 4, workers=2)
+
+
+def test_a_worker_killed_by_a_signal_raises_and_leaves_no_child(monkeypatch):
+    real = montecarlo.run_trial
+
+    def dying(config, **kwargs):
+        if config.trial_index == 1:   # in worker 1, a child
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_trial", dying)
+    with pytest.raises(RuntimeError, match="worker 1 .* killed by signal 9"):
+        run_ensemble(_config(horizon=500, n=5), 6, workers=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_parent_that_fails_stops_every_child(monkeypatch):
+    # worker 0 is interrupted while worker 1 still runs: the call stops and
+    # reaps it, and raises the interrupt
+    real = montecarlo.run_trial
+
+    def interrupted(config, **kwargs):
+        if config.trial_index == 0:
+            raise KeyboardInterrupt
+        if config.trial_index == 1:
+            time.sleep(60)   # a child that outlasts the test unless it is stopped
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_trial", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_ensemble(_config(horizon=500, n=5), 4, workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers, n_trials, forks", [(1, 5, 0), (2, 5, 1), (3, 5, 2),
+                                                      (8, 3, 2), (4, 1, 0)])
+def test_an_ensemble_forks_one_child_per_worker_besides_this_process(monkeypatch, workers,
+                                                                      n_trials, forks):
+    real, calls = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
+    template = _config(horizon=500, n=5, master_seed=2)
+    assert run_ensemble(template, n_trials, workers=workers).rows == \
+        run_ensemble(template, n_trials).rows
+    assert len(calls) == forks
+
+
+def test_without_fork_an_ensemble_runs_in_process(monkeypatch):
+    template = _config(horizon=500, n=5, master_seed=2)
+    forked = run_ensemble(template, 5, workers=3)
+    monkeypatch.delattr(os, "fork")
+    assert run_ensemble(template, 5, workers=3).rows == forked.rows
 
 
 @pytest.mark.parametrize("kind", ["tracker", "classifier"])
@@ -350,7 +458,7 @@ def test_ensemble_tests_a_constant_schedule_for_connectivity_once(monkeypatch):
     monkeypatch.setattr(graphs, "is_connected", lambda *a: calls.append(a) or real(*a))
     result = run_ensemble(_config(horizon=500, n=6, master_seed=4), 20)
     assert len(calls) == 1 and len(result.rows) == 20
-    # the kept flag travels with a pickled schedule, as to a pool worker
+    # the kept flag survives pickling
     schedule = _config().graph_schedule
     assert schedule.connected_infinitely_often and len(calls) == 2
     assert pickle.loads(pickle.dumps(schedule)).connected_infinitely_often and len(calls) == 2

@@ -10,7 +10,8 @@ then run, with their own ``src`` on the path:
 
 * ``simulate`` at seeds 0 and 7 on the thirteen reference configs below and
   on the two benchmark ``simulate`` configs of ``perfbench/workloads.py``;
-* ``estimate --trials 12 --per-trial --threads 1`` at seeds 0 and 7 on nine of
+* ``estimate --trials 12 --per-trial`` at ``--threads`` 1 and 3 (so that
+  each side's multi-worker path is compared too) at seeds 0 and 7 on nine of
   the reference configs, which between them reach every branch of the bound's
   geometry: an interval, a one-dimensional box, boxes of d = 2 and 3, a ball
   and a point cloud; two of them leave most Erdos-Renyi picks open
@@ -158,9 +159,10 @@ def runs(configs: Path) -> list[tuple[str, list[str]]]:
                 out.append((f"simulate {name} seed {seed}",
                             ["simulate", "--config", str(path), "--seed", str(seed)]))
             if name in estimated:
-                out.append((f"estimate {name} seed {seed}",
-                            ["estimate", "--config", str(path), "--seed", str(seed),
-                             "--trials", "12", "--per-trial", "--threads", "1"]))
+                out += [(f"estimate {name} seed {seed}" + (" threads 3" if threads == 3 else ""),
+                         ["estimate", "--config", str(path), "--seed", str(seed),
+                          "--trials", "12", "--per-trial", "--threads", str(threads)])
+                        for threads in (1, 3)]
     out += [(f"verify all seed {seed}", ["verify", "--suite", "all", "--seed", str(seed)])
             for seed in SEEDS]
     return out
