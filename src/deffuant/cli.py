@@ -376,26 +376,34 @@ def _resolve_out_dir(arg: Optional[str]) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: list[str], lines) -> None:
-    """Write ``header`` and the already formatted ``lines``, one a row."""
+def _write_csv(path: Path, header: list[str], slices) -> None:
+    """Write ``header`` and the already formatted ``slices`` of rows."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line + "\n" for line in lines)
+        fh.writelines(slices)
 
 
 def _sliced(count: int, fields: int, lines: Callable[[int, int], Any]):
-    """``lines(lo, hi)`` of units lo .. hi - 1 (rows, or states of rows) of
-    ``count`` units of ``fields`` fields, a slice at a time: a formatted field
-    takes about 64 bytes of Python objects, so a slice holds about BLOCK_BYTES."""
+    """The rows ``lines(lo, hi)`` of units lo .. hi - 1 (rows, or states of
+    rows) of ``count`` units of ``fields`` fields, each slice as one string:
+    a field's text, its row's and the slice's string take at most about 64
+    bytes of Python objects, so a slice holds about BLOCK_BYTES."""
     size = max(1, BLOCK_BYTES // (64 * fields))
     for lo in range(0, count, size):
-        yield from lines(lo, min(lo + size, count))
+        yield "\n".join(lines(lo, min(lo + size, count))) + "\n"
+
+
+def _floats(values: np.ndarray) -> list[str]:
+    """The repr of each float of ``values``, in order, each distinct bit pattern
+    (so -0.0 apart from 0.0) formatted once: converging agents repeat values."""
+    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, index.ravel().tolist()))
 
 
 def _ints(values) -> list[str]:
-    """CSV fields of integers, an empty field for each None (or -1, the
-    agent of a step without an edge)."""
-    return ["" if v is None or v == -1 else str(v) for v in values]
+    """CSV fields of integers, an empty field for each None."""
+    return ["" if v is None else str(v) for v in values]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -455,22 +463,24 @@ def cmd_simulate(config: ExperimentConfig, seed: int, out_dir: Path) -> int:
     elapsed = time.perf_counter() - t0
 
     d = config.params.dimension
-    # column by column, each by its known type: floats by repr
+    # column by column, each by its known type: floats by repr; agents index
+    # ``agents``, whose last text, the empty field, is that of agent -1 (no edge)
     times, states, events = trajectory.times, trajectory.states, trajectory.events
     n = states.shape[1]
+    agents = [str(agent) for agent in range(n)] + [""]
 
     def state_lines(lo: int, hi: int):
         return map(",".join, zip(
             [step for step in map(str, times[lo:hi].tolist()) for _ in range(n)],
-            [str(agent) for agent in range(n)] * (hi - lo),
-            *(map(float.__repr__, states[lo:hi, :, k].ravel().tolist()) for k in range(d))))
+            agents[:n] * (hi - lo), *(_floats(states[lo:hi, :, k]) for k in range(d))))
 
     def event_lines(lo: int, hi: int):
         rows = events[lo:hi]
-        return map(",".join, zip(map(str, range(lo, hi)), _ints(rows["i"].tolist()),
-                                 _ints(rows["j"].tolist()),
+        return map(",".join, zip(map(str, range(lo, hi)),
+                                 map(agents.__getitem__, rows["i"].tolist()),
+                                 map(agents.__getitem__, rows["j"].tolist()),
                                  map(("0", "1").__getitem__, rows["fired"].tolist()),
-                                 map(float.__repr__, rows["mu"].tolist())))
+                                 _floats(rows["mu"])))
 
     _write_csv(out_dir / "states.csv", ["step", "agent_id"] + [f"x{k}" for k in range(d)],
                _sliced(len(times), n * (2 + d), state_lines))
@@ -578,15 +588,16 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
     }
     _write_json(out_dir / "ensemble.json", payload)
     if per_trial:
+        rows = ensemble.rows
         _write_csv(
             out_dir / "trials.csv",
             ["trial_index", "verdict", "decided_at", "final_diameter", "tau_delta"],
-            map(",".join, zip(
-                map(str, range(len(ensemble.rows))),
-                (r.outcome.verdict.value for r in ensemble.rows),
-                _ints(r.outcome.decided_at for r in ensemble.rows),
-                (float.__repr__(r.outcome.final_diameter) for r in ensemble.rows),
-                _ints(r.tau_delta for r in ensemble.rows))),
+            _sliced(len(rows), 5, lambda lo, hi: map(",".join, zip(
+                map(str, range(lo, hi)),
+                (r.outcome.verdict.value for r in rows[lo:hi]),
+                _ints(r.outcome.decided_at for r in rows[lo:hi]),
+                _floats(np.array([r.outcome.final_diameter for r in rows[lo:hi]])),
+                _ints(r.tau_delta for r in rows[lo:hi])))),
         )
 
     print(f"estimate: p_hat={estimate.p_hat:.4f} "

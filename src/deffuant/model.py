@@ -168,8 +168,10 @@ def seed_streams(seed: int, *spawn_key: int):
     ``spawn_key`` names the run under ``seed`` (a trial index, say); runs
     with different keys get independent streams.
     """
-    root = np.random.SeedSequence(seed, spawn_key=spawn_key)
-    init_ss, dyn_ss, graph_ss = root.spawn(3)
+    # the children ``SeedSequence(seed, spawn_key=spawn_key).spawn(3)`` builds,
+    # without hashing the root's own pool
+    init_ss, dyn_ss, graph_ss = (np.random.SeedSequence(seed, spawn_key=(*spawn_key, c))
+                                 for c in range(3))
     graph_seed = int(graph_ss.generate_state(1, dtype=np.uint64)[0])
     return np.random.default_rng(init_ss), np.random.default_rng(dyn_ss), graph_seed
 

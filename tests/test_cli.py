@@ -609,6 +609,113 @@ def test_the_simulate_csvs_are_formatted_a_slice_at_a_time(tmp_path, monkeypatch
     assert len(states) == 1 + 10 * 1001 and states[-1].startswith("200000,9,")
 
 
+# Bit patterns the float fields must keep apart or get right: both zeros,
+# quiet and signalling NaNs of several payloads and both signs, both
+# infinities, subnormals, the extremes and a few plain values.
+_FLOAT_BITS = [
+    0x0000000000000000, 0x8000000000000000,                          # 0.0, -0.0
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,      # NaNs
+    0x7FF0000000000001, 0xFFF4000000000abc, 0x7FFFFFFFFFFFFFFF,
+    0x7FF0000000000000, 0xFFF0000000000000,                          # +-inf
+    0x0000000000000001, 0x800000000000000F, 0x000FFFFFFFFFFFFF,      # subnormals
+    0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,                          # +-1.7976931348623157e+308
+    0x3FF0000000000000, 0x3FB999999999999A, 0xBFE0000000000000,      # 1.0, 0.1, -0.5
+]
+
+
+def _as_floats(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    return [float.__repr__(v) for v in values.ravel().tolist()]
+
+
+# a few special values and any 64-bit patterns, each repeated any number of times
+_repeated_bits = st.tuples(
+    st.lists(st.sampled_from(_FLOAT_BITS), min_size=1, max_size=8, unique=True),
+    st.lists(st.integers(0, 2**64 - 1), max_size=4),
+).flatmap(lambda pools: st.lists(st.sampled_from(pools[0] + pools[1]), max_size=60))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bits=_repeated_bits, m=st.integers(1, 4), lo=st.integers(0, 3), k=st.integers(0, 1))
+def test_the_float_fields_are_the_repr_of_each_value(bits, m, lo, k):
+    values = _as_floats(bits)
+    assert cli._floats(values) == _reprs(values)
+    # a strided view, as ``cmd_simulate`` passes states[lo:hi, :, k]
+    states = np.resize(values, (len(values) + 2 * m) // (2 * m) * 2 * m).reshape(-1, m, 2)
+    view = states[lo:, :, k]
+    assert not view.flags.c_contiguous or view.size <= 1
+    assert cli._floats(view) == _reprs(view)
+
+
+def test_the_float_fields_keep_every_bit_pattern_apart():
+    values = _as_floats(_FLOAT_BITS * 2 + _FLOAT_BITS[::-1])
+    texts = cli._floats(values)
+    assert texts == _reprs(values)
+    assert texts[:2] == ["0.0", "-0.0"]
+    assert texts[10:15] == ["5e-324", "-7.4e-323", "2.225073858507201e-308",
+                            "1.7976931348623157e+308", "-1.7976931348623157e+308"]
+    # each text reads back bit for bit, but the payload and sign of a NaN
+    assert [float(t) for t in texts[:2]] == [0.0, -0.0]
+    assert np.array_equal(np.array([float(t) for t in texts]).view(np.uint64)[10:15],
+                          np.array(_FLOAT_BITS[10:15], dtype=np.uint64))
+    for empty in (np.empty(0), np.empty((0, 3)), np.empty((4, 0, 2))[:, :, 1]):
+        assert cli._floats(empty) == []
+
+
+def test_steps_without_an_edge_and_two_digit_agents_are_written_as_such(tmp_path):
+    # agents 0 .. 11 on a path that is empty from step 40 to step 79
+    path12 = [[a, a + 1] for a in range(11)]
+    path = write_config(tmp_path, n=12, epsilon=0.9, horizon=120, record_stride=30,
+                        graph={"kind": "piecewise",
+                               "steps": {"0": path12, "40": [], "80": path12}},
+                        mu={"kind": "uniform", "low": 0.1, "high": 0.5})
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", path, "--seed", "5", "--out-dir", str(out)]) == 0
+    events = [line.split(",") for line in (out / "events.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in events] == [str(t) for t in range(120)]
+    for t, (_, i, j, fired, mu) in enumerate(events):
+        if 40 <= t < 80:
+            assert (i, j, fired) == ("", "", "0")
+        else:
+            assert abs(int(i) - int(j)) == 1 and 0 <= int(i) <= 11
+        assert 0.1 <= float(mu) <= 0.5
+    assert any("11" in (row[1], row[2]) for row in events)
+    states = [line.split(",") for line in (out / "states.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in states] == [[str(t), str(a)] for t in range(0, 121, 30)
+                                           for a in range(12)]
+
+
+def test_a_states_csv_at_n_2000_is_written_a_slice_at_a_time(tmp_path, monkeypatch):
+    # 41 states of 2000 agents: 82 000 rows, 328 000 fields.  Formatted whole,
+    # their texts alone would take over 20 MB; only the writing of states.csv
+    # is traced.  A path graph keeps the set-up from building n^2 / 2 pairs.
+    write = cli._write_csv
+    peaks = {}
+
+    def traced(path, header, slices):
+        if Path(path).name != "states.csv":
+            return write(path, header, slices)
+        tracemalloc.start()
+        try:
+            write(path, header, slices)
+            peaks["states.csv"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_write_csv", traced)
+    path = write_config(tmp_path, n=2000, dimension=2, epsilon=0.5, horizon=40,
+                        record_stride=1, graph={"kind": "path"},
+                        space={"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]})
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", path, "--out-dir", str(out)]) == 0
+    assert peaks["states.csv"] < 8e6
+    states = (out / "states.csv").read_text().splitlines()
+    assert len(states) == 1 + 41 * 2000 and states[-1].startswith("40,1999,")
+
+
 def test_estimate_check_every_takes_effect(tmp_path):
     decided = {}
     for check_every in (None, 1):

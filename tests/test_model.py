@@ -762,6 +762,18 @@ def _pcg_state(rng: np.random.Generator) -> int:
     return rng.bit_generator.state["state"]["state"]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**200])
+@pytest.mark.parametrize("key", [(), (0,), (249,), (0, 4)])
+def test_seed_streams_are_the_three_children_that_spawn_builds(seed, key):
+    children = np.random.SeedSequence(seed, spawn_key=key).spawn(3)
+    init_rng, dyn_rng, graph_seed = seed_streams(seed, *key)
+    for rng, child in zip((init_rng, dyn_rng), children):
+        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(8),
+                              child.generate_state(8))
+        assert _pcg_state(rng) == _pcg_state(np.random.default_rng(child))
+    assert graph_seed == int(children[2].generate_state(1, dtype=np.uint64)[0])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**40 + 3])
 def test_side_streams_share_no_state_with_any_run(seed):
     run_states = set()

@@ -8,7 +8,7 @@ The committed files of REV are exported with ``bench_pair.export`` into a
 temporary directory; the change is this checkout as it stands.  Both roots
 then run, with their own ``src`` on the path:
 
-* ``simulate`` at seeds 0 and 7 on the thirteen reference configs below and
+* ``simulate`` at seeds 0 and 7 on the fifteen reference configs below and
   on the two benchmark ``simulate`` configs of ``perfbench/workloads.py``;
 * ``estimate --trials 12 --per-trial`` at ``--threads`` 1 and 3 (so that
   each side's multi-worker path is compared too) at seeds 0 and 7 on nine of
@@ -50,8 +50,8 @@ _BOX2 = {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
 _PATH6 = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]
 
 # The reference configs: each graph schedule, an empty E(t), a rate sequence,
-# four recording strides, d = 1 to 3, two norms, each kind of space and blocks
-# that end on their step bound.
+# four recording strides, d = 1 to 3, two norms, each kind of space, blocks
+# that end on their step bound, signed zeros and agent ids of two digits.
 CONFIGS = {
     "complete-box2-two-deltas": {
         "n": 12, "dimension": 2, "epsilon": 0.5, "space": _BOX2,
@@ -99,6 +99,17 @@ CONFIGS = {
         "n": 8, "dimension": 2, "epsilon": 1.2, "horizon": 2000,
         "space": {"kind": "cloud",
                   "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.7], [0.2, 0.3]]}},
+    # -0.0 beside 0.0 and repeated rows: the float fields keep the signs apart
+    "initial-signed-zeros-stride1": {
+        "n": 6, "dimension": 2, "epsilon": 0.6, "space": _BOX2,
+        "initial": [[-0.0, 0.0], [0.0, -0.0], [0.5, 0.5], [0.5, 0.5], [-0.0, -0.0], [0.5, 0.5]],
+        "mu": {"kind": "constant", "value": 0.5}, "horizon": 300, "record_stride": 1},
+    # agents 10 and 11, and steps 50 to 99 without an edge (empty i and j fields)
+    "path-n12-empty-stretch": {
+        "n": 12, "epsilon": 0.5, "horizon": 400, "record_stride": 20,
+        "graph": {"kind": "piecewise", "steps": {"0": [[a, a + 1] for a in range(11)],
+                                                 "50": [], "100": [[a, (a + 5) % 12]
+                                                                   for a in range(12)]}}},
     # n >= 64 under linf: the farthest pairs of the first states, all agents on
     # the cube's corners, need the whole scan; later ones a few candidates
     "corners-linf-d3-n300": {
