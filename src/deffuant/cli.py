@@ -416,13 +416,9 @@ def _finite_or_none(value: float) -> Optional[float]:
     return float(value) if np.isfinite(value) else None
 
 
-def _write_violation(out_dir: Path, exc: InvariantViolation, seed: int,
-                     digest: str) -> Path:
-    record = exc.as_record()
-    record["seed"] = seed
-    record["config_digest"] = digest
-    path = out_dir / "violation.json"
-    _write_json(path, record)
+def _write_violation(path: Path, exc: InvariantViolation, **extra) -> Path:
+    """The record of ``exc`` with the keys of ``extra`` added, written to ``path``."""
+    _write_json(path, {**exc.as_record(), **extra})
     return path
 
 
@@ -456,7 +452,8 @@ def cmd_simulate(config: ExperimentConfig, seed: int, out_dir: Path) -> int:
             dyn_rng, observers=observers, record_stride=config.record_stride,
         )
     except InvariantViolation as exc:
-        path = _write_violation(out_dir, exc, seed, digest)
+        path = _write_violation(out_dir / "violation.json", exc, seed=seed,
+                                config_digest=digest)
         print(f"invariant violation at step {exc.step}: {exc} "
               f"(diagnostics: {path})", file=sys.stderr)
         return EXIT_INVARIANT
@@ -622,16 +619,12 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
 AuditRuns = Callable[[], list[AuditRun]]
 
 
-def _suite_contraction(seed: int, runs: AuditRuns) -> dict:
+def _suite_min_slack(slack: str, seed: int, runs: AuditRuns) -> dict:
+    """The fired steps of the live contraction checks and their least ``slack``
+    (``min_basic_slack`` or ``min_refined_slack``)."""
     checks = [r.contraction for r in runs()]
     return {"fired_steps": sum(c.fired_steps for c in checks),
-            "min_basic_slack": _finite_or_none(min(c.min_basic_slack for c in checks))}
-
-
-def _suite_potential_drop(seed: int, runs: AuditRuns) -> dict:
-    checks = [r.contraction for r in runs()]
-    return {"fired_steps": sum(c.fired_steps for c in checks),
-            "min_refined_slack": _finite_or_none(min(c.min_refined_slack for c in checks))}
+            slack: _finite_or_none(min(getattr(c, slack) for c in checks))}
 
 
 def _suite_potential(seed: int, runs: AuditRuns) -> dict:
@@ -697,8 +690,8 @@ def _suite_geometry(seed: int, runs: AuditRuns) -> dict:
 
 
 _SUITE_RUNNERS = {
-    "contraction": _suite_contraction,
-    "potential-drop": _suite_potential_drop,
+    "contraction": functools.partial(_suite_min_slack, "min_basic_slack"),
+    "potential-drop": functools.partial(_suite_min_slack, "min_refined_slack"),
     "potential": _suite_potential,
     "triviality": _suite_triviality,
     "geometry": _suite_geometry,
@@ -717,11 +710,8 @@ def cmd_verify(suite: str, seed: int, out_dir: Path) -> int:
         try:
             stats = _SUITE_RUNNERS[name](seed, runs)
         except InvariantViolation as exc:
-            record = exc.as_record()
-            record["suite"] = name
-            record["seed"] = seed
-            path = out_dir / "verify-failure.json"
-            _write_json(path, record)
+            path = _write_violation(out_dir / "verify-failure.json", exc, suite=name,
+                                    seed=seed)
             print(f"suite {name}: FAIL ({exc}; diagnostics: {path})")
             return EXIT_INVARIANT
         detail = ", ".join(f"{k}={v}" for k, v in stats.items())
