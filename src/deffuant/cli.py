@@ -147,29 +147,6 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _build_space(data: dict, dimension: int) -> OpinionSpace:
-    kind = data.get("kind")
-    if kind == "interval":
-        _reject_unknown(data, {"kind", "a", "b"}, "space")
-        space = Interval(_real(data.get("a", 0.0), "a"), _real(data.get("b", 1.0), "b"))
-    elif kind == "box":
-        _reject_unknown(data, {"kind", "lower", "upper"}, "space")
-        space = Box(_reals(data["lower"], "lower"), _reals(data["upper"], "upper"))
-    elif kind == "ball":
-        _reject_unknown(data, {"kind", "center", "radius", "norm"}, "space")
-        space = BallSpace(_reals(data["center"], "center"), _real(data["radius"], "radius"),
-                          data.get("norm", "euclidean"))
-    elif kind == "cloud":
-        _reject_unknown(data, {"kind", "points"}, "space")
-        space = PointCloud(_reals(data["points"], "points", rows=True))
-    else:
-        raise ConfigurationError(f"unknown space kind {kind!r}")
-    if space.dimension != dimension:
-        raise ConfigurationError(
-            f"space dimension {space.dimension} != configured dimension {dimension}")
-    return space
-
-
 def _edges_from_json(pairs: Any) -> EdgeSet:
     if not isinstance(pairs, list):
         raise ConfigurationError("edge list must be a JSON array of [i, j] pairs")
@@ -188,46 +165,50 @@ def _piecewise_from_mapping(mapping: Any, n: int) -> PiecewiseGraph:
                                    for step, pairs in entries))
 
 
-def _build_graph(data: dict, n: int) -> GraphSchedule:
-    kind = data.get("kind")
-    if kind == "complete":
-        _reject_unknown(data, {"kind"}, "graph")
-        return ConstantGraph(n, complete_edges(n))
-    if kind == "path":
-        _reject_unknown(data, {"kind"}, "graph")
-        return ConstantGraph(n, path_edges(n))
-    if kind == "edges":
-        _reject_unknown(data, {"kind", "pairs"}, "graph")
-        return ConstantGraph(n, _edges_from_json(data["pairs"]))
-    if kind == "erdos_renyi":
-        _reject_unknown(data, {"kind", "p"}, "graph")
-        return ErdosRenyiGraph(n, _real(data["p"], "p"))
-    if kind == "cyclic":
-        _reject_unknown(data, {"kind", "members"}, "graph")
-        members = tuple(_edges_from_json(pairs) for pairs in data["members"])
-        return CyclicGraph(n, members)
-    if kind == "piecewise":
-        _reject_unknown(data, {"kind", "steps"}, "graph")
-        return _piecewise_from_mapping(data["steps"], n)
-    if kind == "from_file":
-        _reject_unknown(data, {"kind", "path"}, "graph")
-        with open(data["path"]) as fh:
-            return _piecewise_from_mapping(json.load(fh), n)
-    raise ConfigurationError(f"unknown graph kind {kind!r}")
+def _graph_from_file(data: dict, n: int) -> PiecewiseGraph:
+    with open(data["path"]) as fh:
+        return _piecewise_from_mapping(json.load(fh), n)
 
 
-def _build_mu(data: dict) -> MuSchedule:
+def _build_kind(section: str, kinds: dict[str, tuple[tuple[str, ...], Callable]],
+                data: dict, *args):
+    """The ``section`` object of ``data["kind"]``: ``kinds`` maps each kind to
+    its keys besides ``kind`` and its builder, called with ``data, *args``."""
     kind = data.get("kind")
-    if kind == "constant":
-        _reject_unknown(data, {"kind", "value"}, "mu")
-        return ConstantMu(_real(data["value"], "mu value"))
-    if kind == "uniform":
-        _reject_unknown(data, {"kind", "low", "high"}, "mu")
-        return UniformMu(_real(data["low"], "low"), _real(data["high"], "high"))
-    if kind == "sequence":
-        _reject_unknown(data, {"kind", "values"}, "mu")
-        return SequenceMu(tuple(_real(v, "mu value") for v in data["values"]))
-    raise ConfigurationError(f"unknown mu kind {kind!r}")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigurationError(f"unknown {section} kind {kind!r}")
+    keys, build = kinds[kind]
+    _reject_unknown(data, {"kind", *keys}, section)
+    return build(data, *args)
+
+
+_SPACE_KINDS = {
+    "interval": (("a", "b"), lambda d: Interval(_real(d.get("a", 0.0), "a"),
+                                                _real(d.get("b", 1.0), "b"))),
+    "box": (("lower", "upper"), lambda d: Box(_reals(d["lower"], "lower"),
+                                              _reals(d["upper"], "upper"))),
+    "ball": (("center", "radius", "norm"), lambda d: BallSpace(
+        _reals(d["center"], "center"), _real(d["radius"], "radius"), d.get("norm", "euclidean"))),
+    "cloud": (("points",), lambda d: PointCloud(_reals(d["points"], "points", rows=True))),
+}
+_GRAPH_KINDS = {
+    "complete": ((), lambda d, n: ConstantGraph(n, complete_edges(n))),
+    "path": ((), lambda d, n: ConstantGraph(n, path_edges(n))),
+    "edges": (("pairs",), lambda d, n: ConstantGraph(n, _edges_from_json(d["pairs"]))),
+    "erdos_renyi": (("p",), lambda d, n: ErdosRenyiGraph(n, _real(d["p"], "p"))),
+    "cyclic": (("members",), lambda d, n: CyclicGraph(
+        n, tuple(_edges_from_json(pairs) for pairs in d["members"]))),
+    "piecewise": (("steps",), lambda d, n: _piecewise_from_mapping(d["steps"], n)),
+    "from_file": (("path",), _graph_from_file),
+}
+_MU_KINDS = {
+    "constant": (("value",), lambda d: ConstantMu(_real(d["value"], "mu value"))),
+    "uniform": (("low", "high"), lambda d: UniformMu(_real(d["low"], "low"),
+                                                     _real(d["high"], "high"))),
+    "sequence": (("values",), lambda d: SequenceMu(tuple(_real(v, "mu value")
+                                                         for v in d["values"]))),
+}
+_build_graph = functools.partial(_build_kind, "graph", _GRAPH_KINDS)
 
 
 def load_config(path: Optional[str], overrides: argparse.Namespace) -> ExperimentConfig:
@@ -249,14 +230,11 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> Experimen
         _reject_unknown(loaded, set(_DEFAULT_CONFIG), "config")
         raw.update(loaded)
 
-    if getattr(overrides, "epsilon", None) is not None:
-        raw["epsilon"] = overrides.epsilon
+    for key in ("epsilon", "n", "horizon"):
+        if getattr(overrides, key, None) is not None:
+            raw[key] = getattr(overrides, key)
     if getattr(overrides, "mu", None) is not None:
         raw["mu"] = {"kind": "constant", "value": overrides.mu}
-    if getattr(overrides, "n", None) is not None:
-        raw["n"] = overrides.n
-    if getattr(overrides, "horizon", None) is not None:
-        raw["horizon"] = overrides.horizon
     try:
         return _build_config(raw)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -314,12 +292,15 @@ def _build_config(raw: dict[str, Any]) -> ExperimentConfig:
     for key in ("space", "graph", "mu"):
         if not isinstance(raw[key], dict):
             raise ConfigurationError(f"{key} must be a JSON object")
-    space = _build_space(raw["space"], dimension)
+    space = _build_kind("space", _SPACE_KINDS, raw["space"])
+    if space.dimension != dimension:
+        raise ConfigurationError(
+            f"space dimension {space.dimension} != configured dimension {dimension}")
     if isinstance(space, BallSpace) and space.norm != params.norm:
         raise ConfigurationError(
             f"space is a ball in norm {space.norm!r}, the model measures in {params.norm!r}")
     graph = _build_graph(raw["graph"], n)
-    mu = _build_mu(raw["mu"])
+    mu = _build_kind("mu", _MU_KINDS, raw["mu"])
     deltas = [_real(d, "delta") for d in (raw["deltas"] or [])]
     if any(d <= 0 for d in deltas):
         raise ConfigurationError(f"deltas must be > 0, got {deltas}")

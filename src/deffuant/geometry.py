@@ -9,7 +9,6 @@ the Gram system of the support).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,9 +18,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .norms import cross_distances, lengths, validate_norm
 
-log = logging.getLogger(__name__)
-
-# Radius/diameter comparisons; MEB containment uses a tighter relative guard.
+# The tolerance of Ball.contains; MEB containment uses a tighter relative guard.
 _COVER_TOL = 1e-9
 _WELZL_SHUFFLE_SEED = 0x5EB
 
@@ -396,29 +393,17 @@ def chebyshev_center(space: OpinionSpace, norm: str = "euclidean") -> Ball:
     validate_norm(norm)
     if isinstance(space, Box):
         half = (space.upper - space.lower) / 2.0
-        ball = Ball((space.lower + space.upper) / 2.0, float(lengths(half, norm)))
-    elif isinstance(space, BallSpace):
-        ball = Ball(space.center.copy(), space.radius)   # space.diameter checks the norm
-    elif isinstance(space, PointCloud):
+        return Ball((space.lower + space.upper) / 2.0, float(lengths(half, norm)))
+    if isinstance(space, BallSpace):
+        if space.norm != norm:
+            raise ConfigurationError(f"ball declared in norm {space.norm!r}, queried in {norm!r}")
+        return Ball(space.center.copy(), space.radius)
+    if isinstance(space, PointCloud):
         if norm == "euclidean":
-            ball = minimum_enclosing_ball(space.points)
-        else:
-            if norm == "l1":
-                log.info("l1 chebyshev center of a point cloud uses the bounding-box "
-                         "midpoint (approximate)")
-            center = (space.points.min(axis=0) + space.points.max(axis=0)) / 2.0
-            radius = float(lengths(space.points - center, norm).max())
-            ball = Ball(center, radius)
-    else:
-        raise ConfigurationError(f"unsupported opinion space {type(space).__name__}")
-
-    diam = space.diameter(norm)
-    if ball.radius > (np.sqrt(3.0) / 2.0) * diam + _COVER_TOL:
-        log.warning(
-            "enclosing radius %.6g exceeds sqrt(3)/2 * diameter (%.6g); "
-            "bound violated, continuing", ball.radius, (np.sqrt(3.0) / 2.0) * diam,
-        )
-    return ball
+            return minimum_enclosing_ball(space.points)
+        center = (space.points.min(axis=0) + space.points.max(axis=0)) / 2.0
+        return Ball(center, float(lengths(space.points - center, norm).max()))
+    raise ConfigurationError(f"unsupported opinion space {type(space).__name__}")
 
 
 # ---------------------------------------------------------------------------

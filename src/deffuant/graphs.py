@@ -235,6 +235,8 @@ class ErdosRenyiGraph(GraphSchedule):
             raise ConfigurationError(f"need n >= 1, got {n}")
         if not (0.0 <= p <= 1.0):
             raise ConfigurationError(f"p must lie in [0, 1], got {p}")
+        if not (0 <= seed <= _MASK64):
+            raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
         self.n = n
         self.p = float(p)
         self.seed = int(seed)
@@ -306,10 +308,12 @@ class ErdosRenyiEdges(EdgeSet):
 
 @dataclass(frozen=True)
 class PiecewiseGraph(GraphSchedule):
-    """Explicit step -> edge-set map; the last defined entry persists.
+    """Explicit step -> edge-set map; the last defined entry persists forever.
 
-    Built from files; connectivity beyond the horizon is unknowable, so the
-    connected-infinitely-often flag is never set.
+    The connected-infinitely-often flag is never set, even where that last
+    entry is connected: a conservative choice, under which a trial's state
+    of diameter within epsilon, but above its consensus tolerance, is never
+    classified as bound for consensus.
     """
 
     n: int

@@ -127,7 +127,10 @@ def check_potential_monotone(
 
 
 def lattice_points(lower: np.ndarray, upper: np.ndarray, count: int) -> np.ndarray:
-    """(count, d) mesh of reference points covering the box [lower, upper]."""
+    """The first ``count`` points, in row-major order, of a mesh spanning the
+    box [lower, upper] with ceil(count ** (1/d)) points an axis.  At d >= 2
+    they need not cover the box: at count 10 axis 0 stops at 2/3 of it at
+    d = 2 and at 1/2 at d = 3."""
     lo = np.asarray(lower, dtype=float).ravel()
     hi = np.asarray(upper, dtype=float).ravel()
     if lo.shape != hi.shape or not np.all(lo <= hi):

@@ -81,6 +81,66 @@ def test_flags_beat_config_file(tmp_path):
     assert config.mu.value == 0.25
 
 
+@pytest.mark.parametrize("flag, value", [("epsilon", 1.25), ("mu", 0.25), ("n", 7),
+                                         ("horizon", 900)])
+def test_each_override_flag_ends_up_in_the_loaded_config(tmp_path, flag, value):
+    path = write_config(tmp_path, epsilon=0.5, n=4, horizon=300,
+                        mu={"kind": "uniform", "low": 0.1, "high": 0.2})
+    config = cli.load_config(path, argparse.Namespace(**{flag: value}))
+    read = {"epsilon": config.params.epsilon, "n": config.n, "horizon": config.horizon,
+            "mu": config.mu.value if flag == "mu" else (config.mu.low, config.mu.high)}
+    assert read == {"epsilon": 0.5, "n": 4, "horizon": 300, "mu": (0.1, 0.2), flag: value}
+    assert config.raw[flag] == ({"kind": "constant", "value": value} if flag == "mu" else value)
+    assert config.graph.n == config.n
+
+
+# every key each kind allows, besides "kind"
+_SECTION_KEYS = {
+    "space": {"interval": ["a", "b"], "box": ["lower", "upper"],
+              "ball": ["center", "norm", "radius"], "cloud": ["points"]},
+    "graph": {"complete": [], "path": [], "edges": ["pairs"], "erdos_renyi": ["p"],
+              "cyclic": ["members"], "piecewise": ["steps"], "from_file": ["path"]},
+    "mu": {"constant": ["value"], "uniform": ["high", "low"], "sequence": ["values"]},
+}
+
+
+def _config_error(tmp_path, **config) -> str:
+    with pytest.raises(cli.ConfigurationError) as info:
+        cli.load_config(write_config(tmp_path, **config), argparse.Namespace())
+    return str(info.value)
+
+
+@pytest.mark.parametrize("section", sorted(_SECTION_KEYS))
+def test_each_section_names_an_unknown_kind_and_an_unknown_key(tmp_path, section):
+    for data, kind in (({"kind": "bogus"}, "'bogus'"), ({}, "None"),
+                       ({"kind": ["complete"]}, "['complete']"), ({"kind": 1}, "1")):
+        assert _config_error(tmp_path, **{section: data}) == f"unknown {section} kind {kind}"
+    for kind, keys in _SECTION_KEYS[section].items():
+        # the unknown key is named before any value, or a missing key, is read
+        for extra in ({"zz": 1}, {"zz": 1, **dict.fromkeys(keys)}):
+            assert _config_error(tmp_path, **{section: {"kind": kind, **extra}}) == \
+                f"unknown {section} keys: ['zz']"
+    assert _config_error(tmp_path, graph={"kind": "erdos_renyi"}) == "missing key 'p'"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "config file must hold a JSON object"),
+    ('{"deltas": [0.1, 0]}', "deltas must be > 0, got [0.1, 0.0]"),
+])
+def test_a_config_that_is_no_object_or_has_a_delta_of_zero_is_named(tmp_path, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(cli.ConfigurationError) as info:
+        cli.load_config(str(path), argparse.Namespace())
+    assert str(info.value) == message
+
+
+def test_estimate_of_no_trial_exits_config(tmp_path, capsys):
+    assert cli_main(["estimate", "--trials", "0", "--out-dir", str(tmp_path)]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: need trials >= 1, got 0\n"
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = write_config(tmp_path, epsilonn=0.5)
     assert cli_main(["simulate", "--config", path,

@@ -456,6 +456,16 @@ def test_er_validation_and_degenerate_p():
     assert full.connected_infinitely_often
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+def test_an_er_seed_outside_64_bits_is_rejected_when_the_graph_is_built(seed):
+    # both constructed, and a run then raised numpy's OverflowError from the
+    # array branch of ``members``, which the scalar branch masked
+    with pytest.raises(ConfigurationError, match=r"seed must lie in \[0, 2\^64\)"):
+        ErdosRenyiGraph(6, 0.5, seed=seed)
+    with pytest.raises(ConfigurationError):
+        ErdosRenyiGraph(6, 0.5).reseeded(seed)
+
+
 def test_er_mean_edge_count():
     # K_10 has 45 candidate edges; at p = 0.5 the per-step count averages
     # 22.5 with standard error ~0.034 over 10^4 steps

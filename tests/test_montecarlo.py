@@ -286,6 +286,14 @@ def test_run_trial_waits_for_stopping_time():
     assert result.steps_run >= result.tau_delta > 0
 
 
+def test_an_ensemble_needs_a_trial_and_a_worker():
+    template = _config(horizon=50)
+    with pytest.raises(ConfigurationError, match=r"^need n_trials >= 1, got 0$"):
+        run_ensemble(template, 0)
+    with pytest.raises(ConfigurationError, match=r"^need workers >= 1, got 0$"):
+        run_ensemble(template, 3, workers=0)
+
+
 def test_ensemble_is_deterministic_and_worker_independent():
     template = _config(horizon=2000, n=6, master_seed=5)
     a = run_ensemble(template, 40)

@@ -133,19 +133,19 @@ ESTIMATE_ONLY = {
         "space": {"kind": "box", "lower": [0.0] * 3, "upper": [1.0] * 3},
         "mu": {"kind": "uniform", "low": 0.1, "high": 0.5}, "horizon": 3000},
 }
-# Run in each root with a config path, a seed and a trial count: each trial of
-# ``estimate``, built as ``cli.cmd_estimate`` builds it, as "k steps_run tau_delta".
+# Run in each root with the change's ``tools``, a config path, a seed and a
+# trial count: each trial of ``estimate``, from the template that
+# ``bench_pair.estimate_template`` builds as ``cli.cmd_estimate`` does, as
+# "k steps_run tau_delta".
 TRIAL_STOPS = """
-import argparse, sys
-from deffuant import TrialConfig, cli, run_trial
-config = cli.load_config(sys.argv[1], argparse.Namespace())
-for k in range(int(sys.argv[3])):
-    result = run_trial(TrialConfig(
-        n=config.n, params=config.params, space=config.space, graph_schedule=config.graph,
-        mu_schedule=config.mu, horizon=config.horizon, consensus_tol=config.consensus_tol,
-        master_seed=int(sys.argv[2]), trial_index=k,
-        track_delta=config.deltas[0] if config.deltas else None,
-        check_every=config.check_every))
+import dataclasses, json, sys
+sys.path.insert(0, sys.argv[1])
+from bench_pair import estimate_template
+from deffuant import run_trial
+with open(sys.argv[2]) as fh:
+    template = estimate_template(json.load(fh), int(sys.argv[3]))
+for k in range(int(sys.argv[4])):
+    result = run_trial(dataclasses.replace(template, trial_index=k))
     print(k, result.steps_run, result.tau_delta)
 """
 DEMOS = sorted(path.name for path in (ROOT / "demos").glob("0[1-5]_*.py"))
@@ -195,8 +195,9 @@ def run(root: Path, args: list[str], out_dir: Path) -> dict[str, bytes]:
     if args[0] == "verify":
         artifacts["stdout"] = proc.stdout
     if args[0] == "estimate":
-        stops = python(root, ["-c", TRIAL_STOPS, *(args[args.index(option) + 1] for option in
-                                                    ("--config", "--seed", "--trials"))])
+        stops = python(root, ["-c", TRIAL_STOPS, str(ROOT / "tools"),
+                              *(args[args.index(option) + 1] for option in
+                                ("--config", "--seed", "--trials"))])
         artifacts["trial stops"] = stops.stdout + stops.stderr
     return artifacts
 
