@@ -5,7 +5,9 @@ geometric ingredients, each provided by the package:
 
   * chebyshev_center(space)        -> smallest ball B(c, r) around a region,
   * expected_center_distance(...)  -> E||X - c|| for X uniform on the region
-                                      (closed form in 1-D, Monte Carlo with a
+                                      (closed form for boxes under l1 and
+                                      linf, rectangles, balls from their
+                                      centre and clouds; Monte Carlo with a
                                       reported standard error otherwise),
   * minimum_enclosing_ball(points) -> exact smallest ball around a finite
                                       opinion cloud, for live trajectories.

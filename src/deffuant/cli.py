@@ -26,7 +26,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .errors import BoundInapplicableError, ConfigurationError, InvariantViolation
+from .errors import ConfigurationError, InvariantViolation
 from .geometry import (
     BallSpace,
     Box,
@@ -74,6 +74,7 @@ from .model import (
     side_stream,
 )
 from .montecarlo import (
+    BOUND_SE_Z,
     TrialConfig,
     bound_comparison_report,
     run_ensemble,
@@ -166,6 +167,9 @@ def _piecewise_from_mapping(mapping: Any, n: int) -> PiecewiseGraph:
 
 
 def _graph_from_file(data: dict, n: int) -> PiecewiseGraph:
+    # open() takes an int as a file descriptor: 0 would read stdin
+    if not isinstance(data["path"], str):
+        raise ConfigurationError(f"graph path must be a string, got {data['path']!r}")
     with open(data["path"]) as fh:
         return _piecewise_from_mapping(json.load(fh), n)
 
@@ -537,15 +541,15 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
     estimate = ensemble.estimate
 
     ball = chebyshev_center(config.space, config.params.norm)
-    expected_dist, expected_se = expected_center_distance(
-        config.space, ball.center, norm=config.params.norm, rng=side_stream(seed, "bound"))
-    try:
-        bound = theoretical_lower_bound(config.params.epsilon, ball, expected_dist)
-        bound_note = None
-    except BoundInapplicableError as exc:
-        bound = None
-        bound_note = str(exc)
-    report = bound_comparison_report(estimate, bound)
+    epsilon = config.params.epsilon
+    expected_dist = expected_se = bound = tested = None
+    if epsilon > ball.radius:   # else the bound is inapplicable and needs no E
+        expected_dist, expected_se = expected_center_distance(
+            config.space, ball.center, norm=config.params.norm, rng=side_stream(seed, "bound"))
+        bound = theoretical_lower_bound(epsilon, ball, expected_dist)
+        tested = theoretical_lower_bound(epsilon, ball,
+                                         expected_dist + BOUND_SE_Z * expected_se)
+    report = bound_comparison_report(estimate, bound, tested)
 
     payload = {
         "config_digest": digest,
@@ -560,6 +564,8 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
         "expected_center_distance": expected_dist,
         "expected_center_distance_se": expected_se,
         "bound": report.bound,
+        "tested_bound": report.tested_bound,
+        "tested_bound_z": None if bound is None else BOUND_SE_Z,
         "bound_applicable": bound is not None,
         "margin": report.margin,
         "passed": report.passed,
@@ -583,10 +589,13 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
           f"({estimate.n_undecided} undecided)")
     if bound is not None:
         state = "consistent" if report.passed else "CONTRADICTED"
+        at_se = (f", tested at E + {BOUND_SE_Z:g} se: {report.tested_bound:.6g}"
+                 if expected_se else "")
         print(f"  lower bound {bound:.6g}: {state} "
-              f"(margin ci_low - bound = {report.margin:+.4f})")
+              f"(margin ci_low - bound = {report.margin:+.4f}{at_se})")
     else:
-        print(f"  lower bound inapplicable: {bound_note}")
+        print(f"  lower bound inapplicable: it needs epsilon > enclosing radius, got "
+              f"epsilon={epsilon}, radius={ball.radius}")
     print(f"  outputs in {out_dir} (runtime {elapsed:.2f}s)")
     if report.passed is False:
         return EXIT_BOUND

@@ -414,6 +414,66 @@ MONTE_CARLO_SAMPLES = 200_000
 _MEASURE_ROWS = 4096
 
 
+def _interval_mean(a: float, b: float, c: float) -> float:
+    """E|X - c| for X uniform on [a, b]."""
+    # Past about 2^500 the squares below overflow, so such an interval is
+    # measured scaled by a power of two, which is exact, and scaled back;
+    # below it every number keeps its bits.
+    big = max(abs(a), abs(b), abs(c))
+    k = math.frexp(big)[1] if big > 2.0 ** 500 else 0
+    a, b, c = (math.ldexp(float(v), -k) for v in (a, b, c))
+    if c <= a:
+        mean = (a + b) / 2.0 - c
+    elif c >= b:
+        mean = c - (a + b) / 2.0
+    else:
+        mean = ((c - a) ** 2 + (b - c) ** 2) / (2.0 * (b - a))
+    return math.ldexp(mean, k)
+
+
+def _box_linf_mean(box: Box, c: np.ndarray) -> float:
+    """E max_k |X_k - c_k| = integral over t >= 0 of 1 - prod_k F_k(t), with F_k
+    the CDF of |X_k - c_k|: the share of [c_k - t, c_k + t] inside the box's
+    side.  Between the sorted breakpoints |c_k - lower_k|, |upper_k - c_k|
+    each F_k is linear, u + w s with s running from 0 to 1 across the piece,
+    so the product is a polynomial of degree d in s, integrated exactly."""
+    near, far = c - box.lower, box.upper - c
+    t = np.unique(np.abs(np.concatenate(([0.0], near, far))))[:, None]
+    cdf = np.maximum(0.0, np.minimum(t, near) + np.minimum(t, far)) / (box.upper - box.lower)
+    u, w = cdf[:-1], np.diff(cdf, axis=0)
+    coef = np.ones((len(u), 1))   # of s^0, s^1, ... on each piece
+    for k in range(box.dimension):
+        coef = (np.pad(coef * u[:, k:k + 1], ((0, 0), (0, 1)))
+                + np.pad(coef * w[:, k:k + 1], ((0, 0), (1, 0))))
+    return float(np.diff(t[:, 0]) @ (1.0 - coef @ (1.0 / np.arange(1, box.dimension + 2))))
+
+
+def _corner_integral(a: float, b: float) -> float:
+    """The integral of sqrt(x^2 + y^2) over the rectangle from (0, 0) to
+    (a, b), signed: (1/6)[2ab rho + a^3 ln((b + rho)/a) + b^3 ln((a + rho)/b)]
+    for a, b > 0, rho = sqrt(a^2 + b^2), with ln((b + rho)/a) = asinh(b/a)."""
+    x, y = abs(a), abs(b)
+    if x == 0.0 or y == 0.0:
+        return 0.0
+    g = (2.0 * x * y * math.hypot(x, y) + x ** 3 * math.asinh(y / x)
+         + y ** 3 * math.asinh(x / y)) / 6.0
+    return g if (a > 0) == (b > 0) else -g
+
+
+def _box_euclidean_2d_mean(box: Box, c: np.ndarray) -> float:
+    """The mean of |X - c| over a rectangle: the signed corner integrals of
+    its four corners about c, over its area.  With c outside the box the
+    four terms cancel, and precision falls as c moves away.  Measured scaled
+    by a power of two, exact, so that the cubes neither overflow nor
+    underflow."""
+    lo, hi = box.lower - c, box.upper - c
+    k = math.frexp(float(np.abs(np.concatenate((lo, hi))).max()))[1]
+    (x0, y0), (x1, y1) = (np.ldexp(lo, -k).tolist(), np.ldexp(hi, -k).tolist())
+    total = (_corner_integral(x1, y1) - _corner_integral(x0, y1)
+             - _corner_integral(x1, y0) + _corner_integral(x0, y0))
+    return math.ldexp(total / ((x1 - x0) * (y1 - y0)), k)
+
+
 def expected_center_distance(
     space: OpinionSpace,
     center: np.ndarray,
@@ -422,36 +482,41 @@ def expected_center_distance(
 ) -> tuple[float, float]:
     """(estimate, std_error) of the mean distance from a uniform draw to ``center``.
 
-    Exact in closed form for every one-dimensional box or ball, an interval
-    [a, b] in any norm; otherwise a Monte Carlo mean of MONTE_CARLO_SAMPLES
-    draws from ``rng`` with its sample standard error.
+    Exact in closed form, evaluated in floats, with std_error 0.0, for:
+    - a one-dimensional box or ball, an interval [a, b], in any norm;
+    - a box under l1: the sum of its coordinates' interval means;
+    - a box under linf: the integral of 1 - prod_k F_k(t) over t >= 0, F_k the
+      piecewise-linear CDF of |X_k - c_k|, exact between its breakpoints;
+    - a box under euclidean at d = 2: the corner integrals of its four
+      corners about ``center``, signed, so ``center`` may lie outside;
+    - a ball from its own centre in its own norm: r d / (d + 1), since the
+      norm of a uniform draw is distributed as r U^(1/d);
+    - a point cloud: the mean distance of its points, each row once.
+    Otherwise (a euclidean box of d >= 3, a ball measured from another point
+    or in another norm) a Monte Carlo mean of MONTE_CARLO_SAMPLES draws from
+    ``rng`` with its sample standard error.
     """
     validate_norm(norm)
     c = np.asarray(center, dtype=float).ravel()
-    if c.shape[0] != space.dimension:
-        raise ConfigurationError(
-            f"center dimension {c.shape[0]} != space dimension {space.dimension}"
-        )
+    d = space.dimension
+    if c.shape[0] != d:
+        raise ConfigurationError(f"center dimension {c.shape[0]} != space dimension {d}")
 
-    interval = None
-    if isinstance(space, Box) and space.dimension == 1:
-        interval = (space.lower[0], space.upper[0])
-    elif isinstance(space, BallSpace) and space.dimension == 1:
-        interval = (space.center[0] - space.radius, space.center[0] + space.radius)
-    if interval is not None:
-        # Past about 2^500 the squares below overflow, so such an interval is
-        # measured scaled by a power of two, which is exact, and scaled back;
-        # below it every number keeps its bits.
-        big = max(abs(v) for v in (*interval, c[0]))
-        k = math.frexp(big)[1] if big > 2.0 ** 500 else 0
-        a, b, c0 = (math.ldexp(float(v), -k) for v in (*interval, c[0]))
-        if c0 <= a:
-            mean = (a + b) / 2.0 - c0
-        elif c0 >= b:
-            mean = c0 - (a + b) / 2.0
-        else:
-            mean = ((c0 - a) ** 2 + (b - c0) ** 2) / (2.0 * (b - a))
-        return math.ldexp(mean, k), 0.0
+    if isinstance(space, Box):
+        if d == 1 or norm == "l1":
+            return sum(map(_interval_mean, space.lower, space.upper, c)), 0.0
+        if norm == "linf":
+            return _box_linf_mean(space, c), 0.0
+        if d == 2:
+            return _box_euclidean_2d_mean(space, c), 0.0
+    elif isinstance(space, BallSpace):
+        if d == 1:
+            return _interval_mean(space.center[0] - space.radius,
+                                  space.center[0] + space.radius, c[0]), 0.0
+        if norm == space.norm and np.array_equal(c, space.center):
+            return space.radius * d / (d + 1), 0.0
+    elif isinstance(space, PointCloud):
+        return float(lengths(space.points - c, norm).mean()), 0.0
 
     if rng is None:
         raise ConfigurationError("Monte Carlo estimate needs an rng")

@@ -41,13 +41,14 @@ def write_config(tmp_path, name="config.json", **overrides):
     return str(path)
 
 
-def run_cli_process(argv):
-    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+def run_cli_process(argv, stdin=None):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr;
+    ``stdin``, if given, is the text its standard input reads."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "deffuant.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          input=stdin, capture_output=True, text=True, env=env, timeout=120)
 
 
 def _command_argv(command, path, out):
@@ -286,6 +287,18 @@ def test_missing_graph_file_exits_config(tmp_path):
                                          "path": str(tmp_path / "nope.json")})
     assert cli_main(["simulate", "--config", path,
                      "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("graph_path", [0, True, ["a"]])
+def test_a_graph_file_path_that_is_not_a_string_exits_config(tmp_path, graph_path):
+    # open() takes an int as a file descriptor: a path of 0 read this graph
+    # from stdin and exited 0, and true (fd 1) failed with "Bad file descriptor"
+    path = write_config(tmp_path, graph={"kind": "from_file", "path": graph_path})
+    proc = run_cli_process(["simulate", "--config", path, "--out-dir", str(tmp_path / "out")],
+                           stdin=json.dumps({"0": [[a, a + 1] for a in range(5)]}))
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stderr.startswith("config error") and "path must be a string" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_suite_rejected_by_parser(tmp_path):
@@ -792,18 +805,56 @@ def test_estimate_check_every_takes_effect(tmp_path):
     assert all(b == "" or int(a) <= int(b) for a, b in zip(decided[1], decided[None]))
 
 
-def test_estimate_reports_inapplicable_bound(tmp_path):
-    out = tmp_path / "out"
-    # interval radius 0.5 >= epsilon 0.4: hypothesis fails, estimation still runs
-    path = write_config(tmp_path, epsilon=0.4, horizon=200)
-    assert cli_main(["estimate", "--config", path, "--trials", "10",
-                     "--threads", "1", "--seed", "2",
-                     "--out-dir", str(out)]) == 0
-    payload = read_json(out / "ensemble.json")
-    assert payload["bound"] is None
-    assert payload["bound_applicable"] is False
-    assert payload["passed"] is None
-    assert payload["n_trials"] == 10
+def test_estimate_reports_inapplicable_bound(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "expected_center_distance", lambda *a, **kw: calls.append(a))
+    for name, space, dimension in (
+            ("interval", {"kind": "interval", "a": 0.0, "b": 1.0}, 1),
+            ("square", {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}, 2)):
+        out = tmp_path / name
+        # enclosing radius (0.5, 0.707) >= epsilon 0.4: hypothesis fails,
+        # estimation still runs
+        path = write_config(tmp_path, epsilon=0.4, horizon=200, space=space,
+                            dimension=dimension)
+        assert cli_main(["estimate", "--config", path, "--trials", "10",
+                         "--threads", "1", "--seed", "2",
+                         "--out-dir", str(out)]) == 0
+        payload = read_json(out / "ensemble.json")
+        for key in ("bound", "tested_bound", "tested_bound_z", "passed", "margin",
+                    "expected_center_distance", "expected_center_distance_se"):
+            assert payload[key] is None
+        assert payload["bound_applicable"] is False
+        assert payload["n_trials"] == 10
+    assert calls == []   # no E d(X, c) is computed for a bound that does not apply
+
+
+def test_estimate_tests_a_monte_carlo_bound_at_e_plus_z_se(tmp_path, monkeypatch):
+    # the unit cube under euclidean: E d(X, c) is a Monte Carlo mean
+    cube = {"kind": "box", "lower": [0.0] * 3, "upper": [1.0] * 3}
+    path = write_config(tmp_path, dimension=3, space=cube, epsilon=1.5)
+    argv = ["estimate", "--config", path, "--trials", "20", "--threads", "1", "--seed", "4"]
+    assert cli_main([*argv, "--out-dir", str(tmp_path / "real")]) == 0
+    real = read_json(tmp_path / "real" / "ensemble.json")
+    e, se, z = (real[k] for k in ("expected_center_distance", "expected_center_distance_se",
+                                  "tested_bound_z"))
+    assert se > 0 and z == 3.0
+    bound, tested = (1 - x / (1.5 - real["radius"]) for x in (e, e + z * se))
+    assert real["bound"] == pytest.approx(bound, rel=1e-14)
+    assert real["tested_bound"] == pytest.approx(tested, rel=1e-14) and tested < bound
+
+    def fake(ci_high):
+        return EnsembleResult(
+            estimate=ConsensusEstimate(p_hat=ci_high - 0.05, ci_low=ci_high - 0.1,
+                                       ci_high=ci_high, n_trials=20, n_undecided=0),
+            counts={"consensus": 4, "dissensus": 16, "undecided": 0}, rows=[])
+
+    # below the bound but not below the tested bound: no contradiction
+    monkeypatch.setattr(cli, "run_ensemble", lambda *a, **kw: fake((bound + tested) / 2))
+    assert cli_main([*argv, "--out-dir", str(tmp_path / "near")]) == 0
+    assert read_json(tmp_path / "near" / "ensemble.json")["passed"] is True
+    monkeypatch.setattr(cli, "run_ensemble", lambda *a, **kw: fake(tested - 0.01))
+    assert cli_main([*argv, "--out-dir", str(tmp_path / "below")]) == cli.EXIT_BOUND
+    assert read_json(tmp_path / "below" / "ensemble.json")["passed"] is False
 
 
 def test_estimate_contradicted_bound_exits_4(tmp_path, monkeypatch):
@@ -848,6 +899,7 @@ def test_an_interval_and_the_same_one_dimensional_box_give_the_same_artifacts(tm
     assert ensemble["expected_center_distance"] == 0.5   # exact: (b - a) / 4
     assert ensemble["expected_center_distance_se"] == 0.0
     assert ensemble["bound"] == 0.5                       # 1 - E d / (epsilon - r)
+    assert ensemble["tested_bound"] == 0.5                # exact E: tested at E itself
 
 
 # ---------------------------------------------------------------------------

@@ -448,26 +448,162 @@ def test_expected_distance_1d_ball_closed_form():
     assert est == 0.25 and se == 0.0
 
 
-def test_expected_distance_disk_monte_carlo():
-    # uniform unit disk: E || X || = 2/3
-    rng = np.random.default_rng(6)
-    est, se = expected_center_distance(
-        BallSpace([0.0, 0.0], 1.0), np.array([0.0, 0.0]), rng=rng)
+# Every closed form below is checked against scipy.integrate (in the tests
+# only: scipy is not a dependency) or a fixed-seed Monte Carlo mean of 10^7
+# draws.  Quadrature asks for a relative 1e-12 or better on integrands split
+# at their kinks, and a closed form is held to a relative 1e-9 of it.  A
+# Monte Carlo mean is held to 4 of its own standard errors.
+_ORD = {"euclidean": 2, "l1": 1, "linf": np.inf}
+
+
+def _random_box(rng, d, inside):
+    lower = rng.uniform(-2.0, 2.0, d)
+    upper = lower + rng.uniform(0.1, 3.0, d)
+    if inside:
+        return lower, upper, rng.uniform(lower, upper)
+    return lower, upper, np.where(rng.random(d) < 0.5, lower - rng.uniform(0.01, 2.0, d),
+                                  upper + rng.uniform(0.01, 2.0, d))
+
+
+def _monte_carlo(space, center, norm, draws=10 ** 7, seed=2027):
+    """Mean distance and its standard error over ``draws`` draws, 10^6 at a time."""
+    rng = np.random.default_rng(seed)
+    dists = np.concatenate([np.linalg.norm(space.sample(rng, 10 ** 6) - center,
+                                           ord=_ORD[norm], axis=1)
+                            for _ in range(draws // 10 ** 6)])
+    return dists.mean(), dists.std(ddof=1) / math.sqrt(draws)
+
+
+def _split(a, b, c):
+    """[a, b] cut at c where c lies inside it: the kinks of |x - c|."""
+    return [a, c, b] if a < c < b else [a, b]
+
+
+def test_expected_distance_of_the_unit_square_from_its_centre():
+    square, c = Box([0.0, 0.0], [1.0, 1.0]), np.array([0.5, 0.5])
+    exact = {"euclidean": (math.sqrt(2.0) + math.log(1.0 + math.sqrt(2.0))) / 6.0,
+             "l1": 0.5, "linf": 1.0 / 3.0}
+    for norm, value in exact.items():
+        est, se = expected_center_distance(square, c, norm)
+        assert est == pytest.approx(value, rel=1e-15) and se == 0.0
+    assert exact["euclidean"] == pytest.approx(0.382598, abs=5e-7)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("inside", [True, False])
+def test_expected_distance_of_a_box_under_l1_and_linf_matches_quadrature(d, inside):
+    quad = pytest.importorskip("scipy.integrate").quad
+    rng = np.random.default_rng(100 * d + inside)
+    for _ in range(5):
+        lower, upper, c = _random_box(rng, d, inside)
+        box = Box(lower, upper)
+        l1 = sum(quad(lambda x, ck=ck: abs(x - ck), a, b, points=[ck] if a < ck < b else None,
+                      epsabs=0.0, epsrel=1e-13)[0] / (b - a)
+                 for a, b, ck in zip(lower, upper, c))
+        assert expected_center_distance(box, c, "l1") == (pytest.approx(l1, rel=1e-9), 0.0)
+
+        # E max_k |X_k - c_k| = integral over t of P(max > t), from the share
+        # of each side within t of c_k
+        def tail(t):
+            inside_t = np.minimum(c + t, upper) - np.maximum(c - t, lower)
+            return 1.0 - np.prod(np.clip(inside_t / (upper - lower), 0.0, 1.0))
+
+        kinks = np.abs(np.concatenate((lower - c, upper - c)))
+        top = kinks.max()
+        linf = quad(tail, 0.0, top, points=kinks[kinks < top], epsabs=0.0, epsrel=1e-13,
+                    limit=200)[0]
+        assert expected_center_distance(box, c, "linf") == (pytest.approx(linf, rel=1e-9), 0.0)
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_expected_distance_of_a_rectangle_under_euclidean_matches_quadrature(inside):
+    dblquad = pytest.importorskip("scipy.integrate").dblquad
+    rng = np.random.default_rng(31 + inside)
+    for _ in range(5):
+        (x0, y0), (x1, y1), (cx, cy) = _random_box(rng, 2, inside)
+        total = sum(dblquad(lambda y, x: math.hypot(x - cx, y - cy), xa, xb, ya, yb,
+                            epsabs=0.0, epsrel=1e-12)[0]
+                    for xs in [_split(x0, x1, cx)] for xa, xb in zip(xs, xs[1:])
+                    for ys in [_split(y0, y1, cy)] for ya, yb in zip(ys, ys[1:]))
+        est, se = expected_center_distance(Box([x0, y0], [x1, y1]), np.array([cx, cy]))
+        assert est == pytest.approx(total / ((x1 - x0) * (y1 - y0)), rel=1e-9) and se == 0.0
+
+
+@pytest.mark.parametrize("norm, center", [("linf", [-0.3, 0.4, 2.5, 0.1]),
+                                          ("euclidean", [0.2, 1.7])])
+def test_expected_distance_of_a_box_matches_ten_million_draws(norm, center):
+    c = np.array(center)
+    box = Box(np.zeros(c.size), np.arange(1.0, c.size + 1.0))
+    est, se = expected_center_distance(box, c, norm)
+    mean, mc_se = _monte_carlo(box, c, norm)
+    assert se == 0.0 and abs(est - mean) < 4 * mc_se
+
+
+def test_expected_distance_of_a_box_far_out_neither_overflows_nor_underflows():
+    for scale in (2.0 ** -600, 2.0 ** 400):
+        box, c = Box([0.0, -1.0], [1.0, 2.0]), np.array([0.3, 2.5])
+        big = Box(box.lower * scale, box.upper * scale)
+        for norm in NORMS:
+            assert expected_center_distance(big, c * scale, norm)[0] == pytest.approx(
+                expected_center_distance(box, c, norm)[0] * scale, rel=1e-14)
+
+
+def test_expected_distance_of_a_disk_from_its_centre_matches_quadrature():
+    # r d / (d + 1) in every norm, against the integral of |x| over the
+    # quarter of the ball in the positive quadrant, over its area; the linf
+    # length has a kink on the diagonal, where the inner integral is cut
+    quad = pytest.importorskip("scipy.integrate").quad
+    r, center = 1.5, np.array([0.3, -0.2])
+    quarters = {"euclidean": (math.hypot, lambda x: math.sqrt(r * r - x * x), math.pi / 4),
+                "l1": (lambda y, x: x + y, lambda x: r - x, 0.5),
+                "linf": (max, lambda x: r, 1.0)}
+    for norm, (length, height, area) in quarters.items():
+        total = quad(lambda x: quad(length, 0.0, height(x), args=(x,), epsabs=0.0,
+                                    epsrel=1e-12, points=[x] if x < height(x) else None)[0],
+                     0.0, r, epsabs=0.0, epsrel=1e-12)[0]
+        est, se = expected_center_distance(BallSpace(center, r, norm), center, norm)
+        assert est == r * 2 / 3 and se == 0.0
+        assert est == pytest.approx(total / (area * r * r), rel=1e-9), norm
+
+
+def test_expected_distance_of_a_3d_ball_from_its_centre_matches_monte_carlo():
+    for norm in NORMS:
+        space, c = BallSpace([0.0, 1.0, -1.0], 2.0, norm), np.array([0.0, 1.0, -1.0])
+        est, se = expected_center_distance(space, c, norm)
+        assert est == 1.5 and se == 0.0   # r d / (d + 1)
+        mean, mc_se = _monte_carlo(space, c, norm, draws=2 * 10 ** 6 if norm == "l1"
+                                   else 10 ** 7)
+        assert abs(est - mean) < 4 * mc_se
+
+
+def test_expected_distance_of_a_cloud_weights_each_row_once():
+    points = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.5, 2.0], [0.5, 2.0], [0.5, 2.0]]
+    cloud, c = PointCloud(points), np.array([0.25, 0.5])
+    for norm in NORMS:
+        exact = math.fsum(np.linalg.norm(np.subtract(p, c), ord=_ORD[norm]) for p in points)
+        est, se = expected_center_distance(cloud, c, norm)
+        assert est == pytest.approx(exact / len(points), rel=1e-15) and se == 0.0
+        mean, mc_se = _monte_carlo(cloud, c, norm)
+        assert abs(est - mean) < 4 * mc_se
+
+
+@pytest.mark.parametrize("space, center", [
+    (Box([0.0] * 3, [1.0] * 3), [0.5] * 3),          # a euclidean box of d >= 3
+    (BallSpace([0.0, 0.0], 1.0), [0.1, 0.0]),        # a ball off its centre
+])
+def test_monte_carlo_expected_distance_keeps_its_draws(space, center):
+    # the same MONTE_CARLO_SAMPLES draws of the same stream, measured whole
+    c = np.array(center)
+    dists = lengths(space.sample(np.random.default_rng(7), geometry.MONTE_CARLO_SAMPLES) - c)
+    est, se = expected_center_distance(space, c, rng=np.random.default_rng(7))
+    assert (est, se) == (float(dists.mean()),
+                         float(dists.std(ddof=1) / np.sqrt(geometry.MONTE_CARLO_SAMPLES)))
     assert se > 0
-    assert abs(est - 2.0 / 3.0) < 5 * se
-
-
-def test_expected_distance_3d_ball_monte_carlo():
-    # uniform ball radius r in d dimensions: E || X - c || = r d / (d + 1)
-    rng = np.random.default_rng(7)
-    est, se = expected_center_distance(
-        BallSpace([0.0, 0.0, 0.0], 2.0), np.zeros(3), rng=rng)
-    assert abs(est - 1.5) < 5 * se
 
 
 def test_expected_distance_validation():
     s = BallSpace([0.0, 0.0], 1.0)
     with pytest.raises(ConfigurationError):
-        expected_center_distance(s, np.zeros(2))  # rng required
+        expected_center_distance(s, np.array([0.1, 0.0]))  # off its centre: rng required
     with pytest.raises(ConfigurationError):
         expected_center_distance(s, np.zeros(3), rng=np.random.default_rng(0))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from deffuant import (
     Ball,
+    Box,
     BoundInapplicableError,
     ConfigurationError,
     ConsensusEstimate,
@@ -30,7 +31,9 @@ from deffuant import (
     Verdict,
     bound_comparison_report,
     certified_hull_gap,
+    chebyshev_center,
     complete_edges,
+    expected_center_distance,
     run_ensemble,
     run_trajectory,
     run_trial,
@@ -38,6 +41,7 @@ from deffuant import (
     wilson_interval,
 )
 from deffuant import cli, graphs, montecarlo
+from deffuant.model import side_stream
 from deffuant.norms import NORMS, cross_distances
 from oracles import wilson_roots
 
@@ -602,7 +606,11 @@ def test_bound_report_pass_fail_and_inapplicable():
     rep = bound_comparison_report(ok, 0.375)
     assert rep.passed is True
     assert rep.margin == pytest.approx(0.375)
-    assert rep.bound == 0.375
+    assert rep.bound == 0.375 and rep.tested_bound == 0.375
+    # passed tests ci_high against the tested bound, margin stays at the bound
+    rep = bound_comparison_report(ok, 0.9, 0.85)
+    assert rep.passed is True and rep.margin == pytest.approx(-0.15)
+    assert not bound_comparison_report(ok, 0.9, 0.86).passed
 
     bad = ConsensusEstimate(p_hat=0.2, ci_low=0.15, ci_high=0.25, n_trials=400,
                             n_undecided=0)
@@ -612,3 +620,30 @@ def test_bound_report_pass_fail_and_inapplicable():
 
     rep = bound_comparison_report(ok, None)
     assert rep.passed is None and rep.bound is None and rep.margin is None
+    assert rep.tested_bound is None
+
+
+def test_a_bound_near_ci_high_passes_on_every_draw_of_its_expected_distance():
+    # The unit cube under euclidean: E d(X, c) is a Monte Carlo mean of the
+    # bound's side stream, one per seed.  ci_high sits at the bound of the
+    # median draw, so the bound at each E is within about one se of it.
+    cube = Box([0.0] * 3, [1.0] * 3)
+    ball, epsilon = chebyshev_center(cube), 1.5
+    draws = [expected_center_distance(cube, ball.center, rng=side_stream(seed, "bound"))
+             for seed in range(16)]
+    ci_high = theoretical_lower_bound(epsilon, ball, float(np.median([e for e, _ in draws])))
+    estimate = ConsensusEstimate(p_hat=ci_high - 0.05, ci_low=ci_high - 0.1, ci_high=ci_high,
+                                 n_trials=400, n_undecided=0)
+    near, at_point, tested = 0, set(), set()
+    for e, se in draws:
+        bound = theoretical_lower_bound(epsilon, ball, e)
+        near += abs(bound - ci_high) <= se / (epsilon - ball.radius)
+        at_point.add(bound_comparison_report(estimate, bound).passed)
+        report = bound_comparison_report(
+            estimate, bound,
+            theoretical_lower_bound(epsilon, ball, e + montecarlo.BOUND_SE_Z * se))
+        assert report.bound == bound and report.tested_bound < bound
+        tested.add(report.passed)
+    assert near >= 8
+    assert at_point == {True, False}   # the point bound flips with the draws
+    assert tested == {True}

@@ -16,8 +16,8 @@ then run, with their own ``src`` on the path:
   geometry: an interval, a one-dimensional box, boxes of d = 2 and 3, a ball
   and a point cloud; two of them leave most Erdos-Renyi picks open
   (``model._open_pair``).  Also on ``ESTIMATE_ONLY`` (among them an l1 and
-  a linf config that end in several components) and on the two benchmark
-  ``estimate`` configs; for each,
+  a linf config that end in several components, and three in which the
+  bound applies) and on the two benchmark ``estimate`` configs; for each,
   ``TRIAL_STOPS`` also prints every trial's ``steps_run`` and ``tau_delta``,
   the step an early stop ends at, which ``trials.csv`` does not hold;
 * ``verify --suite all`` at seeds 0 and 7, whose stdout is its artifact;
@@ -132,6 +132,16 @@ ESTIMATE_ONLY = {
         "n": 20, "dimension": 3, "norm": "linf", "epsilon": 0.35,
         "space": {"kind": "box", "lower": [0.0] * 3, "upper": [1.0] * 3},
         "mu": {"kind": "uniform", "low": 0.1, "high": 0.5}, "horizon": 3000},
+    # epsilon above the enclosing radius, so the bound applies: E d(X, c) in
+    # closed form under euclidean and l1, and a Monte Carlo mean on the cube
+    "bound-square-euclidean": {
+        "n": 8, "dimension": 2, "epsilon": 0.8, "space": _BOX2, "horizon": 2000},
+    "bound-square-l1": {
+        "n": 8, "dimension": 2, "norm": "l1", "epsilon": 1.2, "space": _BOX2,
+        "horizon": 2000},
+    "bound-cube-euclidean": {
+        "n": 8, "dimension": 3, "epsilon": 1.0,
+        "space": {"kind": "box", "lower": [0.0] * 3, "upper": [1.0] * 3}, "horizon": 2000},
 }
 # Run in each root with the change's ``tools``, a config path, a seed and a
 # trial count: each trial of ``estimate``, from the template that

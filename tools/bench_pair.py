@@ -36,6 +36,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,6 +115,16 @@ def append(path: Path, key: str, summary: dict) -> None:
     record = json.loads(path.read_text()) if path.exists() else {}
     record[key] = summary
     path.write_text(json.dumps(record, indent=1) + "\n")
+
+
+def best_us(call, repeat: int) -> float:
+    """The least of ``repeat`` timed calls of ``call``, in microseconds."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - t0)
+    return round(best * 1e6, 2)
 
 
 def estimate_template(estimate: dict, seed: int):

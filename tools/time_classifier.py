@@ -25,9 +25,8 @@ the state is undecided; in ``above-n<N>`` they are 0.34 apart, a dissensus.
 from __future__ import annotations
 
 import sys
-import time
 
-from bench_pair import ROOT, estimate_template, time_main
+from bench_pair import ROOT, best_us, estimate_template, time_main
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -46,15 +45,6 @@ def rows_state(n: int, gap: float):
     low = np.array([[0.25 * (k % 5), 0.0] for k in range(n // 2)])
     high = np.array([[0.125 + 0.25 * (k % 4), gap] for k in range(n - n // 2)])
     return np.vstack((low, high)) + rng.uniform(-1e-3, 1e-3, size=(n, 2))
-
-
-def best_us(call, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - t0)
-    return round(best * 1e6, 2)
 
 
 def measure() -> dict:
