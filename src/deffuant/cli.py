@@ -245,10 +245,12 @@ def load_config(path: Optional[str], overrides: argparse.Namespace) -> Experimen
         raise ConfigurationError(
             f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)) from None
     except MemoryError as exc:
-        # numpy refuses at once an array far beyond the machine, e.g. the
-        # opinions or the complete graph's edges of a huge n
-        raise ConfigurationError(f"the config asks for more memory than there is: {exc}") \
-            from None
+        raise _too_big(exc) from None
+
+
+def _too_big(exc: MemoryError) -> ConfigurationError:
+    # numpy refuses at once an array far beyond the machine: a huge n's opinions or pairs
+    return ConfigurationError(f"the config asks for more memory than there is: {exc}")
 
 
 def _count(raw: dict[str, Any], key: str) -> int:
@@ -526,6 +528,10 @@ def cmd_estimate(config: ExperimentConfig, trials: int, seed: int,
     if trials < 1:
         raise ConfigurationError(f"need trials >= 1, got {trials}")
     digest = config.digest(seed, trials)
+    try:   # the classifier profiles all pairs, whatever the graph
+        complete_edges(config.n).array
+    except MemoryError as exc:
+        raise _too_big(exc) from None
     template = TrialConfig(
         n=config.n, params=config.params, space=config.space,
         graph_schedule=config.graph, mu_schedule=config.mu,

@@ -25,7 +25,8 @@ class EdgeSet:
     """Canonical undirected edge set: an (m, 2) intp array of unique rows
     (i, j) with i < j, in lexicographic order.
 
-    Immutable by convention; hashable; no self-loops or duplicates.
+    Immutable by convention; hashable; no self-loops or duplicates.  A run
+    reads the rows it needs (``take``); a subclass may build ``array`` lazily.
     """
 
     __slots__ = ("array",)
@@ -63,20 +64,54 @@ class EdgeSet:
     def __repr__(self) -> str:
         return f"EdgeSet({list(self)!r})"
 
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The (k, 2) pairs of ``rows``, an integer array of row numbers."""
+        return self.array.take(rows, axis=0)
+
+
+class CompleteEdges(EdgeSet):
+    """All m = n(n - 1)/2 pairs over [0, n) in O(n): row r is (i, j), i the last
+    vertex whose first row s_i = i(2n - i - 1)/2 is at most r, j = r - s_i + i + 1,
+    exact in integers.  ``array``, the table, is built when asked for."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    array = property(lambda self: _all_pairs_array(self.n))
+
+    def __len__(self) -> int:
+        return self.n * (self.n - 1) // 2
+
+    def __reduce__(self):
+        return complete_edges, (self.n,)
+
+    @cached_property
+    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:   # s_1 .. s_{n-1}; s_i - i - 1
+        i = np.arange(self.n, dtype=np.intp)
+        first = i * (2 * self.n - i - 1) // 2
+        return first[1:], first - i - 1
+
+    def take(self, rows):
+        ends, shift = self._offsets
+        rows = rows.astype(np.intp, copy=False)   # a uint64 row would search as a float
+        pairs = np.empty((len(rows), 2), dtype=np.intp)
+        pairs[:, 0] = i = ends.searchsorted(rows, "right")
+        np.subtract(rows, shift.take(i), out=pairs[:, 1])
+        return pairs
+
 
 @lru_cache(maxsize=None)
 def _all_pairs_array(n: int) -> np.ndarray:
     """(m, 2) array of all i < j pairs in lexicographic order; shared, read-only."""
-    first, second = np.triu_indices(n, k=1)   # intp
-    arr = np.empty((len(first), 2), dtype=np.intp)
-    arr[:, 0], arr[:, 1] = first, second
+    arr = complete_edges(n).take(np.arange(n * (n - 1) // 2))
     arr.flags.writeable = False
     return arr
 
 
-def complete_edges(n: int) -> EdgeSet:
-    """All pairs over vertices [0, n)."""
-    return EdgeSet._from_sorted_array(_all_pairs_array(n))
+@lru_cache(maxsize=None)
+def complete_edges(n: int) -> CompleteEdges:
+    """All pairs over vertices [0, n), one shared object for each n."""
+    return CompleteEdges(n)
 
 
 def path_edges(n: int) -> EdgeSet:
@@ -176,14 +211,15 @@ class ConstantGraph(GraphSchedule):
     edges: EdgeSet
 
     def __post_init__(self):
-        _check_edges_range(self.edges.array, self.n)
+        if self.edges is not complete_edges(self.n):   # which is in range and connected
+            _check_edges_range(self.edges.array, self.n)
 
     def edges_at(self, t):
         return self.edges
 
     @cached_property
     def connected_infinitely_often(self):
-        return is_connected(self.edges.array, self.n)
+        return self.edges is complete_edges(self.n) or is_connected(self.edges.array, self.n)
 
 
 @dataclass(frozen=True)
@@ -197,7 +233,8 @@ class CyclicGraph(GraphSchedule):
         if not self.members:
             raise ConfigurationError("cyclic schedule needs at least one member")
         for m in self.members:
-            _check_edges_range(m.array, self.n)
+            if m is not complete_edges(self.n):
+                _check_edges_range(m.array, self.n)
 
     @property
     def period(self) -> int:
@@ -208,7 +245,8 @@ class CyclicGraph(GraphSchedule):
 
     @cached_property
     def connected_infinitely_often(self):
-        return any(is_connected(m.array, self.n) for m in self.members)
+        return any(m is complete_edges(self.n) or is_connected(m.array, self.n)
+                   for m in self.members)
 
 
 # SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
@@ -222,12 +260,12 @@ _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 class ErdosRenyiGraph(GraphSchedule):
     """Fresh G(n, p) sample each step, addressable by (seed, t) for replay.
 
-    Pair e, its row among the m = n(n-1)/2 pairs of ``complete_edges(n)``,
-    is in E(t) when the SplitMix64 finaliser of seed + (t m + e + 1) gamma
-    (mod 2^64), shifted right by 11 bits, is below p 2^53: each pair is in
-    with probability p, independently of every other (pair, step).
-    ``members`` tests many pairs in one numpy pass.  ``edges_at`` returns an
-    ``ErdosRenyiEdges``, which hashes its rows only when they are asked for.
+    Pair e, row e of the m = n(n-1)/2 pairs of ``complete_edges(n)``
+    (``take`` maps it to (i, j)), is in E(t) when the SplitMix64 finaliser
+    of seed + (t m + e + 1) gamma (mod 2^64), shifted right by 11 bits, is
+    below p 2^53: each pair is in with probability p, independently of every
+    other (pair, step).  ``members`` tests many pairs in one numpy pass;
+    ``edges_at`` returns an ``ErdosRenyiEdges``, hashed only when asked for.
     """
 
     def __init__(self, n: int, p: float, seed: int = 0):
@@ -242,10 +280,6 @@ class ErdosRenyiGraph(GraphSchedule):
         self.seed = int(seed)
         self.m = n * (n - 1) // 2
         self._p53 = np.uint64(np.ceil(self.p * 2.0**53))   # an integer z < p 2^53 iff z < this
-
-    @cached_property
-    def _all_rows(self) -> np.ndarray:   # every pair's row, as ``ErdosRenyiEdges.array`` hashes
-        return np.arange(self.m, dtype=np.uint64)
 
     def members(self, t, rows: np.ndarray) -> np.ndarray:
         """Flags of the pairs ``rows`` (an integer array of pair rows) in E(t),
@@ -300,9 +334,8 @@ class ErdosRenyiEdges(EdgeSet):
     @property
     def array(self) -> np.ndarray:
         if self._rows is None:
-            pairs = _all_pairs_array(self.graph.n)
-            keep = self.graph.members(self.t, self.graph._all_rows)
-            self._rows = pairs.take(np.flatnonzero(keep), axis=0)
+            keep = self.graph.members(self.t, np.arange(self.graph.m, dtype=np.uint64))
+            self._rows = complete_edges(self.graph.n).take(np.flatnonzero(keep))
         return self._rows
 
 
@@ -343,7 +376,6 @@ class PiecewiseGraph(GraphSchedule):
 def _check_edges_range(pairs: np.ndarray, n: int) -> None:
     if len(pairs) == 0 or (pairs.min() >= 0 and pairs.max() < n):
         return
-    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
-    if bad.any():
-        i, j = pairs[bad.argmax()].tolist()
-        raise ConfigurationError(f"edge ({i}, {j}) out of range for n={n}")
+    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)   # some row is, past the test above
+    i, j = pairs[bad.argmax()].tolist()
+    raise ConfigurationError(f"edge ({i}, {j}) out of range for n={n}")

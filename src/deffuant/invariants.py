@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, InvariantViolation
 from .geometry import farthest_pair, farthest_pairs
 from .graphs import (ConstantGraph, CyclicGraph, EdgeSet, ErdosRenyiEdges, ErdosRenyiGraph,
-                     GraphSchedule, _all_pairs_array, complete_edges, is_connected, pair_lengths,
+                     GraphSchedule, complete_edges, is_connected, pair_lengths,
                      path_edges, profile)
 from .model import (BLOCK_BYTES, ConstantMu, FiredSteps, ModelParams, OpinionState,
                     SequenceMu, TrajectoryObserver, UniformMu, run_trajectory, seed_streams)
@@ -342,22 +342,24 @@ def _long_edges(x: np.ndarray, pairs: np.ndarray, delta: float,
     return (dist <= params.epsilon) & (dist > delta)
 
 
-def _long_rows(x: np.ndarray, pairs: np.ndarray, delta: float, params: ModelParams,
+def _long_rows(x: np.ndarray, edges: EdgeSet, delta: float, params: ModelParams,
                member: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
-    """The rows of ``pairs`` that ``_long_edges`` flags in a state x, from the
+    """The rows of ``edges`` that ``_long_edges`` flags in a state x, from the
     first chunk holding one that ``member`` keeps (flags of rows; any, when
     None); empty when the state is delta-short over the rows it keeps.
 
     The chunks partition the rows, 64 rows and then four times the chunk
-    before: a state that is not short usually shows it in the first chunk,
-    and a short one costs one pass over all the rows.
+    before, up to BLOCK_BYTES of temporaries (6 + 3 d words a row): a state
+    that is not short usually shows it in the first chunk, and a short one
+    costs one pass over all the rows (``edges.take``).
     """
-    start, size = 0, 64
-    while start < len(pairs):
-        rows = start + np.flatnonzero(_long_edges(x, pairs[start:start + size], delta, params))
+    start, size, most = 0, 64, BLOCK_BYTES // (8 * (3 * x.shape[-1] + 6))
+    while start < len(edges):
+        chunk = np.arange(start, min(start + size, len(edges)))
+        rows = start + np.flatnonzero(_long_edges(x, edges.take(chunk), delta, params))
         if len(rows) and (member is None or member(rows).any()):
             return rows
-        start, size = start + size, 4 * size
+        start, size = start + len(chunk), max(64, min(4 * size, most))
     return np.empty(0, dtype=np.intp)
 
 
@@ -369,8 +371,8 @@ class StoppingTimeTracker(TrajectoryObserver):
     opinions once more at ``at_end``; ``time`` stays None if the run ends
     before the condition holds.  Once it is set nothing more is tested.
 
-    A block's steps are grouped by E(t) object; an Erdos-Renyi E(t) is never
-    built, a pair is in it by hash (``ErdosRenyiGraph.members``).  An EdgeSet
+    A block's steps are grouped by E(t) object; no complete or Erdos-Renyi
+    E(t) is built (rows by ``take``, membership by ``members``).  An EdgeSet
     is tested once per state of the block, an Erdos-Renyi E(t) at every step.
     It keeps up to _CANDIDATES candidate rows, all of an E(t) that has no
     more, else the long rows the last search found (``_long_rows``), and
@@ -389,7 +391,7 @@ class StoppingTimeTracker(TrajectoryObserver):
         self.delta = float(delta)
         self.params = params
         self.time: Optional[int] = None
-        self._pairs: Optional[np.ndarray] = None   # the pair array the candidates index
+        self._pairs: Optional[EdgeSet] = None   # the edge set the candidates index
         self._rows = np.empty(0, dtype=np.intp)    # the candidates, rows of _pairs
         self._held = np.empty((0, 2), dtype=np.intp)   # their (i, j) pairs
 
@@ -401,7 +403,7 @@ class StoppingTimeTracker(TrajectoryObserver):
         whose E(t) is ``edges`` (any E(t) of the schedule, for Erdos-Renyi)
         and whose opinions have no long row in E(t); None if each has one."""
         graph = edges.graph if isinstance(edges, ErdosRenyiEdges) else None
-        pairs = edges.array if graph is None else _all_pairs_array(graph.n)
+        pairs = edges if graph is None else complete_edges(graph.n)
         states = np.searchsorted(steps.t, ts)   # the state at the top of each step
         k, size = 0, 128
         while k < len(ts):
@@ -416,7 +418,7 @@ class StoppingTimeTracker(TrajectoryObserver):
                         return int(ts[k])
                     k += 1
                 self._pairs, self._rows = pairs, rows[:self._CANDIDATES]
-                self._held = pairs.take(self._rows, axis=0)
+                self._held = pairs.take(self._rows)
                 continue
             end = k + min(size, max(1, BLOCK_BYTES // (32 * max(1, len(self._rows)))))
             size *= 4
@@ -537,9 +539,10 @@ def settle_time(
     at once as keep the temporaries within BLOCK_BYTES; a state alone (at
     large n, or on an Erdos-Renyi schedule, whose E(t) is new at every step)
     is searched up to its first long edge (``_long_rows``).
-    Connectivity is then tested forward through that suffix alone.  Only the
-    E(t) of the states being measured is held.  Certification is only as
-    strong as the horizon and the recording stride.
+    Connectivity is then tested forward through that suffix alone, over all
+    rows of E(t) (a complete graph's table); only the E(t) of the states
+    measured is held.  Certification is only as strong as the horizon and
+    the recording stride.
     """
     if not (delta > 0):
         raise ConfigurationError(f"delta must be > 0, got {delta}")
@@ -547,17 +550,16 @@ def settle_time(
     start = len(times)
     while start > 0:
         shared = schedule.edges_at(times[start - 1])
-        pairs = shared.array
         # a state's bytes: per row, the two gathered rows and their difference
         # (3 d floats) and about three floats of lengths and flags
-        per_call = max(1, BLOCK_BYTES // (8 * max(1, len(pairs)) * (3 * params.dimension + 3)))
+        per_call = max(1, BLOCK_BYTES // (8 * max(1, len(shared)) * (3 * params.dimension + 3)))
         lo = start - 1
         while lo > 0 and start - lo < per_call and schedule.edges_at(times[lo - 1]) is shared:
             lo -= 1
         if lo == start - 1:
-            long = [len(_long_rows(states[lo], pairs, delta, params)) > 0]
+            long = [len(_long_rows(states[lo], shared, delta, params)) > 0]
         else:
-            long = _long_edges(np.asarray(states[lo:start]), pairs, delta,
+            long = _long_edges(np.asarray(states[lo:start]), shared.array, delta,
                                params).any(axis=1).tolist()
         if any(long):
             start = lo + 1 + max(k for k, flag in enumerate(long) if flag)

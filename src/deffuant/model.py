@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
 from .graphs import (_MASK64, EdgeSet, ErdosRenyiEdges, ErdosRenyiGraph, GraphSchedule,
-                     _all_pairs_array)
+                     complete_edges)
 from .norms import scalar_length, validate_norm
 
 
@@ -270,11 +270,11 @@ def _block_pairs(raw: np.ndarray, start: int, source) -> np.ndarray:
     On m rows a step's pair is row floor(w m / 2^64) of its first pick word w
     where Lemire's method keeps w (``_lemire_block``), else _REDRAWN.  On an
     Erdos-Renyi graph each of the step's six candidates, words 1 to 6, names
-    one of all m pairs, a word Lemire's method would redraw being a miss, and
-    the first candidate in E(t) is the pair (one ``members`` call for all
-    steps), else _MISSED.  Given E(t) it is uniform on E(t), since membership
-    is a hash that does not depend on the words.  No edge gives _NO_EDGE.
-    ``_open_pair`` settles the steps left _REDRAWN or _MISSED.
+    a row of ``complete_edges(n)``, a word Lemire's method would redraw being
+    a miss, and the first candidate in E(t) is the pair (one ``members`` call
+    for all steps), else _MISSED.  Given E(t) it is uniform on E(t), since
+    membership is a hash that does not depend on the words.  No edge gives
+    _NO_EDGE.  ``_open_pair`` settles the steps left _REDRAWN or _MISSED.
     """
     er = isinstance(source, ErdosRenyiGraph)
     m = source.m if er else len(source)
@@ -282,14 +282,14 @@ def _block_pairs(raw: np.ndarray, start: int, source) -> np.ndarray:
         return np.full((len(raw), 2), _NO_EDGE, dtype=np.intp)
     if not er:
         rows, kept = _lemire_block(raw[:, 1], m)
-        pairs = source.array.take(rows.view(np.intp), axis=0)
+        pairs = source.take(rows.view(np.intp))
         pairs[~kept] = _REDRAWN
         return pairs
     rows, kept = _lemire_block(raw[:, 1:1 + _CANDIDATES], m)
     steps = np.arange(len(raw))
     kept &= source.members(start + steps[:, None], rows)
     first = kept.argmax(axis=1)
-    pairs = _all_pairs_array(source.n).take(rows[steps, first].view(np.intp), axis=0)
+    pairs = complete_edges(source.n).take(rows[steps, first].view(np.intp))
     pairs[~kept[steps, first]] = _MISSED
     return pairs
 
@@ -298,17 +298,17 @@ def _open_pair(draws: Draws, t: int, edges: EdgeSet, why: int) -> list[int]:
     """[i, j] of step t's pair on ``edges`` where ``Draws.pairs`` gave ``why``
     (_REDRAWN or _MISSED) instead, [_NO_EDGE] * 2 for none.
 
-    The pair is the row of E(t), ``edges.array`` (after six Erdos-Renyi
-    misses, its m pairs hashed in one pass), that the first word Lemire's
-    method keeps indexes, read from word 1 on m rows and from word W - 1
-    after the misses, then from the step's spill stream (``Draws.words``)."""
-    rows = edges.array
-    if len(rows) == 0:
+    The pair is the row of E(t) (``edges.take``; after six Erdos-Renyi misses
+    its m pairs are hashed in one pass) that the first word Lemire's method
+    keeps indexes, read from word 1 on m rows and from word W - 1 after the
+    misses, then from the step's spill stream (``Draws.words``)."""
+    m = len(edges)
+    if m == 0:
         return [_NO_EDGE] * 2
     words = draws.words(t, 1 if why == _REDRAWN else WORDS_PER_STEP - 1)
-    while (k := _lemire(len(rows), next(words))) is None:
+    while (k := _lemire(m, next(words))) is None:
         pass
-    return rows[k].tolist()
+    return edges.take(np.array([k]))[0].tolist()
 
 
 def _lemire(m: int, r: int) -> Optional[int]:

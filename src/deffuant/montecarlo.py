@@ -203,7 +203,7 @@ class OutcomeClassifier(TrajectoryObserver):
         self._fired_at = -1    # the last fired step seen
 
     def _verdict(self, x: np.ndarray) -> Optional[Verdict]:
-        """The sound verdict for opinions x, or None; records their diameter."""
+        """The sound verdict for opinions x, from all pairs, or None; records their diameter."""
         params = self.config.params
         diam = self.final_diameter = diameter(x, params.norm)
         if diam <= self.config.consensus_tol:

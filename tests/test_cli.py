@@ -311,7 +311,6 @@ def test_unknown_suite_rejected_by_parser(tmp_path):
     (10**12, {"kind": "complete"}),                # exited 1: MemoryError in complete_edges
     (10**12, {"kind": "path"}),                    # built 10^12 Python tuples, one at a time
     (10**12, {"kind": "erdos_renyi", "p": 0.5}),   # exited 1: MemoryError drawing the opinions
-    (10**7, {"kind": "complete"}),   # the opinions fit, the 5 * 10^13 edges do not
 ])
 def test_a_huge_n_exits_config_without_traceback(tmp_path, capsys, command, n, graph):
     # Each of these asks numpy for one array of terabytes while the config is
@@ -321,6 +320,45 @@ def test_a_huge_n_exits_config_without_traceback(tmp_path, capsys, command, n, g
     assert cli_main(_command_argv(command, path, tmp_path / "out")) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+
+
+def test_an_estimate_on_the_complete_graph_at_n_10_7_exits_config(tmp_path, capsys):
+    # The opinions fit; the table of the 5 * 10^13 pairs that the classifier
+    # profiles does not, and estimate asks for it before the run.
+    path = write_config(tmp_path, n=10**7, graph={"kind": "complete"})
+    assert cli_main(_command_argv("estimate", path, tmp_path / "out")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+
+
+def _refuse_all_pairs(monkeypatch):
+    """Make ``_all_pairs_array`` raise in every deffuant module that holds it."""
+    def refused(n):
+        raise AssertionError(f"the table of all pairs was built for n = {n}")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "deffuant" and hasattr(module, "_all_pairs_array"):
+            monkeypatch.setattr(module, "_all_pairs_array", refused)
+
+
+def test_load_config_builds_no_table_for_the_complete_graph_at_n_10_7(tmp_path, monkeypatch):
+    # A complete E(t) maps rows to pairs through O(n) offsets, so simulate
+    # needs no table of all pairs (which took 8 * 10^14 bytes here).
+    _refuse_all_pairs(monkeypatch)
+    path = write_config(tmp_path, n=10**7, graph={"kind": "complete"})
+    config = cli.load_config(path, argparse.Namespace())
+    assert len(config.graph.edges_at(0)) == 10**7 * (10**7 - 1) // 2
+    assert config.graph.connected_infinitely_often
+
+
+def test_a_complete_simulate_at_n_1000_builds_no_table_of_all_pairs(tmp_path, monkeypatch):
+    # the ``large`` benchmark's simulate-n1000: its picks, tracker and
+    # settle_time read the rows they need from the complete E(t)
+    _refuse_all_pairs(monkeypatch)
+    path = write_config(tmp_path, n=1000, dimension=2, epsilon=0.5, horizon=40,
+                        record_stride=40, mu={"kind": "constant", "value": 0.5},
+                        space={"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]})
+    assert cli_main(["simulate", "--config", path, "--out-dir", str(tmp_path / "out")]) == 0
 
 
 def test_a_memory_error_during_a_run_is_not_a_config_error(tmp_path, monkeypatch):
@@ -654,6 +692,20 @@ def test_an_erdos_renyi_simulate_at_n_1000_peaks_under_200_mb(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 200e6
+
+
+def test_a_complete_simulate_at_n_10_4_peaks_under_64_mb(tmp_path):
+    # The table of all pairs alone took 800 MB here.  Every 50th state is
+    # recorded: every state (34 MB traced) takes 15 s to write under tracing.
+    path = write_config(tmp_path, n=10**4, dimension=2, horizon=100, record_stride=50,
+                        space={"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]})
+    tracemalloc.start()
+    try:
+        assert cli_main(["simulate", "--config", path, "--out-dir", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_the_simulate_csvs_are_formatted_a_slice_at_a_time(tmp_path, monkeypatch):

@@ -29,7 +29,8 @@ from deffuant import (
     profile,
     run_trajectory,
 )
-from deffuant import model
+from deffuant import graphs, model
+from deffuant.graphs import CompleteEdges
 from deffuant.model import Draws, _open_pair
 from oracles import loop_length, union_find_components
 from oracles.reference_run import _er_member
@@ -104,6 +105,64 @@ def test_complete_and_path_edges():
     assert complete_edges(5) == EdgeSet(combinations(range(5), 2))
     assert list(path_edges(4)) == [(0, 1), (1, 2), (2, 3)]
     assert len(complete_edges(1)) == 0
+    # an implicit complete graph hashes and pickles as its table does
+    five = complete_edges(5)
+    assert hash(five) == hash(EdgeSet(combinations(range(5), 2)))
+    assert pickle.loads(pickle.dumps(five)) == five
+
+
+def _triu_pairs(n):
+    """All i < j pairs of [0, n) in lexicographic order, built from
+    ``np.triu_indices`` as the table was before rows were mapped."""
+    first, second = np.triu_indices(n, k=1)
+    arr = np.empty((len(first), 2), dtype=np.intp)
+    arr[:, 0], arr[:, 1] = first, second
+    return arr
+
+
+def test_the_complete_row_map_gives_the_triangular_table_on_every_row():
+    for n in [*range(201), 999, 1000, 1001, 1024, 2000]:
+        want = _triu_pairs(n)
+        assert np.array_equal(CompleteEdges(n).take(np.arange(len(want))), want), n
+        table = graphs._all_pairs_array(n) if n <= 200 else graphs._all_pairs_array.__wrapped__(n)
+        assert np.array_equal(table, want) and not table.flags.writeable, n
+
+
+def _row_pair(n, r):
+    """(i, j) of row r of the pairs of [0, n), by the Python-int inverse of
+    r = i(2n - i - 1)/2 + j - i - 1: i(b - i)/2 <= r with b = 2n - 1 holds
+    for i up to (b - sqrt(b^2 - 8r))/2."""
+    b = 2 * n - 1
+    i = (b - math.isqrt(b * b - 8 * r)) // 2
+    while i * (b - i) // 2 > r:
+        i -= 1
+    while (i + 1) * (b - i - 1) // 2 <= r:
+        i += 1
+    return i, r - i * (b - i) // 2 + i + 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 1000, 65537, 10**6])
+def test_the_complete_row_map_inverts_the_triangular_index(n):
+    m = n * (n - 1) // 2
+    rng = np.random.default_rng(n)
+    firsts = [i * (2 * n - i - 1) // 2 for i in rng.integers(0, n - 1, 50).tolist()]
+    rows = sorted({0, m - 1, *rng.integers(0, m, 2000).tolist(),
+                   *(r + k for r in firsts for k in (-1, 0, 1) if 0 <= r + k < m)})
+    got = CompleteEdges(n).take(np.array(rows)).tolist()
+    for r, (i, j) in zip(rows, got):
+        assert (i, j) == _row_pair(n, r), (n, r)
+        assert 0 <= i < j < n and i * (2 * n - i - 1) // 2 + j - i - 1 == r
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1000, 10**6])
+def test_the_complete_row_map_reads_uint64_rows_as_lemire_gives_them(n):
+    m = n * (n - 1) // 2
+    words = np.random.default_rng(n).integers(0, 2**64, 512, dtype=np.uint64)
+    rows = model._lemire_block(words, m)[0] if m else np.empty(0, dtype=np.uint64)
+    assert rows.dtype == np.uint64
+    got = complete_edges(n).take(rows)
+    assert got.shape == (len(rows), 2)
+    assert got.tolist() == [list(_row_pair(n, r)) for r in rows.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +329,14 @@ def test_constant_graph():
     assert not ConstantGraph(4, EdgeSet([(0, 1)])).connected_infinitely_often
     with pytest.raises(ConfigurationError):
         ConstantGraph(3, path_edges(4))
+    # a complete graph's range and connectivity come from n alone
+    for n, k in ((1, 1), (2, 2), (4, 3), (4, 0), (2, 1)):
+        assert (ConstantGraph(n, complete_edges(k)).connected_infinitely_often
+                == ConstantGraph(n, EdgeSet(combinations(range(k), 2))).connected_infinitely_often
+                == (n <= 1 or k == n)), (n, k)
+    for n, k in ((2, 3), (0, 2), (1, 5)):
+        with pytest.raises(ConfigurationError, match=fr"edge \(0, {max(n, 1)}\) out of range"):
+            ConstantGraph(n, complete_edges(k))
 
 
 def test_cyclic_graph():

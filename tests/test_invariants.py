@@ -550,6 +550,25 @@ def test_tracker_on_a_sparse_erdos_renyi_run_holds_no_state_per_step():
     assert peak < 40e6
 
 
+def test_a_full_search_at_n_3000_stays_within_its_chunk_budget():
+    # Every agent within delta/2 of every other: the tracker measures all
+    # 4 498 500 complete pairs of the state to find tau = 0.  Chunks that
+    # grew 4x without a cap ended on 3 100 420 rows, about 140 MB at d = 2.
+    n, d, delta = 3000, 2, 0.01
+    params = ModelParams(epsilon=0.5, dimension=d)
+    x = 0.3 + np.random.default_rng(8).random((n, d)) * (delta / 4)
+    tracker = StoppingTimeTracker(delta, params)
+    tracker.at_start(x)
+    tracemalloc.start()
+    try:
+        tracker.at_end(0, x, complete_edges(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tracker.time == 0
+    assert peak < 16e6
+
+
 def _count_measured(monkeypatch) -> list[int]:
     """The number of rows of each ``pair_lengths`` call the stopping times make."""
     measured = []

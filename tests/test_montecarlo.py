@@ -465,13 +465,16 @@ def test_an_observer_reused_for_a_second_run_reports_that_run_alone(kind):
 
 
 def test_ensemble_tests_a_constant_schedule_for_connectivity_once(monkeypatch):
+    # on a path: a complete graph's connectivity is read from n alone, with
+    # no is_connected call (test_graphs.py::test_constant_graph)
     calls = []
     real = graphs.is_connected
     monkeypatch.setattr(graphs, "is_connected", lambda *a: calls.append(a) or real(*a))
-    result = run_ensemble(_config(horizon=500, n=6, master_seed=4), 20)
+    path = ConstantGraph(6, graphs.path_edges(6))
+    result = run_ensemble(_config(horizon=500, n=6, master_seed=4, schedule=path), 20)
     assert len(calls) == 1 and len(result.rows) == 20
     # the kept flag survives pickling
-    schedule = _config().graph_schedule
+    schedule = _config(schedule=ConstantGraph(6, graphs.path_edges(6))).graph_schedule
     assert schedule.connected_infinitely_often and len(calls) == 2
     assert pickle.loads(pickle.dumps(schedule)).connected_infinitely_often and len(calls) == 2
 
