@@ -124,16 +124,14 @@ class BallSpace(OpinionSpace):
             dirs /= lengths(dirs)[:, None]
             radii = self.radius * rng.random(size) ** (1.0 / d)
             return self.center + dirs * radii[:, None]
-        # l1/linf balls: rejection from the bounding box
-        out = np.empty((size, d))
-        filled = 0
-        while filled < size:
-            batch = rng.uniform(-self.radius, self.radius, size=(max(size, 64), d))
-            keep = batch[lengths(batch, self.norm) <= self.radius]
-            take = min(size - filled, keep.shape[0])
-            out[filled : filled + take] = keep[:take]
-            filled += take
-        return self.center + out
+        if self.norm == "linf" or d == 1:   # the ball is its bounding cube
+            return self.center + rng.uniform(-self.radius, self.radius, (size, d))
+        # l1: random signs on the first d of d + 1 exponentials over their sum,
+        # uniform on the simplex x >= 0, sum x <= 1 (Devroye 1986, sec. V.2)
+        e = rng.standard_exponential((size, d + 1))
+        x = e[:, :d] / e.sum(axis=1, keepdims=True)
+        x[rng.random((size, d)) < 0.5] *= -1.0
+        return self.center + self.radius * x
 
     def diameter(self, norm="euclidean"):
         if norm != self.norm:
@@ -346,37 +344,30 @@ def _in_ball(ball: Optional[Ball], p: np.ndarray) -> bool:
 
 
 def minimum_enclosing_ball(points: np.ndarray) -> Ball:
-    """Exact euclidean minimum enclosing ball (Welzl, randomized, iterative)."""
+    """Exact euclidean minimum enclosing ball (Welzl, randomized, recursive)."""
     pts = _as_points(points)
     n, d = pts.shape
     if n == 0:
         raise ConfigurationError("minimum enclosing ball of an empty point set")
     order = np.random.default_rng(_WELZL_SHUFFLE_SEED).permutation(n)
     pts = pts[order]
-    max_support = d + 1
 
-    # Explicit stack replays the recursion
-    #   welzl(i, R) = trivial(R)                      if i == n or |R| == d+1
-    #               = welzl(i+1, R)                   if pts[i] inside that ball
-    #               = welzl(i+1, R + [pts[i]])        otherwise
-    # Phase 0 enters a call, phase 1 resumes it after the first recursion.
-    result: Optional[Ball] = None
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
-    while stack:
-        idx, phase, support = stack.pop()
-        if phase == 0:
-            if idx == n or len(support) == max_support:
-                result = _circumball(pts[list(support)]) if support else None
-            else:
-                stack.append((idx, 1, support))
-                stack.append((idx + 1, 0, support))
-        else:
-            if not _in_ball(result, pts[idx]):
-                stack.append((idx + 1, 0, support + (idx,)))
-    assert result is not None
+    def welzl(stop: int, support: tuple[int, ...]) -> Optional[Ball]:
+        # The smallest ball of pts[stop:] with the support on its boundary:
+        # each point found outside, from the last one down, joins the support
+        # of a new ball of the points after it.  A call adds one point to the
+        # support, so the recursion is at most min(n, d + 1) frames deep.
+        ball = _circumball(pts[list(support)]) if support else None
+        if len(support) == d + 1:
+            return ball
+        for i in range(n - 1, stop - 1, -1):
+            if not _in_ball(ball, pts[i]):
+                ball = welzl(i + 1, support + (i,))
+        return ball
+
+    center = welzl(0, ()).center
     # Report the true attained radius so containment holds exactly.
-    attained = float(lengths(pts - result.center).max())
-    return Ball(result.center, attained)
+    return Ball(center, float(lengths(pts - center).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,12 @@ class CompleteEdges(EdgeSet):
 
 @lru_cache(maxsize=None)
 def _all_pairs_array(n: int) -> np.ndarray:
-    """(m, 2) array of all i < j pairs in lexicographic order; shared, read-only."""
-    arr = complete_edges(n).take(np.arange(n * (n - 1) // 2))
+    """(m, 2) array of all i < j pairs in lexicographic order; shared, read-only.
+    Row r is ``complete_edges(n).take`` of r in O(m): i repeated n - i - 1 times."""
+    i = np.arange(n, dtype=np.intp)
+    arr = np.empty((n * (n - 1) // 2, 2), dtype=np.intp)
+    arr[:, 0] = first = np.repeat(i, n - 1 - i)
+    np.subtract(np.arange(len(arr)), complete_edges(n)._offsets[1].take(first), out=arr[:, 1])
     arr.flags.writeable = False
     return arr
 
@@ -320,23 +324,26 @@ class ErdosRenyiGraph(GraphSchedule):
 
 
 class ErdosRenyiEdges(EdgeSet):
-    """E(t) of an ``ErdosRenyiGraph``, whose rows are hashed in one pass,
-    once, when first asked for (by a pick whose six candidates all miss,
-    ``model._open_pair``, or by ``settle_time``).  The block's picks
-    (``model.Draws.pairs``) and the stopping-time tracker ask the graph
-    about the pairs they need instead."""
-
-    __slots__ = ("graph", "t", "_rows")
+    """E(t) of an ``ErdosRenyiGraph``: its ``member_rows`` of ``complete_edges(n)``
+    are hashed in one pass, once, when first asked for (by a pick whose six
+    candidates all miss, ``model._open_pair``, or by ``settle_time``); ``take``
+    maps only the rows it is given.  The block's picks (``model.Draws.pairs``)
+    and the stopping-time tracker ask the graph about the pairs they need instead."""
 
     def __init__(self, graph: ErdosRenyiGraph, t: int):
-        self.graph, self.t, self._rows = graph, t, None
+        self.graph, self.t = graph, t
 
-    @property
-    def array(self) -> np.ndarray:
-        if self._rows is None:
-            keep = self.graph.members(self.t, np.arange(self.graph.m, dtype=np.uint64))
-            self._rows = complete_edges(self.graph.n).take(np.flatnonzero(keep))
-        return self._rows
+    @cached_property
+    def member_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.graph.members(self.t, np.arange(self.graph.m, dtype=np.uint64)))
+
+    def __len__(self) -> int:
+        return len(self.member_rows)
+
+    def take(self, rows):
+        return complete_edges(self.graph.n).take(self.member_rows.take(rows))
+
+    array = property(lambda self: complete_edges(self.graph.n).take(self.member_rows))
 
 
 @dataclass(frozen=True)

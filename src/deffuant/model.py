@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
-from .graphs import (_MASK64, EdgeSet, ErdosRenyiEdges, ErdosRenyiGraph, GraphSchedule,
+from .graphs import (EdgeSet, ErdosRenyiEdges, ErdosRenyiGraph, GraphSchedule,
                      complete_edges)
 from .norms import scalar_length, validate_norm
 
@@ -299,29 +299,16 @@ def _open_pair(draws: Draws, t: int, edges: EdgeSet, why: int) -> list[int]:
     (_REDRAWN or _MISSED) instead, [_NO_EDGE] * 2 for none.
 
     The pair is the row of E(t) (``edges.take``; after six Erdos-Renyi misses
-    its m pairs are hashed in one pass) that the first word Lemire's method
+    its m pairs are hashed in one pass) that the first word ``_lemire_block``
     keeps indexes, read from word 1 on m rows and from word W - 1 after the
     misses, then from the step's spill stream (``Draws.words``)."""
     m = len(edges)
     if m == 0:
         return [_NO_EDGE] * 2
-    words = draws.words(t, 1 if why == _REDRAWN else WORDS_PER_STEP - 1)
-    while (k := _lemire(m, next(words))) is None:
-        pass
-    return edges.take(np.array([k]))[0].tolist()
-
-
-def _lemire(m: int, r: int) -> Optional[int]:
-    """floor(r m / 2^64) for a 64-bit word r, or None where Lemire's method
-    redraws r: when the low 64 bits of r m fall below 2^64 mod m, which
-    happens with probability below m / 2^64.  What it returns is then exactly
-    uniform on [0, m) (Lemire, "Fast random integer generation in an
-    interval", ACM TOMACS 2019)."""
-    prod = r * m
-    low = prod & _MASK64
-    if low < m and low < (1 << 64) % m:
-        return None
-    return prod >> 64
+    for word in draws.words(t, 1 if why == _REDRAWN else WORDS_PER_STEP - 1):
+        row, kept = _lemire_block(np.array([word], dtype=np.uint64), m)
+        if kept[0]:
+            return edges.take(row.view(np.intp))[0].tolist()
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -329,9 +316,10 @@ _HALF = np.uint64(32)
 
 
 def _lemire_block(words: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_lemire`` on each of a uint64 array of words, 1 <= m < 2^64: the
-    rows floor(r m / 2^64) and whether each is kept, the low 64 bits of r m
-    (uint64 products wrap) at or above 2^64 mod m.
+    """Lemire's method on each of a uint64 array of words r, 1 <= m < 2^64: the
+    rows floor(r m / 2^64), each kept (else redrawn, with probability below
+    m / 2^64) if the low 64 bits of r m (uint64 products wrap) are at least
+    2^64 mod m, and then exactly uniform on [0, m) (Lemire, ACM TOMACS 2019).
 
     The high half is built from 32-bit halves, r = a 2^32 + b and m = c 2^32
     + e: q = a e + floor(b e / 2^32) = floor(r e / 2^32) < 2^64, and

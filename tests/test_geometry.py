@@ -92,6 +92,32 @@ def test_ball_space_sampling_stays_inside():
     assert BallSpace([0.0], 1.0).diameter() == 2.0
 
 
+@pytest.mark.parametrize("norm, d", [("linf", 1), ("linf", 2), ("linf", 5), ("l1", 1)])
+@pytest.mark.parametrize("size", [1, 7, 64, 100])
+def test_a_cube_shaped_ball_draws_the_bits_of_rng_uniform(norm, d, size):
+    # a linf ball, and a ball of any norm but euclidean at d = 1, is its cube
+    center = np.linspace(-1.0, 2.0, d)
+    draws = BallSpace(center, 0.7, norm).sample(np.random.default_rng(size), size)
+    reference = center + np.random.default_rng(size).uniform(-0.7, 0.7, (size, d))
+    assert np.array_equal(draws, reference)
+
+
+def test_an_l1_ball_at_d_12_is_drawn_exactly_in_o_of_size_times_d_words():
+    size, d, r = 1000, 12, 2.5
+    bits = np.random.Philox(key=12)
+    before = bits.state["state"]["counter"][0]
+    center = np.arange(d, dtype=float)
+    draws = BallSpace(center, r, "l1").sample(np.random.Generator(bits), size)
+    # 4 words a counter: about 2 d + 1 words a draw (exponentials and signs)
+    assert (bits.state["state"]["counter"][0] - before) * 4 <= 2 * size * (2 * d + 1)
+    norms = lengths(draws - center, "l1")
+    assert draws.shape == (size, d) and np.all(norms <= r * (1 + 1e-12))
+    # |x|_1 / r is Beta(d, 1), of mean d / (d + 1)
+    assert abs(norms.mean() - r * d / (d + 1)) <= 4 * norms.std(ddof=1) / math.sqrt(size)
+    # every orthant is reached: each sign is taken on every axis
+    assert np.all((draws > center).any(axis=0)) and np.all((draws < center).any(axis=0))
+
+
 def test_ball_space_norm_mismatch():
     s = BallSpace([0.0, 0.0], 1.0, norm="l1")
     with pytest.raises(ConfigurationError):
@@ -321,6 +347,33 @@ def test_meb_matches_bruteforce_oracle():
         # oracle radius
         attained = lengths(pts - ball.center).max()
         assert attained <= ref_radius + 1e-6
+
+
+@pytest.mark.parametrize("pts", [
+    np.random.default_rng(6).normal(size=(20_000, 2)),
+    np.random.default_rng(7).normal(size=(100, 8)),
+], ids=["20000-points-d2", "sphere-100-d8"])
+def test_a_large_or_high_dimensional_meb_contains_every_point(pts):
+    if pts.shape[1] == 8:   # every point on the unit sphere: all are extreme
+        pts = pts / lengths(pts)[:, None]
+    ball = minimum_enclosing_ball(pts)
+    assert ball.contains(pts, tol=0.0)
+    assert ball.radius >= diameter(pts) / 2.0
+
+
+@pytest.mark.parametrize("pts", [
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.5, 0.0]],     # ties on a line
+    [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 0.0, 0.0], [1.0, -1.0, 0.0],
+     [1.0, 0.0, 0.0]],                                                  # a flat hull
+    [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],                               # one point thrice
+    [[0.0], [3.0], [1.5], [3.0]],
+])
+def test_meb_of_ties_and_flat_hulls_matches_bruteforce_oracle(pts):
+    pts = np.array(pts)
+    ball = minimum_enclosing_ball(pts)
+    _, ref_radius = bruteforce_enclosing_ball(pts)
+    assert ball.radius == pytest.approx(ref_radius, abs=1e-9)
+    assert ball.contains(pts, tol=0.0)
 
 
 def test_meb_covers_and_respects_radius_bounds():

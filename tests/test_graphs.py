@@ -33,7 +33,7 @@ from deffuant import graphs, model
 from deffuant.graphs import CompleteEdges
 from deffuant.model import Draws, _open_pair
 from oracles import loop_length, union_find_components
-from oracles.reference_run import _er_member
+from oracles.reference_run import _er_member, _lemire
 
 # 99.9% chi-square quantiles by degrees of freedom (scipy.stats.chi2.ppf,
 # computed once offline; scipy is not a dependency).
@@ -126,6 +126,7 @@ def test_the_complete_row_map_gives_the_triangular_table_on_every_row():
         assert np.array_equal(CompleteEdges(n).take(np.arange(len(want))), want), n
         table = graphs._all_pairs_array(n) if n <= 200 else graphs._all_pairs_array.__wrapped__(n)
         assert np.array_equal(table, want) and not table.flags.writeable, n
+        assert table.flags.c_contiguous, n
 
 
 def _row_pair(n, r):
@@ -496,7 +497,9 @@ def test_a_pick_redraws_exactly_the_words_lemire_rejects():
     assert _open_pair(_Words(0, 0, 1), 2, triangle, model._REDRAWN) == [0, 1]
     # m = 2^63 + 1: 2^64 mod m = 2^63 - 1; the word 2 leaves low bits 2 and
     # is redrawn, the word 3 leaves 2^63 + 3 and is kept
-    assert model._lemire(2**63 + 1, 2) is None and model._lemire(2**63 + 1, 3) == 1
+    assert _lemire(2**63 + 1, 2) is None and _lemire(2**63 + 1, 3) == 1
+    rows, kept = model._lemire_block(np.array([2, 3], dtype=np.uint64), 2**63 + 1)
+    assert rows.tolist() == [1, 1] and kept.tolist() == [False, True]
     # an Erdos-Renyi candidate that Lemire would redraw is a miss: with every
     # pair in E(t), the word 0 would otherwise name pair 0 (2^64 mod 45 = 16)
     graph = ErdosRenyiGraph(10, 1.0, seed=1)
@@ -508,6 +511,25 @@ def test_a_pick_redraws_exactly_the_words_lemire_rejects():
     words = [0] * model._CANDIDATES + [0, 2**63]
     assert _open_pair(_Words(*words), 2, graph.edges_at(2), model._MISSED) == \
         complete_edges(10).array[22].tolist()
+
+
+def test_an_er_take_maps_only_the_rows_it_is_given(monkeypatch):
+    graph = ErdosRenyiGraph(10, 1.0, seed=1)   # every pair is in E(t)
+    edges, table = graph.edges_at(2), complete_edges(10)
+    full, take, mapped = edges.array, table.take, []
+    monkeypatch.setattr(table, "take", lambda rows: mapped.append(len(rows)) or take(rows))
+    assert len(edges) == 45 and mapped == []
+    assert edges.take(np.array([22, 0])).tolist() == full[[22, 0]].tolist()
+    assert mapped == [2]
+    # a pick after six misses maps its one row, not all of E(t)
+    words = [0] * model._CANDIDATES + [0, 2**63]
+    assert _open_pair(_Words(*words), 2, graph.edges_at(2), model._MISSED) == full[22].tolist()
+    assert mapped == [2, 1]
+    # on a sparse E(t) the rows are its members' rows of the complete graph
+    sparse = ErdosRenyiGraph(30, 0.2, seed=3).edges_at(7)
+    members = np.flatnonzero(sparse.graph.members(7, np.arange(435)))
+    assert np.array_equal(sparse.take(np.arange(len(sparse))), complete_edges(30).array[members])
+    assert np.array_equal(sparse.take(np.array([3])), sparse.array[[3]])
 
 
 def test_er_validation_and_degenerate_p():

@@ -702,7 +702,7 @@ def _lemire_words():
 def test_the_block_lemire_step_matches_lemire_on_python_ints(words, m):
     rows, kept = model._lemire_block(np.array(words, dtype=np.uint64), m)
     assert rows.tolist() == [w * m >> 64 for w in words]
-    assert kept.tolist() == [model._lemire(m, w) is not None for w in words]
+    assert kept.tolist() == [reference_run._lemire(m, w) is not None for w in words]
     # a (steps, candidates) array gives the same, element by element
     rows2, kept2 = model._lemire_block(np.array(words, dtype=np.uint64).reshape(1, -1), m)
     assert rows2.tolist() == [rows.tolist()] and kept2.tolist() == [kept.tolist()]

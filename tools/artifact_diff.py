@@ -8,16 +8,17 @@ The committed files of REV are exported with ``bench_pair.export`` into a
 temporary directory; the change is this checkout as it stands.  Both roots
 then run, with their own ``src`` on the path:
 
-* ``simulate`` at seeds 0 and 7 on the fifteen reference configs below and
+* ``simulate`` at seeds 0 and 7 on the sixteen reference configs below and
   on the two benchmark ``simulate`` configs of ``perfbench/workloads.py``;
 * ``estimate --trials 12 --per-trial`` at ``--threads`` 1 and 3 (so that
-  each side's multi-worker path is compared too) at seeds 0 and 7 on nine of
+  each side's multi-worker path is compared too) at seeds 0 and 7 on ten of
   the reference configs, which between them reach every branch of the bound's
-  geometry: an interval, a one-dimensional box, boxes of d = 2 and 3, a ball
-  and a point cloud; two of them leave most Erdos-Renyi picks open
-  (``model._open_pair``).  Also on ``ESTIMATE_ONLY`` (among them an l1 and
-  a linf config that end in several components, and three in which the
-  bound applies) and on the two benchmark ``estimate`` configs; for each,
+  geometry: an interval, a one-dimensional box, boxes of d = 2 and 3, a
+  euclidean and an l1 ball and a point cloud; two of them leave most
+  Erdos-Renyi picks open (``model._open_pair``).  Also on ``ESTIMATE_ONLY``
+  (among them an l1 and a linf config that end in several components, and
+  three in which the bound applies) and on the two benchmark ``estimate``
+  configs; for each,
   ``TRIAL_STOPS`` also prints every trial's ``steps_run`` and ``tau_delta``,
   the step an early stop ends at, which ``trials.csv`` does not hold;
 * ``verify --suite all`` at seeds 0 and 7, whose stdout is its artifact;
@@ -99,6 +100,10 @@ CONFIGS = {
         "n": 8, "dimension": 2, "epsilon": 1.2, "horizon": 2000,
         "space": {"kind": "cloud",
                   "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.7], [0.2, 0.3]]}},
+    # an l1 ball at d >= 2: its draws are exact, not a rejection from its cube
+    "ball-l1-d3": {
+        "n": 10, "dimension": 3, "norm": "l1", "epsilon": 1.0, "horizon": 2000,
+        "space": {"kind": "ball", "center": [0.5, -0.5, 0.0], "radius": 0.8, "norm": "l1"}},
     # -0.0 beside 0.0 and repeated rows: the float fields keep the signs apart
     "initial-signed-zeros-stride1": {
         "n": 6, "dimension": 2, "epsilon": 0.6, "space": _BOX2,
@@ -161,7 +166,7 @@ for k in range(int(sys.argv[4])):
 DEMOS = sorted(path.name for path in (ROOT / "demos").glob("0[1-5]_*.py"))
 ESTIMATED = ("complete-box2-two-deltas", "erdos-renyi-p0.3", "erdos-renyi-sparse-p0.05",
              "erdos-renyi-empty-p0", "cyclic-empty-member-sequence-mu", "linf-d3-stride13",
-             "box1", "ball2", "cloud2")
+             "box1", "ball2", "ball-l1-d3", "cloud2")
 
 
 def runs(configs: Path) -> list[tuple[str, list[str]]]:
