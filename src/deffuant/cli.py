@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -81,6 +80,7 @@ from .montecarlo import (
     theoretical_lower_bound,
 )
 from .norms import lengths
+from .values import Record
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,23 +121,21 @@ def _reject_unknown(data: dict, allowed: set[str], where: str):
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """One experiment, fully resolved: model, space, schedules, run options."""
 
-    n: int
-    params: ModelParams
-    space: OpinionSpace
-    graph: GraphSchedule
-    mu: MuSchedule
-    horizon: int
-    consensus_tol: float
-    deltas: list[float]
-    record_stride: Optional[int]
-    c_samples: int
-    check_every: int
-    initial: Optional[np.ndarray]
-    raw: dict[str, Any] = field(default_factory=dict)
+    _fields = ("n", "params", "space", "graph", "mu", "horizon", "consensus_tol", "deltas",
+               "record_stride", "c_samples", "check_every", "initial", "raw")
+
+    def __init__(self, n: int, params: ModelParams, space: OpinionSpace, graph: GraphSchedule,
+                 mu: MuSchedule, horizon: int, consensus_tol: float, deltas: list[float],
+                 record_stride: Optional[int], c_samples: int, check_every: int,
+                 initial: Optional[np.ndarray], raw: Optional[dict[str, Any]] = None):
+        self.n, self.params, self.space, self.graph, self.mu = n, params, space, graph, mu
+        self.horizon, self.consensus_tol, self.deltas = horizon, consensus_tol, deltas
+        self.record_stride, self.c_samples = record_stride, c_samples
+        self.check_every, self.initial = check_every, initial
+        self.raw = {} if raw is None else raw
 
     def digest(self, seed: int, trials: Optional[int] = None) -> str:
         payload = dict(self.raw)

@@ -10,29 +10,27 @@ the Gram system of the support).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .norms import cross_distances, lengths, validate_norm
+from .values import Record
 
 # The tolerance of Ball.contains; MEB containment uses a tighter relative guard.
 _COVER_TOL = 1e-9
 _WELZL_SHUFFLE_SEED = 0x5EB
 
 
-@dataclass(eq=False)
-class Ball:
+class Ball(Record):
     """Closed ball: center and nonnegative radius."""
 
-    center: np.ndarray
-    radius: float
+    _fields = ("center", "radius")
 
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).ravel()
-        self.radius = float(self.radius)
+    def __init__(self, center: np.ndarray, radius: float):
+        self.center = np.asarray(center, dtype=float).ravel()
+        self.radius = float(radius)
         if self.radius < 0:
             raise ConfigurationError(f"radius must be >= 0, got {self.radius}")
 
@@ -60,14 +58,12 @@ class OpinionSpace:
         raise NotImplementedError
 
 
-@dataclass(eq=False)
-class Box(OpinionSpace):
-    lower: np.ndarray
-    upper: np.ndarray
+class Box(OpinionSpace, Record):
+    _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float).ravel()
-        self.upper = np.asarray(self.upper, dtype=float).ravel()
+    def __init__(self, lower: np.ndarray, upper: np.ndarray):
+        self.lower = np.asarray(lower, dtype=float).ravel()
+        self.upper = np.asarray(upper, dtype=float).ravel()
         if self.lower.shape != self.upper.shape:
             raise ConfigurationError("box bounds must have equal length")
         with np.errstate(over="ignore"):
@@ -96,17 +92,15 @@ def Interval(a: float, b: float) -> Box:
     return Box([a], [b])
 
 
-@dataclass(eq=False)
-class BallSpace(OpinionSpace):
+class BallSpace(OpinionSpace, Record):
     """Ball-shaped region in the given norm (default euclidean)."""
 
-    center: np.ndarray
-    radius: float
-    norm: str = "euclidean"
+    _fields = ("center", "radius", "norm")
 
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).ravel()
-        self.radius = float(self.radius)
+    def __init__(self, center: np.ndarray, radius: float, norm: str = "euclidean"):
+        self.center = np.asarray(center, dtype=float).ravel()
+        self.radius = float(radius)
+        self.norm = norm
         with np.errstate(over="ignore"):
             if not (self.radius > 0 and np.isfinite(np.abs(self.center) + self.radius).all()):
                 raise ConfigurationError("ball needs radius > 0 and a finite center +/- "
@@ -141,14 +135,13 @@ class BallSpace(OpinionSpace):
         return 2.0 * self.radius
 
 
-@dataclass(eq=False)
-class PointCloud(OpinionSpace):
+class PointCloud(OpinionSpace, Record):
     """Empirical region: finite sample points, uniform over the points."""
 
-    points: np.ndarray
+    _fields = ("points",)
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+    def __init__(self, points: np.ndarray):
+        pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0 or not np.isfinite(pts).all():

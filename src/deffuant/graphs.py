@@ -8,7 +8,6 @@ bit-identically. Dynamic graphs are never mutated in place.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .norms import lengths
+from .values import Frozen
 
 if TYPE_CHECKING:
     from .model import ModelParams
@@ -209,14 +209,13 @@ class GraphSchedule:
         return self
 
 
-@dataclass(frozen=True)
-class ConstantGraph(GraphSchedule):
-    n: int
-    edges: EdgeSet
+class ConstantGraph(GraphSchedule, Frozen):
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        if self.edges is not complete_edges(self.n):   # which is in range and connected
-            _check_edges_range(self.edges.array, self.n)
+    def __init__(self, n: int, edges: EdgeSet):
+        if edges is not complete_edges(n):   # which is in range and connected
+            _check_edges_range(edges.array, n)
+        self._set(n=n, edges=edges)
 
     def edges_at(self, t):
         return self.edges
@@ -226,19 +225,18 @@ class ConstantGraph(GraphSchedule):
         return self.edges is complete_edges(self.n) or is_connected(self.edges.array, self.n)
 
 
-@dataclass(frozen=True)
-class CyclicGraph(GraphSchedule):
+class CyclicGraph(GraphSchedule, Frozen):
     """Cycles through a fixed list of edge sets: E(t) = members[t mod period]."""
 
-    n: int
-    members: tuple[EdgeSet, ...]
+    _fields = ("n", "members")
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, n: int, members: tuple[EdgeSet, ...]):
+        if not members:
             raise ConfigurationError("cyclic schedule needs at least one member")
-        for m in self.members:
-            if m is not complete_edges(self.n):
-                _check_edges_range(m.array, self.n)
+        for m in members:
+            if m is not complete_edges(n):
+                _check_edges_range(m.array, n)
+        self._set(n=n, members=members)
 
     @property
     def period(self) -> int:
@@ -261,7 +259,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
-class ErdosRenyiGraph(GraphSchedule):
+class ErdosRenyiGraph(GraphSchedule, Frozen):
     """Fresh G(n, p) sample each step, addressable by (seed, t) for replay.
 
     Pair e, row e of the m = n(n-1)/2 pairs of ``complete_edges(n)``
@@ -272,6 +270,8 @@ class ErdosRenyiGraph(GraphSchedule):
     ``edges_at`` returns an ``ErdosRenyiEdges``, hashed only when asked for.
     """
 
+    _fields = ("n", "p", "seed")
+
     def __init__(self, n: int, p: float, seed: int = 0):
         if n < 1:
             raise ConfigurationError(f"need n >= 1, got {n}")
@@ -279,11 +279,9 @@ class ErdosRenyiGraph(GraphSchedule):
             raise ConfigurationError(f"p must lie in [0, 1], got {p}")
         if not (0 <= seed <= _MASK64):
             raise ConfigurationError(f"seed must lie in [0, 2^64), got {seed}")
-        self.n = n
-        self.p = float(p)
-        self.seed = int(seed)
-        self.m = n * (n - 1) // 2
-        self._p53 = np.uint64(np.ceil(self.p * 2.0**53))   # an integer z < p 2^53 iff z < this
+        p = float(p)
+        self._set(n=n, p=p, seed=int(seed), m=n * (n - 1) // 2,
+                  _p53=np.uint64(np.ceil(p * 2.0**53)))   # an integer z < p 2^53 iff z < this
 
     def members(self, t, rows: np.ndarray) -> np.ndarray:
         """Flags of the pairs ``rows`` (an integer array of pair rows) in E(t),
@@ -312,16 +310,6 @@ class ErdosRenyiGraph(GraphSchedule):
     def reseeded(self, seed):
         return ErdosRenyiGraph(self.n, self.p, int(seed))
 
-    def __eq__(self, other):
-        return (isinstance(other, ErdosRenyiGraph)
-                and (self.n, self.p, self.seed) == (other.n, other.p, other.seed))
-
-    def __hash__(self):
-        return hash((self.n, self.p, self.seed))
-
-    def __repr__(self):
-        return f"ErdosRenyiGraph(n={self.n}, p={self.p}, seed={self.seed})"
-
 
 class ErdosRenyiEdges(EdgeSet):
     """E(t) of an ``ErdosRenyiGraph``: its ``member_rows`` of ``complete_edges(n)``
@@ -346,8 +334,7 @@ class ErdosRenyiEdges(EdgeSet):
     array = property(lambda self: complete_edges(self.graph.n).take(self.member_rows))
 
 
-@dataclass(frozen=True)
-class PiecewiseGraph(GraphSchedule):
+class PiecewiseGraph(GraphSchedule, Frozen):
     """Explicit step -> edge-set map; the last defined entry persists forever.
 
     The connected-infinitely-often flag is never set, even where that last
@@ -356,18 +343,17 @@ class PiecewiseGraph(GraphSchedule):
     classified as bound for consensus.
     """
 
-    n: int
-    entries: tuple[tuple[int, EdgeSet], ...]
+    _fields = ("n", "entries")
 
-    def __post_init__(self):
-        steps = tuple(s for s, _ in self.entries)
+    def __init__(self, n: int, entries: tuple[tuple[int, EdgeSet], ...]):
+        steps = tuple(s for s, _ in entries)
         if not steps or steps[0] != 0:
             raise ConfigurationError("piecewise schedule must define step 0")
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ConfigurationError("piecewise schedule steps must be strictly increasing")
-        for _, e in self.entries:
-            _check_edges_range(e.array, self.n)
-        object.__setattr__(self, "_steps", steps)
+        for _, e in entries:
+            _check_edges_range(e.array, n)
+        self._set(n=n, entries=entries, _steps=steps)
 
     def edges_at(self, t):
         if t < 0:

@@ -10,7 +10,6 @@ slack dips below tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -24,6 +23,7 @@ from .graphs import (ConstantGraph, CyclicGraph, EdgeSet, ErdosRenyiEdges, Erdos
 from .model import (BLOCK_BYTES, ConstantMu, FiredSteps, ModelParams, OpinionState,
                     SequenceMu, TrajectoryObserver, UniformMu, run_trajectory, seed_streams)
 from .norms import cross_distances, lengths
+from .values import Frozen, Record
 
 # Tolerances at unit scale; ``scaled_tolerance`` grows them with the numbers checked.
 SLACK_TOL = 1e-9
@@ -497,8 +497,7 @@ class OpinionGraphChangeCounter(TrajectoryObserver):
 # Stopping times over recorded trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StoppingTimeRecord:
+class StoppingTimeRecord(Frozen):
     """Stopping times for one threshold delta over a finite run.
 
     tau_delta is the first step whose pre-step profile had all edges short;
@@ -508,18 +507,16 @@ class StoppingTimeRecord:
     censored.
     """
 
-    delta: float
-    tau_delta: Optional[int]
-    T_delta: Optional[int]
-    horizon: int
-    censored: bool = True
+    __slots__ = _fields = ("delta", "tau_delta", "T_delta", "horizon", "censored")
 
-    def __post_init__(self):
-        if self.tau_delta is not None and self.T_delta is not None:
-            if not (self.tau_delta <= self.T_delta <= self.horizon):
-                raise ConfigurationError(
-                    f"stopping times out of order: tau={self.tau_delta}, "
-                    f"T={self.T_delta}, horizon={self.horizon}")
+    def __init__(self, delta: float, tau_delta: Optional[int], T_delta: Optional[int],
+                 horizon: int, censored: bool = True):
+        if tau_delta is not None and T_delta is not None:
+            if not (tau_delta <= T_delta <= horizon):
+                raise ConfigurationError(f"stopping times out of order: tau={tau_delta}, "
+                                         f"T={T_delta}, horizon={horizon}")
+        self._set(delta=delta, tau_delta=tau_delta, T_delta=T_delta, horizon=horizon,
+                  censored=censored)
 
 
 def settle_time(
@@ -575,17 +572,17 @@ def settle_time(
 # Random audited scenarios
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AuditRun:
+class AuditRun(Record):
     """One random scenario run under the full audit, as built by ``audit_run``."""
 
-    params: ModelParams
-    c_points: np.ndarray
-    identity: UpdateIdentityObserver
-    contraction: ContractionObserver
-    diam: DiameterMonotoneObserver
-    times: np.ndarray
-    states: np.ndarray
+    _fields = ("params", "c_points", "identity", "contraction", "diam", "times", "states")
+
+    def __init__(self, params: ModelParams, c_points: np.ndarray,
+                 identity: UpdateIdentityObserver, contraction: ContractionObserver,
+                 diam: DiameterMonotoneObserver, times: np.ndarray, states: np.ndarray):
+        self.params, self.c_points = params, c_points
+        self.identity, self.contraction, self.diam = identity, contraction, diam
+        self.times, self.states = times, states
 
 
 def audit_run(seed: int, k: int, steps: int, record_stride: int) -> AuditRun:

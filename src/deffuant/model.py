@@ -15,7 +15,6 @@ seed.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -25,14 +24,14 @@ from .errors import ConfigurationError, InvariantViolation
 from .graphs import (EdgeSet, ErdosRenyiEdges, ErdosRenyiGraph, GraphSchedule,
                      complete_edges)
 from .norms import scalar_length, validate_norm
+from .values import Frozen, Record
 
 
 # ---------------------------------------------------------------------------
 # Parameters and schedules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Frozen):
     """Run-wide model parameters.
 
     epsilon: confidence threshold (> 0), in opinion units.
@@ -40,20 +39,21 @@ class ModelParams:
     norm: which norm measures opinion distance.
     """
 
-    epsilon: float
-    dimension: int = 1
-    norm: str = "euclidean"
+    __slots__ = _fields = ("epsilon", "dimension", "norm")
 
-    def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if int(self.dimension) != self.dimension or self.dimension < 1:
-            raise ConfigurationError(f"dimension must be a positive integer, got {self.dimension}")
-        validate_norm(self.norm)
+    def __init__(self, epsilon: float, dimension: int = 1, norm: str = "euclidean"):
+        if not (epsilon > 0):
+            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+        if int(dimension) != dimension or dimension < 1:
+            raise ConfigurationError(f"dimension must be a positive integer, got {dimension}")
+        validate_norm(norm)
+        self._set(epsilon=epsilon, dimension=dimension, norm=norm)
 
 
 class MuSchedule:
     """Per-step convergence parameter mu(t) in [0, 1/2]."""
+
+    __slots__ = ()
 
     def mu_at(self, t: int, u: float) -> float:
         """mu at step t, given the step's uniform u in [0, 1) (``Draws.at``)."""
@@ -71,12 +71,12 @@ def _check_mu(value: float) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class ConstantMu(MuSchedule):
-    value: float
+class ConstantMu(MuSchedule, Frozen):
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        _check_mu(self.value)
+    def __init__(self, value: float):
+        _check_mu(value)
+        self._set(value=value)
 
     def mu_at(self, t, u):
         return self.value
@@ -86,17 +86,17 @@ class ConstantMu(MuSchedule):
         return self.value > 0
 
 
-@dataclass(frozen=True)
-class SequenceMu(MuSchedule):
+class SequenceMu(MuSchedule, Frozen):
     """Explicit per-step values; the last value persists beyond the list."""
 
-    values: tuple[float, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple[float, ...]):
+        if not values:
             raise ConfigurationError("SequenceMu needs at least one value")
-        for v in self.values:
+        for v in values:
             _check_mu(v)
+        self._set(values=values)
 
     def mu_at(self, t, u):
         return self.values[t] if t < len(self.values) else self.values[-1]
@@ -106,19 +106,18 @@ class SequenceMu(MuSchedule):
         return min(self.values) > 0
 
 
-@dataclass(frozen=True)
-class UniformMu(MuSchedule):
+class UniformMu(MuSchedule, Frozen):
     """mu(t) drawn i.i.d. uniform from [low, high] each step: low + (high - low) u,
     the formula of ``numpy.random.Generator.uniform``."""
 
-    low: float
-    high: float
+    __slots__ = _fields = ("low", "high")
 
-    def __post_init__(self):
-        _check_mu(self.low)
-        _check_mu(self.high)
-        if self.low > self.high:
-            raise ConfigurationError(f"need low <= high, got [{self.low}, {self.high}]")
+    def __init__(self, low: float, high: float):
+        _check_mu(low)
+        _check_mu(high)
+        if low > high:
+            raise ConfigurationError(f"need low <= high, got [{low}, {high}]")
+        self._set(low=low, high=high)
 
     def mu_at(self, t, u):
         return self.low + (self.high - self.low) * u
@@ -132,22 +131,20 @@ class UniformMu(MuSchedule):
 # State
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OpinionState:
+class OpinionState(Record):
     """Opinions of all agents at one time step: array of shape (n, d)."""
 
-    time: int
-    opinions: np.ndarray
+    _fields = ("time", "opinions")
 
-    def __post_init__(self):
-        arr = np.asarray(self.opinions, dtype=float)
+    def __init__(self, time: int, opinions: np.ndarray):
+        arr = np.asarray(opinions, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2:
             raise ConfigurationError(f"opinions must be an (n, d) array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ConfigurationError("opinions must be finite")
-        self.opinions = arr
+        self.time, self.opinions = time, arr
 
     @property
     def n(self) -> int:
@@ -392,8 +389,7 @@ def block_size(n: int, d: int) -> int:
     return max(1, BLOCK_BYTES // (48 * n * d))
 
 
-@dataclass(frozen=True)
-class FiredSteps:
+class FiredSteps(Frozen):
     """Steps ``start`` .. ``stop - 1`` of a run, a block as the hooks see it.
 
     ``x0`` (n, d) holds the opinions at step ``start``.  ``t``, ``i``, ``j``
@@ -406,15 +402,11 @@ class FiredSteps:
     ``old``, ``state_at``).
     """
 
-    start: int
-    stop: int
-    x0: np.ndarray
-    t: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    mu: np.ndarray
-    new: np.ndarray
-    edges: tuple = ()
+    _fields = ("start", "stop", "x0", "t", "i", "j", "mu", "new", "edges")
+
+    def __init__(self, start: int, stop: int, x0: np.ndarray, t: np.ndarray, i: np.ndarray,
+                 j: np.ndarray, mu: np.ndarray, new: np.ndarray, edges: tuple = ()):
+        self._set(start=start, stop=stop, x0=x0, t=t, i=i, j=j, mu=mu, new=new, edges=edges)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -495,8 +487,7 @@ class TrajectoryObserver:
 EVENT_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("fired", bool), ("mu", float)])
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Recorded run: states at the recording stride plus every step event.
 
     ``times`` (k,) and ``states`` (k, n, d) hold the recorded states, from
@@ -506,10 +497,11 @@ class Trajectory:
     exactly when ``steps_run`` is below its horizon.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    events: np.ndarray
-    steps_run: int = 0
+    _fields = ("times", "states", "events", "steps_run")
+
+    def __init__(self, times: np.ndarray, states: np.ndarray, events: np.ndarray,
+                 steps_run: int = 0):
+        self.times, self.states, self.events, self.steps_run = times, states, events, steps_run
 
 
 def run_trajectory(

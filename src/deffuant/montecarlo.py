@@ -24,7 +24,7 @@ import os
 import pickle
 from dataclasses import dataclass
 from enum import Enum
-from typing import NoReturn, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .model import (
     run_trajectory,
     seed_streams,
 )
+from .values import Frozen, Record
 
 WILSON_Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -90,15 +91,13 @@ class TrialConfig:
             raise ConfigurationError(f"check_every must be >= 1, got {self.check_every}")
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     verdict: Verdict
     decided_at: Optional[int]
     final_diameter: float
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     outcome: TrialOutcome
     tau_delta: Optional[int]
     steps_run: int
@@ -362,8 +361,7 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> tuple
     return min(lo, p), max(hi, p)
 
 
-@dataclass(frozen=True)
-class ConsensusEstimate:
+class ConsensusEstimate(Frozen):
     """Consensus fraction with its Wilson 95% interval.
 
     Undecided trials count in the denominator but not the numerator, which
@@ -371,16 +369,14 @@ class ConsensusEstimate:
     to challenge a lower bound.
     """
 
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    n_trials: int
-    n_undecided: int
+    __slots__ = _fields = ("p_hat", "ci_low", "ci_high", "n_trials", "n_undecided")
 
-    def __post_init__(self):
-        if not (0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0):
-            raise ConfigurationError(
-                f"estimate out of order: {self.ci_low}, {self.p_hat}, {self.ci_high}")
+    def __init__(self, p_hat: float, ci_low: float, ci_high: float, n_trials: int,
+                 n_undecided: int):
+        if not (0.0 <= ci_low <= p_hat <= ci_high <= 1.0):
+            raise ConfigurationError(f"estimate out of order: {ci_low}, {p_hat}, {ci_high}")
+        self._set(p_hat=p_hat, ci_low=ci_low, ci_high=ci_high, n_trials=n_trials,
+                  n_undecided=n_undecided)
 
     @property
     def std_error(self) -> float:
@@ -389,11 +385,12 @@ class ConsensusEstimate:
         return float(np.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_trials))
 
 
-@dataclass
-class EnsembleResult:
-    estimate: ConsensusEstimate
-    counts: dict[str, int]
-    rows: list[TrialResult]     # trial k at index k
+class EnsembleResult(Record):
+    _fields = ("estimate", "counts", "rows")
+
+    def __init__(self, estimate: ConsensusEstimate, counts: dict[str, int],
+                 rows: list[TrialResult]):   # trial k at index k
+        self.estimate, self.counts, self.rows = estimate, counts, rows
 
 
 def run_ensemble(
@@ -509,15 +506,15 @@ def theoretical_lower_bound(epsilon: float, ball: Ball, expected_dist: float) ->
 BOUND_SE_Z = 3.0
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Frozen):
     """A ``ConsensusEstimate`` vs a theoretical lower bound; passed means no
     contradiction of ``tested_bound``."""
 
-    bound: Optional[float]
-    margin: Optional[float]
-    passed: Optional[bool]
-    tested_bound: Optional[float] = None
+    __slots__ = _fields = ("bound", "margin", "passed", "tested_bound")
+
+    def __init__(self, bound: Optional[float], margin: Optional[float],
+                 passed: Optional[bool], tested_bound: Optional[float] = None):
+        self._set(bound=bound, margin=margin, passed=passed, tested_bound=tested_bound)
 
 
 def bound_comparison_report(estimate: ConsensusEstimate, bound: Optional[float],

@@ -96,3 +96,16 @@ def test_a_failing_export_leaves_no_child_process(tmp_path):
         bench_pair.export("HEAD", tmp_path / "missing")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_time_setup_measures_the_import_its_factories_and_each_benchmark_config():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "time_setup.py"), "--measure"],
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120, check=True)
+    figures = json.loads(proc.stdout.strip().splitlines()[-1])
+    labels = ("simulate-n10", "estimate-n10", "simulate-n1000", "estimate-er100")
+    assert list(figures) == ["import.own_ms", "import.factory_ms",
+                             *(f"setup.{label}_ms" for label in labels)]
+    own = figures["import.own_ms"]
+    assert 0 < figures["import.factory_ms"] < own   # TrialConfig's, and no more than the import
+    assert all(figures[f"setup.{label}_ms"] >= own for label in labels)
