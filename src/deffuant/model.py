@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
+from math import sqrt
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -59,6 +60,10 @@ class MuSchedule:
         """mu at step t, given the step's uniform u in [0, 1) (``Draws.at``)."""
         raise NotImplementedError
 
+    def rates(self, start: int, uniforms: list[float]) -> list[float]:
+        """``mu_at`` of steps start, start + 1, ... given their uniforms: a draw block's rates."""
+        return [self.mu_at(t, u) for t, u in enumerate(uniforms, start)]
+
     @property
     def inf_positive(self) -> bool:
         """True when inf_t mu(t) > 0 is guaranteed by construction."""
@@ -80,6 +85,9 @@ class ConstantMu(MuSchedule, Frozen):
 
     def mu_at(self, t, u):
         return self.value
+
+    def rates(self, start, uniforms):
+        return [self.value] * len(uniforms)
 
     @property
     def inf_positive(self):
@@ -340,35 +348,35 @@ def side_stream(seed: int, purpose: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=_SIDE_STREAMS[purpose]))
 
 
-def _update(x, i: int, j: int, mu: float, params: ModelParams) -> bool:
+def _update(x, i: int, j: int, mu: float, epsilon: float, norm: str, d: int) -> bool:
     """Apply the update rule to rows i and j of x in place; True iff it fired.
 
-    x is an (n, d) float64 array or the engine's view of one's buffer
-    (``memoryview``); both are read and written an item ``x[i, k]`` at a
-    time.  mu is used as given: the audit observers, not this rule, catch a
-    rate outside [0, 1/2].
+    x holds the (n, d) opinions flat, row i at items i d to i d + d - 1 (the
+    engine's ``memoryview`` of their buffer, or a raveled array).  It fires iff
+    ``norms.scalar_length(x_j - x_i, norm) <= epsilon``, inlined at d = 1.  A
+    rate outside [0, 1/2] is applied as given: the audit observers catch it.
     """
     # on Python floats, with the bits of the numpy forms: each operation
     # rounds once either way
-    if params.dimension == 1:   # the same steps without building lists
-        a, b = x[i, 0], x[j, 0]
+    if d == 1:   # the same steps without building lists
+        a, b = x[i], x[j]
         gap = b - a
-        if not scalar_length((gap,), params.norm) <= params.epsilon:
+        # 0.0 + gap * gap and 0.0 + |gap| are exact, and max(0.0, |gap|) is |gap|
+        if not (sqrt(gap * gap) if norm == "euclidean" else abs(gap)) <= epsilon:
             return False
         upd = mu * gap
-        x[i, 0] = a + upd
-        x[j, 0] = b - upd
+        x[i] = a + upd
+        x[j] = b - upd
         return True
-    dims = range(params.dimension)
-    diff = []
-    for k in dims:
-        diff.append(x[j, k] - x[i, k])
-    if not scalar_length(diff, params.norm) <= params.epsilon:
+    i, j, diff = i * d, j * d, []
+    for k in range(d):
+        diff.append(x[j + k] - x[i + k])
+    if not scalar_length(diff, norm) <= epsilon:
         return False
-    for k in dims:
+    for k in range(d):
         upd = mu * diff[k]
-        x[i, k] += upd
-        x[j, k] -= upd
+        x[i + k] += upd
+        x[j + k] -= upd
     return True
 
 
@@ -379,8 +387,8 @@ def _update(x, i: int, j: int, mu: float, params: ModelParams) -> bool:
 # A block holds as many fired steps as keep its states and the temporaries of
 # its checks, about 48 n d bytes a step for n agents in d dimensions, within
 # BLOCK_BYTES; numpy's fixed cost per call is then spread over many steps.
-# Its record of every step, 25 bytes (i, j, mu and fired), stays within
-# BLOCK_BYTES too, however few of its steps fire.
+# It ends after BLOCK_BYTES // 25 steps too, however few of them fire, so its
+# event rows (25 bytes a step: i, j, fired and mu) stay within BLOCK_BYTES.
 BLOCK_BYTES = 1 << 20
 
 
@@ -394,7 +402,7 @@ class FiredSteps(Frozen):
 
     ``x0`` (n, d) holds the opinions at step ``start``.  ``t``, ``i``, ``j``
     and ``mu`` (m,) name each step of the block that fired, in order (the
-    engine picks them out of its record of every step), and ``new``
+    engine records these steps alone), and ``new``
     (m, 2, d) holds its rows i and j just after it.  ``edges`` lists
     (s, E(s)) at ``start`` and where E(t) changes, but an Erdos-Renyi E(t),
     new at every step, only at ``start``, for its graph.  Every other state of
@@ -525,12 +533,12 @@ def run_trajectory(
     and final states.
 
     While anything reads the run (a block hook, a stop rule, the events or a
-    stride), each step is recorded once, into the open block: its pair, rate
-    and whether it fired, and for a fired step its rows i and j just after
-    it.  A block ends at ``block_size(n, d)`` fired steps, after BLOCK_BYTES
-    // 25 steps, at the step the stop rule names, and at the end of the run.
-    The observers see it as ``FiredSteps`` (``TrajectoryObserver``), and the
-    event rows and the states at the multiples of the stride are taken from it.
+    stride), each fired step is recorded into the open block, its t, pair,
+    rate and rows i and j just after it, and so is, for the events alone,
+    every step's pair and rate.  A block ends at ``block_size(n, d)`` fired
+    steps, after BLOCK_BYTES // 25 steps, at the step the stop rule names,
+    and at the run's end.  The observers see it as ``FiredSteps``
+    (``TrajectoryObserver``); the event rows and the stride's states come from it.
 
     ``stop_condition(t)``, when given, is asked at step 0, after
     ``at_start``, and after the block that ends at each later step t.  It
@@ -542,17 +550,18 @@ def run_trajectory(
     block hooks have by then seen the steps of that block past s; a
     violation at step s or later is not raised.
 
-    The loop works on Python scalars.  The opinions x are one C-contiguous
-    (n, d) float64 array, the array ``at_start`` and ``at_end`` see, and the
-    update reads and writes its rows i and j through a ``memoryview`` of its
-    buffer.  The pairs come by the draw block: once per block of DRAW_BLOCK
-    steps and per E(t) seen in it (an Erdos-Renyi E(t) once per graph),
-    ``Draws.pairs`` derives every step's pair in one numpy pass, and the
-    step reads its own from a list.  A step the block leaves open, an
-    Erdos-Renyi step whose six candidates all miss (one in 64 at p = 1/2)
-    or one whose first pick word Lemire's method redraws (probability below
-    m / 2^64), indexes the rows of its E(t) with its next words
-    (``_open_pair``).
+    The loop walks a draw block's steps on Python scalars.  The opinions x
+    are one C-contiguous (n, d) float64 array, the array ``at_start`` and
+    ``at_end`` see, and ``_update`` reads and writes its rows i and j
+    through a flat ``memoryview`` of its buffer, given epsilon, the norm and
+    d.  A step reads its pair and rate from lists made once per block of
+    DRAW_BLOCK steps: ``mu_schedule.rates`` gives every step's rate, and per
+    E(t) seen in the block (an Erdos-Renyi E(t) once per graph),
+    ``Draws.pairs`` every step's pair, in one numpy pass.  A step the block
+    leaves open, an Erdos-Renyi step whose six candidates all miss (one in
+    64 at p = 1/2) or one whose first pick word Lemire's method redraws
+    (probability below m / 2^64), indexes the rows of its E(t) with its next
+    words (``_open_pair``).
     """
     if horizon < 0:
         raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
@@ -577,17 +586,16 @@ def run_trajectory(
 
     # a copy in C order whatever the order of the initial array
     x = np.array(initial.opinions, dtype=float, order="C")
-    view, raw = x.data, x.data.cast("B")   # items x[i, k], and x's bytes
+    raw, flat = x.data.cast("B"), x.data.cast("B").cast("d")   # bytes, items (row i at i d)
     draws = Draws(run_key(rng))
     base = TrajectoryObserver.after_block
     hooks = [obs.after_block for obs in observers
              if getattr(type(obs), "after_block", base) is not base]
     record = (bool(hooks) or stop_condition is not None or record_events
               or record_stride is not None)
-    d = x.shape[1]
-    width = 8 * d   # the bytes of a row
-    # a block's end: its fired rows fill ``fired_new`` or its steps number ``most``
-    full, most = block_size(*x.shape) * 2 * d, max(1, BLOCK_BYTES // 25)
+    epsilon, norm, d, width = params.epsilon, params.norm, x.shape[1], 8 * x.shape[1]
+    # a block's end: its fired steps number ``full`` or its steps ``most``
+    full, most = block_size(*x.shape), max(1, BLOCK_BYTES // 25)
 
     # the recorded times, states and event rows, a block at a time
     times, states, events = [np.zeros(1, dtype=int)], [x[None].copy()], []
@@ -595,24 +603,21 @@ def run_trajectory(
     for obs in observers:
         obs.at_start(x)
 
-    # The open block: its first step and a copy of the opinions there, the
-    # pair, rate and fired flag of each step, the bytes of rows i and j just
-    # after each fired step, and (s, E(s)) where E(t) changes, in arrays that
-    # become numpy arrays with one copy.
+    # The open block: its first step and a copy of the opinions there; each fired
+    # step's t, i, j, rate and rows i and j just after it; every step's i, j and
+    # rate for the events; and (s, E(s)) where E(t) changes.
     start, x0 = 0, x.copy()
-    step_ij, step_mu, step_fired, fired_new = array("q"), array("d"), array("b"), array("d")
+    fired_tij, fired_mu, fired_new, step_ij, step_mu = [], [], array("d"), [], []
     changes: list[tuple[int, "EdgeSet"]] = []
 
     def end_block(t: int) -> Optional[int]:
         """Hand over the block that ends at step t and open the next; the stop
         step, or None.  Raises the earliest violation before that step."""
         nonlocal start, x0, last
-        ij = np.array(step_ij, dtype=np.intp).reshape(-1, 2)
-        mu, fired = np.array(step_mu), np.array(step_fired, dtype=bool)
-        k = np.flatnonzero(fired)
-        steps = FiredSteps(start, t, x0, start + k, ij[k, 0], ij[k, 1], mu.take(k),
+        k, i, j = np.fromiter(fired_tij, np.intp, len(fired_tij)).reshape(-1, 3).T.copy()
+        steps = FiredSteps(start, t, x0, k, i, j, np.fromiter(fired_mu, float, len(k)),
                            np.array(fired_new).reshape(len(k), 2, d), tuple(changes))
-        for kept in (step_ij, step_mu, step_fired, fired_new, changes):
+        for kept in (fired_tij, fired_mu, fired_new, changes):
             del kept[:]
         start, x0 = t, x.copy()
         found = [v for v in [hook(steps) for hook in hooks] if v is not None]
@@ -622,9 +627,11 @@ def run_trajectory(
             raise min(found, key=lambda v: v.step)
         end = t if stop is None or stop > t else stop   # where this block's record is cut
         if record_events:
-            rows = np.empty(end - steps.start, dtype=EVENT_DTYPE)
-            rows["i"], rows["j"] = ij[:len(rows)].T
-            rows["fired"], rows["mu"] = fired[:len(rows)], mu[:len(rows)]
+            rows = np.zeros(end - steps.start, dtype=EVENT_DTYPE)
+            rows["i"], rows["j"] = np.array(step_ij, dtype=np.intp).reshape(-1, 2)[:len(rows)].T
+            rows["mu"] = np.array(step_mu)[:len(rows)]
+            rows["fired"][k[k < end] - steps.start] = True
+            del step_ij[:], step_mu[:]
             events.append(rows)
         if record_stride is not None:
             at = np.arange(steps.start + record_stride - steps.start % record_stride, end + 1,
@@ -640,44 +647,52 @@ def run_trajectory(
         return stop
 
     # the edge set last listed in the block's changes; the held draw block's
-    # steps and their uniforms; the edge set, or Erdos-Renyi graph, of E(t)
+    # first step, end and rates; the edge set, or Erdos-Renyi graph, of E(t)
     # and the steps' pairs on it (None until asked for, ``Draws.pairs``)
-    held, first, end, us, source, pairs = None, 0, 0, [], None, None
+    held, first, end, rates, source, pairs = None, 0, 0, [], None, None
     t, until = 0, stop_condition(0) if stop_condition is not None else None
     stop = 0 if until is not None and until <= 0 else None
     # the step at which the open block ends at the latest
-    last = (most if until is None else min(most, until)) if record else -1
+    last = (most if until is None else min(most, until)) if record else horizon
     while t < horizon and stop is None:
-        edges = graph_schedule.edges_at(t)
-        if edges is not held:
-            if record and not isinstance(held, ErdosRenyiEdges):
-                changes.append((t, edges))
-            held = edges
-            key = edges.graph if isinstance(edges, ErdosRenyiEdges) else edges
-            if key is not source:
-                source, pairs = key, None
         if t == end:
             draws.at(t)
-            first, end, us, pairs = draws.start, draws.stop, draws.uniforms, None
-        if pairs is None:
-            pairs = draws.pairs(source)
-        r = t - first
-        i, j = pairs[r]
-        if i < _NO_EDGE:
-            i, j = _open_pair(draws, t, edges, i)
-        mu = mu_schedule.mu_at(t, us[r])
-        fired = i >= 0 and _update(view, i, j, mu, params)
+            first, end, pairs = draws.start, draws.stop, None
+            rates = mu_schedule.rates(first, draws.uniforms)
+        # a step fires at most once: the open block cannot fill before this range's end
+        for t in range(t, min(end, last, horizon, t + full - len(fired_mu))):
+            edges = graph_schedule.edges_at(t)
+            if edges is not held:
+                if record and not isinstance(held, ErdosRenyiEdges):
+                    changes.append((t, edges))
+                held = edges
+                key = edges.graph if isinstance(edges, ErdosRenyiEdges) else edges
+                if key is not source:
+                    source, pairs = key, None
+            if pairs is None:
+                pairs = draws.pairs(source)
+            r = t - first
+            i, j = pairs[r]
+            if i < _NO_EDGE:
+                i, j = _open_pair(draws, t, edges, i)
+            mu = rates[r]
+            if record_events:
+                step_ij.append(i)
+                step_ij.append(j)
+                step_mu.append(mu)
+            if i >= 0 and _update(flat, i, j, mu, epsilon, norm, d) and record:
+                fired_tij.extend((t, i, j))
+                fired_mu.append(mu)
+                if d == 1:   # two items, without slicing the buffer
+                    fired_new.append(flat[i])
+                    fired_new.append(flat[j])
+                else:
+                    fired_new.frombytes(raw[i * width:i * width + width])
+                    fired_new.frombytes(raw[j * width:j * width + width])
         t += 1
-        if record:
-            step_ij.extend((i, j))
-            step_mu.append(mu)
-            step_fired.append(fired)
-            if fired:
-                fired_new.frombytes(raw[i * width:i * width + width])
-                fired_new.frombytes(raw[j * width:j * width + width])
-            if t == last or len(fired_new) == full:
-                held = None   # the next block lists E(t) from its first step
-                stop = end_block(t)
+        if record and (t == last or len(fired_mu) == full):
+            held = None   # the next block lists E(t) from its first step
+            stop = end_block(t)
     if record and stop is None and start < t:
         stop = end_block(t)
     if stop is not None:

@@ -585,7 +585,7 @@ def test_violation_json_holds_the_failed_step_and_reproduces_its_slack(
     # rate 0.9 at every update while 0.5 is reported
     update = model._update
     monkeypatch.setattr(model, "_update",
-                        lambda x, i, j, mu, params: update(x, i, j, 0.9, params))
+                        lambda x, i, j, mu, *rule: update(x, i, j, 0.9, *rule))
     if not identity_check:
         monkeypatch.setattr(cli, "UpdateIdentityObserver", lambda params: TrajectoryObserver())
     initial = [[0.0, 0.1], [0.9, 0.3], [0.4, 1.0], [0.7, 0.6]]
@@ -1015,7 +1015,7 @@ def test_verify_catches_an_update_that_overshoots_the_midpoint(
         tmp_path, capsys, monkeypatch, identity_check, failed_check):
     update = model._update
     monkeypatch.setattr(model, "_update",
-                        lambda x, i, j, mu, params: update(x, i, j, 0.9, params))
+                        lambda x, i, j, mu, *rule: update(x, i, j, 0.9, *rule))
     if not identity_check:
         monkeypatch.setattr(invariants, "UpdateIdentityObserver",
                             lambda params: TrajectoryObserver())

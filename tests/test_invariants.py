@@ -297,7 +297,7 @@ def test_overshooting_update_fails_the_diameter_check_where_the_matrix_rises(
         monkeypatch, rate, step):
     update = model._update
     monkeypatch.setattr(model, "_update",
-                        lambda x, i, j, mu, params: update(x, i, j, rate, params))
+                        lambda x, i, j, mu, *rule: update(x, i, j, rate, *rule))
     n, d, norm = 30, 3, "l1"
     params = ModelParams(epsilon=0.9, dimension=d, norm=norm)
 
@@ -337,7 +337,7 @@ def test_diameter_observer_memory_stays_far_below_the_distance_matrix():
             i = obs._pair[0] if t % 4 == 0 else int(rng.integers(n))
             j = (i + 1 + int(rng.integers(n - 1))) % n
             before = x.copy()
-            assert model._update(x, i, j, 0.5, params)
+            assert model._update(x.reshape(-1), i, j, 0.5, params.epsilon, params.norm, d)
             assert obs.after_block(FiredSteps(t, t + 1, before, np.array([t]), np.array([i]),
                                               np.array([j]), np.array([0.5]),
                                               x[[i, j]][None])) is None
@@ -868,16 +868,16 @@ def _faulty_update(monkeypatch, faults):
     the pair separates and the diameter rises.  "overshoot" uses rate 0.9."""
     update, calls = model._update, []
 
-    def faulty(x, i, j, mu, params):
+    def faulty(x, i, j, mu, epsilon, norm, d):
         t = len(calls)
         calls.append(t)
         if faults.get(t) == "push":
-            # item by item: the engine hands the update a memoryview of x
-            for k in range(params.dimension):
-                x[i, k] -= 10.0
-                x[j, k] += 10.0
+            # item by item: the engine hands the update a flat memoryview of x
+            for k in range(d):
+                x[i * d + k] -= 10.0
+                x[j * d + k] += 10.0
             return True
-        return update(x, i, j, 0.9 if faults.get(t) == "overshoot" else mu, params)
+        return update(x, i, j, 0.9 if faults.get(t) == "overshoot" else mu, epsilon, norm, d)
 
     monkeypatch.setattr(model, "_update", faulty)
 

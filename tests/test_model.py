@@ -21,6 +21,7 @@ from deffuant import (
     FiredSteps,
     InvariantViolation,
     ModelParams,
+    MuSchedule,
     OpinionState,
     PiecewiseGraph,
     SequenceMu,
@@ -34,6 +35,7 @@ from deffuant import (
     run_trajectory,
 )
 from deffuant import cli, model
+from deffuant.graphs import pair_lengths
 from deffuant.model import Draws, run_key, seed_streams, side_stream
 from oracles import loop_length
 from oracles import reference_run
@@ -97,6 +99,42 @@ def test_inf_positive_flags():
     assert not SequenceMu((0.2, 0.0)).inf_positive
     assert UniformMu(0.1, 0.5).inf_positive
     assert not UniformMu(0.0, 0.5).inf_positive
+
+
+@pytest.mark.parametrize("sched", [
+    ConstantMu(0.3), UniformMu(0.1, 0.5),
+    SequenceMu(tuple(k / 1000 for k in range(200))),   # ends inside the second draw block,
+    SequenceMu(tuple(k / 1000 for k in range(256))),   # at its end
+    SequenceMu(tuple(k / 1000 for k in range(100))),   # and before it
+], ids=["constant", "uniform", "sequence-200", "sequence-256", "sequence-100"])
+def test_a_draw_blocks_rates_are_mu_at_step_by_step(sched):
+    draws = Draws(12345)
+    for t in (0, model.DRAW_BLOCK, 2 * model.DRAW_BLOCK + 5):
+        draws.at(t)
+        expected = [sched.mu_at(s, u) for s, u in enumerate(draws.uniforms, draws.start)]
+        assert sched.rates(draws.start, draws.uniforms) == expected
+
+
+def test_a_rate_schedule_that_defines_only_mu_at_drives_the_loop():
+    # a caller's schedule may define mu_at alone, and the base class's rates
+    # then asks it step by step
+    class Stepped(MuSchedule):
+        inf_positive = True
+
+        def mu_at(self, t, u):
+            return 0.5 * u if t % 3 else 0.25
+
+    n, seed, horizon = 6, 3, 2 * model.DRAW_BLOCK + 40
+
+    def run(sched):
+        return run_trajectory(OpinionState(0, np.linspace(0.0, 1.0, n)),
+                              ConstantGraph(n, complete_edges(n)), sched,
+                              ModelParams(epsilon=2.0), horizon, np.random.default_rng(seed))
+
+    traj, draws = run(Stepped()), Draws(run_key(np.random.default_rng(seed)))
+    rates = [Stepped().mu_at(t, draws.at(t)) for t in range(horizon)]
+    assert traj.events["fired"].all() and traj.events["mu"].tolist() == rates
+    assert np.array_equal(traj.states, run(SequenceMu(tuple(rates))).states)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +206,34 @@ def test_the_engine_fires_on_exactly_the_profiles_pairs(case):
             fired = _one_step(x, (i, j), 0.5, params)[1]
             kept = [i, j] in profile(x, pairs, params)[0].tolist()
             assert fired == kept == (length <= eps), (i, j, eps)
+
+
+# Gaps whose squares underflow (about 1e-170) or overflow (about 1e160): the
+# euclidean length is then 0 or inf, while the largest |g| is neither.
+_EXTREME_GAPS = {
+    1: [(1e-170,), (-3.7e-170,), (1e160,), (-7.3e160,)],
+    2: [(1e-170, 2e-170), (-3.7e-170, 0.0), (1e-170, 1e-150), (1e160, 1e160),
+        (-7.3e160, 0.0), (1e160, 1.0)],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("norm", NORMS)
+def test_the_engine_fires_on_the_profiles_pairs_where_squares_underflow_or_overflow(d, norm):
+    # epsilon one ulp either side of the length and of the largest |g|: a
+    # firing test that took |g| for the length would fire on the wrong side
+    pairs = np.array([[0, 1]])
+    for gap in _EXTREME_GAPS[d]:
+        x = np.array([[0.0] * d, gap])
+        with np.errstate(over="ignore"):   # inf is the length the profile holds
+            length = pair_lengths(x, pairs, norm)[0]
+        for ref in (length, np.abs(gap).max()):
+            for eps in (np.nextafter(ref, 0.0), ref, np.nextafter(ref, np.inf)):
+                if not eps > 0:
+                    continue
+                params = ModelParams(epsilon=float(eps), dimension=d, norm=norm)
+                fired = _one_step(x, (0, 1), 0.5, params)[1]
+                assert fired == (length <= eps), (gap, eps)
 
 
 def test_step_multidimensional():

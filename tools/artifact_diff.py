@@ -8,13 +8,14 @@ The committed files of REV are exported with ``bench_pair.export`` into a
 temporary directory; the change is this checkout as it stands.  Both roots
 then run, with their own ``src`` on the path:
 
-* ``simulate`` at seeds 0 and 7 on the sixteen reference configs below and
+* ``simulate`` at seeds 0 and 7 on the eighteen reference configs below and
   on the two benchmark ``simulate`` configs of ``perfbench/workloads.py``;
 * ``estimate --trials 12 --per-trial`` at ``--threads`` 1 and 3 (so that
-  each side's multi-worker path is compared too) at seeds 0 and 7 on ten of
-  the reference configs, which between them reach every branch of the bound's
-  geometry: an interval, a one-dimensional box, boxes of d = 2 and 3, a
-  euclidean and an l1 ball and a point cloud; two of them leave most
+  each side's multi-worker path is compared too) at seeds 0 and 7 on twelve
+  of the reference configs, which between them reach every branch of the
+  bound's geometry: an interval, a one-dimensional box, boxes of d = 2 and 3,
+  a euclidean and an l1 ball and a point cloud, and the engine's firing test
+  at d = 1 under each norm; two of them leave most
   Erdos-Renyi picks open (``model._open_pair``).  Also on ``ESTIMATE_ONLY``
   (among them an l1 and a linf config that end in several components, and
   three in which the bound applies) and on the two benchmark ``estimate``
@@ -115,6 +116,14 @@ CONFIGS = {
         "graph": {"kind": "piecewise", "steps": {"0": [[a, a + 1] for a in range(11)],
                                                  "50": [], "100": [[a, (a + 5) % 12]
                                                                    for a in range(12)]}}},
+    # d = 1 under l1 and linf: the engine's firing test on one coordinate,
+    # with pairs both within and beyond epsilon
+    "interval-l1-d1": {
+        "n": 12, "norm": "l1", "epsilon": 0.3, "space": {"kind": "interval", "a": 0.0, "b": 1.0},
+        "mu": {"kind": "uniform", "low": 0.1, "high": 0.5}, "horizon": 2000},
+    "interval-linf-d1": {
+        "n": 12, "norm": "linf", "epsilon": 0.3, "space": {"kind": "interval", "a": 0.0, "b": 1.0},
+        "mu": {"kind": "uniform", "low": 0.1, "high": 0.5}, "horizon": 2000},
     # n >= 64 under linf: the farthest pairs of the first states, all agents on
     # the cube's corners, need the whole scan; later ones a few candidates
     "corners-linf-d3-n300": {
@@ -166,7 +175,7 @@ for k in range(int(sys.argv[4])):
 DEMOS = sorted(path.name for path in (ROOT / "demos").glob("0[1-5]_*.py"))
 ESTIMATED = ("complete-box2-two-deltas", "erdos-renyi-p0.3", "erdos-renyi-sparse-p0.05",
              "erdos-renyi-empty-p0", "cyclic-empty-member-sequence-mu", "linf-d3-stride13",
-             "box1", "ball2", "ball-l1-d3", "cloud2")
+             "box1", "ball2", "ball-l1-d3", "cloud2", "interval-l1-d1", "interval-linf-d1")
 
 
 def runs(configs: Path) -> list[tuple[str, list[str]]]:
